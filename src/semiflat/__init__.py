@@ -33,9 +33,9 @@ from .limits import (direct_sum, product, coproduct, pairing, copairing,
                      InverseSystem, inverse_system, inverse_limit,
                      hom_colimit_comparison, subsemimodule_system)
 from .tensor import (TensorPresentation, tensor_product, factor_balanced,
-                     factor_balanced_morphism, balanced_violations,
-                     enumerate_balanced_maps, tensor_morphisms, unit_iso,
-                     unit_iso_left, associativity_iso, cancellative_tensor,
+                     balanced_violations, enumerate_balanced_maps,
+                     tensor_morphisms, unit_iso, unit_iso_left,
+                     associativity_iso, cancellative_tensor,
                      certify_cancellative_universal, adjunction_iso,
                      hom_tensor_comparison, dual_comparison)
 from .flatness import (FlatnessVerdict, is_uniformly_M_flat, is_uniformly_flat,
@@ -52,8 +52,7 @@ from .catalog import (bool_semiring, sat_semiring, zmod_semiring,
                       product_semiring, free_module, semiring_module,
                       semiring_bimodule, trivial_module, zmod_module,
                       chain_module, product_module, suite_pool,
-                      standard_catalog, enumerate_semimodules,
-                      cancellative_targets)
+                      enumerate_semimodules, cancellative_targets)
 from .workspace import (Workspace, parse_workspace, parse_workspace_dict,
                         emit_workspace, load_default_workspace)
 

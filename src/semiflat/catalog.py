@@ -206,30 +206,6 @@ def suite_semirings() -> tuple[Semiring, ...]:
     return bool_semiring(), sat_semiring(3), zmod_semiring(4)
 
 
-@lru_cache(maxsize=None)
-def standard_catalog(S: Semiring) -> tuple[tuple[str, Semimodule], ...]:
-    """Pool plus every subsemimodule and subsemimodule quotient of S."""
-    from .congruence import quotient_by_sub
-    from .subsets import enumerate_subsemimodules
-    out = list(suite_pool(S))
-    names = {n for n, _ in out}
-    M = semiring_module(S)
-    for U in enumerate_subsemimodules(M):
-        if len(U) in (1, M.size):
-            continue
-        name = "U" + "".join(str(x) for x in U.members)
-        if name not in names:
-            sub, _ = submodule_of(M, U)
-            out.append((name, sub))
-            names.add(name)
-        qname = "Q" + "".join(str(x) for x in U.members)
-        if qname not in names:
-            Q, _ = quotient_by_sub(M, U)
-            out.append((qname, Q))
-            names.add(qname)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Bounded enumeration up to isomorphism.
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Bounds:
-    max_semiring: int = 8
-    max_module: int = 16
     max_subset_module: int = 16      # carrier bound for subsemimodule enumeration
     max_hom_candidates: int = 65536  # |N| ** #generators cap in hom enumeration
     max_box: int = 4096              # tensor presentation box carrier

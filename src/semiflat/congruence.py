@@ -1,10 +1,15 @@
 """Congruence closure, quotients, and the cancellative reflection.
 
-The closure engine is union-find driven: every merged pair schedules its
-translates under addition (and under the scalar action when one is given),
-so the final partition is the least congruence containing the seed pairs.
-Translating only the merged pair is enough because chains of merges
-translate term by term.
+One union-find engine computes every partition in the package: the least
+equivalence containing some seed pairs and closed under a list of unary
+maps.  Each merge of a pair (a, b) schedules only the images (f(a), f(b))
+under those maps, so chains of merges are mapped term by term.  On a
+commutative monoid a partition closed under translation by each generator
+is closed under translation by every element, since every element is a
+sum of generators; the congruence closures therefore pass the generator
+translates (plus the scalar action columns for S-congruences) instead of
+whole addition tables.  Quotients, the cancellative reflection and
+directed colimits call the engine with no maps at all.
 """
 from __future__ import annotations
 
@@ -12,11 +17,12 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotACongruence, NotASubsemimodule
+from .errors import MalformedTable, NotACongruence, NotASubsemimodule
 from .structures import (Morphism, SecondAction, Semimodule, Table,
                          build_morphism, build_semimodule, freeze_table,
                          is_cancellative)
-from .subsets import Subsemimodule, is_closed_subset, subtractive_closure
+from .subsets import (Subsemimodule, additive_generators, is_closed_subset,
+                      monoid_generators, subtractive_closure)
 
 
 @dataclass(frozen=True)
@@ -51,38 +57,12 @@ class Congruence:
         return tuple(tuple(c) for c in out)
 
 
-def _canonical_partition(size: int, find) -> Congruence:
-    root_to_class: dict[int, int] = {}
-    class_of = [0] * size
-    for x in range(size):
-        r = find(x)
-        if r not in root_to_class:
-            root_to_class[r] = len(root_to_class)
-        class_of[x] = root_to_class[r]
-    return Congruence(size, tuple(class_of), len(root_to_class))
+def congruence_closure(size: int, maps, pairs) -> Congruence:
+    """Least equivalence on range(size) containing the pairs and closed under the maps.
 
-
-class _LazyRows:
-    """Row provider over a callable; used for large synthetic carriers."""
-
-    def __init__(self, fn, size: int):
-        self.fn = fn
-        self.rows: dict[int, list[int]] = {}
-        self.size = size
-
-    def __getitem__(self, i: int):
-        row = self.rows.get(i)
-        if row is None:
-            row = self.rows[i] = self.fn(i)
-        return row
-
-
-def congruence_closure(size: int, add_rows, pairs, action_rows=None) -> Congruence:
-    """Least congruence on a commutative monoid containing the given pairs.
-
-    ``add_rows[x]`` must be the row of translates x+c; ``action_rows``,
-    when present, gives the scalar translates and makes the result an
-    S-congruence.
+    ``maps[j][x]`` is the image of x under the j-th unary map.  Roots are
+    always the least member of their class, so classes come out numbered
+    by least member.
     """
     parent = list(range(size))
 
@@ -101,26 +81,40 @@ def congruence_closure(size: int, add_rows, pairs, action_rows=None) -> Congruen
         if ra > rb:
             ra, rb = rb, ra
         parent[rb] = ra
-        row_a, row_b = add_rows[a], add_rows[b]
-        for c in range(size):
-            x, y = row_a[c], row_b[c]
+        for f in maps:
+            x, y = f[a], f[b]
             if find(x) != find(y):
                 queue.append((x, y))
-        if action_rows is not None:
-            act_a, act_b = action_rows[a], action_rows[b]
-            for s in range(len(act_a)):
-                x, y = act_a[s], act_b[s]
-                if find(x) != find(y):
-                    queue.append((x, y))
-    return _canonical_partition(size, find)
+    class_of = [0] * size
+    count = 0
+    for x in range(size):
+        r = find(x)
+        if r == x:
+            class_of[x] = count
+            count += 1
+        else:
+            class_of[x] = class_of[r]
+    return Congruence(size, tuple(class_of), count)
 
 
 def module_congruence_closure(M: Semimodule, pairs) -> Congruence:
-    return congruence_closure(M.size, M.add, pairs, M.action)
+    """Least S-congruence containing the pairs.
+
+    Closed under the additive generator translates (rows equal columns,
+    the addition being commutative) and the scalar action columns.
+    """
+    maps = [M.add[g] for g in additive_generators(M)]
+    maps.extend(zip(*M.action))
+    return congruence_closure(M.size, maps, pairs)
 
 
 def monoid_congruence_closure(add: Table, pairs) -> Congruence:
-    return congruence_closure(len(add), add, pairs)
+    """Least congruence on a commutative monoid table containing the pairs."""
+    n = len(add)
+    zero = next((e for e in range(n) if all(add[e][x] == x for x in range(n))), None)
+    if zero is None:
+        raise MalformedTable("monoid table has no identity element")
+    return congruence_closure(n, [add[g] for g in monoid_generators(add, zero)], pairs)
 
 
 def congruence_violations(M: Semimodule, cong: Congruence):
@@ -168,29 +162,19 @@ def quotient_by_congruence(M: Semimodule, cong: Congruence,
 
 
 def _partition_from_relation(size: int, related) -> Congruence:
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(size):
-        for b in range(a + 1, size):
-            if related(a, b):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    return _canonical_partition(size, find)
+    return congruence_closure(size, (), [(a, b) for a in range(size)
+                                         for b in range(a + 1, size) if related(a, b)])
 
 
 def sub_congruence(M: Semimodule, L: Subsemimodule) -> Congruence:
-    """x ~ y when x + l1 = y + l2 for members l1, l2 of L."""
+    """x ~ y when x + l1 = y + l2 for members l1, l2 of L.
+
+    This Bourne relation is the least congruence gluing L to zero: any
+    congruence containing each (l, 0) relates x ~ x + l1 = y + l2 ~ y.
+    """
     if L.parent != M or not is_closed_subset(M, L.members):
         raise NotASubsemimodule("quotient requires a subsemimodule of the parent")
-    reach = [frozenset(M.add[x][l] for l in L.members) for x in range(M.size)]
-    return _partition_from_relation(M.size, lambda a, b: not reach[a].isdisjoint(reach[b]))
+    return module_congruence_closure(M, [(l, M.zero) for l in L.members])
 
 
 def cancellative_pair_relation(M: Semimodule) -> list[list[bool]]:

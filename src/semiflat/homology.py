@@ -85,10 +85,6 @@ def morphism_profile(f: Morphism) -> MorphismProfile:
                            semi_epi, k_witness, i_witness)
 
 
-def is_uniform(f: Morphism) -> bool:
-    return morphism_profile(f).uniform
-
-
 @dataclass(frozen=True)
 class StageFlags:
     chain_step: bool
@@ -149,13 +145,6 @@ def with_zero_ends(morphisms, left: bool = True, right: bool = True):
     if right:
         ms.append(zero_morphism(ms[-1].target, T))
     return ms
-
-
-def short_sequence_of_sub(M: Semimodule, U: Subsemimodule):
-    """The canonical 0 -> U -> M -> M/U -> 0 built from a subsemimodule."""
-    sub, inc = submodule_of(M, U)
-    Q, pi = quotient_by_sub(M, U)
-    return with_zero_ends([inc, pi])
 
 
 # ---------------------------------------------------------------------------

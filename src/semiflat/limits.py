@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .catalog import product_module
-from .congruence import module_congruence_closure, quotient_by_congruence
+from .congruence import (congruence_closure, module_congruence_closure,
+                         quotient_by_congruence)
 from .errors import (NotDirected, NotIntertwining, ShapeMismatch,
                      SizeBoundExceeded)
 from .config import DEFAULT_BOUNDS
@@ -283,34 +284,16 @@ def directed_colimit(sys: DirectedSystem) -> Colimit:
     pairs = [(j, x) for j, M in enumerate(sys.nodes) for x in range(M.size)]
     pos = {p: i for i, p in enumerate(pairs)}
     n = len(pairs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    related = []
     for i, (j, x) in enumerate(pairs):
         for i2 in range(i + 1, n):
             j2, x2 = pairs[i2]
-            for m in sys.upper_bounds(j, j2):
-                if sys.transition(j, m).map[x] == sys.transition(j2, m).map[x2]:
-                    ri, ri2 = find(i), find(i2)
-                    if ri != ri2:
-                        parent[max(ri, ri2)] = min(ri, ri2)
-                    break
-    root_to_class: dict[int, int] = {}
-    cls = [0] * n
-    for i in range(n):
-        r = find(i)
-        if r not in root_to_class:
-            root_to_class[r] = len(root_to_class)
-        cls[i] = root_to_class[r]
-    k = len(root_to_class)
-    reps = [None] * k
-    for i in range(n - 1, -1, -1):
-        reps[cls[i]] = pairs[i]
+            if any(sys.transition(j, m).map[x] == sys.transition(j2, m).map[x2]
+                   for m in sys.upper_bounds(j, j2)):
+                related.append((i, i2))
+    cong = congruence_closure(n, (), related)
+    cls = cong.class_of
+    reps = [pairs[r] for r in cong.representatives]
     S = sys.nodes[0].semiring
 
     def add_elements(p, q):

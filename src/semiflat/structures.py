@@ -564,12 +564,6 @@ def with_bimodule_structure(M: Semimodule) -> Semimodule:
                             SecondAction(M.semiring, other, M.action))
 
 
-def drop_second(M: Semimodule) -> Semimodule:
-    if M.second is None:
-        return M
-    return Semimodule(M.semiring, M.side, M.labels, M.add, M.zero, M.action, None)
-
-
 def swap_actions(M: Semimodule) -> Semimodule:
     """Make the second action primary; needed to hom over the other side."""
     if M.second is None:

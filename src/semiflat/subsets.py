@@ -214,16 +214,21 @@ def module_expressions(M: Semimodule) -> tuple[tuple[tuple[int, int], ...], ...]
     return tuple(exprs[x] for x in range(M.size))
 
 
+def monoid_generators(add: Table, zero: int) -> tuple[int, ...]:
+    """Greedy minimal generating set of a commutative monoid table, in index order."""
+    gens: list[int] = []
+    span = additive_span(add, zero, ())
+    for x in range(len(add)):
+        if x not in span:
+            gens.append(x)
+            span = additive_span(add, zero, gens)
+    return tuple(gens)
+
+
 @lru_cache(maxsize=None)
 def additive_generators(M: Semimodule) -> tuple[int, ...]:
     """Greedy minimal generating set of the underlying additive monoid."""
-    gens: list[int] = []
-    span = additive_span(M.add, M.zero, ())
-    for x in range(M.size):
-        if x not in span:
-            gens.append(x)
-            span = additive_span(M.add, M.zero, gens)
-    return tuple(gens)
+    return monoid_generators(M.add, M.zero)
 
 
 @lru_cache(maxsize=None)

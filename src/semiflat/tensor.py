@@ -174,17 +174,15 @@ def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False,
     for m in range(M.size):
         relate(emb[m][N.zero], 0)
 
-    class _Rows:
-        def __init__(self):
-            self.cache: dict[int, list[int]] = {}
-
-        def __getitem__(self, a: int):
-            row = self.cache.get(a)
-            if row is None:
-                row = self.cache[a] = [box_add(a, c) for c in range(box_size)]
-            return row
-
-    cong = congruence_closure(box_size, _Rows(), sorted(relations))
+    # the box is generated by the k unit vectors, so closing under the
+    # k unit steps closes under every translate
+    steps = []
+    stride = box_size
+    for q in range(k):
+        stride //= radices[q]
+        steps.append([x + (reduce_coord(q, coords_of[x][q] + 1) - coords_of[x][q]) * stride
+                      for x in range(box_size)])
+    cong = congruence_closure(box_size, steps, sorted(relations))
     cls = cong.class_of
     reps = cong.representatives
     qsize = cong.class_count
@@ -329,13 +327,6 @@ def factor_balanced(pres: TensorPresentation, G: Semimodule, table) -> tuple[int
             if gamma[pres.tau[m][n]] != table[m][n]:
                 raise NotBalanced((m, n), "mediating map does not recover the table")
     return tuple(gamma)
-
-
-def factor_balanced_morphism(pres: TensorPresentation, G: Semimodule, table) -> Morphism:
-    gamma = factor_balanced(pres, G, table)
-    if pres.module.semiring == G.semiring and pres.module.side == G.side:
-        return build_morphism(pres.module, G, gamma)
-    return monoid_morphism(pres.module, G, gamma)
 
 
 def enumerate_balanced_maps(M: Semimodule, N: Semimodule, G: Semimodule,

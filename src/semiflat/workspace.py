@@ -76,11 +76,24 @@ def _labels(raw, pointer):
     return labels
 
 
+def _object(raw, pointer):
+    _expect(isinstance(raw, dict), pointer, "must be an object")
+    return raw
+
+
+def _entries(doc, section):
+    """Sorted (name, entry) pairs of a top-level section; all must be objects."""
+    items = sorted(_object(doc.get(section, {}), f"/{section}").items())
+    for name, raw in items:
+        _object(raw, f"/{section}/{name}")
+    return items
+
+
 def parse_workspace_dict(doc: dict) -> Workspace:
     _expect(isinstance(doc, dict), "/", "document must be an object")
     _expect(doc.get("format") == FORMAT, "/format", f"unsupported format {doc.get('format')!r}")
-    ws = Workspace(config=dict(doc.get("config", {})))
-    for name, raw in sorted(doc.get("semirings", {}).items()):
+    ws = Workspace(config=dict(_object(doc.get("config", {}), "/config")))
+    for name, raw in _entries(doc, "semirings"):
         ptr = f"/semirings/{name}"
         labels = _labels(raw.get("elements"), f"{ptr}/elements")
         index = {lab: i for i, lab in enumerate(labels)}
@@ -93,7 +106,7 @@ def parse_workspace_dict(doc: dict) -> Workspace:
         _expect(raw.get("one") in index, f"{ptr}/one", "one must name an element")
         ws.semirings[name] = build_semiring(labels, add, mul,
                                             index[raw["zero"]], index[raw["one"]])
-    for name, raw in sorted(doc.get("semimodules", {}).items()):
+    for name, raw in _entries(doc, "semimodules"):
         ptr = f"/semimodules/{name}"
         sname = raw.get("semiring")
         _expect(sname in ws.semirings, f"{ptr}/semiring",
@@ -123,7 +136,7 @@ def parse_workspace_dict(doc: dict) -> Workspace:
         ws.semimodules[name] = build_semimodule(S, side, labels, add,
                                                 index[raw["zero"]], action, second)
         ws.module_names[ws.semimodules[name]] = name
-    for name, raw in sorted(doc.get("morphisms", {}).items()):
+    for name, raw in _entries(doc, "morphisms"):
         ptr = f"/morphisms/{name}"
         _expect(raw.get("source") in ws.semimodules, f"{ptr}/source",
                 f"unknown semimodule {raw.get('source')!r}")
@@ -140,7 +153,7 @@ def parse_workspace_dict(doc: dict) -> Workspace:
             _expect(cell in tgt_index, f"{ptr}/map/{j}", f"unknown target label {cell!r}")
             mapping.append(tgt_index[cell])
         ws.morphisms[name] = build_morphism(src, tgt, mapping)
-    for name, raw in sorted(doc.get("systems", {}).items()):
+    for name, raw in _entries(doc, "systems"):
         ptr = f"/systems/{name}"
         node_names = raw.get("nodes")
         _expect(isinstance(node_names, list) and node_names, f"{ptr}/nodes",
@@ -170,7 +183,7 @@ def parse_workspace_dict(doc: dict) -> Workspace:
             rels.append((j, j2))
             maps.append(build_morphism(nodes[j], tgt, mapping))
         ws.systems[name] = directed_system(nodes, rels, maps)
-    for name, raw in sorted(doc.get("diagrams", {}).items()):
+    for name, raw in _entries(doc, "diagrams"):
         ptr = f"/diagrams/{name}"
         kind = raw.get("kind", "sequence")
         arrows = raw.get("arrows")

@@ -136,3 +136,15 @@ def test_bad_workspace_is_exit_two(capsys, tmp_path):
     code, out = run_cli(capsys, "--workspace", str(ws_path), "hom", "BOOL", "BOOL")
     assert code == 2
     assert json.loads(out)["error"] == "SchemaError"
+
+
+def test_non_object_section_is_exit_two(capsys, tmp_path):
+    doc = json.loads(emit_workspace(load_default_workspace()))
+    doc["diagrams"] = [1, 2]
+    ws_path = tmp_path / "bad.json"
+    ws_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(capsys, "--workspace", str(ws_path), "validate")
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "SchemaError"
+    assert err["detail"].startswith("/diagrams:")

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflat.catalog import (cyclic_monoid, product_monoid, sat_semiring,
+from semiflat.catalog import (bool_semiring, cyclic_monoid, free_module,
+                              product_monoid, product_semiring, sat_semiring,
+                              semiring_module, suite_pool, suite_semirings,
                               trivial_module, zmod_module)
-from semiflat.congruence import (cancellative_reflection,
+from semiflat.congruence import (cancellative_reflection, congruence_closure,
                                  module_congruence_closure,
                                  monoid_congruence_closure,
                                  quotient_by_congruence, quotient_by_sub,
-                                 quotient_cancellative, reflection_kernel)
-from semiflat.errors import NotACongruence
+                                 quotient_cancellative, reflection_kernel,
+                                 sub_congruence)
+from semiflat.errors import MalformedTable, NotACongruence
 from semiflat.homology import hom_module, morphism_profile
 from semiflat.structures import find_monoid_isomorphism, is_cancellative, isomorphic
-from semiflat.subsets import subsemimodule
+from semiflat.subsets import enumerate_subsemimodules, subsemimodule
 from semiflat.suite import (minimal_congruence_dense,
                             minimal_congruence_partitions)
 
@@ -37,6 +42,11 @@ def test_closure_matches_oracles_on_mixed_monoid():
     part_cls, part_n = minimal_congruence_partitions(table, pairs)
     assert got.class_of == dense_cls == part_cls
     assert got.class_count == dense_n == part_n
+
+
+def test_monoid_closure_needs_an_identity():
+    with pytest.raises(MalformedTable):
+        monoid_congruence_closure(((1, 1), (1, 1)), [(0, 1)])
 
 
 def test_quotient_identity_congruence(Z4m):
@@ -137,3 +147,41 @@ def test_closure_matches_dense_oracle(i1, p1, i2, p2, raw_pairs):
     got = monoid_congruence_closure(table, pairs)
     dense_cls, dense_n = minimal_congruence_dense(table, pairs)
     assert got.class_of == dense_cls and got.class_count == dense_n
+
+
+def _pool_modules():
+    return [(f"{S!r}/{name}", M) for S in suite_semirings() for name, M in suite_pool(S)]
+
+
+def test_module_closure_matches_full_translate_closure():
+    # generator translates plus scalar columns give the same S-congruence
+    # as every translate plus scalar columns.  Every pool semiring is a sum
+    # of units, so there the action adds nothing to the translates; over
+    # B x B it does.
+    BB = product_semiring(bool_semiring(), bool_semiring())
+    modules = _pool_modules() + [("BxB/S", semiring_module(BB)),
+                                 ("BxB/S2", free_module(BB, 2))]
+    rng = random.Random(7)
+    for name, M in modules:
+        every = list(zip(*M.add)) + list(zip(*M.action))
+        for _ in range(6):
+            pairs = [(rng.randrange(M.size), rng.randrange(M.size))
+                     for _ in range(rng.randrange(0, 3))]
+            got = module_congruence_closure(M, pairs)
+            assert got == congruence_closure(M.size, every, pairs), (name, pairs)
+
+
+def test_sub_congruence_is_the_bourne_relation():
+    for name, M in _pool_modules():
+        for L in enumerate_subsemimodules(M):
+            reach = [{M.add[x][l] for l in L.members} for x in range(M.size)]
+            least = [min(y for y in range(M.size) if reach[x] & reach[y])
+                     for x in range(M.size)]
+            for x in range(M.size):
+                for y in range(M.size):
+                    # x + l1 = y + l2 is an equivalence
+                    assert bool(reach[x] & reach[y]) == (least[x] == least[y])
+            number = {r: i for i, r in enumerate(sorted(set(least)))}
+            got = sub_congruence(M, L)
+            assert got.class_of == tuple(number[r] for r in least), (name, L)
+            assert got.class_count == len(number)
