@@ -266,12 +266,11 @@ def cmd_search(ws, args) -> int:
         else:
             raise UnknownObject(f"no semiring named {name!r}")
     cfg = SearchConfig(tuple(semirings), max_size=args.max_size,
-                       budget_seconds=args.budget, out_path=args.out,
-                       seed=args.seed)
+                       budget_seconds=args.budget, out_path=args.out)
     report = search_counterexamples(cfg)
     payload = {
         "inputs": {"semirings": args.semirings or ["BOOL"],
-                   "max_size": args.max_size, "seed": args.seed},
+                   "max_size": args.max_size},
         "result": {
             "classified": len(report["records"]),
             "uniformly_flat_not_certified": report["uniformly_flat_not_certified"],
@@ -367,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semirings", nargs="*", default=None)
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--budget", type=float, default=300.0)
-    p.add_argument("--seed", type=int, default=0,
-                   help="echoed in the report; the search itself is deterministic")
     p.add_argument("--out", default=None, help="JSON-lines output path")
     p.set_defaults(fn=cmd_search)
 

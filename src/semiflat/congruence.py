@@ -136,15 +136,13 @@ def congruence_violations(M: Semimodule, cong: Congruence):
     return None
 
 
-def quotient_by_congruence(M: Semimodule, cong: Congruence,
-                           trusted: bool = False) -> tuple[Semimodule, Morphism]:
+def quotient_by_congruence(M: Semimodule, cong: Congruence) -> tuple[Semimodule, Morphism]:
     """Quotient module and its class projection."""
     if cong.size != M.size:
         raise NotACongruence((cong.size, M.size), "partition has the wrong carrier")
-    if not trusted:
-        witness = congruence_violations(M, cong)
-        if witness is not None:
-            raise NotACongruence(witness[:3], witness[3])
+    witness = congruence_violations(M, cong)
+    if witness is not None:
+        raise NotACongruence(witness[:3], witness[3])
     reps = cong.representatives
     cls = cong.class_of
     labels = tuple(f"[{M.labels[r]}]" for r in reps)

@@ -479,7 +479,6 @@ class SearchConfig:
     budget_seconds: float = 300.0
     free_rank: int = DEFAULT_BOUNDS.max_free_rank
     out_path: str | None = None
-    seed: int = 0
 
 
 @dataclass

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .config import DEFAULT_BOUNDS
 from .errors import NotComposable, NotCommutative, SizeBoundExceeded
-from .structures import (Morphism, SecondAction, Semimodule, Semiring,
-                         build_morphism, build_semimodule, build_semiring,
-                         compose, counting_semiring_for, freeze_table,
-                         monoid_morphism, zero_morphism, LEFT, RIGHT)
+from .structures import (Morphism, SecondAction, Semimodule, build_morphism,
+                         build_semimodule, compose, counting_semiring_for,
+                         freeze_table, monoid_morphism, morphism_violations,
+                         zero_morphism, LEFT, RIGHT)
 from .subsets import (Subsemimodule, module_expressions, module_generators,
                       submodule_of, subsemimodule, subtractive_closure_set,
                       uniform_subsemimodules)
@@ -172,13 +172,20 @@ class HomModule:
             object.__setattr__(self, "_hash", h)
         return h
 
+    @cached_property
+    def _lookup(self) -> dict[tuple[int, ...], int]:
+        return {m.map: i for i, m in enumerate(self.maps)}
+
     def index_of(self, mapping) -> int:
-        key = tuple(mapping)
-        lookup = self.__dict__.get("_lookup")
-        if lookup is None:
-            lookup = {m.map: i for i, m in enumerate(self.maps)}
-            object.__setattr__(self, "_lookup", lookup)
-        return lookup[key]
+        return self._lookup[tuple(mapping)]
+
+    @cached_property
+    def injective_maps(self) -> tuple[Morphism, ...]:
+        return tuple(m for m in self.maps if m.injective)
+
+    @cached_property
+    def surjective_maps(self) -> tuple[Morphism, ...]:
+        return tuple(m for m in self.maps if m.surjective)
 
 
 def linear_maps(M: Semimodule, N: Semimodule,
@@ -196,24 +203,7 @@ def linear_maps(M: Semimodule, N: Semimodule,
             for gi, s in exprs[x]:
                 val = N.add[val][N.action[images[gi]][s]]
             table.append(val)
-        ok = True
-        for a in range(M.size):
-            ta = table[a]
-            for b in range(a, M.size):
-                if table[M.add[a][b]] != N.add[ta][table[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for a in range(M.size):
-                for s in range(M.semiring.size):
-                    if table[M.action[a][s]] != N.action[table[a]][s]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+        if next(morphism_violations(M, N, table), None) is None:
             found.append(tuple(table))
     zero_map = tuple(N.zero for _ in range(M.size))
     found.sort(key=lambda t: (t != zero_map, t))
@@ -222,6 +212,7 @@ def linear_maps(M: Semimodule, N: Semimodule,
 
 @lru_cache(maxsize=None)
 def hom_module(M: Semimodule, N: Semimodule) -> HomModule:
+    """Hom(M, N); its maps are the tables ``linear_maps`` checked, not re-checked."""
     tables = linear_maps(M, N)
     k = len(tables)
     pos = {t: i for i, t in enumerate(tables)}
@@ -258,8 +249,7 @@ def hom_module(M: Semimodule, N: Semimodule) -> HomModule:
             table.append(row)
         primary = (S, RIGHT, freeze_table(table))
     mod = build_semimodule(primary[0], primary[1], labels, add, 0, primary[2], second)
-    maps = tuple(build_morphism(M, N, t) for t in tables)
-    return HomModule(M, N, mod, maps)
+    return HomModule(M, N, mod, tuple(Morphism(M, N, t) for t in tables))
 
 
 def hom_postcompose(G: Semimodule, f: Morphism) -> Morphism:
@@ -295,7 +285,6 @@ def evaluation_iso(S_module: Semimodule, M: Semimodule) -> Morphism | None:
 @dataclass(frozen=True)
 class EndReport:
     hom: HomModule
-    semiring: Semiring | None
     identity: int
     comp: tuple[int, ...]
     summands: tuple[tuple[int, ...], ...]
@@ -304,17 +293,18 @@ class EndReport:
 
 @lru_cache(maxsize=None)
 def end_comp(M: Semimodule) -> EndReport:
-    """End(M) with its complemented elements and the direct summands."""
+    """End(M) with its complemented elements and the direct summands.
+
+    The semiring End(M) is not re-validated: its elements passed the
+    morphism check, its addition is pointwise in the validated M, and
+    composition of maps is associative.
+    """
     H = hom_module(M, M)
     tables = [m.map for m in H.maps]
     k = len(tables)
-    pos = {t: i for i, t in enumerate(tables)}
-    ident = pos[tuple(range(M.size))]
-    add = [[pos[tuple(M.add[a][b] for a, b in zip(t, u))] for u in tables] for t in tables]
-    mul = [[pos[tuple(t[v] for v in u)] for u in tables] for t in tables]
-    semiring = None
-    if k > 1:
-        semiring = build_semiring([f"e{i}" for i in range(k)], add, mul, 0, ident)
+    ident = H.index_of(range(M.size))
+    add = H.module.add
+    mul = [[H.index_of(t[v] for v in u) for u in tables] for t in tables]
     comp = []
     for i in range(k):
         for j in range(k):
@@ -324,7 +314,7 @@ def end_comp(M: Semimodule) -> EndReport:
     summands = sorted({tuple(sorted(set(tables[i]))) for i in comp})
     idem = [i for i in range(k) if mul[i][i] == i]
     retracts = sorted({tuple(sorted(set(tables[i]))) for i in idem})
-    return EndReport(H, semiring, ident, tuple(comp), tuple(summands), tuple(retracts))
+    return EndReport(H, ident, tuple(comp), tuple(summands), tuple(retracts))
 
 
 def is_retract_of(N: Semimodule, M: Semimodule) -> tuple[Morphism, Morphism] | None:
@@ -332,9 +322,7 @@ def is_retract_of(N: Semimodule, M: Semimodule) -> tuple[Morphism, Morphism] | N
     into = hom_module(N, M)
     back = hom_module(M, N)
     ident = tuple(range(N.size))
-    for psi in into.maps:
-        if not psi.injective:
-            continue
+    for psi in into.injective_maps:
         for theta in back.maps:
             if tuple(theta.map[v] for v in psi.map) == ident:
                 return psi, theta

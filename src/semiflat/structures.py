@@ -320,8 +320,13 @@ class Morphism:
     source: Semimodule
     target: Semimodule
     map: tuple[int, ...]
-    injective: bool = field(compare=False, default=False)
-    surjective: bool = field(compare=False, default=False)
+    injective: bool = field(init=False, compare=False)
+    surjective: bool = field(init=False, compare=False)
+
+    def __post_init__(self):
+        image = len(set(self.map))
+        object.__setattr__(self, "injective", image == self.source.size)
+        object.__setattr__(self, "surjective", image == self.target.size)
 
     def __hash__(self):
         h = self.__dict__.get("_hash")
@@ -341,22 +346,24 @@ class Morphism:
         return tuple(sorted(set(self.map)))
 
 
-def morphism_violations(source: Semimodule, target: Semimodule, mapping) -> list[Violation]:
-    out = []
+def morphism_violations(source: Semimodule, target: Semimodule, mapping):
+    """Yield every violated morphism axiom of an in-range mapping, lazily.
+
+    The one morphism checker: ``build_morphism`` collects all witnesses,
+    hom enumeration stops at the first.
+    """
     n = source.size
     for a in range(n):
         fa = mapping[a]
         for b in range(a, n):
             if mapping[source.add[a][b]] != target.add[fa][mapping[b]]:
-                out.append(Violation("map-additive", (a, b),
-                                     f"f({a}+{b}) != f({a})+f({b})"))
+                yield Violation("map-additive", (a, b), f"f({a}+{b}) != f({a})+f({b})")
     for a in range(n):
         for s in range(source.semiring.size):
             if mapping[source.action[a][s]] != target.action[mapping[a]][s]:
-                out.append(Violation("map-linear", (a, s), f"f({a}.s{s}) != f({a}).s{s}"))
+                yield Violation("map-linear", (a, s), f"f({a}.s{s}) != f({a}).s{s}")
     if mapping[source.zero] != target.zero:
-        out.append(Violation("map-zero", (source.zero,), "f(0) != 0"))
-    return out
+        yield Violation("map-zero", (source.zero,), "f(0) != 0")
 
 
 def build_morphism(source: Semimodule, target: Semimodule, mapping) -> Morphism:
@@ -370,16 +377,14 @@ def build_morphism(source: Semimodule, target: Semimodule, mapping) -> Morphism:
     for x in mapping:
         if not 0 <= x < target.size:
             raise MalformedTable(f"map value {x} out of range")
-    violations = morphism_violations(source, target, mapping)
+    violations = list(morphism_violations(source, target, mapping))
     if violations:
         raise AxiomViolation("morphism", violations)
-    injective = len(set(mapping)) == source.size
-    surjective = len(set(mapping)) == target.size
-    return Morphism(source, target, mapping, injective, surjective)
+    return Morphism(source, target, mapping)
 
 
 def identity_morphism(M: Semimodule) -> Morphism:
-    return Morphism(M, M, tuple(range(M.size)), True, True)
+    return Morphism(M, M, tuple(range(M.size)))
 
 
 def zero_morphism(M: Semimodule, N: Semimodule) -> Morphism:
@@ -391,10 +396,7 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     """Composite f after g."""
     if g.target != f.source:
         raise SideMismatch("composite endpoints do not match")
-    mapping = tuple(f.map[x] for x in g.map)
-    inj = len(set(mapping)) == g.source.size
-    surj = len(set(mapping)) == f.target.size
-    return Morphism(g.source, f.target, mapping, inj, surj)
+    return Morphism(g.source, f.target, tuple(f.map[x] for x in g.map))
 
 
 def element_order(add: Table, zero: int, x: int) -> tuple[int, int]:

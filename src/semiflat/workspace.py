@@ -124,7 +124,7 @@ def parse_workspace_dict(doc: dict) -> Workspace:
         _expect(raw.get("zero") in index, f"{ptr}/zero", "zero must name an element")
         second = None
         if "second" in raw:
-            sec = raw["second"]
+            sec = _object(raw["second"], f"{ptr}/second")
             _expect(sec.get("semiring") in ws.semirings, f"{ptr}/second/semiring",
                     f"unknown semiring {sec.get('semiring')!r}")
             T = ws.semirings[sec["semiring"]]
@@ -162,10 +162,13 @@ def parse_workspace_dict(doc: dict) -> Workspace:
         for j, nn in enumerate(node_names):
             _expect(nn in ws.semimodules, f"{ptr}/nodes/{j}", f"unknown semimodule {nn!r}")
             nodes.append(ws.semimodules[nn])
+        arrows = raw.get("arrows", [])
+        _expect(isinstance(arrows, list), f"{ptr}/arrows", "arrows must be an array")
         rels = []
         maps = []
-        for k, arrow in enumerate(raw.get("arrows", [])):
+        for k, arrow in enumerate(arrows):
             aptr = f"{ptr}/arrows/{k}"
+            _object(arrow, aptr)
             j, j2 = arrow.get("from"), arrow.get("to")
             _expect(isinstance(j, int) and 0 <= j < len(nodes), f"{aptr}/from",
                     "from must index a node")

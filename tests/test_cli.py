@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import pathlib
 
+import pytest
+
 from semiflat.cli import main
 from semiflat.workspace import emit_workspace, load_default_workspace
 
@@ -148,3 +150,21 @@ def test_non_object_section_is_exit_two(capsys, tmp_path):
     err = json.loads(out)
     assert err["error"] == "SchemaError"
     assert err["detail"].startswith("/diagrams:")
+
+
+@pytest.mark.parametrize("section, name, field, value, pointer", [
+    ("semimodules", "ZMOD4", "second", 1, "/semimodules/ZMOD4/second"),
+    ("systems", "chain_mod2", "arrows", {"a": 1}, "/systems/chain_mod2/arrows"),
+    ("systems", "chain_mod2", "arrows", [1], "/systems/chain_mod2/arrows/0"),
+])
+def test_non_object_nested_field_is_exit_two(capsys, tmp_path, section, name, field,
+                                             value, pointer):
+    doc = json.loads(emit_workspace(load_default_workspace()))
+    doc[section][name][field] = value
+    ws_path = tmp_path / "bad.json"
+    ws_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(capsys, "--workspace", str(ws_path), "validate")
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "SchemaError"
+    assert err["detail"].startswith(pointer + ":")

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from semiflat.catalog import (free_module, semiring_module, suite_pool,
-                              suite_semirings, trivial_module, zmod_module)
+                              suite_semirings, trivial_module, zmod_module,
+                              zmod_semiring)
 from semiflat.congruence import quotient_by_sub
-from semiflat.errors import NotCommutative
+from semiflat.errors import AxiomViolation, NotCommutative
 from semiflat.homology import (classify_sequence, classify_stage, cokernel,
                                end_comp, evaluation_iso, hom_module,
                                hom_postcompose, hom_precompose,
@@ -13,8 +16,8 @@ from semiflat.homology import (classify_sequence, classify_stage, cokernel,
                                uniformly_cogenerates, uniformly_injective_rel,
                                verify_retract_square, verify_two_row_diagram,
                                with_zero_ends)
-from semiflat.structures import (build_morphism, compose, identity_morphism,
-                                 isomorphic, zero_morphism)
+from semiflat.structures import (build_morphism, build_semiring, compose,
+                                 identity_morphism, isomorphic, zero_morphism)
 from semiflat.subsets import submodule_of, subsemimodule
 
 
@@ -147,7 +150,54 @@ def test_end_comp_bool(Bm):
 
 def test_end_comp_trivial(Z4):
     er = end_comp(trivial_module(Z4))
-    assert er.comp == (0,) and er.semiring is None
+    assert er.comp == (0,)
+
+
+def _pool_modules():
+    return [M for S in (*suite_semirings(), zmod_semiring(2)) for _, M in suite_pool(S)]
+
+
+def test_hom_module_matches_brute_force():
+    # the maps of Hom(M, N) are exactly the functions build_morphism accepts
+    checked = 0
+    for M in _pool_modules():
+        for N in _pool_modules():
+            if M.semiring != N.semiring or N.size ** M.size > 256:
+                continue
+            accepted = set()
+            for table in itertools.product(range(N.size), repeat=M.size):
+                try:
+                    f = build_morphism(M, N, table)
+                except AxiomViolation:
+                    continue
+                accepted.add((f.map, f.injective, f.surjective))
+            maps = hom_module(M, N).maps
+            assert len(maps) == len(accepted)
+            assert {(f.map, f.injective, f.surjective) for f in maps} == accepted
+            checked += 1
+    assert checked >= 50
+
+
+def test_end_is_a_semiring():
+    # end_comp does not re-validate End(M); rebuild its tables and check them
+    checked = 0
+    S2s = [free_module(S, 2) for S in (*suite_semirings(), zmod_semiring(2))]
+    for M in _pool_modules() + S2s:
+        H = hom_module(M, M)
+        tables = [f.map for f in H.maps]
+        k = len(tables)
+        if not 1 < k <= 64:
+            continue
+        pos = {t: i for i, t in enumerate(tables)}
+        add = [[pos[tuple(M.add[a][b] for a, b in zip(t, u))] for u in tables]
+               for t in tables]
+        mul = [[pos[tuple(t[v] for v in u)] for u in tables] for t in tables]
+        E = build_semiring([f"e{i}" for i in range(k)], add, mul, 0,
+                           pos[tuple(range(M.size))])
+        er = end_comp(M)
+        assert er.identity == E.one and er.hom.module.add == E.add
+        checked += 1
+    assert checked >= 12
 
 
 def test_retract_of_direct_sum(Bm, B):
