@@ -17,9 +17,9 @@ from functools import cached_property, lru_cache
 from .config import DEFAULT_BOUNDS
 from .errors import NotComposable, NotCommutative, SizeBoundExceeded
 from .structures import (Morphism, SecondAction, Semimodule, build_morphism,
-                         build_semimodule, compose, counting_semiring_for,
-                         freeze_table, monoid_morphism, morphism_violations,
-                         zero_morphism, LEFT, RIGHT)
+                         build_semimodule, check_endpoints, compose,
+                         counting_semiring_for, freeze_table, monoid_morphism,
+                         morphism_violations, zero_morphism, LEFT, RIGHT)
 from .subsets import (Subsemimodule, module_expressions, module_generators,
                       submodule_of, subsemimodule, subtractive_closure_set,
                       uniform_subsemimodules)
@@ -191,6 +191,7 @@ class HomModule:
 def linear_maps(M: Semimodule, N: Semimodule,
                 max_candidates: int = DEFAULT_BOUNDS.max_hom_candidates) -> list[tuple[int, ...]]:
     """All linear maps M -> N by extension from a minimal generating set."""
+    check_endpoints(M, N)
     gens = module_generators(M)
     exprs = module_expressions(M)
     if N.size ** len(gens) > max_candidates:

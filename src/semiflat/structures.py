@@ -366,11 +366,16 @@ def morphism_violations(source: Semimodule, target: Semimodule, mapping):
         yield Violation("map-zero", (source.zero,), "f(0) != 0")
 
 
-def build_morphism(source: Semimodule, target: Semimodule, mapping) -> Morphism:
+def check_endpoints(source: Semimodule, target: Semimodule) -> None:
+    """Raise SideMismatch unless source and target share a semiring and a side."""
     if source.semiring != target.semiring:
         raise SideMismatch("source and target live over different semirings")
     if source.side != target.side:
         raise SideMismatch(f"source is {source.side}-sided, target is {target.side}-sided")
+
+
+def build_morphism(source: Semimodule, target: Semimodule, mapping) -> Morphism:
+    check_endpoints(source, target)
     mapping = tuple(int(x) for x in mapping)
     if len(mapping) != source.size:
         raise MalformedTable(f"map has {len(mapping)} entries for {source.size} elements")

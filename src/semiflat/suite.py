@@ -574,7 +574,7 @@ def _retract_pairs(N: Semimodule, M: Semimodule):
     out = []
     ident = tuple(range(N.size))
     for psi in hom_module(N, M).injective_maps:
-        for theta in _homs(M, N):
+        for theta in hom_module(M, N).maps:
             if tuple(theta.map[v] for v in psi.map) == ident:
                 out.append((psi, theta))
     return out
@@ -609,7 +609,6 @@ def _retract_square_items(S, pool) -> int:
 
 def _two_row_diagram_items(S, rows, pool) -> int:
     checks = 0
-    hom = {(A, B): hom_module(A, B) for A in pool for B in pool}
     quasi_rows = [(f, g, st) for f, g, st in rows if st.quasi_exact]
     semi_rows = [(f, g, st) for f, g, st in rows if st.semi_exact]
     chain_rows_surj = [(f, g) for f, g, st in rows
@@ -632,8 +631,8 @@ def _two_row_diagram_items(S, rows, pool) -> int:
     # case 1a: bottom quasi-exact, top a chain with surjective g1
     for f2, g2, st2 in quasi_rows:
         for f1, g1 in chain_rows_surj:
-            for a1 in hom[f1.source, f2.source].surjective_maps:
-                for a2 in hom[g1.source, g2.source].injective_maps:
+            for a1 in hom_module(f1.source, f2.source).surjective_maps:
+                for a2 in hom_module(g1.source, g2.source).injective_maps:
                     if any(f2.map[a1.map[x]] != a2.map[f1.map[x]]
                            for x in range(f1.source.size)):
                         continue
@@ -645,8 +644,8 @@ def _two_row_diagram_items(S, rows, pool) -> int:
     # case 1b: bottom quasi-exact, top surjective g1, derived a3 surjective
     for f2, g2, st2 in quasi_rows:
         for f1, g1 in surj_rows:
-            for a1 in hom[f1.source, f2.source].surjective_maps:
-                for a2 in hom[g1.source, g2.source].maps:
+            for a1 in hom_module(f1.source, f2.source).surjective_maps:
+                for a2 in hom_module(g1.source, g2.source).maps:
                     if any(f2.map[a1.map[x]] != a2.map[f1.map[x]]
                            for x in range(f1.source.size)):
                         continue
@@ -664,8 +663,8 @@ def _two_row_diagram_items(S, rows, pool) -> int:
     for f1, g1, st1 in semi_rows:
         for f2, g2, st2 in chain2:
             f2_pos = {v: i for i, v in enumerate(f2.map)}
-            for a2 in hom[g1.source, g2.source].surjective_maps:
-                for a3 in hom[g1.target, g2.target].maps:
+            for a2 in hom_module(g1.source, g2.source).surjective_maps:
+                for a3 in hom_module(g1.target, g2.target).maps:
                     if any(a3.map[x] == a3.target.zero
                            for x in range(a3.source.size) if x != a3.source.zero):
                         continue

@@ -94,6 +94,15 @@ def test_hom_subcommand(capsys):
     assert json.loads(out)["result"]["size"] == 2
 
 
+@pytest.mark.parametrize("source, target", [("BOOL", "SAT3"), ("BOOL", "ZMOD2_SELF")])
+def test_hom_across_semirings_is_exit_two(capsys, source, target):
+    code, out = run_cli(capsys, "hom", source, target)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "SideMismatch"
+    assert err["detail"] == "source and target live over different semirings"
+
+
 def test_reflect_subcommand(capsys):
     code, out = run_cli(capsys, "reflect", "SAT3")
     assert code == 0

@@ -8,7 +8,7 @@ from semiflat.catalog import (free_module, semiring_module, suite_pool,
                               suite_semirings, trivial_module, zmod_module,
                               zmod_semiring)
 from semiflat.congruence import quotient_by_sub
-from semiflat.errors import AxiomViolation, NotCommutative
+from semiflat.errors import AxiomViolation, NotCommutative, SideMismatch
 from semiflat.homology import (classify_sequence, classify_stage, cokernel,
                                end_comp, evaluation_iso, hom_module,
                                hom_postcompose, hom_precompose,
@@ -153,6 +153,15 @@ def test_end_comp_trivial(Z4):
     assert er.comp == (0,)
 
 
+def test_hom_across_sides_raises():
+    # hom enumeration checks its endpoints as build_morphism does
+    S = zmod_semiring(2)
+    with pytest.raises(SideMismatch):
+        hom_module(semiring_module(S, "left"), semiring_module(S))
+    with pytest.raises(SideMismatch):
+        hom_module(semiring_module(S), free_module(suite_semirings()[0], 1))
+
+
 def _pool_modules():
     return [M for S in (*suite_semirings(), zmod_semiring(2)) for _, M in suite_pool(S)]
 
@@ -196,6 +205,13 @@ def test_end_is_a_semiring():
                            pos[tuple(range(M.size))])
         er = end_comp(M)
         assert er.identity == E.one and er.hom.module.add == E.add
+        # the complemented elements and the retracts, from the reference tables
+        comp = tuple(i for i in range(k)
+                     if any(E.add[i][j] == E.one and E.mul[i][j] == E.zero
+                            and E.mul[j][i] == E.zero for j in range(k)))
+        idem = [i for i in range(k) if E.mul[i][i] == i]
+        retracts = tuple(sorted({tuple(sorted(set(tables[i]))) for i in idem}))
+        assert er.comp == comp and er.retracts == retracts
         checked += 1
     assert checked >= 12
 
