@@ -19,8 +19,7 @@ from functools import lru_cache
 
 from .errors import MalformedTable, NotACongruence, NotASubsemimodule
 from .structures import (Morphism, SecondAction, Semimodule, Table,
-                         build_morphism, build_semimodule, freeze_table,
-                         is_cancellative)
+                         freeze_table, is_cancellative)
 from .subsets import (Subsemimodule, additive_generators, is_closed_subset,
                       monoid_generators, subtractive_closure)
 
@@ -137,7 +136,12 @@ def congruence_violations(M: Semimodule, cong: Congruence):
 
 
 def quotient_by_congruence(M: Semimodule, cong: Congruence) -> tuple[Semimodule, Morphism]:
-    """Quotient module and its class projection."""
+    """Quotient module and its class projection.
+
+    Only the partition is checked: the quotient of a valid module by a
+    congruence is a valid module, and the class map is linear, so neither
+    gets an axiom scan.
+    """
     if cong.size != M.size:
         raise NotACongruence((cong.size, M.size), "partition has the wrong carrier")
     witness = congruence_violations(M, cong)
@@ -154,9 +158,8 @@ def quotient_by_congruence(M: Semimodule, cong: Congruence) -> tuple[Semimodule,
         table = freeze_table([[cls[M.second.table[a][t]]
                                for t in range(M.second.semiring.size)] for a in reps])
         second = SecondAction(M.second.semiring, M.second.side, table)
-    Q = build_semimodule(M.semiring, M.side, labels, add, cls[M.zero], action, second)
-    projection = build_morphism(M, Q, cls)
-    return Q, projection
+    Q = Semimodule(M.semiring, M.side, labels, add, cls[M.zero], action, second)
+    return Q, Morphism(M, Q, cls)
 
 
 def _partition_from_relation(size: int, related) -> Congruence:

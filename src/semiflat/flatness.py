@@ -477,7 +477,6 @@ class SearchConfig:
     semirings: tuple
     max_size: int = 4
     budget_seconds: float = 300.0
-    free_rank: int = DEFAULT_BOUNDS.max_free_rank
     out_path: str | None = None
 
 
@@ -534,7 +533,7 @@ def search_counterexamples(config: SearchConfig) -> dict:
             mono = all(is_mono_flat(F, M).holds for M in universe)
             iu = all(in_i_uniform_class(F, M).holds for M in universe)
             flat = is_uniformly_flat(F, universe)
-            certified = projectivity_witness(F, config.free_rank) is not None
+            certified = projectivity_witness(F) is not None
             rec = SearchRecord(si, mi, F.size, F.add, F.action, mono, iu,
                                flat.holds, certified, flat.witness)
             records.append(rec)

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .config import DEFAULT_BOUNDS
-from .errors import NotComposable, NotCommutative, SizeBoundExceeded
-from .structures import (Morphism, SecondAction, Semimodule, build_morphism,
-                         build_semimodule, check_endpoints, compose,
-                         counting_semiring_for, freeze_table, monoid_morphism,
-                         morphism_violations, zero_morphism, LEFT, RIGHT)
+from .errors import (AxiomViolation, NotComposable, NotCommutative,
+                     SizeBoundExceeded)
+from .structures import (Morphism, SecondAction, Semimodule, check_endpoints,
+                         Violation, compose, counting_semiring_for, freeze_table,
+                         monoid_morphism, morphism_violations, swap_actions,
+                         zero_morphism, LEFT, RIGHT)
 from .subsets import (Subsemimodule, module_expressions, module_generators,
                       submodule_of, subsemimodule, subtractive_closure_set,
                       uniform_subsemimodules)
@@ -177,7 +178,13 @@ class HomModule:
         return {m.map: i for i, m in enumerate(self.maps)}
 
     def index_of(self, mapping) -> int:
-        return self._lookup[tuple(mapping)]
+        """Position of a table in ``maps``; AxiomViolation when it is not there."""
+        table = tuple(mapping)
+        i = self._lookup.get(table)
+        if i is None:
+            raise AxiomViolation("morphism", [Violation("hom-member", table,
+                                                        "not a linear map")])
+        return i
 
     @cached_property
     def injective_maps(self) -> tuple[Morphism, ...]:
@@ -213,7 +220,14 @@ def linear_maps(M: Semimodule, N: Semimodule,
 
 @lru_cache(maxsize=None)
 def hom_module(M: Semimodule, N: Semimodule) -> HomModule:
-    """Hom(M, N); its maps are the tables ``linear_maps`` checked, not re-checked."""
+    """Hom(M, N), built without an axiom scan.
+
+    Its maps are the tables ``linear_maps`` checked.  The module axioms
+    hold by construction: the addition is pointwise in the valid N, an
+    action induced by N's second action is pointwise too, one induced by
+    M's second action is (s.f)(x) = f(x.s) on the opposite side, and the
+    counting-semiring action is repeated addition.
+    """
     tables = linear_maps(M, N)
     k = len(tables)
     pos = {t: i for i, t in enumerate(tables)}
@@ -249,24 +263,48 @@ def hom_module(M: Semimodule, N: Semimodule) -> HomModule:
                 cur = add[cur][i]
             table.append(row)
         primary = (S, RIGHT, freeze_table(table))
-    mod = build_semimodule(primary[0], primary[1], labels, add, 0, primary[2], second)
+    mod = Semimodule(primary[0], primary[1], labels, add, 0, primary[2], second)
     return HomModule(M, N, mod, tuple(Morphism(M, N, t) for t in tables))
+
+
+def _require_second_linear(f: Morphism) -> None:
+    """Raise unless f commutes with the second actions of its endpoints.
+
+    Composing with f is additive, so it is linear for the actions that
+    Hom takes from G or from a counting semiring; an action that Hom takes
+    from the second actions of f's endpoints needs this check as well.
+    The callers have checked that both Hom modules share the semiring and
+    side of their actions; when only one endpoint of f has a second action,
+    that happens only over a counting semiring, where additive maps are
+    linear.
+    """
+    if f.source.second is None or f.target.second is None:
+        return
+    violations = list(morphism_violations(swap_actions(f.source), swap_actions(f.target),
+                                          f.map))
+    if violations:
+        raise AxiomViolation("morphism", violations)
 
 
 def hom_postcompose(G: Semimodule, f: Morphism) -> Morphism:
     """Hom(G, source f) -> Hom(G, target f) by postcomposition."""
     H1 = hom_module(G, f.source)
     H2 = hom_module(G, f.target)
+    check_endpoints(H1.module, H2.module)
+    if G.second is None:  # else Hom(G, -) takes its primary action from G
+        _require_second_linear(f)
     mapping = tuple(H2.index_of(tuple(f.map[v] for v in m.map)) for m in H1.maps)
-    return build_morphism(H1.module, H2.module, mapping)
+    return Morphism(H1.module, H2.module, mapping)
 
 
 def hom_precompose(f: Morphism, G: Semimodule) -> Morphism:
     """Hom(target f, G) -> Hom(source f, G) by precomposition."""
     H1 = hom_module(f.target, G)
     H2 = hom_module(f.source, G)
+    check_endpoints(H1.module, H2.module)
+    _require_second_linear(f)
     mapping = tuple(H2.index_of(tuple(m.map[v] for v in f.map)) for m in H1.maps)
-    return build_morphism(H1.module, H2.module, mapping)
+    return Morphism(H1.module, H2.module, mapping)
 
 
 def evaluation_iso(S_module: Semimodule, M: Semimodule) -> Morphism | None:

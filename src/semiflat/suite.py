@@ -31,7 +31,7 @@ from .limits import (chain_system, constant_system, direct_sum,
                      colimit_morphism, pairing, copairing, pullback,
                      pullback_mediator, subsemimodule_system, sum_morphism)
 from .structures import (LEFT, RIGHT, Morphism, Semimodule, as_left, as_right,
-                         build_morphism, build_semiring, compose,
+                         build_semiring, compose,
                          find_monoid_isomorphism, identity_morphism,
                          with_bimodule_structure, zero_morphism)
 from .subsets import submodule_of, subsemimodule, uniform_subsemimodules
@@ -617,7 +617,8 @@ def _two_row_diagram_items(S, rows, pool) -> int:
 
     def derive_third(g1, g2, a2):
         # a3 with a3.g1 = g2.a2, determined by surjectivity of g1; when it is
-        # well defined it is linear, because g1 is a surjective linear map
+        # well defined it is linear, because g1 is a surjective linear map,
+        # so it is a map of Hom(target g1, target g2)
         out = [None] * g1.target.size
         for m in range(g1.source.size):
             n = g1.map[m]
@@ -626,7 +627,8 @@ def _two_row_diagram_items(S, rows, pool) -> int:
                 out[n] = v
             elif out[n] != v:
                 return None
-        return build_morphism(g1.target, g2.target, out)
+        H3 = hom_module(g1.target, g2.target)
+        return H3.maps[H3.index_of(out)]
 
     # case 1a: bottom quasi-exact, top a chain with surjective g1
     for f2, g2, st2 in quasi_rows:
@@ -681,8 +683,10 @@ def _two_row_diagram_items(S, rows, pool) -> int:
                         vals.append(f2_pos[v])
                     if not ok:
                         continue
-                    # linear because f2 is an injective linear map
-                    a1 = build_morphism(f1.source, f2.source, vals)
+                    # linear because f2 is an injective linear map, so it
+                    # is a map of Hom(source f1, source f2)
+                    H1 = hom_module(f1.source, f2.source)
+                    a1 = H1.maps[H1.index_of(vals)]
                     p1 = morphism_profile(a1)
                     pf1 = morphism_profile(f1)
                     assert p1.semi_epi, "case 2b: left vertical must be semi-epi"

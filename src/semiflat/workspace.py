@@ -33,8 +33,6 @@ class Workspace:
     morphisms: dict[str, Morphism] = field(default_factory=dict)
     systems: dict[str, DirectedSystem] = field(default_factory=dict)
     diagrams: dict[str, Diagram] = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    module_names: dict = field(default_factory=dict)
 
     def semimodule(self, name: str) -> Semimodule:
         if name not in self.semimodules:
@@ -52,6 +50,14 @@ def _expect(cond: bool, pointer: str, detail: str):
         raise SchemaError(pointer, detail)
 
 
+def _resolve(table: dict, key, pointer: str, detail: str):
+    """table[key] for a string key; otherwise SchemaError(pointer, detail.format(key))."""
+    value = table.get(key) if isinstance(key, str) else None
+    if value is None:
+        raise SchemaError(pointer, detail.format(key))
+    return value
+
+
 def _label_table(raw, labels_index, pointer, ncols=None):
     _expect(isinstance(raw, list), pointer, "table must be an array of rows")
     table = []
@@ -61,10 +67,8 @@ def _label_table(raw, labels_index, pointer, ncols=None):
             _expect(len(row) == ncols, f"{pointer}/{i}", f"expected {ncols} entries")
         out = []
         for j, cell in enumerate(row):
-            idx = labels_index.get(cell)
-            if idx is None:
-                raise SchemaError(f"{pointer}/{i}/{j}", f"unknown element label {cell!r}")
-            out.append(idx)
+            out.append(_resolve(labels_index, cell, f"{pointer}/{i}/{j}",
+                                "unknown element label {!r}"))
         table.append(out)
     return table
 
@@ -92,7 +96,7 @@ def _entries(doc, section):
 def parse_workspace_dict(doc: dict) -> Workspace:
     _expect(isinstance(doc, dict), "/", "document must be an object")
     _expect(doc.get("format") == FORMAT, "/format", f"unsupported format {doc.get('format')!r}")
-    ws = Workspace(config=dict(_object(doc.get("config", {}), "/config")))
+    ws = Workspace()
     for name, raw in _entries(doc, "semirings"):
         ptr = f"/semirings/{name}"
         labels = _labels(raw.get("elements"), f"{ptr}/elements")
@@ -102,16 +106,13 @@ def parse_workspace_dict(doc: dict) -> Workspace:
         _expect(len(add) == n, f"{ptr}/add", "add table must be square")
         mul = _label_table(raw.get("mul"), index, f"{ptr}/mul", n)
         _expect(len(mul) == n, f"{ptr}/mul", "mul table must be square")
-        _expect(raw.get("zero") in index, f"{ptr}/zero", "zero must name an element")
-        _expect(raw.get("one") in index, f"{ptr}/one", "one must name an element")
-        ws.semirings[name] = build_semiring(labels, add, mul,
-                                            index[raw["zero"]], index[raw["one"]])
+        zero = _resolve(index, raw.get("zero"), f"{ptr}/zero", "zero must name an element")
+        one = _resolve(index, raw.get("one"), f"{ptr}/one", "one must name an element")
+        ws.semirings[name] = build_semiring(labels, add, mul, zero, one)
     for name, raw in _entries(doc, "semimodules"):
         ptr = f"/semimodules/{name}"
-        sname = raw.get("semiring")
-        _expect(sname in ws.semirings, f"{ptr}/semiring",
-                f"unknown semiring {sname!r}")
-        S = ws.semirings[sname]
+        S = _resolve(ws.semirings, raw.get("semiring"), f"{ptr}/semiring",
+                     "unknown semiring {!r}")
         side = raw.get("side", "right")
         _expect(side in ("left", "right"), f"{ptr}/side", "side must be left or right")
         labels = _labels(raw.get("elements"), f"{ptr}/elements")
@@ -121,47 +122,38 @@ def parse_workspace_dict(doc: dict) -> Workspace:
         _expect(len(add) == m, f"{ptr}/add", "add table must be square")
         action = _label_table(raw.get("action"), index, f"{ptr}/action", S.size)
         _expect(len(action) == m, f"{ptr}/action", "action table needs one row per element")
-        _expect(raw.get("zero") in index, f"{ptr}/zero", "zero must name an element")
+        zero = _resolve(index, raw.get("zero"), f"{ptr}/zero", "zero must name an element")
         second = None
         if "second" in raw:
             sec = _object(raw["second"], f"{ptr}/second")
-            _expect(sec.get("semiring") in ws.semirings, f"{ptr}/second/semiring",
-                    f"unknown semiring {sec.get('semiring')!r}")
-            T = ws.semirings[sec["semiring"]]
+            T = _resolve(ws.semirings, sec.get("semiring"), f"{ptr}/second/semiring",
+                         "unknown semiring {!r}")
             sside = sec.get("side")
             _expect(sside in ("left", "right"), f"{ptr}/second/side",
                     "side must be left or right")
             stable = _label_table(sec.get("action"), index, f"{ptr}/second/action", T.size)
             second = SecondAction(T, sside, tuple(tuple(r) for r in stable))
-        ws.semimodules[name] = build_semimodule(S, side, labels, add,
-                                                index[raw["zero"]], action, second)
-        ws.module_names[ws.semimodules[name]] = name
+        ws.semimodules[name] = build_semimodule(S, side, labels, add, zero, action, second)
     for name, raw in _entries(doc, "morphisms"):
         ptr = f"/morphisms/{name}"
-        _expect(raw.get("source") in ws.semimodules, f"{ptr}/source",
-                f"unknown semimodule {raw.get('source')!r}")
-        _expect(raw.get("target") in ws.semimodules, f"{ptr}/target",
-                f"unknown semimodule {raw.get('target')!r}")
-        src = ws.semimodules[raw["source"]]
-        tgt = ws.semimodules[raw["target"]]
+        src = _resolve(ws.semimodules, raw.get("source"), f"{ptr}/source",
+                       "unknown semimodule {!r}")
+        tgt = _resolve(ws.semimodules, raw.get("target"), f"{ptr}/target",
+                       "unknown semimodule {!r}")
         tgt_index = {lab: i for i, lab in enumerate(tgt.labels)}
         raw_map = raw.get("map")
         _expect(isinstance(raw_map, list) and len(raw_map) == src.size, f"{ptr}/map",
                 "map needs one target label per source element")
-        mapping = []
-        for j, cell in enumerate(raw_map):
-            _expect(cell in tgt_index, f"{ptr}/map/{j}", f"unknown target label {cell!r}")
-            mapping.append(tgt_index[cell])
+        mapping = [_resolve(tgt_index, cell, f"{ptr}/map/{j}", "unknown target label {!r}")
+                   for j, cell in enumerate(raw_map)]
         ws.morphisms[name] = build_morphism(src, tgt, mapping)
     for name, raw in _entries(doc, "systems"):
         ptr = f"/systems/{name}"
         node_names = raw.get("nodes")
         _expect(isinstance(node_names, list) and node_names, f"{ptr}/nodes",
                 "nodes must be a nonempty array of semimodule names")
-        nodes = []
-        for j, nn in enumerate(node_names):
-            _expect(nn in ws.semimodules, f"{ptr}/nodes/{j}", f"unknown semimodule {nn!r}")
-            nodes.append(ws.semimodules[nn])
+        nodes = [_resolve(ws.semimodules, nn, f"{ptr}/nodes/{j}", "unknown semimodule {!r}")
+                 for j, nn in enumerate(node_names)]
         arrows = raw.get("arrows", [])
         _expect(isinstance(arrows, list), f"{ptr}/arrows", "arrows must be an array")
         rels = []
@@ -176,11 +168,11 @@ def parse_workspace_dict(doc: dict) -> Workspace:
                     "to must index a node")
             tgt = nodes[j2]
             tgt_index = {lab: i for i, lab in enumerate(tgt.labels)}
-            mapping = []
-            for q, cell in enumerate(arrow.get("map", [])):
-                _expect(cell in tgt_index, f"{aptr}/map/{q}",
-                        f"unknown target label {cell!r}")
-                mapping.append(tgt_index[cell])
+            raw_map = arrow.get("map", [])
+            _expect(isinstance(raw_map, list), f"{aptr}/map", "map must be an array")
+            mapping = [_resolve(tgt_index, cell, f"{aptr}/map/{q}",
+                                "unknown target label {!r}")
+                       for q, cell in enumerate(raw_map)]
             _expect(len(mapping) == nodes[j].size, f"{aptr}/map",
                     "map needs one entry per source element")
             rels.append((j, j2))
@@ -193,7 +185,7 @@ def parse_workspace_dict(doc: dict) -> Workspace:
         _expect(isinstance(arrows, list) and arrows, f"{ptr}/arrows",
                 "arrows must be a nonempty array of morphism names")
         for k, an in enumerate(arrows):
-            _expect(an in ws.morphisms, f"{ptr}/arrows/{k}", f"unknown morphism {an!r}")
+            _resolve(ws.morphisms, an, f"{ptr}/arrows/{k}", "unknown morphism {!r}")
         ws.diagrams[name] = Diagram(kind, list(arrows))
     return ws
 
@@ -261,8 +253,6 @@ def emit_workspace_dict(ws: Workspace) -> dict:
         }
     doc["diagrams"] = {n: {"kind": d.kind, "arrows": list(d.arrows)}
                        for n, d in ws.diagrams.items()}
-    if ws.config:
-        doc["config"] = ws.config
     return doc
 
 

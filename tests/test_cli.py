@@ -165,11 +165,26 @@ def test_non_object_section_is_exit_two(capsys, tmp_path):
     ("semimodules", "ZMOD4", "second", 1, "/semimodules/ZMOD4/second"),
     ("systems", "chain_mod2", "arrows", {"a": 1}, "/systems/chain_mod2/arrows"),
     ("systems", "chain_mod2", "arrows", [1], "/systems/chain_mod2/arrows/0"),
+    # a field is a path of keys; a list or object where a name or label is looked up
+    ("systems", "chain_mod2", "arrows/0/map", 1, "/systems/chain_mod2/arrows/0/map"),
+    ("semimodules", "ZMOD4", "zero", ["0"], "/semimodules/ZMOD4/zero"),
+    ("semimodules", "ZMOD4", "semiring", ["ZMOD4"], "/semimodules/ZMOD4/semiring"),
+    ("semimodules", "ZMOD4", "second", {"semiring": {}, "side": "left", "action": []},
+     "/semimodules/ZMOD4/second/semiring"),
+    ("semirings", "BOOL", "zero", {"0": 1}, "/semirings/BOOL/zero"),
+    ("semirings", "BOOL", "add/0/1", ["1"], "/semirings/BOOL/add/0/1"),
+    ("morphisms", "mod2", "source", ["ZMOD4"], "/morphisms/mod2/source"),
+    ("systems", "chain_mod2", "nodes/0", {}, "/systems/chain_mod2/nodes/0"),
+    ("diagrams", "seq1", "arrows/0", [], "/diagrams/seq1/arrows/0"),
 ])
 def test_non_object_nested_field_is_exit_two(capsys, tmp_path, section, name, field,
                                              value, pointer):
     doc = json.loads(emit_workspace(load_default_workspace()))
-    doc[section][name][field] = value
+    *path, last = field.split("/")
+    node = doc[section][name]
+    for key in path:
+        node = node[int(key) if isinstance(node, list) else key]
+    node[int(last) if isinstance(node, list) else last] = value
     ws_path = tmp_path / "bad.json"
     ws_path.write_text(json.dumps(doc), encoding="utf-8")
     code, out = run_cli(capsys, "--workspace", str(ws_path), "validate")

@@ -18,8 +18,10 @@ from semiflat.congruence import (cancellative_reflection, congruence_closure,
                                  sub_congruence)
 from semiflat.errors import MalformedTable, NotACongruence
 from semiflat.homology import hom_module, morphism_profile
-from semiflat.structures import find_monoid_isomorphism, is_cancellative, isomorphic
-from semiflat.subsets import enumerate_subsemimodules, subsemimodule
+from semiflat.structures import (check_endpoints, find_monoid_isomorphism,
+                                 is_cancellative, isomorphic,
+                                 morphism_violations, semimodule_violations)
+from semiflat.subsets import enumerate_subsemimodules, submodule_of, subsemimodule
 from semiflat.suite import (minimal_congruence_dense,
                             minimal_congruence_partitions)
 
@@ -185,3 +187,9 @@ def test_sub_congruence_is_the_bourne_relation():
             got = sub_congruence(M, L)
             assert got.class_of == tuple(number[r] for r in least), (name, L)
             assert got.class_count == len(number)
+            # the quotient and the submodule skip the axiom scan; run it here
+            for mod, f in (quotient_by_sub(M, L), submodule_of(M, L)):
+                assert not semimodule_violations(mod.semiring, mod.side, mod.add,
+                                                 mod.zero, mod.action, mod.second)
+                check_endpoints(f.source, f.target)
+                assert not list(morphism_violations(f.source, f.target, f.map)), (name, L)

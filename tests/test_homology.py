@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
-from semiflat.catalog import (free_module, semiring_module, suite_pool,
+from semiflat.catalog import (bool_semiring, chain_module, free_module,
+                              product_semiring, semiring_bimodule,
+                              semiring_module, suite_pool,
                               suite_semirings, trivial_module, zmod_module,
                               zmod_semiring)
 from semiflat.congruence import quotient_by_sub
@@ -16,8 +18,13 @@ from semiflat.homology import (classify_sequence, classify_stage, cokernel,
                                uniformly_cogenerates, uniformly_injective_rel,
                                verify_retract_square, verify_two_row_diagram,
                                with_zero_ends)
-from semiflat.structures import (build_morphism, build_semiring, compose,
-                                 identity_morphism, isomorphic, zero_morphism)
+from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
+                                 build_morphism, build_semimodule,
+                                 build_semiring, check_endpoints, compose,
+                                 identity_morphism, isomorphic,
+                                 morphism_violations, semimodule_violations,
+                                 swap_actions, with_bimodule_structure,
+                                 zero_morphism)
 from semiflat.subsets import submodule_of, subsemimodule
 
 
@@ -166,8 +173,53 @@ def _pool_modules():
     return [M for S in (*suite_semirings(), zmod_semiring(2)) for _, M in suite_pool(S)]
 
 
+def _checked_hom(M, N):
+    # hom_module skips the axiom scan; run it here, with the side rules
+    H = hom_module(M, N)
+    mod = H.module
+    assert not semimodule_violations(mod.semiring, mod.side, mod.add, mod.zero,
+                                     mod.action, mod.second)
+    if M.second is not None:
+        assert mod.side != M.second.side  # (s.f)(x) = f(x.s) flips the side
+    if mod.second is not None:
+        assert mod.second.side != mod.side
+    return H
+
+
+def _assert_linear(f):
+    check_endpoints(f.source, f.target)
+    assert not list(morphism_violations(f.source, f.target, f.map))
+
+
+def _bimodule_hom_shapes():
+    # the Hom modules the adjunction and hom-tensor-comparison tags build
+    B, Z4 = bool_semiring(), zmod_semiring(4)
+    for M_bi, X, Y in [
+            (semiring_bimodule(B, RIGHT), semiring_module(B, LEFT), semiring_module(B, LEFT)),
+            (with_bimodule_structure(free_module(B, 2)), semiring_module(B, LEFT),
+             as_left(chain_module(3))),
+            (with_bimodule_structure(as_right(chain_module(3))), semiring_module(B, LEFT),
+             semiring_module(B, LEFT)),
+            (semiring_bimodule(Z4, RIGHT), as_left(zmod_module(4, 2)),
+             semiring_module(Z4, LEFT)),
+            (with_bimodule_structure(zmod_module(4, 2)), semiring_module(Z4, LEFT),
+             as_left(zmod_module(4, 2))),
+            (with_bimodule_structure(zmod_module(4, 2)), as_left(zmod_module(4, 2)),
+             as_left(zmod_module(4, 2)))]:
+        H = hom_module(swap_actions(M_bi), Y)
+        yield swap_actions(M_bi), Y
+        yield X, H.module
+    for S in (Z4, B):
+        Y_bi = semiring_bimodule(S, LEFT)
+        for _, M in suite_pool(S):
+            yield as_left(M), Y_bi
+        # second actions on both arguments
+        yield swap_actions(semiring_bimodule(S, RIGHT)), Y_bi
+
+
 def test_hom_module_matches_brute_force():
-    # the maps of Hom(M, N) are exactly the functions build_morphism accepts
+    # the maps of Hom(M, N) are exactly the functions build_morphism accepts,
+    # and the Hom modules and the maps between them pass the axiom checks
     checked = 0
     for M in _pool_modules():
         for N in _pool_modules():
@@ -180,11 +232,39 @@ def test_hom_module_matches_brute_force():
                 except AxiomViolation:
                     continue
                 accepted.add((f.map, f.injective, f.surjective))
-            maps = hom_module(M, N).maps
+            maps = _checked_hom(M, N).maps
             assert len(maps) == len(accepted)
             assert {(f.map, f.injective, f.surjective) for f in maps} == accepted
+            _assert_linear(hom_postcompose(M, maps[-1]))
+            _assert_linear(hom_precompose(maps[-1], N))
             checked += 1
     assert checked >= 50
+    shapes = list(_bimodule_hom_shapes())
+    for M, N in shapes:
+        _checked_hom(M, N)
+    assert sum(M.second is not None for M, _ in shapes) >= 8
+    assert sum(N.second is not None for _, N in shapes) >= 10
+
+
+def test_hom_composition_checks_second_actions():
+    # B x B acting from the left on itself, with the forced right action of
+    # B as the primary one: swapping the factors is B-linear, not B x B-linear
+    B = bool_semiring()
+    BB = product_semiring(B, B)
+    X = semiring_module(BB)
+    A = build_semimodule(B, RIGHT, X.labels, X.add, X.zero,
+                         [[X.zero, x] for x in range(X.size)],
+                         SecondAction(BB, LEFT, X.action))
+    swap = build_morphism(A, A, (0, 2, 1, 3))
+    G = semiring_module(B)
+    with pytest.raises(AxiomViolation):
+        hom_postcompose(G, swap)
+    with pytest.raises(AxiomViolation):
+        hom_precompose(swap, G)
+    for f in (hom_postcompose(G, identity_morphism(A)),
+              hom_precompose(identity_morphism(A), G)):
+        _assert_linear(f)
+        assert f.injective and f.surjective
 
 
 def test_end_is_a_semiring():
