@@ -17,10 +17,10 @@ from functools import cached_property, lru_cache
 from .config import DEFAULT_BOUNDS
 from .errors import (AxiomViolation, NotComposable, NotCommutative,
                      SizeBoundExceeded)
-from .structures import (Morphism, SecondAction, Semimodule, check_endpoints,
-                         Violation, compose, counting_semiring_for, freeze_table,
-                         monoid_morphism, morphism_violations, swap_actions,
-                         zero_morphism, LEFT, RIGHT)
+from .structures import (Morphism, SecondAction, Semimodule, Violation,
+                         check_endpoints, compose, counting_semiring_for,
+                         freeze_table, monoid_morphism, morphism_violations,
+                         swap_actions, zero_morphism, LEFT, RIGHT)
 from .subsets import (Subsemimodule, module_expressions, module_generators,
                       submodule_of, subsemimodule, subtractive_closure_set,
                       uniform_subsemimodules)
