@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .congruence import cancellative_reflection
-from .errors import SemiflatError, UnknownObject
+from .errors import SemiflatError, TimeBudgetExceeded, UnknownObject
 from .flatness import SearchConfig, is_uniformly_M_flat, is_uniformly_flat, search_counterexamples
 from .homology import classify_sequence, hom_module, uniformly_injective_rel
 from .limits import directed_colimit, inverse_limit, inverse_system
@@ -267,18 +267,26 @@ def cmd_search(ws, args) -> int:
             raise UnknownObject(f"no semiring named {name!r}")
     cfg = SearchConfig(tuple(semirings), max_size=args.max_size,
                        budget_seconds=args.budget, out_path=args.out)
-    report = search_counterexamples(cfg)
-    payload = {
-        "inputs": {"semirings": args.semirings or ["BOOL"],
-                   "max_size": args.max_size},
-        "result": {
-            "classified": len(report["records"]),
-            "uniformly_flat_not_certified": report["uniformly_flat_not_certified"],
-            "lattice_violations": report["lattice_violations"],
-        },
-    }
-    _report(args, payload, "search")
+    inputs = {"semirings": args.semirings or ["BOOL"], "max_size": args.max_size}
+    try:
+        report = search_counterexamples(cfg)
+    except TimeBudgetExceeded as exc:
+        # the modules classified before the budget ran out are still answers
+        _report(args, {"inputs": inputs, "error": type(exc).__name__,
+                       "detail": str(exc),
+                       "result": {**_search_result(exc.partial), "partial": True}},
+                "search")
+        return 2
+    _report(args, {"inputs": inputs, "result": _search_result(report)}, "search")
     return 0 if not report["lattice_violations"] else 1
+
+
+def _search_result(report: dict) -> dict:
+    return {
+        "classified": len(report["records"]),
+        "uniformly_flat_not_certified": report["uniformly_flat_not_certified"],
+        "lattice_violations": report["lattice_violations"],
+    }
 
 
 def cmd_catalog(ws, args) -> int:

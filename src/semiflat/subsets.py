@@ -40,16 +40,18 @@ class Subsemimodule:
 
 
 def is_closed_subset(M: Semimodule, members) -> bool:
+    """Whether members hold zero and are closed under addition and every action."""
     s = set(members)
     if M.zero not in s:
         return False
+    actions = [M.action] if M.second is None else [M.action, M.second.table]
     for a in members:
         row = M.add[a]
         for b in members:
             if row[b] not in s:
                 return False
-        for t in range(M.semiring.size):
-            if M.action[a][t] not in s:
+        for table in actions:
+            if not s.issuperset(table[a]):
                 return False
     return True
 

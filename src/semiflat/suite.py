@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .catalog import (bool_semiring, cancellative_targets, chain_module,
@@ -607,13 +608,19 @@ def _retract_square_items(S, pool) -> int:
     return checks
 
 
-def _two_row_diagram_items(S, rows, pool) -> int:
-    checks = 0
+def _two_row_diagram_items(rows) -> dict[str, int]:
+    """Checks of the two-row diagram lemmas, counted by case (1a, 1b, 2b).
+
+    A square commutes when its two composites have the same table, so the
+    verticals on one side are indexed by their composite with the row map,
+    counted with multiplicity, and each vertical on the other side looks
+    its composite up there.  The assertions depend only on that probing
+    vertical, so for each pair of rows it is checked once and counts once
+    per partner.
+    """
+    checks = {"1a": 0, "1b": 0, "2b": 0}
     quasi_rows = [(f, g, st) for f, g, st in rows if st.quasi_exact]
     semi_rows = [(f, g, st) for f, g, st in rows if st.semi_exact]
-    chain_rows_surj = [(f, g) for f, g, st in rows
-                       if st.chain_step and g.surjective]
-    surj_rows = [(f, g) for f, g, st in rows if g.surjective]
 
     def derive_third(g1, g2, a2):
         # a3 with a3.g1 = g2.a2, determined by surjectivity of g1; when it is
@@ -630,27 +637,51 @@ def _two_row_diagram_items(S, rows, pool) -> int:
         H3 = hom_module(g1.target, g2.target)
         return H3.maps[H3.index_of(out)]
 
+    # cases 1a and 1b pair a surjective a1 with a2 when f2.a1 = a2.f1; the
+    # index of f2.a1 depends only on the source of f1 and on f2, and the
+    # a2 it matches only on f1, f2 and the hom set, not on g1
+    a1_index = {}
+
+    def a2_matches(f1, f2, candidates):
+        key = (f1.source, f2)
+        index = a1_index.get(key)
+        if index is None:
+            index = Counter(tuple(f2.map[v] for v in a1.map)
+                            for a1 in hom_module(f1.source, f2.source).surjective_maps)
+            a1_index[key] = index
+        out = []
+        for a2 in candidates:
+            n = index.get(tuple(a2.map[v] for v in f1.map))
+            if n:
+                out.append((a2, n))
+        return out
+
+    def g_by_f(keep):
+        groups = {}
+        for f, g, st in rows:
+            if keep(g, st):
+                groups.setdefault(f, []).append(g)
+        return groups
+
     # case 1a: bottom quasi-exact, top a chain with surjective g1
+    chain_surj = g_by_f(lambda g, st: st.chain_step and g.surjective)
     for f2, g2, st2 in quasi_rows:
-        for f1, g1 in chain_rows_surj:
-            for a1 in hom_module(f1.source, f2.source).surjective_maps:
-                for a2 in hom_module(g1.source, g2.source).injective_maps:
-                    if any(f2.map[a1.map[x]] != a2.map[f1.map[x]]
-                           for x in range(f1.source.size)):
-                        continue
+        for f1, g1s in chain_surj.items():
+            matches = a2_matches(f1, f2, hom_module(f1.target, g2.source).injective_maps)
+            for g1 in g1s:
+                for a2, n in matches:
                     a3 = derive_third(g1, g2, a2)
                     if a3 is None:
                         continue
                     assert a3.injective, "case 1a: third vertical must be injective"
-                    checks += 1
+                    checks["1a"] += n
     # case 1b: bottom quasi-exact, top surjective g1, derived a3 surjective
+    surj = g_by_f(lambda g, st: g.surjective)
     for f2, g2, st2 in quasi_rows:
-        for f1, g1 in surj_rows:
-            for a1 in hom_module(f1.source, f2.source).surjective_maps:
-                for a2 in hom_module(g1.source, g2.source).maps:
-                    if any(f2.map[a1.map[x]] != a2.map[f1.map[x]]
-                           for x in range(f1.source.size)):
-                        continue
+        for f1, g1s in surj.items():
+            matches = a2_matches(f1, f2, hom_module(f1.target, g2.source).maps)
+            for g1 in g1s:
+                for a2, n in matches:
                     a3 = derive_third(g1, g2, a2)
                     if a3 is None or not a3.surjective:
                         continue
@@ -658,61 +689,72 @@ def _two_row_diagram_items(S, rows, pool) -> int:
                     assert p2.semi_epi, "case 1b: middle vertical must be semi-epi"
                     if p2.i_uniform:
                         assert a2.surjective, "case 1b: i-uniform middle must be onto"
-                    checks += 1
-    # case 2b: top semi-exact, injective f2 with g2.f2 = 0, kernel-free a3
+                    checks["1b"] += n
+    # case 2b: top semi-exact, injective f2 with g2.f2 = 0, kernel-free a3;
+    # a3 pairs with a2 when a3.g1 = g2.a2, indexed per g1 and target of g2
     chain2 = [(f2, g2, st2) for f2, g2, st2 in rows
               if f2.injective and st2.chain_step]
+    kernel_free = {}
+    a3_index = {}
+
+    def a3_partners(g1, Y):
+        key = (g1, Y)
+        index = a3_index.get(key)
+        if index is None:
+            hom_set = (g1.target, Y)
+            maps = kernel_free.get(hom_set)
+            if maps is None:
+                X = g1.target
+                maps = tuple(a3 for a3 in hom_module(X, Y).maps
+                             if all(a3.map[x] != Y.zero
+                                    for x in range(X.size) if x != X.zero))
+                kernel_free[hom_set] = maps
+            index = Counter(tuple(a3.map[v] for v in g1.map) for a3 in maps)
+            a3_index[key] = index
+        return index
+
     for f1, g1, st1 in semi_rows:
         for f2, g2, st2 in chain2:
+            partners = a3_partners(g1, g2.target)
             f2_pos = {v: i for i, v in enumerate(f2.map)}
             for a2 in hom_module(g1.source, g2.source).surjective_maps:
-                for a3 in hom_module(g1.target, g2.target).maps:
-                    if any(a3.map[x] == a3.target.zero
-                           for x in range(a3.source.size) if x != a3.source.zero):
-                        continue
-                    if any(a3.map[g1.map[m]] != g2.map[a2.map[m]]
-                           for m in range(g1.source.size)):
-                        continue
-                    vals = []
-                    ok = True
-                    for l in range(f1.source.size):
-                        v = a2.map[f1.map[l]]
-                        if v not in f2_pos:
-                            ok = False
-                            break
-                        vals.append(f2_pos[v])
-                    if not ok:
-                        continue
-                    # linear because f2 is an injective linear map, so it
-                    # is a map of Hom(source f1, source f2)
-                    H1 = hom_module(f1.source, f2.source)
-                    a1 = H1.maps[H1.index_of(vals)]
-                    p1 = morphism_profile(a1)
-                    pf1 = morphism_profile(f1)
-                    assert p1.semi_epi, "case 2b: left vertical must be semi-epi"
-                    if p1.i_uniform or pf1.i_uniform:
-                        assert a1.surjective, "case 2b: left vertical must be onto"
-                    checks += 1
+                n = partners.get(tuple(g2.map[v] for v in a2.map))
+                if not n:
+                    continue
+                vals = [f2_pos.get(a2.map[v]) for v in f1.map]
+                if None in vals:
+                    continue
+                # linear because f2 is an injective linear map, so it
+                # is a map of Hom(source f1, source f2)
+                H1 = hom_module(f1.source, f2.source)
+                a1 = H1.maps[H1.index_of(vals)]
+                p1 = morphism_profile(a1)
+                pf1 = morphism_profile(f1)
+                assert p1.semi_epi, "case 2b: left vertical must be semi-epi"
+                if p1.i_uniform or pf1.i_uniform:
+                    assert a1.surjective, "case 2b: left vertical must be onto"
+                checks["2b"] += n
     return checks
+
+
+def _stage_rows(pool):
+    """Every composable pair f: A -> B, g: B -> C over the pool, classified."""
+    return [(f, g, classify_stage(f, g))
+            for A in pool for B in pool for C in pool
+            for f in _homs(A, B) for g in _homs(B, C)]
 
 
 def run_exactness_suite():
     total = 0
     for S in suite_semirings():
         pool = _pool_modules(S)
-        rows = []
-        for A in pool:
-            for B in pool:
-                for C in pool:
-                    for f in _homs(A, B):
-                        for g in _homs(B, C):
-                            rows.append((f, g, classify_stage(f, g)))
+        rows = _stage_rows(pool)
         total += _padded_sequence_items(S, rows)
         total += _hom_functor_items(S, rows, pool)
         total += _tensor_functor_items(S, rows, pool)
         total += _componentwise_items(S, pool)
         total += _retract_square_items(S, pool)
-        total += _two_row_diagram_items(S, rows, pool)
+        total += sum(_two_row_diagram_items(rows).values())
     return total, "no violation across the enumerated diagram instances"
 
 

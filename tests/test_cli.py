@@ -5,7 +5,9 @@ import pathlib
 
 import pytest
 
+from semiflat import cli
 from semiflat.cli import main
+from semiflat.errors import TimeBudgetExceeded
 from semiflat.workspace import emit_workspace, load_default_workspace
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -132,6 +134,29 @@ def test_search_subcommand(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["result"]["classified"] == 2
     assert out_path.exists()
+
+
+def test_search_out_of_budget_reports_partial(capsys, monkeypatch):
+    code, out = run_cli(capsys, "search", "--semirings", "ZMOD4",
+                        "--max-size", "3", "--budget", "0")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "TimeBudgetExceeded"
+    assert doc["inputs"] == {"semirings": ["ZMOD4"], "max_size": 3}
+    assert doc["result"] == {"classified": 0, "uniformly_flat_not_certified": [],
+                             "lattice_violations": [], "partial": True}
+
+    # what was classified before the budget ran out is reported as is
+    def out_of_time(cfg):
+        raise TimeBudgetExceeded({"records": [None, None],
+                                  "uniformly_flat_not_certified": [(0, 1)],
+                                  "lattice_violations": [(0, 0, "found")]})
+    monkeypatch.setattr(cli, "search_counterexamples", out_of_time)
+    code, out = run_cli(capsys, "search")
+    assert code == 2
+    assert json.loads(out)["result"] == {
+        "classified": 2, "uniformly_flat_not_certified": [[0, 1]],
+        "lattice_violations": [[0, 0, "found"]], "partial": True}
 
 
 def test_workspace_flag(capsys, tmp_path):

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflat.catalog import suite_pool, suite_semirings, trivial_module
+from semiflat.catalog import (bool_semiring, product_semiring, semiring_module,
+                              suite_pool, suite_semirings, trivial_module)
+from semiflat.congruence import quotient_by_sub
 from semiflat.errors import NotASubsemimodule
-from semiflat.subsets import (additive_generators, enumerate_subsemimodules,
+from semiflat.structures import LEFT, RIGHT, SecondAction, build_semimodule
+from semiflat.subsets import (Subsemimodule, additive_generators,
+                              enumerate_subsemimodules,
                               generated_subsemimodule, minimal_generating_set,
                               subsemimodule, subtractive_closure,
                               uniform_subsemimodules, submodule_of)
@@ -56,6 +60,27 @@ def test_additive_generators(S3m):
 def test_not_closed_subset_rejected(Z4m):
     with pytest.raises(NotASubsemimodule):
         subsemimodule(Z4m, (0, 1))
+
+
+def test_subset_left_by_the_second_action_rejected():
+    # B x B acting from the left on itself, with the forced right action of
+    # B as the primary one: every subset holding 0 is closed under B, but
+    # (0, 3) is not closed under B x B, since (1, 0)(1, 1) = (1, 0)
+    B = bool_semiring()
+    BB = product_semiring(B, B)
+    X = semiring_module(BB)
+    A = build_semimodule(B, RIGHT, X.labels, X.add, X.zero,
+                         [[X.zero, x] for x in range(X.size)],
+                         SecondAction(BB, LEFT, X.action))
+    with pytest.raises(NotASubsemimodule):
+        subsemimodule(A, (0, 3))
+    with pytest.raises(NotASubsemimodule):
+        quotient_by_sub(A, Subsemimodule(A, (0, 3)))
+    subs = enumerate_subsemimodules(A)
+    assert [U.members for U in subs] == [(0,), (0, 1), (0, 2), (0, 1, 2, 3)]
+    for U in subs:
+        sub, inc = submodule_of(A, subsemimodule(A, U.members))
+        assert sub.second is not None and inc.injective
 
 
 def test_closure_properties_on_catalog():

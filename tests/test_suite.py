@@ -1,0 +1,95 @@
+from __future__ import annotations
+
+import pytest
+
+from semiflat.catalog import suite_semirings
+from semiflat.homology import hom_module, morphism_profile
+from semiflat.suite import _pool_modules, _stage_rows, _two_row_diagram_items
+
+
+def _pairwise_chase(rows) -> dict[str, int]:
+    """The two-row chase that tests every pair of verticals for commutation."""
+    checks = {"1a": 0, "1b": 0, "2b": 0}
+    quasi_rows = [(f, g, st) for f, g, st in rows if st.quasi_exact]
+    semi_rows = [(f, g, st) for f, g, st in rows if st.semi_exact]
+    chain_rows_surj = [(f, g) for f, g, st in rows
+                       if st.chain_step and g.surjective]
+    surj_rows = [(f, g) for f, g, st in rows if g.surjective]
+
+    def derive_third(g1, g2, a2):
+        out = [None] * g1.target.size
+        for m in range(g1.source.size):
+            n = g1.map[m]
+            v = g2.map[a2.map[m]]
+            if out[n] is None:
+                out[n] = v
+            elif out[n] != v:
+                return None
+        H3 = hom_module(g1.target, g2.target)
+        return H3.maps[H3.index_of(out)]
+
+    for f2, g2, st2 in quasi_rows:
+        for f1, g1 in chain_rows_surj:
+            for a1 in hom_module(f1.source, f2.source).surjective_maps:
+                for a2 in hom_module(g1.source, g2.source).injective_maps:
+                    if any(f2.map[a1.map[x]] != a2.map[f1.map[x]]
+                           for x in range(f1.source.size)):
+                        continue
+                    a3 = derive_third(g1, g2, a2)
+                    if a3 is None:
+                        continue
+                    assert a3.injective
+                    checks["1a"] += 1
+    for f2, g2, st2 in quasi_rows:
+        for f1, g1 in surj_rows:
+            for a1 in hom_module(f1.source, f2.source).surjective_maps:
+                for a2 in hom_module(g1.source, g2.source).maps:
+                    if any(f2.map[a1.map[x]] != a2.map[f1.map[x]]
+                           for x in range(f1.source.size)):
+                        continue
+                    a3 = derive_third(g1, g2, a2)
+                    if a3 is None or not a3.surjective:
+                        continue
+                    p2 = morphism_profile(a2)
+                    assert p2.semi_epi
+                    if p2.i_uniform:
+                        assert a2.surjective
+                    checks["1b"] += 1
+    chain2 = [(f2, g2, st2) for f2, g2, st2 in rows
+              if f2.injective and st2.chain_step]
+    for f1, g1, st1 in semi_rows:
+        for f2, g2, st2 in chain2:
+            f2_pos = {v: i for i, v in enumerate(f2.map)}
+            for a2 in hom_module(g1.source, g2.source).surjective_maps:
+                for a3 in hom_module(g1.target, g2.target).maps:
+                    if any(a3.map[x] == a3.target.zero
+                           for x in range(a3.source.size) if x != a3.source.zero):
+                        continue
+                    if any(a3.map[g1.map[m]] != g2.map[a2.map[m]]
+                           for m in range(g1.source.size)):
+                        continue
+                    if any(a2.map[f1.map[l]] not in f2_pos
+                           for l in range(f1.source.size)):
+                        continue
+                    H1 = hom_module(f1.source, f2.source)
+                    a1 = H1.maps[H1.index_of([f2_pos[a2.map[f1.map[l]]]
+                                              for l in range(f1.source.size)])]
+                    p1 = morphism_profile(a1)
+                    assert p1.semi_epi
+                    if p1.i_uniform or morphism_profile(f1).i_uniform:
+                        assert a1.surjective
+                    checks["2b"] += 1
+    return checks
+
+
+# the pairwise scan of the two larger pools takes about 5 s each, so those
+# take every third row; the 195-row pool runs in full
+@pytest.mark.parametrize("index, stride", [(0, 3), (1, 1), (2, 3)])
+def test_two_row_chase_matches_pairwise_scan(index, stride):
+    S = suite_semirings()[index]
+    pool = _pool_modules(S)
+    rows = _stage_rows(pool)[::stride]
+    got = _two_row_diagram_items(rows)
+    want = _pairwise_chase(rows)
+    assert got == want
+    assert all(want.values())

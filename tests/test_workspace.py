@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semiflat.errors import SchemaError, UnknownObject
+from semiflat.cli import main
+from semiflat.errors import SchemaError, SemiflatError, UnknownObject
 from semiflat.workspace import (emit_workspace, load_default_workspace,
                                 parse_workspace, parse_workspace_dict)
 
@@ -85,3 +91,56 @@ def test_named_fixture_objects_resolve(default_ws):
     seq = default_ws.diagrams["seq1"]
     arrows = [default_ws.morphism(a) for a in seq.arrows]
     assert arrows[0].source.size == 2 and arrows[0].target.size == 4
+
+
+def _paths(node, prefix=()):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+CATALOG_DOC = json.loads(emit_workspace(load_default_workspace()))
+CATALOG_PATHS = sorted(_paths(CATALOG_DOC), key=repr)
+DELETE = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats(allow_nan=False)
+    | st.text(max_size=3) | st.sampled_from(["0", "1", "BOOL", "ZMOD4", "left"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def ws_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "ws.json"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(CATALOG_PATHS), JSON_VALUES | st.just(DELETE))
+def test_one_changed_field_is_a_typed_error(ws_path, path, value):
+    # only a SemiflatError may escape the parser, and the CLI answers it
+    # with exit 2; a change the schema allows still validates
+    doc = copy.deepcopy(CATALOG_DOC)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    try:
+        parse_workspace_dict(copy.deepcopy(doc))
+        error = None
+    except SemiflatError as exc:
+        error = type(exc).__name__
+    ws_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--workspace", str(ws_path), "validate"])
+    if error is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert json.loads(out.getvalue())["error"] == error
