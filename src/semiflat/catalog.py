@@ -223,12 +223,15 @@ def _monoid_candidates(n: int):
 
 
 def _is_associative(t, n: int) -> bool:
+    # every triple: commutativity gives (ab)c = a(bc) = (bc)a from the
+    # ordered triples a <= b <= c, but never (ac)b
     for a in range(n):
         ta = t[a]
-        for b in range(a, n):
-            tab = t[a][b]
-            for c in range(b, n):
-                if t[tab][c] != ta[t[b][c]]:
+        for b in range(n):
+            tab = t[ta[b]]
+            tb = t[b]
+            for c in range(n):
+                if tab[c] != ta[tb[c]]:
                     return False
     return True
 

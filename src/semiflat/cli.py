@@ -394,10 +394,15 @@ def main(argv=None) -> int:
         ws = parse_workspace(path) if path else load_default_workspace()
         return args.fn(ws, args)
     except SemiflatError as exc:
-        sys.stdout.write(canonical_json({
-            "command": args.command, "error": type(exc).__name__,
-            "detail": str(exc), "format": 1}))
-        return 2
+        return _report_error(args, type(exc).__name__, str(exc))
+    except Exception as exc:  # a bug must not pass for a verdict or a traceback
+        return _report_error(args, "InternalError", f"{type(exc).__name__}: {exc}")
+
+
+def _report_error(args, error: str, detail: str) -> int:
+    sys.stdout.write(canonical_json({
+        "command": args.command, "error": error, "detail": detail, "format": 1}))
+    return 2
 
 
 if __name__ == "__main__":

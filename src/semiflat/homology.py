@@ -230,9 +230,13 @@ def hom_module(M: Semimodule, N: Semimodule) -> HomModule:
     """
     tables = linear_maps(M, N)
     k = len(tables)
-    pos = {t: i for i, t in enumerate(tables)}
-    add = freeze_table([[pos[tuple(N.add[a][b] for a, b in zip(t, u))] for u in tables]
-                        for t in tables])
+    # a linear map is fixed by its images of the generators, so the maps
+    # are indexed by those images and each result is looked up by them
+    gens = module_generators(M)
+    keys = [tuple(t[g] for g in gens) for t in tables]
+    pos = {key: i for i, key in enumerate(keys)}
+    add = freeze_table([[pos[tuple(N.add[a][b] for a, b in zip(t, u))] for u in keys]
+                        for t in keys])
     labels = tuple("h" + "".join(str(v) for v in t) for t in tables)
     primary = None
     second = None
@@ -240,14 +244,14 @@ def hom_module(M: Semimodule, N: Semimodule) -> HomModule:
         # (s.f)(x) = f(x.s) flips the side of the acting semiring
         T = M.second.semiring
         side = LEFT if M.second.side == RIGHT else RIGHT
-        table = freeze_table([[pos[tuple(t[M.second.table[x][s]] for x in range(M.size))]
+        table = freeze_table([[pos[tuple(t[M.second.table[g][s]] for g in gens)]
                                for s in range(T.size)] for t in tables])
         primary = (T, side, table)
     if N.second is not None:
         T = N.second.semiring
         side = N.second.side
         table = freeze_table([[pos[tuple(N.second.table[v][s] for v in t)]
-                               for s in range(T.size)] for t in tables])
+                               for s in range(T.size)] for t in keys])
         if primary is None:
             primary = (T, side, table)
         else:
@@ -336,22 +340,28 @@ def end_comp(M: Semimodule) -> EndReport:
 
     The semiring End(M) is not re-validated: its elements passed the
     morphism check, its addition is pointwise in the validated M, and
-    composition of maps is associative.
+    composition of maps is associative.  Its composition table is not
+    built either: the complemented elements read only the products of
+    the pairs that add up to the identity, and the retracts only the
+    squares.
     """
     H = hom_module(M, M)
     tables = [m.map for m in H.maps]
     k = len(tables)
     ident = H.index_of(range(M.size))
     add = H.module.add
-    mul = [[H.index_of(t[v] for v in u) for u in tables] for t in tables]
+
+    def mul(i, j):
+        return H.index_of(tables[i][v] for v in tables[j])
+
     comp = []
     for i in range(k):
         for j in range(k):
-            if add[i][j] == ident and mul[i][j] == 0 and mul[j][i] == 0:
+            if add[i][j] == ident and mul(i, j) == 0 and mul(j, i) == 0:
                 comp.append(i)
                 break
     summands = sorted({tuple(sorted(set(tables[i]))) for i in comp})
-    idem = [i for i in range(k) if mul[i][i] == i]
+    idem = [i for i in range(k) if mul(i, i) == i]
     retracts = sorted({tuple(sorted(set(tables[i]))) for i in idem})
     return EndReport(H, ident, tuple(comp), tuple(summands), tuple(retracts))
 

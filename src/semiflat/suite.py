@@ -523,13 +523,14 @@ def _tensor_functor_items(S, rows, pool) -> int:
     return checks
 
 
+def _small_homs(pool) -> list[Morphism]:
+    """The maps between pool modules whose sizes multiply to at most 16."""
+    return [f for A in pool for B in pool if A.size * B.size <= 16 for f in _homs(A, B)]
+
+
 def _componentwise_items(S, pool) -> int:
     checks = 0
-    all_homs = []
-    for A in pool:
-        for B in pool:
-            if A.size * B.size <= 16:
-                all_homs.extend(_homs(A, B))
+    all_homs = _small_homs(pool)
     for f1 in all_homs[:60]:
         for f2 in all_homs[:60]:
             src = direct_sum((f1.source, f2.source))
@@ -613,14 +614,59 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
 
     A square commutes when its two composites have the same table, so the
     verticals on one side are indexed by their composite with the row map,
-    counted with multiplicity, and each vertical on the other side looks
-    its composite up there.  The assertions depend only on that probing
-    vertical, so for each pair of rows it is checked once and counts once
-    per partner.
+    counted with multiplicity, and the middle verticals look their
+    composite up there.  Which middle verticals match depends on one map
+    of each row only (f1 and f2 in cases 1a and 1b, g1 and g2 in case 2b),
+    so the rows are grouped by those maps and matched once per pair of
+    groups.  The partner counts are then summed per middle vertical and
+    the other two row maps, and each sum derives the third vertical, runs
+    the assertions and counts once per partner.  Keys are object ids: the
+    maps come from the cached hom sets, and ids skip the Python-level
+    hashes of morphisms and modules.
     """
     checks = {"1a": 0, "1b": 0, "2b": 0}
-    quasi_rows = [(f, g, st) for f, g, st in rows if st.quasi_exact]
-    semi_rows = [(f, g, st) for f, g, st in rows if st.semi_exact]
+    memo = {}
+
+    def cached(key, build):
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build()
+        return value
+
+    def grouped(pairs):
+        groups = {}
+        for p, x in pairs:
+            entry = groups.get(id(p))
+            if entry is None:
+                entry = groups[id(p)] = (p, [])
+            entry[1].append(x)
+        return list(groups.values())
+
+    def partner_counts(lefts, rights, matches):
+        totals = {}
+        for p, xs in lefts:
+            for q, ys in rights:
+                found = matches(p, q)
+                if not found:
+                    continue
+                for x in xs:
+                    for y in ys:
+                        for a, n in found:
+                            key = (id(x), id(y), id(a))
+                            entry = totals.get(key)
+                            if entry is None:
+                                totals[key] = [x, y, a, n]
+                            else:
+                                entry[3] += n
+        return totals.values()
+
+    def probe(index, probes):
+        found = []
+        for a, table in probes:
+            n = index.get(table)
+            if n:
+                found.append((a, n))
+        return found
 
     def derive_third(g1, g2, a2):
         # a3 with a3.g1 = g2.a2, determined by surjectivity of g1; when it is
@@ -637,103 +683,72 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
         H3 = hom_module(g1.target, g2.target)
         return H3.maps[H3.index_of(out)]
 
-    # cases 1a and 1b pair a surjective a1 with a2 when f2.a1 = a2.f1; the
-    # index of f2.a1 depends only on the source of f1 and on f2, and the
-    # a2 it matches only on f1, f2 and the hom set, not on g1
-    a1_index = {}
+    # cases 1a and 1b: a surjective a1 pairs with a2 when f2.a1 = a2.f1
+    def a2_matches(injective_only):
+        def matches(f1, f2):
+            H = hom_module(f1.target, f2.target)
+            candidates = H.injective_maps if injective_only else H.maps
+            index = cached(("f2.a1", id(f1.source), id(f2)), lambda: Counter(
+                tuple(f2.map[v] for v in a1.map)
+                for a1 in hom_module(f1.source, f2.source).surjective_maps))
+            probes = cached(("a2.f1", id(f1), id(candidates)), lambda: [
+                (a2, tuple(a2.map[v] for v in f1.map)) for a2 in candidates])
+            return probe(index, probes)
+        return matches
 
-    def a2_matches(f1, f2, candidates):
-        key = (f1.source, f2)
-        index = a1_index.get(key)
-        if index is None:
-            index = Counter(tuple(f2.map[v] for v in a1.map)
-                            for a1 in hom_module(f1.source, f2.source).surjective_maps)
-            a1_index[key] = index
-        out = []
-        for a2 in candidates:
-            n = index.get(tuple(a2.map[v] for v in f1.map))
-            if n:
-                out.append((a2, n))
-        return out
-
-    def g_by_f(keep):
-        groups = {}
-        for f, g, st in rows:
-            if keep(g, st):
-                groups.setdefault(f, []).append(g)
-        return groups
-
+    quasi_by_f2 = grouped((f, g) for f, g, st in rows if st.quasi_exact)
     # case 1a: bottom quasi-exact, top a chain with surjective g1
-    chain_surj = g_by_f(lambda g, st: st.chain_step and g.surjective)
-    for f2, g2, st2 in quasi_rows:
-        for f1, g1s in chain_surj.items():
-            matches = a2_matches(f1, f2, hom_module(f1.target, g2.source).injective_maps)
-            for g1 in g1s:
-                for a2, n in matches:
-                    a3 = derive_third(g1, g2, a2)
-                    if a3 is None:
-                        continue
-                    assert a3.injective, "case 1a: third vertical must be injective"
-                    checks["1a"] += n
+    chain_surj_by_f1 = grouped((f, g) for f, g, st in rows if st.chain_step and g.surjective)
+    for g1, g2, a2, n in partner_counts(chain_surj_by_f1, quasi_by_f2, a2_matches(True)):
+        a3 = derive_third(g1, g2, a2)
+        if a3 is None:
+            continue
+        assert a3.injective, "case 1a: third vertical must be injective"
+        checks["1a"] += n
     # case 1b: bottom quasi-exact, top surjective g1, derived a3 surjective
-    surj = g_by_f(lambda g, st: g.surjective)
-    for f2, g2, st2 in quasi_rows:
-        for f1, g1s in surj.items():
-            matches = a2_matches(f1, f2, hom_module(f1.target, g2.source).maps)
-            for g1 in g1s:
-                for a2, n in matches:
-                    a3 = derive_third(g1, g2, a2)
-                    if a3 is None or not a3.surjective:
-                        continue
-                    p2 = morphism_profile(a2)
-                    assert p2.semi_epi, "case 1b: middle vertical must be semi-epi"
-                    if p2.i_uniform:
-                        assert a2.surjective, "case 1b: i-uniform middle must be onto"
-                    checks["1b"] += n
-    # case 2b: top semi-exact, injective f2 with g2.f2 = 0, kernel-free a3;
-    # a3 pairs with a2 when a3.g1 = g2.a2, indexed per g1 and target of g2
-    chain2 = [(f2, g2, st2) for f2, g2, st2 in rows
-              if f2.injective and st2.chain_step]
-    kernel_free = {}
-    a3_index = {}
+    surj_by_f1 = grouped((f, g) for f, g, st in rows if g.surjective)
+    for g1, g2, a2, n in partner_counts(surj_by_f1, quasi_by_f2, a2_matches(False)):
+        a3 = derive_third(g1, g2, a2)
+        if a3 is None or not a3.surjective:
+            continue
+        p2 = morphism_profile(a2)
+        assert p2.semi_epi, "case 1b: middle vertical must be semi-epi"
+        if p2.i_uniform:
+            assert a2.surjective, "case 1b: i-uniform middle must be onto"
+        checks["1b"] += n
 
-    def a3_partners(g1, Y):
-        key = (g1, Y)
-        index = a3_index.get(key)
-        if index is None:
-            hom_set = (g1.target, Y)
-            maps = kernel_free.get(hom_set)
-            if maps is None:
-                X = g1.target
-                maps = tuple(a3 for a3 in hom_module(X, Y).maps
-                             if all(a3.map[x] != Y.zero
-                                    for x in range(X.size) if x != X.zero))
-                kernel_free[hom_set] = maps
-            index = Counter(tuple(a3.map[v] for v in g1.map) for a3 in maps)
-            a3_index[key] = index
-        return index
+    # case 2b: top semi-exact, injective f2 with g2.f2 = 0; a surjective a2
+    # pairs with a kernel-free a3 when a3.g1 = g2.a2
+    def kernel_free(X, Y):
+        return tuple(a3 for a3 in hom_module(X, Y).maps
+                     if all(a3.map[x] != Y.zero for x in range(X.size) if x != X.zero))
 
-    for f1, g1, st1 in semi_rows:
-        for f2, g2, st2 in chain2:
-            partners = a3_partners(g1, g2.target)
-            f2_pos = {v: i for i, v in enumerate(f2.map)}
-            for a2 in hom_module(g1.source, g2.source).surjective_maps:
-                n = partners.get(tuple(g2.map[v] for v in a2.map))
-                if not n:
-                    continue
-                vals = [f2_pos.get(a2.map[v]) for v in f1.map]
-                if None in vals:
-                    continue
-                # linear because f2 is an injective linear map, so it
-                # is a map of Hom(source f1, source f2)
-                H1 = hom_module(f1.source, f2.source)
-                a1 = H1.maps[H1.index_of(vals)]
-                p1 = morphism_profile(a1)
-                pf1 = morphism_profile(f1)
-                assert p1.semi_epi, "case 2b: left vertical must be semi-epi"
-                if p1.i_uniform or pf1.i_uniform:
-                    assert a1.surjective, "case 2b: left vertical must be onto"
-                checks["2b"] += n
+    def a3_matches(g1, g2):
+        X, Y = g1.target, g2.target
+        candidates = hom_module(g1.source, g2.source).surjective_maps
+        index = cached(("a3.g1", id(g1), id(Y)), lambda: Counter(
+            tuple(a3.map[v] for v in g1.map)
+            for a3 in cached(("kernel-free", id(X), id(Y)), lambda: kernel_free(X, Y))))
+        probes = cached(("g2.a2", id(g2), id(candidates)), lambda: [
+            (a2, tuple(g2.map[v] for v in a2.map)) for a2 in candidates])
+        return probe(index, probes)
+
+    semi_by_g1 = grouped((g, f) for f, g, st in rows if st.semi_exact)
+    chain_inj_by_g2 = grouped((g, f) for f, g, st in rows if f.injective and st.chain_step)
+    for f1, f2, a2, n in partner_counts(semi_by_g1, chain_inj_by_g2, a3_matches):
+        f2_pos = cached(("f2-pos", id(f2)), lambda: {v: i for i, v in enumerate(f2.map)})
+        vals = [f2_pos.get(a2.map[v]) for v in f1.map]
+        if None in vals:
+            continue
+        # linear because f2 is an injective linear map, so it is a map of
+        # Hom(source f1, source f2)
+        H1 = hom_module(f1.source, f2.source)
+        a1 = H1.maps[H1.index_of(vals)]
+        p1 = morphism_profile(a1)
+        assert p1.semi_epi, "case 2b: left vertical must be semi-epi"
+        if p1.i_uniform or morphism_profile(f1).i_uniform:
+            assert a1.surjective, "case 2b: left vertical must be onto"
+        checks["2b"] += n
     return checks
 
 

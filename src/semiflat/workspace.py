@@ -196,6 +196,10 @@ def parse_workspace(path: str) -> Workspace:
             doc = json.load(fh)
     except FileNotFoundError:
         raise SchemaError("/", f"no such file: {path}")
+    except OSError as exc:
+        raise SchemaError("/", f"cannot read {path}: {type(exc).__name__}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError("/", f"not UTF-8: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"not valid JSON: {exc}")
     return parse_workspace_dict(doc)

@@ -1,0 +1,39 @@
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from semiflat.catalog import enumerate_commutative_monoids
+
+
+def _associative(t) -> bool:
+    n = len(t)
+    return all(t[t[a][b]][c] == t[a][t[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def _brute_force_monoids(n: int) -> set:
+    """Commutative monoids on 0..n-1 with identity 0, checked on every triple,
+    each as the least relabelling that keeps 0 fixed."""
+    pairs = [(a, b) for a in range(1, n) for b in range(a, n)]
+    perms = [(0,) + p for p in itertools.permutations(range(1, n))]
+    found = set()
+    for values in itertools.product(range(n), repeat=len(pairs)):
+        t = [[a if b == 0 else b if a == 0 else None for b in range(n)] for a in range(n)]
+        for (a, b), v in zip(pairs, values):
+            t[a][b] = t[b][a] = v
+        if not _associative(t):
+            continue
+        found.add(min(tuple(tuple(p.index(t[p[a]][p[b]]) for b in range(n)) for a in range(n))
+                      for p in perms))
+    return found
+
+
+# commutative monoids up to isomorphism, OEIS A058133
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 5), (4, 19)])
+def test_commutative_monoids_up_to_iso(n, count):
+    got = enumerate_commutative_monoids(n)
+    assert len(got) == count
+    assert all(_associative(t) for t in got)
+    assert set(got) == _brute_force_monoids(n)

@@ -174,6 +174,35 @@ def test_bad_workspace_is_exit_two(capsys, tmp_path):
     assert json.loads(out)["error"] == "SchemaError"
 
 
+def test_workspace_directory_is_exit_two(capsys, tmp_path):
+    code, out = run_cli(capsys, "--workspace", str(tmp_path), "validate")
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "SchemaError"
+    assert err["detail"].startswith("/: cannot read")
+
+
+def test_non_utf8_workspace_is_exit_two(capsys, tmp_path):
+    ws_path = tmp_path / "latin1.json"
+    ws_path.write_bytes('{"semirings": {"B\xe4": {}}}'.encode("latin-1"))
+    code, out = run_cli(capsys, "--workspace", str(ws_path), "validate")
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "SchemaError"
+    assert err["detail"].startswith("/: not UTF-8")
+
+
+def test_internal_error_is_exit_two(capsys, monkeypatch):
+    # a bug inside a command is reported as such, never as a verdict
+    def broken(*args):
+        raise RuntimeError("broken on purpose")
+    monkeypatch.setattr(cli, "hom_module", broken)
+    code, out = run_cli(capsys, "hom", "BOOL", "BOOL")
+    assert code == 2
+    assert json.loads(out) == {"command": "hom", "error": "InternalError",
+                               "detail": "RuntimeError: broken on purpose", "format": 1}
+
+
 def test_non_object_section_is_exit_two(capsys, tmp_path):
     doc = json.loads(emit_workspace(load_default_workspace()))
     doc["diagrams"] = [1, 2]

@@ -6,7 +6,7 @@ import pytest
 
 from semiflat.catalog import (bool_semiring, chain_module, free_module,
                               product_semiring, semiring_bimodule,
-                              semiring_module, suite_pool,
+                              sat_semiring, semiring_module, suite_pool,
                               suite_semirings, trivial_module, zmod_module,
                               zmod_semiring)
 from semiflat.congruence import quotient_by_sub
@@ -294,6 +294,63 @@ def test_end_is_a_semiring():
         assert er.comp == comp and er.retracts == retracts
         checked += 1
     assert checked >= 12
+
+
+def _whole_table_hom(M, N, H):
+    # the Hom tables from whole-table lookups: the pointwise sum, and the
+    # actions induced by M's and N's second actions
+    tables = [f.map for f in H.maps]
+    pos = {t: i for i, t in enumerate(tables)}
+    add = tuple(tuple(pos[tuple(N.add[a][b] for a, b in zip(t, u))] for u in tables)
+                for t in tables)
+    actions = []
+    if M.second is not None:
+        actions.append(tuple(tuple(pos[tuple(t[M.second.table[x][s]] for x in range(M.size))]
+                                   for s in range(M.second.semiring.size)) for t in tables))
+    if N.second is not None:
+        actions.append(tuple(tuple(pos[tuple(N.second.table[v][s] for v in t)]
+                                   for s in range(N.second.semiring.size)) for t in tables))
+    return add, actions
+
+
+def test_hom_tables_match_whole_table_lookup():
+    # hom_module looks maps up by their images of the generators
+    pairs = list(_bimodule_hom_shapes())
+    for S in suite_semirings():
+        mods = [semiring_module(S), free_module(S, 2)] + [M for _, M in suite_pool(S)]
+        pairs += [(M, N) for M in mods for N in mods]
+    assert sum(hom_module(M, N).module.size == 256 for M, N in pairs) >= 2
+    for M, N in pairs:
+        H = hom_module(M, N)
+        add, actions = _whole_table_hom(M, N, H)
+        assert H.module.add == add
+        got = [H.module.action] if actions else []
+        if H.module.second is not None:
+            got.append(H.module.second.table)
+        assert got == actions
+
+
+@pytest.mark.parametrize("S, k", [(bool_semiring(), 16), (sat_semiring(3), 256),
+                                  (zmod_semiring(4), 256)], ids=["BOOL", "SAT3", "ZMOD4"])
+def test_end_comp_of_free2_matches_composition_table(S, k):
+    # end_comp composes only the complement pairs and the squares; the
+    # reference reads everything from the full k x k composition table
+    M = free_module(S, 2)
+    er = end_comp(M)
+    tables = [f.map for f in er.hom.maps]
+    assert len(tables) == k
+    pos = {t: i for i, t in enumerate(tables)}
+    mul = [[pos[tuple(t[v] for v in u)] for u in tables] for t in tables]
+    add, _ = _whole_table_hom(M, M, er.hom)
+    one = pos[tuple(range(M.size))]
+    comp = tuple(i for i in range(k)
+                 if any(add[i][j] == one and mul[i][j] == 0 and mul[j][i] == 0
+                        for j in range(k)))
+    summands = tuple(sorted({tuple(sorted(set(tables[i]))) for i in comp}))
+    retracts = tuple(sorted({tuple(sorted(set(tables[i]))) for i in range(k)
+                             if mul[i][i] == i}))
+    assert (er.identity, er.comp, er.summands, er.retracts) == (one, comp, summands, retracts)
+    assert len(er.summands) > 2
 
 
 def test_retract_of_direct_sum(Bm, B):

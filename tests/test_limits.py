@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from semiflat.catalog import trivial_module
+from semiflat.catalog import suite_semirings, trivial_module
 from semiflat.errors import NotDirected, NotIntertwining, ShapeMismatch
 from semiflat.homology import classify_sequence, morphism_profile, with_zero_ends
 from semiflat.limits import (chain_system, coequalizer, colimit_morphism,
@@ -10,10 +10,12 @@ from semiflat.limits import (chain_system, coequalizer, colimit_morphism,
                              directed_colimit, directed_system, equalizer,
                              hom_colimit_comparison, inverse_limit,
                              inverse_system, pairing, product, pullback,
-                             pullback_mediator, subsemimodule_system)
+                             pullback_mediator, subsemimodule_system,
+                             sum_morphism)
 from semiflat.structures import (build_morphism, compose, identity_morphism,
-                                 isomorphic, zero_morphism)
+                                 isomorphic, morphism_violations, zero_morphism)
 from semiflat.subsets import submodule_of, subsemimodule
+from semiflat.suite import _pool_modules, _small_homs
 
 
 def test_direct_sum_bool(Bm):
@@ -164,3 +166,38 @@ def test_empty_product_is_terminal(Z4):
     assert P.size == 1 and projections == ()
     with pytest.raises(ShapeMismatch):
         product(())
+
+
+@pytest.mark.parametrize("S", suite_semirings(), ids=lambda S: f"|S|={S.size}")
+def test_sum_morphism_matches_checked_table(S):
+    # sum_morphism skips the axiom scan; the reference table is decoded and
+    # encoded element by element and passed through build_morphism
+    homs = _small_homs(_pool_modules(S))[:20]
+    for f1 in homs:
+        for f2 in homs:
+            src = direct_sum((f1.source, f2.source))
+            tgt = direct_sum((f1.target, f2.target))
+            table = [tgt.encode((f1.map[a], f2.map[b]))
+                     for a, b in map(src.decode, range(src.module.size))]
+            ref = build_morphism(src.module, tgt.module, table)
+            got = sum_morphism((f1, f2), src, tgt)
+            assert got == ref
+            assert (got.injective, got.surjective) == (ref.injective, ref.surjective)
+            assert not list(morphism_violations(src.module, tgt.module, got.map))
+    f, g, h = homs[-1], homs[len(homs) // 2], homs[1]
+    src = direct_sum((f.source, g.source, h.source))
+    tgt = direct_sum((f.target, g.target, h.target))
+    table = [tgt.encode(tuple(m.map[a] for m, a in zip((f, g, h), src.decode(x))))
+             for x in range(src.module.size)]
+    assert sum_morphism((f, g, h), src, tgt) == build_morphism(src.module, tgt.module, table)
+    # one component per factor, each between the matching factors
+    f1, f2 = next((a, b) for a in homs for b in homs
+                  if (a.source, a.target) != (b.source, b.target))
+    src = direct_sum((f1.source, f2.source))
+    tgt = direct_sum((f1.target, f2.target))
+    with pytest.raises(ShapeMismatch):
+        sum_morphism((f2, f1), src, tgt)
+    with pytest.raises(ShapeMismatch):
+        sum_morphism((f1,), src, tgt)
+    with pytest.raises(ShapeMismatch):
+        sum_morphism((f1, f2), src, direct_sum((f1.target,)))

@@ -4,7 +4,10 @@ import pytest
 
 from semiflat.catalog import suite_semirings
 from semiflat.homology import hom_module, morphism_profile
-from semiflat.suite import _pool_modules, _stage_rows, _two_row_diagram_items
+from semiflat.suite import (_componentwise_items, _hom_functor_items,
+                            _padded_sequence_items, _pool_modules,
+                            _retract_square_items, _stage_rows,
+                            _tensor_functor_items, _two_row_diagram_items)
 
 
 def _pairwise_chase(rows) -> dict[str, int]:
@@ -93,3 +96,25 @@ def test_two_row_chase_matches_pairwise_scan(index, stride):
     want = _pairwise_chase(rows)
     assert got == want
     assert all(want.values())
+
+
+# rows, padded, hom functor, tensor functor, componentwise, retract, chase;
+# they sum to the exactness tag's 101,359 checks
+EXACTNESS_COUNTS = [
+    (1377, 6885, 2776, 1388, 3915, 901, {"1a": 2604, "1b": 13676, "2b": 16716}),
+    (195, 975, 1040, 520, 864, 191, {"1a": 644, "1b": 934, "2b": 1454}),
+    (843, 4215, 3696, 1848, 2646, 795, {"1a": 8518, "1b": 15640, "2b": 8518}),
+]
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["BOOL", "SAT3", "ZMOD4"])
+def test_exactness_counts_per_helper(index):
+    # a change that moves checks from one helper to another fails here, not
+    # only one that changes the tag's total
+    S = suite_semirings()[index]
+    pool = _pool_modules(S)
+    rows = _stage_rows(pool)
+    got = (len(rows), _padded_sequence_items(S, rows), _hom_functor_items(S, rows, pool),
+           _tensor_functor_items(S, rows, pool), _componentwise_items(S, pool),
+           _retract_square_items(S, pool), _two_row_diagram_items(rows))
+    assert got == EXACTNESS_COUNTS[index]
