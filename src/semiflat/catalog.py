@@ -210,30 +210,45 @@ def suite_semirings() -> tuple[Semiring, ...]:
 # Bounded enumeration up to isomorphism.
 # ---------------------------------------------------------------------------
 
-def _monoid_candidates(n: int):
-    """Commutative tables with identity 0, associativity unchecked."""
-    cells = [(a, b) for a in range(1, n) for b in range(a, n)]
-    for values in itertools.product(range(n), repeat=len(cells)):
-        table = [[0] * n for _ in range(n)]
-        for a in range(n):
-            table[0][a] = table[a][0] = a
-        for (a, b), v in zip(cells, values):
-            table[a][b] = table[b][a] = v
-        yield table
+def _monoid_tables(n: int):
+    """Every commutative monoid table on 0..n-1 with identity 0.
 
-
-def _is_associative(t, n: int) -> bool:
-    # every triple: commutativity gives (ab)c = a(bc) = (bc)a from the
-    # ordered triples a <= b <= c, but never (ac)b
+    Fills the upper triangle cell by cell (-1 marks a cell not yet
+    filled) and abandons a partial table as soon as an instance of
+    (ab)c = a(bc) whose four products are all filled fails, so a complete
+    table has passed every triple.
+    """
+    t = [[-1] * n for _ in range(n)]
     for a in range(n):
-        ta = t[a]
-        for b in range(n):
-            tab = t[ta[b]]
-            tb = t[b]
-            for c in range(n):
-                if tab[c] != ta[tb[c]]:
-                    return False
-    return True
+        t[0][a] = t[a][0] = a
+    cells = [(a, b) for a in range(1, n) for b in range(a, n)]
+    values = range(n)
+
+    def consistent() -> bool:
+        for ta in t:
+            for b in values:
+                ab = ta[b]
+                if ab < 0:
+                    continue
+                tab, tb = t[ab], t[b]
+                for c in values:
+                    bc, left = tb[c], tab[c]
+                    if bc >= 0 and left >= 0 and ta[bc] >= 0 and left != ta[bc]:
+                        return False
+        return True
+
+    def fill(k: int):
+        if k == len(cells):
+            yield freeze_table(t)
+            return
+        a, b = cells[k]
+        for v in values:
+            t[a][b] = t[b][a] = v
+            if consistent():
+                yield from fill(k + 1)
+        t[a][b] = t[b][a] = -1
+
+    return fill(0)
 
 
 def _canonical_monoid(t: Table) -> Table:
@@ -256,10 +271,7 @@ def enumerate_commutative_monoids(n: int, up_to_iso: bool = True) -> tuple[Table
         raise SizeBoundExceeded("commutative monoid enumeration", n, 5)
     out = []
     seen = set()
-    for t in _monoid_candidates(n):
-        if not _is_associative(t, n):
-            continue
-        frozen = freeze_table(t)
+    for frozen in _monoid_tables(n):
         if up_to_iso:
             canon = _canonical_monoid(frozen)
             if canon in seen:

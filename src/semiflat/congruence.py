@@ -14,30 +14,29 @@ directed colimits call the engine with no maps at all.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import MalformedTable, NotACongruence, NotASubsemimodule
+from .record import Record
 from .structures import (Morphism, SecondAction, Semimodule, Table,
                          freeze_table, is_cancellative)
 from .subsets import (Subsemimodule, additive_generators, is_closed_subset,
                       monoid_generators, subtractive_closure)
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Record):
     """Partition of a carrier, classes numbered by least member."""
 
-    size: int
-    class_of: tuple[int, ...]
-    class_count: int
+    _fields = ("size", "class_of", "class_count")
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.size, self.class_of))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __init__(self, size: int, class_of: tuple[int, ...], class_count: int):
+        d = self.__dict__
+        d["size"] = size
+        d["class_of"] = class_of
+        d["class_count"] = class_count
+
+    def _hash_key(self):
+        return (self.size, self.class_of)
 
     def __repr__(self):
         return f"Congruence({self.size} elements, {self.class_count} classes)"

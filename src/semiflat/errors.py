@@ -123,3 +123,7 @@ class SchemaError(SemiflatError):
 
 class UnknownObject(SemiflatError):
     """A name does not resolve inside the workspace."""
+
+
+class InvalidArgument(SemiflatError):
+    """A parameter lies outside its domain."""

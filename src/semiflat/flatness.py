@@ -16,18 +16,19 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .catalog import free_module
 from .config import DEFAULT_BOUNDS
 from .congruence import quotient_by_sub
-from .errors import BadCertificate, NotExact, SizeBoundExceeded, TimeBudgetExceeded
+from .errors import (BadCertificate, InvalidArgument, NotExact, SizeBoundExceeded,
+                     TimeBudgetExceeded)
 from .homology import (classify_sequence, end_comp, hom_module, is_retract_of,
                        kernel, morphism_profile, uniformly_injective_rel,
                        with_zero_ends)
 from .limits import (DirectedSystem, constant_system, direct_sum,
                      directed_colimit, pullback, pullback_mediator)
+from .record import Record
 from .structures import (LEFT, Morphism, Semimodule, as_left, as_right,
                          build_morphism, compose, identity_morphism,
                          swap_actions, with_bimodule_structure)
@@ -40,11 +41,14 @@ def as_left_morphism(f: Morphism) -> Morphism:
     return build_morphism(as_left(f.source), as_left(f.target), f.map)
 
 
-@dataclass(frozen=True)
-class FlatnessVerdict:
-    holds: bool
-    witness: tuple | None = None
-    detail: str = ""
+class FlatnessVerdict(Record):
+    _fields = ("holds", "witness", "detail")
+
+    def __init__(self, holds: bool, witness: tuple | None = None, detail: str = ""):
+        d = self.__dict__
+        d["holds"] = holds
+        d["witness"] = witness
+        d["detail"] = detail
 
 
 def _tensored_inclusion(F: Semimodule, M: Semimodule, U: Subsemimodule) -> Morphism:
@@ -249,11 +253,16 @@ def is_uniformly_fp(X: Semimodule, n_max: int = DEFAULT_BOUNDS.max_free_rank):
 # Certificates for genuine (colimit-of-projectives) flatness.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlatCertificate:
-    system: DirectedSystem
-    node_witnesses: tuple[tuple[Morphism, Morphism], ...]   # (into free, back)
-    iso: Morphism                                           # colimit -> subject
+class FlatCertificate(Record):
+    _fields = ("system", "node_witnesses", "iso")
+
+    def __init__(self, system: DirectedSystem,
+                 node_witnesses: tuple[tuple[Morphism, Morphism], ...],  # (into free, back)
+                 iso: Morphism):                                         # colimit -> subject
+        d = self.__dict__
+        d["system"] = system
+        d["node_witnesses"] = node_witnesses
+        d["iso"] = iso
 
 
 def projectivity_witness(F: Semimodule, n_max: int = DEFAULT_BOUNDS.max_free_rank):
@@ -472,26 +481,36 @@ def colimit_flatness_transfer(system: DirectedSystem, M: Semimodule) -> bool:
 # The classification search harness.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchConfig:
-    semirings: tuple
-    max_size: int = 4
-    budget_seconds: float = 300.0
-    out_path: str | None = None
+class SearchConfig(Record):
+    _fields = ("semirings", "max_size", "budget_seconds", "out_path")
+
+    def __init__(self, semirings: tuple, max_size: int = 4, budget_seconds: float = 300.0,
+                 out_path: str | None = None):
+        d = self.__dict__
+        d["semirings"] = semirings
+        d["max_size"] = max_size
+        d["budget_seconds"] = budget_seconds
+        d["out_path"] = out_path
 
 
-@dataclass
-class SearchRecord:
-    semiring_index: int
-    module_index: int
-    size: int
-    add: tuple
-    action: tuple
-    mono_flat: bool
-    i_uniform_class: bool
-    uniformly_flat: bool
-    certified_flat: bool
-    witness: tuple | None
+class SearchRecord(Record, frozen=False):
+    _fields = ("semiring_index", "module_index", "size", "add", "action", "mono_flat",
+               "i_uniform_class", "uniformly_flat", "certified_flat", "witness")
+
+    def __init__(self, semiring_index: int, module_index: int, size: int, add: tuple,
+                 action: tuple, mono_flat: bool, i_uniform_class: bool,
+                 uniformly_flat: bool, certified_flat: bool, witness: tuple | None):
+        d = self.__dict__
+        d["semiring_index"] = semiring_index
+        d["module_index"] = module_index
+        d["size"] = size
+        d["add"] = add
+        d["action"] = action
+        d["mono_flat"] = mono_flat
+        d["i_uniform_class"] = i_uniform_class
+        d["uniformly_flat"] = uniformly_flat
+        d["certified_flat"] = certified_flat
+        d["witness"] = witness
 
     def to_json(self) -> str:
         return json.dumps({
@@ -515,9 +534,20 @@ def search_counterexamples(config: SearchConfig) -> dict:
 
     A module that is uniformly flat relative to the enumerated universe but
     not certified flat within the rank bound is only a candidate: the
-    verdicts are labeled inconclusive, never conclusions.
+    verdicts are labeled inconclusive, never conclusions.  A size below 1,
+    a budget that is negative or NaN, or an output file that cannot be
+    opened raises ``InvalidArgument`` before anything is enumerated.
     """
     from .catalog import enumerate_semimodules
+    if config.max_size < 1:
+        raise InvalidArgument(f"max_size must be at least 1, got {config.max_size}")
+    if not config.budget_seconds >= 0:      # NaN compares false with everything
+        raise InvalidArgument(f"budget_seconds must be >= 0, got {config.budget_seconds}")
+    if config.out_path:
+        try:
+            open(config.out_path, "w", encoding="utf-8").close()
+        except OSError as exc:
+            raise InvalidArgument(f"cannot write {config.out_path!r}: {exc.strerror}") from exc
     t0 = time.monotonic()
     records: list[SearchRecord] = []
     inconclusive = []

@@ -11,12 +11,12 @@ proper-exact with k-uniform outgoing map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .config import DEFAULT_BOUNDS
 from .errors import (AxiomViolation, NotComposable, NotCommutative,
                      SizeBoundExceeded)
+from .record import Record
 from .structures import (Morphism, SecondAction, Semimodule, Violation,
                          check_endpoints, compose, counting_semiring_for,
                          freeze_table, monoid_morphism, morphism_violations,
@@ -40,15 +40,21 @@ def cokernel(f: Morphism) -> tuple[Semimodule, Morphism]:
     return quotient_by_sub(f.target, image_sub(f))
 
 
-@dataclass(frozen=True)
-class MorphismProfile:
-    injective: bool
-    surjective: bool
-    k_uniform: bool
-    i_uniform: bool
-    semi_epi: bool
-    k_witness: tuple[int, int] | None = None
-    i_witness: int | None = None
+class MorphismProfile(Record):
+    _fields = ("injective", "surjective", "k_uniform", "i_uniform", "semi_epi", "k_witness",
+               "i_witness")
+
+    def __init__(self, injective: bool, surjective: bool, k_uniform: bool, i_uniform: bool,
+                 semi_epi: bool, k_witness: tuple[int, int] | None = None,
+                 i_witness: int | None = None):
+        d = self.__dict__
+        d["injective"] = injective
+        d["surjective"] = surjective
+        d["k_uniform"] = k_uniform
+        d["i_uniform"] = i_uniform
+        d["semi_epi"] = semi_epi
+        d["k_witness"] = k_witness
+        d["i_witness"] = i_witness
 
     @property
     def uniform(self) -> bool:
@@ -86,19 +92,27 @@ def morphism_profile(f: Morphism) -> MorphismProfile:
                            semi_epi, k_witness, i_witness)
 
 
-@dataclass(frozen=True)
-class StageFlags:
-    chain_step: bool
-    proper_exact: bool
-    semi_exact: bool
-    quasi_exact: bool
-    exact: bool
-    witness: tuple = ()
+class StageFlags(Record):
+    _fields = ("chain_step", "proper_exact", "semi_exact", "quasi_exact", "exact",
+               "witness")
+
+    def __init__(self, chain_step: bool, proper_exact: bool, semi_exact: bool,
+                 quasi_exact: bool, exact: bool, witness: tuple = ()):
+        d = self.__dict__
+        d["chain_step"] = chain_step
+        d["proper_exact"] = proper_exact
+        d["semi_exact"] = semi_exact
+        d["quasi_exact"] = quasi_exact
+        d["exact"] = exact
+        d["witness"] = witness
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    stages: tuple[StageFlags, ...]
+class ExactnessReport(Record):
+    _fields = ("stages",)
+
+    def __init__(self, stages: tuple[StageFlags, ...]):
+        d = self.__dict__
+        d["stages"] = stages
 
     @property
     def exact(self) -> bool:
@@ -152,8 +166,7 @@ def with_zero_ends(morphisms, left: bool = True, right: bool = True):
 # Hom monoids.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomModule:
+class HomModule(Record):
     """All linear maps between two semimodules, packaged as a module.
 
     ``module`` carries the pointwise addition; the scalar action comes from
@@ -161,17 +174,18 @@ class HomModule:
     semiring otherwise.  ``maps[i]`` is the morphism encoded by element i.
     """
 
-    source: Semimodule
-    target: Semimodule
-    module: Semimodule
-    maps: tuple[Morphism, ...]
+    _fields = ("source", "target", "module", "maps")
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.source, self.target, self.module))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __init__(self, source: Semimodule, target: Semimodule, module: Semimodule,
+                 maps: tuple[Morphism, ...]):
+        d = self.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["module"] = module
+        d["maps"] = maps
+
+    def _hash_key(self):
+        return (self.source, self.target, self.module)
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, ...], int]:
@@ -325,13 +339,18 @@ def evaluation_iso(S_module: Semimodule, M: Semimodule) -> Morphism | None:
 # Endomorphisms, complemented idempotents, retracts, direct summands.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EndReport:
-    hom: HomModule
-    identity: int
-    comp: tuple[int, ...]
-    summands: tuple[tuple[int, ...], ...]
-    retracts: tuple[tuple[int, ...], ...]
+class EndReport(Record):
+    _fields = ("hom", "identity", "comp", "summands", "retracts")
+
+    def __init__(self, hom: HomModule, identity: int, comp: tuple[int, ...],
+                 summands: tuple[tuple[int, ...], ...],
+                 retracts: tuple[tuple[int, ...], ...]):
+        d = self.__dict__
+        d["hom"] = hom
+        d["identity"] = identity
+        d["comp"] = comp
+        d["summands"] = summands
+        d["retracts"] = retracts
 
 
 @lru_cache(maxsize=None)
@@ -382,17 +401,24 @@ def is_retract_of(N: Semimodule, M: Semimodule) -> tuple[Morphism, Morphism] | N
 # Relative injectivity and cogenerators.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InjectivityEntry:
-    module_index: int
-    sub_members: tuple[int, ...]
-    surjective: bool
-    uniform: bool
+class InjectivityEntry(Record):
+    _fields = ("module_index", "sub_members", "surjective", "uniform")
+
+    def __init__(self, module_index: int, sub_members: tuple[int, ...], surjective: bool,
+                 uniform: bool):
+        d = self.__dict__
+        d["module_index"] = module_index
+        d["sub_members"] = sub_members
+        d["surjective"] = surjective
+        d["uniform"] = uniform
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
-    entries: tuple[InjectivityEntry, ...]
+class InjectivityReport(Record):
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[InjectivityEntry, ...]):
+        d = self.__dict__
+        d["entries"] = entries
 
     @property
     def holds(self) -> bool:
@@ -411,13 +437,18 @@ def uniformly_injective_rel(Q: Semimodule, family) -> InjectivityReport:
     return InjectivityReport(tuple(entries))
 
 
-@dataclass(frozen=True)
-class CogeneratorEntry:
-    probe_index: int
-    restriction_surjective: bool
-    restriction_uniform: bool
-    probe_injective: bool
-    probe_uniform: bool
+class CogeneratorEntry(Record):
+    _fields = ("probe_index", "restriction_surjective", "restriction_uniform",
+               "probe_injective", "probe_uniform")
+
+    def __init__(self, probe_index: int, restriction_surjective: bool,
+                 restriction_uniform: bool, probe_injective: bool, probe_uniform: bool):
+        d = self.__dict__
+        d["probe_index"] = probe_index
+        d["restriction_surjective"] = restriction_surjective
+        d["restriction_uniform"] = restriction_uniform
+        d["probe_injective"] = probe_injective
+        d["probe_uniform"] = probe_uniform
 
     @property
     def consistent(self) -> bool:
@@ -453,10 +484,13 @@ def _require_commutes(left: Morphism, right: Morphism, tag: str):
             raise NotCommutative((tag, x), "paths disagree")
 
 
-@dataclass(frozen=True)
-class RetractSquareReport:
-    hypothesis: MorphismProfile
-    conclusion: MorphismProfile
+class RetractSquareReport(Record):
+    _fields = ("hypothesis", "conclusion")
+
+    def __init__(self, hypothesis: MorphismProfile, conclusion: MorphismProfile):
+        d = self.__dict__
+        d["hypothesis"] = hypothesis
+        d["conclusion"] = conclusion
 
     @property
     def holds(self) -> bool:
@@ -480,12 +514,16 @@ def verify_retract_square(iota: Morphism, pi: Morphism, iota2: Morphism, pi2: Mo
     return RetractSquareReport(morphism_profile(gamma), morphism_profile(gamma_tilde))
 
 
-@dataclass(frozen=True)
-class TwoRowReport:
-    case_1a: bool | None
-    case_1b: bool | None
-    case_2a: bool | None
-    case_2b: bool | None
+class TwoRowReport(Record):
+    _fields = ("case_1a", "case_1b", "case_2a", "case_2b")
+
+    def __init__(self, case_1a: bool | None, case_1b: bool | None, case_2a: bool | None,
+                 case_2b: bool | None):
+        d = self.__dict__
+        d["case_1a"] = case_1a
+        d["case_1b"] = case_1b
+        d["case_2a"] = case_2a
+        d["case_2b"] = case_2b
 
     @property
     def holds(self) -> bool:

@@ -7,7 +7,6 @@ relation, with the maximum-node evaluation kept alongside as an oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .catalog import product_module
@@ -17,18 +16,23 @@ from .errors import (NotDirected, NotIntertwining, ShapeMismatch,
                      SizeBoundExceeded)
 from .config import DEFAULT_BOUNDS
 from .homology import hom_module
+from .record import Record
 from .structures import (Morphism, Semimodule, build_morphism,
                          build_semimodule, compose, freeze_table,
                          identity_morphism)
 from .subsets import submodule_of, subsemimodule, enumerate_subsemimodules
 
 
-@dataclass(frozen=True)
-class ProductData:
-    module: Semimodule
-    factors: tuple[Semimodule, ...]
-    projections: tuple[Morphism, ...]
-    injections: tuple[Morphism, ...]
+class ProductData(Record):
+    _fields = ("module", "factors", "projections", "injections")
+
+    def __init__(self, module: Semimodule, factors: tuple[Semimodule, ...],
+                 projections: tuple[Morphism, ...], injections: tuple[Morphism, ...]):
+        d = self.__dict__
+        d["module"] = module
+        d["factors"] = factors
+        d["projections"] = projections
+        d["injections"] = injections
 
     def encode(self, parts: tuple[int, ...]) -> int:
         radices = tuple(f.size for f in self.factors)
@@ -182,24 +186,24 @@ def pullback_mediator(P: Semimodule, inc: Morphism, data: ProductData,
 # Directed systems.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DirectedSystem:
+class DirectedSystem(Record):
     """Finite directed poset of semimodules with coherent transition maps.
 
     ``order`` lists the strict relations (j, j') with j < j', transitively
     closed; ``maps`` holds one morphism per listed relation.
     """
 
-    nodes: tuple[Semimodule, ...]
-    order: tuple[tuple[int, int], ...]
-    maps: tuple[Morphism, ...]
+    _fields = ("nodes", "order", "maps")
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.nodes, self.order, tuple(m.map for m in self.maps)))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __init__(self, nodes: tuple[Semimodule, ...], order: tuple[tuple[int, int], ...],
+                 maps: tuple[Morphism, ...]):
+        d = self.__dict__
+        d["nodes"] = nodes
+        d["order"] = order
+        d["maps"] = maps
+
+    def _hash_key(self):
+        return (self.nodes, self.order, tuple(m.map for m in self.maps))
 
     def leq(self, j: int, k: int) -> bool:
         return j == k or (j, k) in set(self.order)
@@ -209,8 +213,7 @@ class DirectedSystem:
             return identity_morphism(self.nodes[j])
         lookup = self.__dict__.get("_tr")
         if lookup is None:
-            lookup = dict(zip(self.order, self.maps))
-            object.__setattr__(self, "_tr", lookup)
+            lookup = self.__dict__["_tr"] = dict(zip(self.order, self.maps))
         return lookup[(j, k)]
 
     def upper_bounds(self, j: int, k: int) -> list[int]:
@@ -277,12 +280,16 @@ def chain_system(morphisms) -> DirectedSystem:
     return directed_system(nodes, rels, ms)
 
 
-@dataclass(frozen=True)
-class Colimit:
-    system: DirectedSystem
-    module: Semimodule
-    legs: tuple[Morphism, ...]
-    class_of: tuple[tuple[int, ...], ...]   # per node, element -> colimit element
+class Colimit(Record):
+    _fields = ("system", "module", "legs", "class_of")
+
+    def __init__(self, system: DirectedSystem, module: Semimodule, legs: tuple[Morphism, ...],
+                 class_of: tuple[tuple[int, ...], ...]):  # per node, element -> colimit element
+        d = self.__dict__
+        d["system"] = system
+        d["module"] = module
+        d["legs"] = legs
+        d["class_of"] = class_of
 
 
 @lru_cache(maxsize=None)
@@ -360,20 +367,20 @@ def colimit_morphism(sysX: DirectedSystem, sysY: DirectedSystem, levelwise) -> M
 # Inverse systems.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InverseSystem:
+class InverseSystem(Record):
     """Same poset data as a directed system, with arrows j <= j' : M_j' -> M_j."""
 
-    nodes: tuple[Semimodule, ...]
-    order: tuple[tuple[int, int], ...]
-    maps: tuple[Morphism, ...]
+    _fields = ("nodes", "order", "maps")
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.nodes, self.order, tuple(m.map for m in self.maps)))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __init__(self, nodes: tuple[Semimodule, ...], order: tuple[tuple[int, int], ...],
+                 maps: tuple[Morphism, ...]):
+        d = self.__dict__
+        d["nodes"] = nodes
+        d["order"] = order
+        d["maps"] = maps
+
+    def _hash_key(self):
+        return (self.nodes, self.order, tuple(m.map for m in self.maps))
 
     def transition(self, j: int, k: int) -> Morphism:
         """The map M_k -> M_j for j <= k."""
@@ -431,11 +438,14 @@ def inverse_limit(sys: InverseSystem, max_size: int = DEFAULT_BOUNDS.max_product
 # The hom/colimit comparison map.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomColimitComparison:
-    map: Morphism
-    injective: bool
-    bijective: bool
+class HomColimitComparison(Record):
+    _fields = ("map", "injective", "bijective")
+
+    def __init__(self, map: Morphism, injective: bool, bijective: bool):
+        d = self.__dict__
+        d["map"] = map
+        d["injective"] = injective
+        d["bijective"] = bijective
 
 
 def hom_colimit_comparison(X: Semimodule, sys: DirectedSystem) -> HomColimitComparison:

@@ -7,10 +7,10 @@ functions of their inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import AxiomViolation, MalformedTable, SideMismatch
+from .record import Record
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -37,13 +37,16 @@ def check_entries(table: Table, carrier: int, what: str) -> None:
                 raise MalformedTable(f"{what}[{i}][{j}] = {x} out of range 0..{carrier - 1}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """A violated axiom together with the witnessing element tuple."""
 
-    axiom: str
-    witness: tuple[int, ...]
-    detail: str = ""
+    _fields = ("axiom", "witness", "detail")
+
+    def __init__(self, axiom: str, witness: tuple[int, ...], detail: str = ""):
+        d = self.__dict__
+        d["axiom"] = axiom
+        d["witness"] = witness
+        d["detail"] = detail
 
 
 def commutative_monoid_violations(add: Table, zero: int, prefix: str = "add") -> list[Violation]:
@@ -74,26 +77,22 @@ def commutative_monoid_violations(add: Table, zero: int, prefix: str = "add") ->
     return out
 
 
-@dataclass(frozen=True)
-class Semiring:
+class Semiring(Record):
     """Finite semiring with explicit addition and multiplication tables."""
 
-    labels: tuple[str, ...]
-    add: Table
-    mul: Table
-    zero: int
-    one: int
+    _fields = ("labels", "add", "mul", "zero", "one")
+
+    def __init__(self, labels: tuple[str, ...], add: Table, mul: Table, zero: int, one: int):
+        d = self.__dict__
+        d["labels"] = labels
+        d["add"] = add
+        d["mul"] = mul
+        d["zero"] = zero
+        d["one"] = one
 
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.labels, self.add, self.mul, self.zero, self.one))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self):
         return f"Semiring({self.size} elements)"
@@ -163,24 +162,19 @@ def build_semiring(labels, add, mul, zero: int, one: int) -> Semiring:
     return Semiring(labels, add, mul, zero, one)
 
 
-@dataclass(frozen=True)
-class SecondAction:
+class SecondAction(Record):
     """The other-side scalar action of a bisemimodule."""
 
-    semiring: Semiring
-    side: str
-    table: Table
+    _fields = ("semiring", "side", "table")
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.semiring, self.side, self.table))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __init__(self, semiring: Semiring, side: str, table: Table):
+        d = self.__dict__
+        d["semiring"] = semiring
+        d["side"] = side
+        d["table"] = table
 
 
-@dataclass(frozen=True)
-class Semimodule:
+class Semimodule(Record):
     """Finite semimodule: commutative monoid with a scalar action table.
 
     ``action[x][s]`` is x*s for a right module and s*x for a left one.
@@ -188,24 +182,25 @@ class Semimodule:
     the carrier into a bisemimodule.
     """
 
-    semiring: Semiring
-    side: str
-    labels: tuple[str, ...]
-    add: Table
-    zero: int
-    action: Table
-    second: SecondAction | None = None
+    _fields = ("semiring", "side", "labels", "add", "zero", "action", "second")
+
+    def __init__(self, semiring: Semiring, side: str, labels: tuple[str, ...], add: Table,
+                 zero: int, action: Table, second: SecondAction | None = None):
+        d = self.__dict__
+        d["semiring"] = semiring
+        d["side"] = side
+        d["labels"] = labels
+        d["add"] = add
+        d["zero"] = zero
+        d["action"] = action
+        d["second"] = second
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.semiring, self.side, self.add, self.zero, self.action, self.second))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def _hash_key(self):
+        return (self.semiring, self.side, self.add, self.zero, self.action, self.second)
 
     def __repr__(self):
         tag = "bi" if self.second else self.side
@@ -313,27 +308,23 @@ def build_semimodule(semiring: Semiring, side: str, labels, add, zero: int, acti
     return Semimodule(semiring, side, labels, add, zero, action, second)
 
 
-@dataclass(frozen=True)
-class Morphism:
-    """Structure-preserving map between semimodules over one semiring."""
+class Morphism(Record):
+    """Structure-preserving map between semimodules over one semiring.
 
-    source: Semimodule
-    target: Semimodule
-    map: tuple[int, ...]
-    injective: bool = field(init=False, compare=False)
-    surjective: bool = field(init=False, compare=False)
+    ``injective`` and ``surjective`` are computed from the map; equality
+    and hashing leave them out.
+    """
 
-    def __post_init__(self):
-        image = len(set(self.map))
-        object.__setattr__(self, "injective", image == self.source.size)
-        object.__setattr__(self, "surjective", image == self.target.size)
+    _fields = ("source", "target", "map")
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.source, self.target, self.map))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __init__(self, source: Semimodule, target: Semimodule, map: tuple[int, ...]):
+        image = len(set(map))
+        d = self.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["map"] = map
+        d["injective"] = image == source.size
+        d["surjective"] = image == target.size
 
     def __call__(self, x: int) -> int:
         return self.map[x]

@@ -1,26 +1,22 @@
 """Subsemimodules: enumeration, generation, subtractive closure, generators."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import DEFAULT_BOUNDS
 from .errors import NotASubsemimodule, SizeBoundExceeded
+from .record import Record
 from .structures import (Morphism, SecondAction, Semimodule, Table,
                          freeze_table)
 
 
-@dataclass(frozen=True)
-class Subsemimodule:
-    parent: Semimodule
-    members: tuple[int, ...]
+class Subsemimodule(Record):
+    _fields = ("parent", "members")
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.parent, self.members))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __init__(self, parent: Semimodule, members: tuple[int, ...]):
+        d = self.__dict__
+        d["parent"] = parent
+        d["members"] = members
 
     def __contains__(self, x: int) -> bool:
         return x in set(self.members)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 from .catalog import (bool_semiring, cancellative_targets, chain_module,
                       enumerate_semimodules, free_module, oracle_corpus,
@@ -31,6 +30,7 @@ from .limits import (chain_system, constant_system, direct_sum,
                      hom_colimit_comparison, inverse_limit, inverse_system,
                      colimit_morphism, pairing, copairing, pullback,
                      pullback_mediator, subsemimodule_system, sum_morphism)
+from .record import Record
 from .structures import (LEFT, RIGHT, Morphism, Semimodule, as_left, as_right,
                          build_semiring, compose,
                          find_monoid_isomorphism, identity_morphism,
@@ -41,13 +41,16 @@ from .tensor import (adjunction_iso, certify_cancellative_universal,
                      tensor_product, unit_iso, unit_iso_left)
 
 
-@dataclass
-class SuiteResult:
-    tag: str
-    passed: bool
-    checks: int
-    detail: str
-    seconds: float
+class SuiteResult(Record, frozen=False):
+    _fields = ("tag", "passed", "checks", "detail", "seconds")
+
+    def __init__(self, tag: str, passed: bool, checks: int, detail: str, seconds: float):
+        d = self.__dict__
+        d["tag"] = tag
+        d["passed"] = passed
+        d["checks"] = checks
+        d["detail"] = detail
+        d["seconds"] = seconds
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"

@@ -16,7 +16,6 @@ the expansion step entirely; it is the independent oracle presentation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .catalog import semiring_bimodule
@@ -25,6 +24,7 @@ from .congruence import Congruence, cancellative_reflection, congruence_closure
 from .errors import (BoxBoundExceeded, NotBalanced, NotZeroPreserving,
                      SideMismatch, SizeBoundExceeded)
 from .homology import HomModule, hom_module, hom_postcompose, hom_precompose
+from .record import Record
 from .structures import (LEFT, RIGHT, Morphism, SecondAction, Semimodule,
                          build_morphism, build_semimodule,
                          counting_semiring_for, element_order, freeze_table,
@@ -32,28 +32,34 @@ from .structures import (LEFT, RIGHT, Morphism, SecondAction, Semimodule,
 from .subsets import additive_generators, additive_expressions, additive_span
 
 
-@dataclass(frozen=True)
-class TensorPresentation:
-    left: Semimodule
-    right: Semimodule
-    left_gens: tuple[int, ...]
-    right_gens: tuple[int, ...]
-    pair_bounds: tuple[tuple[int, int], ...]
-    radices: tuple[int, ...]
-    box_size: int
-    relation_count: int
-    congruence: Congruence
-    module: Semimodule
-    tau: tuple[tuple[int, ...], ...]
-    rep_coords: tuple[tuple[int, ...], ...]
-    dense: bool
+class TensorPresentation(Record):
+    _fields = ("left", "right", "left_gens", "right_gens", "pair_bounds", "radices",
+               "box_size", "relation_count", "congruence", "module", "tau", "rep_coords",
+               "dense")
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.left, self.right, self.module, self.tau))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __init__(self, left: Semimodule, right: Semimodule, left_gens: tuple[int, ...],
+                 right_gens: tuple[int, ...], pair_bounds: tuple[tuple[int, int], ...],
+                 radices: tuple[int, ...], box_size: int, relation_count: int,
+                 congruence: Congruence, module: Semimodule,
+                 tau: tuple[tuple[int, ...], ...], rep_coords: tuple[tuple[int, ...], ...],
+                 dense: bool):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        d["left_gens"] = left_gens
+        d["right_gens"] = right_gens
+        d["pair_bounds"] = pair_bounds
+        d["radices"] = radices
+        d["box_size"] = box_size
+        d["relation_count"] = relation_count
+        d["congruence"] = congruence
+        d["module"] = module
+        d["tau"] = tau
+        d["rep_coords"] = rep_coords
+        d["dense"] = dense
+
+    def _hash_key(self):
+        return (self.left, self.right, self.module, self.tau)
 
     def pair_list(self) -> list[tuple[int, int]]:
         return [(g, h) for g in self.left_gens for h in self.right_gens]
@@ -408,10 +414,13 @@ def tensor_morphisms(f: Morphism, g: Morphism, dense: bool = False) -> Morphism:
 # Unit and associativity isomorphisms.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsoPair:
-    forward: Morphism
-    backward: Morphism
+class IsoPair(Record):
+    _fields = ("forward", "backward")
+
+    def __init__(self, forward: Morphism, backward: Morphism):
+        d = self.__dict__
+        d["forward"] = forward
+        d["backward"] = backward
 
     @property
     def valid(self) -> bool:
@@ -489,12 +498,16 @@ def associativity_iso(M: Semimodule, N_bi: Semimodule, X: Semimodule):
 # The cancellative tensor product, through the reflection.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CancellativeTensor:
-    presentation: TensorPresentation
-    module: Semimodule
-    reflection: Morphism
-    tau: tuple[tuple[int, ...], ...]
+class CancellativeTensor(Record):
+    _fields = ("presentation", "module", "reflection", "tau")
+
+    def __init__(self, presentation: TensorPresentation, module: Semimodule,
+                 reflection: Morphism, tau: tuple[tuple[int, ...], ...]):
+        d = self.__dict__
+        d["presentation"] = presentation
+        d["module"] = module
+        d["reflection"] = reflection
+        d["tau"] = tau
 
 
 def cancellative_tensor(M: Semimodule, N: Semimodule) -> CancellativeTensor:
@@ -546,15 +559,21 @@ def certify_cancellative_universal(M: Semimodule, N: Semimodule, targets) -> int
 # Hom-tensor adjunction.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdjunctionReport:
-    left_hom: HomModule
-    right_hom: HomModule
-    mapping: tuple[int, ...]
-    bijective: bool
-    additive: bool
-    natural_in_source: bool
-    natural_in_target: bool
+class AdjunctionReport(Record):
+    _fields = ("left_hom", "right_hom", "mapping", "bijective", "additive",
+               "natural_in_source", "natural_in_target")
+
+    def __init__(self, left_hom: HomModule, right_hom: HomModule, mapping: tuple[int, ...],
+                 bijective: bool, additive: bool, natural_in_source: bool,
+                 natural_in_target: bool):
+        d = self.__dict__
+        d["left_hom"] = left_hom
+        d["right_hom"] = right_hom
+        d["mapping"] = mapping
+        d["bijective"] = bijective
+        d["additive"] = additive
+        d["natural_in_source"] = natural_in_source
+        d["natural_in_target"] = natural_in_target
 
     @property
     def holds(self) -> bool:
@@ -652,12 +671,15 @@ def adjunction_iso(M_bi: Semimodule, X: Semimodule, Y: Semimodule,
 # The hom/tensor comparison maps.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomTensorComparison:
-    map: Morphism
-    injective: bool
-    uniform: bool
-    bijective: bool
+class HomTensorComparison(Record):
+    _fields = ("map", "injective", "uniform", "bijective")
+
+    def __init__(self, map: Morphism, injective: bool, uniform: bool, bijective: bool):
+        d = self.__dict__
+        d["map"] = map
+        d["injective"] = injective
+        d["uniform"] = uniform
+        d["bijective"] = bijective
 
 
 def hom_tensor_comparison(X: Semimodule, Y_bi: Semimodule, Z: Semimodule) -> HomTensorComparison:

@@ -9,30 +9,42 @@ canonicalized documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import SchemaError, UnknownObject
 from .limits import DirectedSystem, directed_system
+from .record import Record
 from .structures import (Morphism, SecondAction, Semimodule, Semiring,
                          build_morphism, build_semimodule, build_semiring)
 
 FORMAT = 1
 
 
-@dataclass
-class Diagram:
-    kind: str
-    arrows: list[str]
+class Diagram(Record, frozen=False):
+    _fields = ("kind", "arrows")
+
+    def __init__(self, kind: str, arrows: list[str]):
+        d = self.__dict__
+        d["kind"] = kind
+        d["arrows"] = arrows
 
 
-@dataclass
-class Workspace:
-    semirings: dict[str, Semiring] = field(default_factory=dict)
-    semimodules: dict[str, Semimodule] = field(default_factory=dict)
-    morphisms: dict[str, Morphism] = field(default_factory=dict)
-    systems: dict[str, DirectedSystem] = field(default_factory=dict)
-    diagrams: dict[str, Diagram] = field(default_factory=dict)
+class Workspace(Record, frozen=False):
+    """Named objects of one document; each map omitted is a fresh empty dict."""
+
+    _fields = ("semirings", "semimodules", "morphisms", "systems", "diagrams")
+
+    def __init__(self, semirings: dict[str, Semiring] | None = None,
+                 semimodules: dict[str, Semimodule] | None = None,
+                 morphisms: dict[str, Morphism] | None = None,
+                 systems: dict[str, DirectedSystem] | None = None,
+                 diagrams: dict[str, Diagram] | None = None):
+        d = self.__dict__
+        d["semirings"] = {} if semirings is None else semirings
+        d["semimodules"] = {} if semimodules is None else semimodules
+        d["morphisms"] = {} if morphisms is None else morphisms
+        d["systems"] = {} if systems is None else systems
+        d["diagrams"] = {} if diagrams is None else diagrams
 
     def semimodule(self, name: str) -> Semimodule:
         if name not in self.semimodules:

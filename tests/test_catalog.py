@@ -13,21 +13,23 @@ def _associative(t) -> bool:
                for a in range(n) for b in range(n) for c in range(n))
 
 
-def _brute_force_monoids(n: int) -> set:
-    """Commutative monoids on 0..n-1 with identity 0, checked on every triple,
-    each as the least relabelling that keeps 0 fixed."""
+def _brute_force_tables(n: int):
+    """Commutative monoid tables on 0..n-1 with identity 0, checked on every triple."""
     pairs = [(a, b) for a in range(1, n) for b in range(a, n)]
-    perms = [(0,) + p for p in itertools.permutations(range(1, n))]
-    found = set()
     for values in itertools.product(range(n), repeat=len(pairs)):
         t = [[a if b == 0 else b if a == 0 else None for b in range(n)] for a in range(n)]
         for (a, b), v in zip(pairs, values):
             t[a][b] = t[b][a] = v
-        if not _associative(t):
-            continue
-        found.add(min(tuple(tuple(p.index(t[p[a]][p[b]]) for b in range(n)) for a in range(n))
-                      for p in perms))
-    return found
+        if _associative(t):
+            yield tuple(map(tuple, t))
+
+
+def _brute_force_monoids(n: int) -> set:
+    """The brute-force tables, each as the least relabelling that keeps 0 fixed."""
+    perms = [(0,) + p for p in itertools.permutations(range(1, n))]
+    return {min(tuple(tuple(p.index(t[p[a]][p[b]]) for b in range(n)) for a in range(n))
+                for p in perms)
+            for t in _brute_force_tables(n)}
 
 
 # commutative monoids up to isomorphism, OEIS A058133
@@ -37,3 +39,19 @@ def test_commutative_monoids_up_to_iso(n, count):
     assert len(got) == count
     assert all(_associative(t) for t in got)
     assert set(got) == _brute_force_monoids(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_labelled_monoids_match_brute_force(n):
+    # the backtracking fill finds exactly the tables the full scan finds
+    got = enumerate_commutative_monoids(n, up_to_iso=False)
+    assert list(got) == sorted(set(got))
+    assert set(got) == set(_brute_force_tables(n))
+
+
+def test_commutative_monoids_of_size_five():
+    # 5^10 candidate tables: too many for the brute force, so pin the counts
+    labelled = enumerate_commutative_monoids(5, up_to_iso=False)
+    assert len(labelled) == 1486
+    assert all(_associative(t) for t in labelled)
+    assert len(enumerate_commutative_monoids(5)) == 78     # OEIS A058133

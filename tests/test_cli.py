@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semiflat import cli
+from semiflat import catalog, cli
 from semiflat.cli import main
 from semiflat.errors import TimeBudgetExceeded
-from semiflat.workspace import emit_workspace, load_default_workspace
+from semiflat.workspace import canonical_json, emit_workspace, load_default_workspace
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -159,6 +163,24 @@ def test_search_out_of_budget_reports_partial(capsys, monkeypatch):
         "lattice_violations": [[0, 0, "found"]], "partial": True}
 
 
+@pytest.mark.parametrize("flag, value, detail", [
+    ("--max-size", "-3", "max_size must be at least 1, got -3"),
+    ("--budget", "nan", "budget_seconds must be >= 0, got nan"),
+    ("--out", "missing/x.jsonl", "cannot write"),
+])
+def test_search_rejects_bad_arguments(capsys, monkeypatch, tmp_path, flag, value, detail):
+    def enumerated(*args):
+        raise AssertionError("enumeration started")
+    monkeypatch.setattr(catalog, "enumerate_semimodules", enumerated)
+    if flag == "--out":
+        value = str(tmp_path / value)
+    code, out = run_cli(capsys, "search", "--max-size", "2", flag, value)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "InvalidArgument"
+    assert err["detail"].startswith(detail)
+
+
 def test_workspace_flag(capsys, tmp_path):
     ws_path = tmp_path / "ws.json"
     ws_path.write_text(emit_workspace(load_default_workspace()), encoding="utf-8")
@@ -246,3 +268,109 @@ def test_non_object_nested_field_is_exit_two(capsys, tmp_path, section, name, fi
     err = json.loads(out)
     assert err["error"] == "SchemaError"
     assert err["detail"].startswith(pointer + ":")
+
+
+# -- argv fuzz ---------------------------------------------------------------
+
+_WS = load_default_workspace()
+_UNKNOWN = ["NOPE", "", "bool", "ZMOD4 ", "--x"]
+_NUMBERS = ["0", "1", "2", "-3", "nan", "inf", "-inf", "1e999", "abc", ""]
+_CHEAP_TAGS = ["axioms", "congruence-oracle", "unit-law", "cancellative-universal",
+               "adjunction", "flat-negative", "hom-tensor-comparison", "limits", "nope"]
+_BOOLEAN = {"exact", "flat", "inj", "search", "suite"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "catalog.json").write_text(emit_workspace(_WS), encoding="utf-8")
+    (root / "empty.json").write_text("{}", encoding="utf-8")
+    (root / "garbage.json").write_text("{not json", encoding="utf-8")
+    (root / "latin1.json").write_bytes(b'{"semirings": {"B\xe4": {}}}')
+    workspaces = [str(root / name) for name in ("catalog.json", "empty.json", "garbage.json",
+                                                "latin1.json", "missing.json")] + [str(root)]
+    outs = [str(root / "out.jsonl"), str(root / "nodir" / "x.jsonl"), str(root)]
+    return workspaces, outs
+
+
+def _names(*kinds):
+    """Catalog names of the given kinds, and names that resolve to nothing."""
+    return st.sampled_from(sorted(set().union(*kinds)) + _UNKNOWN)
+
+
+def _argv(workspaces, outs):
+    name = _names(_WS.semirings, _WS.semimodules, _WS.morphisms, _WS.systems,
+                  _WS.diagrams)
+    module = _names(_WS.semimodules)
+    modules = st.lists(module, max_size=3)
+    number = st.sampled_from(_NUMBERS)
+
+    def flag(option, values):
+        return st.one_of(st.just([]), values.map(lambda v: [option, v]))
+
+    def flags(option, values):
+        return st.one_of(st.just([]), values.map(lambda vs: [option, *vs]))
+
+    search = st.tuples(st.just(["search", "--max-size"]),
+                       st.sampled_from(["-3", "0", "1", "2", "abc"]),
+                       flags("--semirings", st.lists(_names(_WS.semirings, ["SAT3", "ZMOD2"]),
+                                                     max_size=2)),
+                       flag("--budget", number), flag("--out", st.sampled_from(outs)))
+    commands = st.one_of(
+        st.tuples(st.just(["validate"]), st.lists(name, max_size=3)),
+        st.tuples(st.just(["tensor"]), module, module,
+                  st.sampled_from([[], ["--dense"]])),
+        st.tuples(st.just(["ttensor"]), module, module),
+        st.tuples(st.just(["reflect"]), module),
+        st.tuples(st.just(["hom"]), module, module),
+        st.tuples(st.just(["exact"]), _names(_WS.diagrams)),
+        st.tuples(st.just(["flat"]), module,
+                  st.one_of(flag("--against", module), flags("--universe", modules))),
+        st.tuples(st.just(["inj"]), module, flags("--family", modules)),
+        st.tuples(st.just(["limits"]), _names(_WS.systems),
+                  flag("--op", st.sampled_from(["colimit", "limit", "sum"]))),
+        # search only at sizes <= 2, and suite only on cheap tags, to keep this fast;
+        # search twice, since it has the most options
+        search, search,
+        st.tuples(st.just(["catalog"])),
+        st.tuples(st.just(["suite", "--only"]),
+                  st.lists(st.sampled_from(_CHEAP_TAGS), min_size=1, max_size=2)
+                  .map(",".join)),
+    )
+    argv = commands.map(lambda parts: [a for p in parts
+                                       for a in (p if isinstance(p, list) else [p])])
+    # the default workspace twice as often as each path, so most commands get to run
+    workspace = st.sampled_from([[]] * 2 * len(workspaces)
+                                + [["--workspace", p] for p in workspaces])
+    return st.tuples(workspace, argv)
+
+
+def _main(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:          # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_argv_fuzz(fuzz_paths):
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_argv(*fuzz_paths))
+    def check(drawn):
+        prefix, argv = drawn
+        argv = prefix + argv
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            assert _main(argv) == (exc.code, "") and exc.code == 2
+            return
+        code, out = _main(argv)
+        assert code in (0, 1, 2)
+        doc = json.loads(out)
+        assert canonical_json(doc) == out
+        assert doc.get("error") != "InternalError", doc
+        if code == 1:
+            assert doc["command"] in _BOOLEAN
+    check()

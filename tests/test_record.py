@@ -1,0 +1,219 @@
+"""Record classes against dataclass twins of their ``@dataclass`` declarations.
+
+The package's records are plain classes on ``semiflat.record.Record`` so
+that importing the package compiles no generated code.  Each one must keep
+the behaviour the ``@dataclass`` declaration gave it: the constructor
+signature, equality, hashing, repr, and frozen or mutable instances.
+"""
+from __future__ import annotations
+
+import dataclasses
+import inspect
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+from semiflat.catalog import zmod_module
+from semiflat.config import Bounds
+from semiflat.congruence import Congruence
+from semiflat.flatness import FlatCertificate, FlatnessVerdict, SearchConfig, SearchRecord
+from semiflat.homology import (CogeneratorEntry, EndReport, ExactnessReport, HomModule,
+                               InjectivityEntry, InjectivityReport, MorphismProfile,
+                               RetractSquareReport, StageFlags, TwoRowReport)
+from semiflat.limits import (Colimit, DirectedSystem, HomColimitComparison, InverseSystem,
+                             ProductData)
+from semiflat.structures import (Morphism, SecondAction, Semimodule, Semiring, Violation,
+                                 identity_morphism, zero_morphism)
+from semiflat.subsets import Subsemimodule
+from semiflat.suite import SuiteResult
+from semiflat.tensor import (AdjunctionReport, CancellativeTensor, HomTensorComparison,
+                             IsoPair, TensorPresentation)
+from semiflat.workspace import Diagram, Workspace
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+FACTORY = object()      # a field declared with default_factory=dict
+
+# Every record as it was declared with @dataclass: fields in order, a
+# (name, default) pair for a field with a default, and the frozen flag.
+DECLARATIONS = [
+    (Bounds, [("max_subset_module", 16), ("max_hom_candidates", 65536), ("max_box", 4096),
+              ("max_product", 4096), ("max_free_rank", 2)], True),
+    (Violation, ["axiom", "witness", ("detail", "")], True),
+    (Semiring, ["labels", "add", "mul", "zero", "one"], True),
+    (SecondAction, ["semiring", "side", "table"], True),
+    (Semimodule, ["semiring", "side", "labels", "add", "zero", "action", ("second", None)],
+     True),
+    (Morphism, ["source", "target", "map"], True),
+    (Subsemimodule, ["parent", "members"], True),
+    (Congruence, ["size", "class_of", "class_count"], True),
+    (MorphismProfile, ["injective", "surjective", "k_uniform", "i_uniform", "semi_epi",
+                       ("k_witness", None), ("i_witness", None)], True),
+    (StageFlags, ["chain_step", "proper_exact", "semi_exact", "quasi_exact", "exact",
+                  ("witness", ())], True),
+    (ExactnessReport, ["stages"], True),
+    (HomModule, ["source", "target", "module", "maps"], True),
+    (EndReport, ["hom", "identity", "comp", "summands", "retracts"], True),
+    (InjectivityEntry, ["module_index", "sub_members", "surjective", "uniform"], True),
+    (InjectivityReport, ["entries"], True),
+    (CogeneratorEntry, ["probe_index", "restriction_surjective", "restriction_uniform",
+                        "probe_injective", "probe_uniform"], True),
+    (RetractSquareReport, ["hypothesis", "conclusion"], True),
+    (TwoRowReport, ["case_1a", "case_1b", "case_2a", "case_2b"], True),
+    (ProductData, ["module", "factors", "projections", "injections"], True),
+    (DirectedSystem, ["nodes", "order", "maps"], True),
+    (Colimit, ["system", "module", "legs", "class_of"], True),
+    (InverseSystem, ["nodes", "order", "maps"], True),
+    (HomColimitComparison, ["map", "injective", "bijective"], True),
+    (TensorPresentation, ["left", "right", "left_gens", "right_gens", "pair_bounds",
+                          "radices", "box_size", "relation_count", "congruence", "module",
+                          "tau", "rep_coords", "dense"], True),
+    (IsoPair, ["forward", "backward"], True),
+    (CancellativeTensor, ["presentation", "module", "reflection", "tau"], True),
+    (AdjunctionReport, ["left_hom", "right_hom", "mapping", "bijective", "additive",
+                        "natural_in_source", "natural_in_target"], True),
+    (HomTensorComparison, ["map", "injective", "uniform", "bijective"], True),
+    (FlatnessVerdict, ["holds", ("witness", None), ("detail", "")], True),
+    (FlatCertificate, ["system", "node_witnesses", "iso"], True),
+    (SearchConfig, ["semirings", ("max_size", 4), ("budget_seconds", 300.0),
+                    ("out_path", None)], True),
+    (SearchRecord, ["semiring_index", "module_index", "size", "add", "action", "mono_flat",
+                    "i_uniform_class", "uniformly_flat", "certified_flat", "witness"], False),
+    (SuiteResult, ["tag", "passed", "checks", "detail", "seconds"], False),
+    (Diagram, ["kind", "arrows"], False),
+    (Workspace, [("semirings", FACTORY), ("semimodules", FACTORY), ("morphisms", FACTORY),
+                 ("systems", FACTORY), ("diagrams", FACTORY)], False),
+]
+
+# the classes that define their own repr, and the hash keys that leave fields out
+CUSTOM_REPR = {Semiring, Semimodule, Morphism, Subsemimodule, Congruence}
+HASH_KEYS = {
+    Semimodule: lambda r: (r.semiring, r.side, r.add, r.zero, r.action, r.second),
+    Congruence: lambda r: (r.size, r.class_of),
+    HomModule: lambda r: (r.source, r.target, r.module),
+    DirectedSystem: lambda r: (r.nodes, r.order, tuple(m.map for m in r.maps)),
+    InverseSystem: lambda r: (r.nodes, r.order, tuple(m.map for m in r.maps)),
+    TensorPresentation: lambda r: (r.left, r.right, r.module, r.tau),
+}
+
+_M = zmod_module(4, 4)
+_N = zmod_module(4, 2)
+
+
+def _fields(declared):
+    return [f if isinstance(f, tuple) else (f, dataclasses.MISSING) for f in declared]
+
+
+def _twin(cls, declared, frozen):
+    fields = []
+    for name, default in _fields(declared):
+        if default is FACTORY:
+            fields.append((name, object, dataclasses.field(default_factory=dict)))
+        else:
+            fields.append((name, object, dataclasses.field(default=default)))
+    namespace = {}
+    if cls is Morphism:
+        fields += [(name, bool, dataclasses.field(init=False, compare=False))
+                   for name in ("injective", "surjective")]
+
+        def __post_init__(self):
+            image = len(set(self.map))
+            object.__setattr__(self, "injective", image == self.source.size)
+            object.__setattr__(self, "surjective", image == self.target.size)
+        namespace["__post_init__"] = __post_init__
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=frozen,
+                                      namespace=namespace)
+
+
+def _value(cls, name, variant):
+    """A sample field value; equal values are equal but not identical objects."""
+    if cls is Morphism:
+        return {"source": _M, "target": _M if variant else _N,
+                "map": tuple([0, 1, 0, 1] if variant == 0 else [0, 1, 2, 3])}[name]
+    if name == "maps" and cls in (DirectedSystem, InverseSystem):
+        return ((identity_morphism(_M),) if variant == 0 else (zero_morphism(_M, _M),))
+    return (name, variant)
+
+
+def _samples(cls, declared):
+    """Kwargs of a base instance, a copy of it, and one variant per field."""
+    names = [name for name, _ in _fields(declared)]
+    base = {n: _value(cls, n, 0) for n in names}
+    out = [base, {n: _value(cls, n, 0) for n in names}]
+    for n in names:
+        out.append({**base, n: _value(cls, n, 1)})
+    return out
+
+
+@pytest.mark.parametrize("cls, declared, frozen", DECLARATIONS,
+                         ids=[c.__name__ for c, _, _ in DECLARATIONS])
+def test_record_matches_dataclass_twin(cls, declared, frozen):
+    twin = _twin(cls, declared, frozen)
+
+    def params(c):
+        return [(p.name, p.kind, None if repr(p.default) == "<factory>" else p.default)
+                for p in inspect.signature(c).parameters.values()]
+    assert params(cls) == params(twin)
+
+    kwargs = _samples(cls, declared)
+    ours = [cls(**kw) for kw in kwargs]
+    twins = [twin(**kw) for kw in kwargs]
+    for a, ta in zip(ours, twins):
+        for b, tb in zip(ours, twins):
+            assert (a == b) == (ta == tb)
+            assert (a != b) == (ta != tb)
+            if frozen and a == b:
+                assert hash(a) == hash(b)
+        if frozen:
+            assert hash(a) == hash(HASH_KEYS[cls](a) if cls in HASH_KEYS else ta)
+        if cls not in CUSTOM_REPR:
+            assert repr(a) == repr(ta)
+        assert a != ta and a != object()
+
+    a = ours[0]
+    name = _fields(declared)[0][0]
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            setattr(a, "extra", None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    else:
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, name, "changed")
+        assert getattr(a, name) == "changed" and a != ours[1]
+
+
+def test_morphism_equality_ignores_derived_flags():
+    f, g = Morphism(_M, _N, (0, 1, 0, 1)), Morphism(_M, _N, (0, 1, 0, 1))
+    twin = _twin(Morphism, ["source", "target", "map"], True)
+    tf = twin(_M, _N, (0, 1, 0, 1))
+    assert (f.injective, f.surjective) == (tf.injective, tf.surjective) == (False, True)
+    g.__dict__["injective"] = True
+    g.__dict__["surjective"] = False
+    assert f == g and hash(f) == hash(g)
+
+
+def test_workspace_maps_are_fresh_per_instance():
+    a, b = Workspace(), Workspace()
+    for name in ("semirings", "semimodules", "morphisms", "systems", "diagrams"):
+        assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name)
+
+
+def test_package_import_loads_no_dataclass_machinery():
+    code = ("import sys; import semiflat.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+    importing = re.compile(r"^\s*(import|from)\s+dataclasses\b", re.MULTILINE)
+    sources = sorted((SRC / "semiflat").rglob("*.py"))
+    assert sources
+    assert [p.name for p in sources if importing.search(p.read_text(encoding="utf-8"))] == []
