@@ -11,6 +11,7 @@ import itertools
 import random
 from functools import lru_cache
 
+from . import config
 from .congruence import module_congruence_closure, quotient_by_congruence
 from .errors import MalformedTable, SizeBoundExceeded
 from .structures import (LEFT, RIGHT, Semimodule, Semiring, Table,
@@ -267,8 +268,9 @@ def _canonical_monoid(t: Table) -> Table:
 
 @lru_cache(maxsize=None)
 def enumerate_commutative_monoids(n: int, up_to_iso: bool = True) -> tuple[Table, ...]:
-    if n > 5:
-        raise SizeBoundExceeded("commutative monoid enumeration", n, 5)
+    if n > config.MAX_ENUMERATED_SIZE:
+        raise SizeBoundExceeded("commutative monoid enumeration", n,
+                                config.MAX_ENUMERATED_SIZE)
     out = []
     seen = set()
     for frozen in _monoid_tables(n):
@@ -297,8 +299,9 @@ def _monoid_endomorphisms(t: Table) -> list[tuple[int, ...]]:
 def enumerate_semimodules(S: Semiring, max_size: int,
                           side: str = RIGHT) -> tuple[Semimodule, ...]:
     """All right S-semimodules with at most max_size elements, up to isomorphism."""
-    if max_size > 5:
-        raise SizeBoundExceeded("semimodule enumeration", max_size, 5)
+    if max_size > config.MAX_ENUMERATED_SIZE:
+        raise SizeBoundExceeded("semimodule enumeration", max_size,
+                                config.MAX_ENUMERATED_SIZE)
     out: list[Semimodule] = []
     seen: set = set()
     for n in range(1, max_size + 1):

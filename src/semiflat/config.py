@@ -1,25 +1,13 @@
-"""Default size bounds for the enumeration-heavy operations."""
-from __future__ import annotations
+"""Size bounds for the enumeration-heavy operations.
 
-from .record import Record
+Each bound is checked once, before the work it bounds is built, and a
+value past it raises ``SizeBoundExceeded`` (``BoxBoundExceeded`` for the
+tensor box).  The sites read these names from this module at call time.
+"""
 
-
-class Bounds(Record):
-    _fields = ("max_subset_module", "max_hom_candidates", "max_box", "max_product",
-               "max_free_rank")
-
-    def __init__(self,
-                 max_subset_module: int = 16,      # carrier bound for subsemimodule enumeration
-                 max_hom_candidates: int = 65536,  # |N| ** #generators cap in hom enumeration
-                 max_box: int = 4096,              # tensor presentation box carrier
-                 max_product: int = 4096,          # product / limit carriers
-                 max_free_rank: int = 2):          # free modules searched for presentations
-        d = self.__dict__
-        d["max_subset_module"] = max_subset_module
-        d["max_hom_candidates"] = max_hom_candidates
-        d["max_box"] = max_box
-        d["max_product"] = max_product
-        d["max_free_rank"] = max_free_rank
-
-
-DEFAULT_BOUNDS = Bounds()
+MAX_SUBSET_MODULE = 16        # carrier of a module whose subsemimodules are enumerated
+MAX_HOM_CANDIDATES = 65536    # |target| ** #generators in hom and balanced-map enumeration
+MAX_BOX = 4096                # box carrier of a tensor presentation
+MAX_PRODUCT = 4096            # product and limit carriers, and free modules S^n
+MAX_FREE_RANK = 2             # largest rank of a free module searched as a cover
+MAX_ENUMERATED_SIZE = 5       # carrier of an enumerated commutative monoid or semimodule

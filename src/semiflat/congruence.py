@@ -19,9 +19,9 @@ from functools import lru_cache
 from .errors import MalformedTable, NotACongruence, NotASubsemimodule
 from .record import Record
 from .structures import (Morphism, SecondAction, Semimodule, Table,
-                         freeze_table, is_cancellative)
+                         freeze_table, is_cancellative, monoid_generators)
 from .subsets import (Subsemimodule, additive_generators, is_closed_subset,
-                      monoid_generators, subtractive_closure)
+                      subtractive_closure)
 
 
 class Congruence(Record):

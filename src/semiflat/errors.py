@@ -26,7 +26,7 @@ class SideMismatch(SemiflatError):
 
 
 class SizeBoundExceeded(SemiflatError):
-    """An enumeration would exceed the configured size bound."""
+    """An enumeration would exceed one of the size bounds in ``semiflat.config``."""
 
     def __init__(self, what: str, requested, bound):
         self.what = what

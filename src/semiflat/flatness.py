@@ -18,8 +18,8 @@ import json
 import time
 from functools import lru_cache
 
+from . import config
 from .catalog import free_module
-from .config import DEFAULT_BOUNDS
 from .congruence import quotient_by_sub
 from .errors import (BadCertificate, InvalidArgument, NotExact, SizeBoundExceeded,
                      TimeBudgetExceeded)
@@ -29,8 +29,8 @@ from .homology import (classify_sequence, end_comp, hom_module, is_retract_of,
 from .limits import (DirectedSystem, constant_system, direct_sum,
                      directed_colimit, pullback, pullback_mediator)
 from .record import Record
-from .structures import (LEFT, Morphism, Semimodule, as_left, as_right,
-                         build_morphism, compose, identity_morphism,
+from .structures import (LEFT, Morphism, Semimodule, Semiring, as_left,
+                         as_right, build_morphism, compose, identity_morphism,
                          swap_actions, with_bimodule_structure)
 from .subsets import (Subsemimodule, enumerate_subsemimodules, module_generators,
                       submodule_of, subsemimodule, uniform_subsemimodules)
@@ -181,10 +181,17 @@ def sum_retract_suite(family, M: Semimodule) -> dict:
 # Uniformly finitely generated / presented.
 # ---------------------------------------------------------------------------
 
+def _free_module(S: Semiring, n: int, side: str = LEFT) -> Semimodule:
+    """The free module S^n, once its size is checked against the product bound."""
+    if S.size ** n > config.MAX_PRODUCT:
+        raise SizeBoundExceeded("free cover", S.size ** n, config.MAX_PRODUCT)
+    return free_module(S, n, side)
+
+
 def _free_maps(X: Semimodule, n: int):
     """(map table, images) for every linear map from the free left module of rank n."""
     S = X.semiring
-    free = free_module(S, n, LEFT)
+    free = _free_module(S, n)
     tuples = list(itertools.product(range(S.size), repeat=n))
     for images in itertools.product(range(X.size), repeat=n):
         table = []
@@ -196,13 +203,10 @@ def _free_maps(X: Semimodule, n: int):
         yield free, tuple(table), images
 
 
-def is_uniformly_fg(X: Semimodule, n_max: int = DEFAULT_BOUNDS.max_free_rank):
+def is_uniformly_fg(X: Semimodule):
     """A uniform surjection from a finite free module, or None."""
     X = as_left(X)
-    for n in range(1, n_max + 1):
-        if X.semiring.size ** n > DEFAULT_BOUNDS.max_product:
-            raise SizeBoundExceeded("free cover", X.semiring.size ** n,
-                                    DEFAULT_BOUNDS.max_product)
+    for n in range(1, config.MAX_FREE_RANK + 1):
         for free, table, images in _free_maps(X, n):
             if len(set(table)) != X.size:
                 continue
@@ -212,15 +216,15 @@ def is_uniformly_fg(X: Semimodule, n_max: int = DEFAULT_BOUNDS.max_free_rank):
     return None
 
 
-def is_uniformly_fp(X: Semimodule, n_max: int = DEFAULT_BOUNDS.max_free_rank):
+def is_uniformly_fp(X: Semimodule):
     """Uniform finite presentation data: every uniform free cover found is
     extended to a two-step presentation with its exactness certificate."""
     X = as_left(X)
-    witness = is_uniformly_fg(X, n_max)
+    witness = is_uniformly_fg(X)
     if witness is None:
         return None
     presentations = []
-    for n in range(1, n_max + 1):
+    for n in range(1, config.MAX_FREE_RANK + 1):
         for free, table, images in _free_maps(X, n):
             if len(set(table)) != X.size:
                 continue
@@ -231,7 +235,7 @@ def is_uniformly_fp(X: Semimodule, n_max: int = DEFAULT_BOUNDS.max_free_rank):
             ker_mod, ker_inc = submodule_of(free, K)
             gens = module_generators(ker_mod)
             m = max(1, len(gens))
-            cover = free_module(X.semiring, m, LEFT)
+            cover = _free_module(X.semiring, m)
             tuples = list(itertools.product(range(X.semiring.size), repeat=m))
             gen_images = [ker_inc.map[g_] for g_ in gens] or [free.zero]
             tbl = []
@@ -265,21 +269,19 @@ class FlatCertificate(Record):
         d["iso"] = iso
 
 
-def projectivity_witness(F: Semimodule, n_max: int = DEFAULT_BOUNDS.max_free_rank):
+def projectivity_witness(F: Semimodule):
     """A retract-of-free pair for F, searched by rank."""
-    for n in range(1, n_max + 1):
-        free = free_module(F.semiring, n, F.side)
-        if free.size > DEFAULT_BOUNDS.max_product:
-            break
+    for n in range(1, config.MAX_FREE_RANK + 1):
+        free = _free_module(F.semiring, n, F.side)
         pair = is_retract_of(F, free)
         if pair is not None:
             return {"rank": n, "section": pair[0], "retraction": pair[1]}
     return None
 
 
-def trivial_certificate(F: Semimodule, n_max: int = DEFAULT_BOUNDS.max_free_rank):
+def trivial_certificate(F: Semimodule):
     """Constant-system certificate for a module that is itself projective."""
-    wit = projectivity_witness(F, n_max)
+    wit = projectivity_witness(F)
     if wit is None:
         return None
     sys = constant_system(F, 2)
@@ -395,7 +397,7 @@ def injectivity_flatness_bridge(F: Semimodule, M: Semimodule, X: Semimodule) -> 
     x_inj = uniformly_injective_rel(X_left, (FM,)).holds
     hom_inj = uniformly_injective_rel(hom_FX.module, (M_left,)).holds
     M_right = as_right(M)
-    probes = [_typed_tensored_inclusion(F_bi, M_right, U)
+    probes = [_tensored_inclusion(F_bi, M_right, U)
               for U in uniform_subsemimodules(M_right)]
     cogenerated = _cogenerates_probes(X_left, probes)
     if flat and x_inj and not hom_inj:
@@ -404,12 +406,6 @@ def injectivity_flatness_bridge(F: Semimodule, M: Semimodule, X: Semimodule) -> 
         raise NotExact("cogenerated + transported injectivity must force flatness")
     return {"flat": flat, "target_injective": x_inj,
             "hom_injective": hom_inj, "cogenerated": cogenerated}
-
-
-def _typed_tensored_inclusion(F_bi: Semimodule, M_right: Semimodule, U) -> Morphism:
-    """F(x)U -> F(x)M as left modules, using the synthesized left action."""
-    sub, inc = submodule_of(M_right, U)
-    return tensor_morphisms(identity_morphism(F_bi), as_left_morphism(inc))
 
 
 def injective_cogenerator_equivalence(Q: Semimodule, universe) -> dict:
@@ -430,7 +426,7 @@ def injective_cogenerator_equivalence(Q: Semimodule, universe) -> dict:
         F_bi = with_bimodule_structure(as_right(F))
         for M in universe:
             M_right = as_right(M)
-            probes = [_typed_tensored_inclusion(F_bi, M_right, U)
+            probes = [_tensored_inclusion(F_bi, M_right, U)
                       for U in uniform_subsemimodules(M_right)]
             if not _cogenerates_probes(Q_left, probes):
                 cogenerates = False

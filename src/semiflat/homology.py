@@ -13,14 +13,15 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .config import DEFAULT_BOUNDS
+from . import config
 from .errors import (AxiomViolation, NotComposable, NotCommutative,
                      SizeBoundExceeded)
 from .record import Record
 from .structures import (Morphism, SecondAction, Semimodule, Violation,
-                         check_endpoints, compose, counting_semiring_for,
-                         freeze_table, monoid_morphism, morphism_violations,
-                         swap_actions, zero_morphism, LEFT, RIGHT)
+                         check_endpoints, compose, counting_action,
+                         counting_semiring_for, freeze_table, monoid_morphism,
+                         morphism_violations, swap_actions, zero_morphism, LEFT,
+                         RIGHT)
 from .subsets import (Subsemimodule, module_expressions, module_generators,
                       submodule_of, subsemimodule, subtractive_closure_set,
                       uniform_subsemimodules)
@@ -209,14 +210,14 @@ class HomModule(Record):
         return tuple(m for m in self.maps if m.surjective)
 
 
-def linear_maps(M: Semimodule, N: Semimodule,
-                max_candidates: int = DEFAULT_BOUNDS.max_hom_candidates) -> list[tuple[int, ...]]:
+def linear_maps(M: Semimodule, N: Semimodule) -> list[tuple[int, ...]]:
     """All linear maps M -> N by extension from a minimal generating set."""
     check_endpoints(M, N)
     gens = module_generators(M)
     exprs = module_expressions(M)
-    if N.size ** len(gens) > max_candidates:
-        raise SizeBoundExceeded("hom enumeration", N.size ** len(gens), max_candidates)
+    if N.size ** len(gens) > config.MAX_HOM_CANDIDATES:
+        raise SizeBoundExceeded("hom enumeration", N.size ** len(gens),
+                                config.MAX_HOM_CANDIDATES)
     found = []
     for images in itertools.product(range(N.size), repeat=len(gens)):
         table = []
@@ -243,7 +244,6 @@ def hom_module(M: Semimodule, N: Semimodule) -> HomModule:
     counting-semiring action is repeated addition.
     """
     tables = linear_maps(M, N)
-    k = len(tables)
     # a linear map is fixed by its images of the generators, so the maps
     # are indexed by those images and each result is looked up by them
     gens = module_generators(M)
@@ -272,15 +272,7 @@ def hom_module(M: Semimodule, N: Semimodule) -> HomModule:
             second = SecondAction(T, side, table)
     if primary is None:
         S = counting_semiring_for(M.semiring)
-        table = []
-        for i in range(k):
-            row = []
-            cur = 0
-            for _ in range(S.size):
-                row.append(cur)
-                cur = add[cur][i]
-            table.append(row)
-        primary = (S, RIGHT, freeze_table(table))
+        primary = (S, RIGHT, counting_action(add, 0, S.size))
     mod = Semimodule(primary[0], primary[1], labels, add, 0, primary[2], second)
     return HomModule(M, N, mod, tuple(Morphism(M, N, t) for t in tables))
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import config
 from .catalog import product_module
 from .congruence import (congruence_closure, module_congruence_closure,
                          quotient_by_congruence)
 from .errors import (NotDirected, NotIntertwining, ShapeMismatch,
                      SizeBoundExceeded)
-from .config import DEFAULT_BOUNDS
 from .homology import hom_module
 from .record import Record
 from .structures import (Morphism, Semimodule, build_morphism,
@@ -51,16 +51,15 @@ class ProductData(Record):
 
 
 @lru_cache(maxsize=None)
-def direct_sum(factors: tuple[Semimodule, ...],
-               max_size: int = DEFAULT_BOUNDS.max_product) -> ProductData:
+def direct_sum(factors: tuple[Semimodule, ...]) -> ProductData:
     """Componentwise biproduct with projections and injections."""
     if not factors:
         raise ShapeMismatch("empty family; use the trivial module explicitly")
     total = 1
     for f in factors:
         total *= f.size
-    if total > max_size:
-        raise SizeBoundExceeded("product carrier", total, max_size)
+    if total > config.MAX_PRODUCT:
+        raise SizeBoundExceeded("product carrier", total, config.MAX_PRODUCT)
     module = factors[0]
     for f in factors[1:]:
         module = product_module(module, f)
@@ -78,27 +77,25 @@ def direct_sum(factors: tuple[Semimodule, ...],
     return ProductData(module, factors, tuple(projections), tuple(injections))
 
 
-def product(factors, semiring=None, side=None,
-            max_size: int = DEFAULT_BOUNDS.max_product):
+def product(factors, semiring=None, side=None):
     """Finite product; the empty product is the trivial module."""
     if not factors:
         if semiring is None:
             raise ShapeMismatch("the empty product needs an explicit semiring")
         from .catalog import trivial_module as _triv
         return _triv(semiring, side or "right"), ()
-    data = direct_sum(tuple(factors), max_size)
+    data = direct_sum(tuple(factors))
     return data.module, data.projections
 
 
-def coproduct(factors, semiring=None, side=None,
-              max_size: int = DEFAULT_BOUNDS.max_product):
+def coproduct(factors, semiring=None, side=None):
     """Finite coproduct; the empty coproduct is the trivial module."""
     if not factors:
         if semiring is None:
             raise ShapeMismatch("the empty coproduct needs an explicit semiring")
         from .catalog import trivial_module as _triv
         return _triv(semiring, side or "right"), ()
-    data = direct_sum(tuple(factors), max_size)
+    data = direct_sum(tuple(factors))
     return data.module, data.injections
 
 
@@ -415,9 +412,9 @@ def inverse_system(nodes, relations, maps) -> InverseSystem:
     return InverseSystem(nodes, order, tuple(arrows[p] for p in order))
 
 
-def inverse_limit(sys: InverseSystem, max_size: int = DEFAULT_BOUNDS.max_product):
+def inverse_limit(sys: InverseSystem):
     """Compatible tuples inside the product, with its projections."""
-    data = direct_sum(sys.nodes, max_size)
+    data = direct_sum(sys.nodes)
     members = []
     for idx in range(data.module.size):
         parts = data.decode(idx)

@@ -430,6 +430,32 @@ def is_cancellative(M: Semimodule) -> bool:
     return is_cancellative_table(M.add)
 
 
+def additive_span(add: Table, zero: int, seed) -> frozenset[int]:
+    """Closure of a subset under the monoid addition alone."""
+    span = {zero}
+    frontier = list(seed)
+    span.update(frontier)
+    while frontier:
+        x = frontier.pop()
+        for y in list(span):
+            z = add[x][y]
+            if z not in span:
+                span.add(z)
+                frontier.append(z)
+    return frozenset(span)
+
+
+def monoid_generators(add: Table, zero: int) -> tuple[int, ...]:
+    """Greedy minimal generating set of a commutative monoid table, in index order."""
+    gens: list[int] = []
+    span = additive_span(add, zero, ())
+    for x in range(len(add)):
+        if x not in span:
+            gens.append(x)
+            span = additive_span(add, zero, gens)
+    return tuple(gens)
+
+
 # ---------------------------------------------------------------------------
 # Abelian monoids as semimodules over a monogenic coefficient semiring.
 #
@@ -478,25 +504,29 @@ def counting_semiring_for(S: Semiring) -> Semiring:
     return counting_semiring(*element_order(S.add, S.zero, S.one))
 
 
+def counting_action(add: Table, zero: int, count: int) -> Table:
+    """The action of a counting semiring with count elements: [x][k] is k*x."""
+    table = []
+    for x in range(len(add)):
+        row = []
+        cur = zero
+        for _ in range(count):
+            row.append(cur)
+            cur = add[cur][x]
+        table.append(row)
+    return freeze_table(table)
+
+
 def monoid_module(add: Table, zero: int = 0, labels=None,
                   semiring: Semiring | None = None) -> Semimodule:
     """Wrap a commutative monoid table as a module over a counting semiring."""
     add = freeze_table(add)
-    n = len(add)
     if labels is None:
-        labels = tuple(str(k) for k in range(n))
+        labels = tuple(str(k) for k in range(len(add)))
     if semiring is None:
         semiring = counting_semiring(*monoid_index_period(add, zero))
-    action = []
-    for x in range(n):
-        row = []
-        cur = zero
-        for _ in range(semiring.size):
-            row.append(cur)
-            cur = add[cur][x]
-        # row[k] currently equals k*x because we appended before stepping
-        action.append(row)
-    return build_semimodule(semiring, RIGHT, labels, add, zero, freeze_table(action))
+    return build_semimodule(semiring, RIGHT, labels, add, zero,
+                            counting_action(add, zero, semiring.size))
 
 
 def common_monoid_modules(parts: list[tuple[Table, int, tuple[str, ...] | None]]) -> list[Semimodule]:
@@ -610,20 +640,7 @@ def find_monoid_isomorphism(add1: Table, zero1: int, add2: Table, zero2: int,
     if sorted(map(repr, sig1)) != sorted(map(repr, sig2)):
         return None
 
-    span = {zero1}
-    gens: list[int] = []
-    for x in range(n):
-        if x not in span:
-            gens.append(x)
-            frontier = [x]
-            span.add(x)
-            while frontier:
-                a = frontier.pop()
-                for b in list(span):
-                    c = add1[a][b]
-                    if c not in span:
-                        span.add(c)
-                        frontier.append(c)
+    gens = monoid_generators(add1, zero1)
     candidates = [[y for y in range(n) if repr(sig2[y]) == repr(sig1[g])] for g in gens]
 
     def extend(images) -> tuple[int, ...] | None:

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .config import DEFAULT_BOUNDS
+from . import config
 from .errors import NotASubsemimodule, SizeBoundExceeded
 from .record import Record
 from .structures import (Morphism, SecondAction, Semimodule, Table,
-                         freeze_table)
+                         freeze_table, monoid_generators)
 
 
 class Subsemimodule(Record):
@@ -59,21 +59,6 @@ def subsemimodule(M: Semimodule, members) -> Subsemimodule:
     return Subsemimodule(M, members)
 
 
-def additive_span(add: Table, zero: int, seed) -> frozenset[int]:
-    """Closure of a subset under the monoid addition alone."""
-    span = {zero}
-    frontier = list(seed)
-    span.update(frontier)
-    while frontier:
-        x = frontier.pop()
-        for y in list(span):
-            z = add[x][y]
-            if z not in span:
-                span.add(z)
-                frontier.append(z)
-    return frozenset(span)
-
-
 def generated_subsemimodule(M: Semimodule, seed) -> Subsemimodule:
     """Least subsemimodule containing the seed."""
     span = {M.zero}
@@ -96,10 +81,10 @@ def generated_subsemimodule(M: Semimodule, seed) -> Subsemimodule:
 
 
 @lru_cache(maxsize=None)
-def enumerate_subsemimodules(M: Semimodule, max_size: int = DEFAULT_BOUNDS.max_subset_module) -> tuple[Subsemimodule, ...]:
+def enumerate_subsemimodules(M: Semimodule) -> tuple[Subsemimodule, ...]:
     """All subsemimodules, sorted by size then lexicographic member order."""
-    if M.size > max_size:
-        raise SizeBoundExceeded("subsemimodule enumeration", M.size, max_size)
+    if M.size > config.MAX_SUBSET_MODULE:
+        raise SizeBoundExceeded("subsemimodule enumeration", M.size, config.MAX_SUBSET_MODULE)
     found = {generated_subsemimodule(M, ()).members}
     frontier = list(found)
     while frontier:
@@ -210,17 +195,6 @@ def module_expressions(M: Semimodule) -> tuple[tuple[tuple[int, int], ...], ...]
     if len(exprs) != M.size:
         raise NotASubsemimodule("generators do not span the module")
     return tuple(exprs[x] for x in range(M.size))
-
-
-def monoid_generators(add: Table, zero: int) -> tuple[int, ...]:
-    """Greedy minimal generating set of a commutative monoid table, in index order."""
-    gens: list[int] = []
-    span = additive_span(add, zero, ())
-    for x in range(len(add)):
-        if x not in span:
-            gens.append(x)
-            span = additive_span(add, zero, gens)
-    return tuple(gens)
 
 
 @lru_cache(maxsize=None)

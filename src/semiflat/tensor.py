@@ -19,17 +19,18 @@ import itertools
 from functools import lru_cache
 
 from .catalog import semiring_bimodule
-from .config import DEFAULT_BOUNDS
+from . import config
 from .congruence import Congruence, cancellative_reflection, congruence_closure
 from .errors import (BoxBoundExceeded, NotBalanced, NotZeroPreserving,
                      SideMismatch, SizeBoundExceeded)
 from .homology import HomModule, hom_module, hom_postcompose, hom_precompose
 from .record import Record
 from .structures import (LEFT, RIGHT, Morphism, SecondAction, Semimodule,
-                         build_morphism, build_semimodule,
-                         counting_semiring_for, element_order, freeze_table,
-                         identity_morphism, monoid_morphism, swap_actions)
-from .subsets import additive_generators, additive_expressions, additive_span
+                         additive_span, build_morphism, build_semimodule,
+                         counting_action, counting_semiring_for, element_order,
+                         freeze_table, identity_morphism, monoid_morphism,
+                         swap_actions)
+from .subsets import additive_generators, additive_expressions
 
 
 class TensorPresentation(Record):
@@ -86,8 +87,7 @@ def _pair_bound(oM: tuple[int, int], oN: tuple[int, int]) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False,
-                   max_box: int = DEFAULT_BOUNDS.max_box) -> TensorPresentation:
+def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False) -> TensorPresentation:
     if M.semiring != N.semiring:
         raise SideMismatch("tensor factors must share their semiring")
     if M.side != RIGHT or N.side != LEFT:
@@ -113,8 +113,8 @@ def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False,
     box_size = 1
     for r in radices:
         box_size *= r
-        if box_size > max_box:
-            raise BoxBoundExceeded("tensor box", box_size, max_box)
+        if box_size > config.MAX_BOX:
+            raise BoxBoundExceeded("tensor box", box_size, config.MAX_BOX)
 
     coords_of = [()] * box_size
     for idx in range(box_size):
@@ -236,15 +236,7 @@ def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False,
             second = SecondAction(*left_action)
     if primary is None:
         CS = counting_semiring_for(S)
-        table = []
-        for ci in range(qsize):
-            row = []
-            cur = qzero
-            for _ in range(CS.size):
-                row.append(cur)
-                cur = qadd[cur][ci]
-            table.append(row)
-        primary = (CS, RIGHT, freeze_table(table))
+        primary = (CS, RIGHT, counting_action(qadd, qzero, CS.size))
     module = build_semimodule(primary[0], primary[1], tuple(labels), qadd, qzero,
                               primary[2], second)
     if N.second is not None:
@@ -335,8 +327,7 @@ def factor_balanced(pres: TensorPresentation, G: Semimodule, table) -> tuple[int
     return tuple(gamma)
 
 
-def enumerate_balanced_maps(M: Semimodule, N: Semimodule, G: Semimodule,
-                            max_candidates: int = DEFAULT_BOUNDS.max_hom_candidates):
+def enumerate_balanced_maps(M: Semimodule, N: Semimodule, G: Semimodule):
     """All zero-preserving balanced tables M x N -> G.
 
     Biadditivity pins a table down on generator pairs, so candidate
@@ -348,8 +339,9 @@ def enumerate_balanced_maps(M: Semimodule, N: Semimodule, G: Semimodule,
     exprs_M = additive_expressions(M)
     exprs_N = additive_expressions(N)
     npairs = len(gens_M) * len(gens_N)
-    if G.size ** npairs > max_candidates:
-        raise SizeBoundExceeded("balanced map enumeration", G.size ** npairs, max_candidates)
+    if G.size ** npairs > config.MAX_HOM_CANDIDATES:
+        raise SizeBoundExceeded("balanced map enumeration", G.size ** npairs,
+                                config.MAX_HOM_CANDIDATES)
     out = []
     for assign in itertools.product(range(G.size), repeat=npairs):
         table = []

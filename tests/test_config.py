@@ -1,0 +1,101 @@
+"""Every size bound of ``semiflat.config`` raises its typed error at its site.
+
+Each case is a real input just past one bound, except the free-cover
+case, whose bound is lowered so that a rank-2 cover of the Boolean
+semiring (4 elements) passes it.
+"""
+from __future__ import annotations
+
+import pytest
+
+from semiflat import config, flatness
+from semiflat.catalog import (bool_semiring, chain_module, enumerate_commutative_monoids,
+                              enumerate_semimodules, free_module, monoid_module,
+                              semiring_module, zmod_semiring)
+from semiflat.errors import BoxBoundExceeded, SizeBoundExceeded
+from semiflat.flatness import (is_uniformly_fg, is_uniformly_fp, projectivity_witness,
+                               trivial_certificate)
+from semiflat.homology import linear_maps
+from semiflat.limits import (InverseSystem, coproduct, direct_sum, inverse_limit,
+                             product)
+from semiflat.structures import as_left
+from semiflat.subsets import enumerate_subsemimodules
+from semiflat.tensor import enumerate_balanced_maps, tensor_product
+
+
+def _b2():
+    return free_module(bool_semiring(), 2)
+
+
+def _z17():
+    return monoid_module([[(a + b) % 17 for b in range(17)] for a in range(17)])
+
+
+def _seven_b2():
+    return (_b2(),) * 7
+
+
+def _balanced_3x3_into_4():
+    B = bool_semiring()
+    B3 = free_module(B, 3)              # three additive generators
+    return enumerate_balanced_maps(B3, as_left(B3), as_left(_b2()))
+
+
+def _z4_dense_box():
+    Z4m = semiring_module(zmod_semiring(4))
+    return tensor_product(Z4m, as_left(Z4m), dense=True)   # a box of 8192 cells
+
+
+# (site, call, error, bound name, lowered bound or None)
+CASES = [
+    ("enumerate_subsemimodules", lambda: enumerate_subsemimodules(_z17()),
+     SizeBoundExceeded, "MAX_SUBSET_MODULE", None),
+    ("direct_sum", lambda: direct_sum(_seven_b2()), SizeBoundExceeded, "MAX_PRODUCT", None),
+    ("product", lambda: product(_seven_b2()), SizeBoundExceeded, "MAX_PRODUCT", None),
+    ("coproduct", lambda: coproduct(_seven_b2()), SizeBoundExceeded, "MAX_PRODUCT", None),
+    ("inverse_limit", lambda: inverse_limit(InverseSystem(_seven_b2(), (), ())),
+     SizeBoundExceeded, "MAX_PRODUCT", None),
+    ("linear_maps",
+     lambda: linear_maps(free_module(bool_semiring(), 5), free_module(bool_semiring(), 4)),
+     SizeBoundExceeded, "MAX_HOM_CANDIDATES", None),
+    ("enumerate_balanced_maps", _balanced_3x3_into_4, SizeBoundExceeded,
+     "MAX_HOM_CANDIDATES", None),
+    ("enumerate_commutative_monoids", lambda: enumerate_commutative_monoids(6),
+     SizeBoundExceeded, "MAX_ENUMERATED_SIZE", None),
+    ("enumerate_semimodules", lambda: enumerate_semimodules(bool_semiring(), 6),
+     SizeBoundExceeded, "MAX_ENUMERATED_SIZE", None),
+    ("tensor_product", _z4_dense_box, BoxBoundExceeded, "MAX_BOX", None),
+    ("is_uniformly_fg", lambda: is_uniformly_fg(chain_module(3)), SizeBoundExceeded,
+     "MAX_PRODUCT", 3),
+    ("is_uniformly_fp", lambda: is_uniformly_fp(chain_module(3)), SizeBoundExceeded,
+     "MAX_PRODUCT", 3),
+    ("projectivity_witness", lambda: projectivity_witness(chain_module(3)),
+     SizeBoundExceeded, "MAX_PRODUCT", 3),
+    ("trivial_certificate", lambda: trivial_certificate(chain_module(3)),
+     SizeBoundExceeded, "MAX_PRODUCT", 3),
+]
+
+
+@pytest.mark.parametrize("site, call, error, name, lowered", CASES,
+                         ids=[case[0] for case in CASES])
+def test_bound_raises_typed_error(monkeypatch, site, call, error, name, lowered):
+    if lowered is not None:
+        monkeypatch.setattr(config, name, lowered)
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.bound == getattr(config, name)
+    assert info.value.requested > info.value.bound
+
+
+def test_free_cover_bound_is_checked_before_the_module_is_built(monkeypatch):
+    built = []
+
+    def recording_free_module(S, rank, side):
+        built.append(rank)
+        return free_module(S, rank, side)
+
+    monkeypatch.setattr(config, "MAX_PRODUCT", 3)
+    monkeypatch.setattr(flatness, "free_module", recording_free_module)
+    with pytest.raises(SizeBoundExceeded):
+        projectivity_witness(chain_module(3))
+    assert built == [1]

@@ -104,7 +104,7 @@ def test_chain3_is_not_uniformly_fg():
 
 
 def test_uniformly_fp_presentations(Z2):
-    rep = is_uniformly_fp(Z2, n_max=1)
+    rep = is_uniformly_fp(Z2)
     assert rep is not None
     assert rep["presentations"], "expected at least one two-step presentation"
     pres = rep["presentations"][0]

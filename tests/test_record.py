@@ -18,7 +18,6 @@ import sys
 import pytest
 
 from semiflat.catalog import zmod_module
-from semiflat.config import Bounds
 from semiflat.congruence import Congruence
 from semiflat.flatness import FlatCertificate, FlatnessVerdict, SearchConfig, SearchRecord
 from semiflat.homology import (CogeneratorEntry, EndReport, ExactnessReport, HomModule,
@@ -40,8 +39,6 @@ FACTORY = object()      # a field declared with default_factory=dict
 # Every record as it was declared with @dataclass: fields in order, a
 # (name, default) pair for a field with a default, and the frozen flag.
 DECLARATIONS = [
-    (Bounds, [("max_subset_module", 16), ("max_hom_candidates", 65536), ("max_box", 4096),
-              ("max_product", 4096), ("max_free_rank", 2)], True),
     (Violation, ["axiom", "witness", ("detail", "")], True),
     (Semiring, ["labels", "add", "mul", "zero", "one"], True),
     (SecondAction, ["semiring", "side", "table"], True),
