@@ -296,8 +296,7 @@ def _monoid_endomorphisms(t: Table) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_semimodules(S: Semiring, max_size: int,
-                          side: str = RIGHT) -> tuple[Semimodule, ...]:
+def enumerate_semimodules(S: Semiring, max_size: int) -> tuple[Semimodule, ...]:
     """All right S-semimodules with at most max_size elements, up to isomorphism."""
     if max_size > config.MAX_ENUMERATED_SIZE:
         raise SizeBoundExceeded("semimodule enumeration", max_size,
@@ -352,7 +351,7 @@ def enumerate_semimodules(S: Semiring, max_size: int,
                     continue
                 seen.add(key)
                 labels = [f"m{i}" for i in range(n)]
-                out.append(build_semimodule(S, side, labels, key[0], 0, key[1]))
+                out.append(build_semimodule(S, RIGHT, labels, key[0], 0, key[1]))
     return tuple(out)
 
 

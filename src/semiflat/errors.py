@@ -52,7 +52,7 @@ class NotComposable(SemiflatError):
 
 
 class ShapeMismatch(SemiflatError):
-    """Parallel pair or cospan has incompatible endpoints."""
+    """Diagram legs, endpoints or index data do not fit together."""
 
 
 class NotDirected(SemiflatError):

@@ -119,9 +119,6 @@ class ExactnessReport(Record):
     def exact(self) -> bool:
         return all(s.exact for s in self.stages)
 
-    def all_of(self, grade: str) -> bool:
-        return all(getattr(s, grade) for s in self.stages)
-
 
 def classify_stage(f: Morphism, g: Morphism) -> StageFlags:
     if f.target != g.source:

@@ -13,8 +13,8 @@ from . import config
 from .catalog import product_module
 from .congruence import (congruence_closure, module_congruence_closure,
                          quotient_by_congruence)
-from .errors import (NotDirected, NotIntertwining, ShapeMismatch,
-                     SizeBoundExceeded)
+from .errors import (NotCommutative, NotDirected, NotIntertwining,
+                     ShapeMismatch, SizeBoundExceeded)
 from .homology import hom_module
 from .record import Record
 from .structures import (Morphism, Semimodule, build_morphism,
@@ -101,18 +101,18 @@ def coproduct(factors, semiring=None, side=None):
 
 def pairing(fs, data: ProductData) -> Morphism:
     """The mediating map <f_1,..,f_k> : X -> product."""
-    X = fs[0].source
-    if any(f.source != X for f in fs) or len(fs) != len(data.factors):
+    if not fs or any(f.source != fs[0].source for f in fs) or len(fs) != len(data.factors):
         raise ShapeMismatch("pairing legs must share a source, one per factor")
+    X = fs[0].source
     mapping = tuple(data.encode(tuple(f.map[x] for f in fs)) for x in range(X.size))
     return build_morphism(X, data.module, mapping)
 
 
 def copairing(fs, data: ProductData) -> Morphism:
     """The mediating map [g_1,..,g_k] : coproduct -> X."""
-    X = fs[0].target
-    if any(f.target != X for f in fs) or len(fs) != len(data.factors):
+    if not fs or any(f.target != fs[0].target for f in fs) or len(fs) != len(data.factors):
         raise ShapeMismatch("copairing legs must share a target, one per factor")
+    X = fs[0].target
     mapping = []
     for idx in range(data.module.size):
         parts = data.decode(idx)
@@ -175,8 +175,13 @@ def pullback_mediator(P: Semimodule, inc: Morphism, data: ProductData,
                       u: Morphism, v: Morphism) -> Morphism:
     """The unique map into the pullback induced by a commuting pair."""
     pos = {inc.map[i]: i for i in range(P.size)}
-    mapping = tuple(pos[data.encode((u.map[x], v.map[x]))] for x in range(u.source.size))
-    return build_morphism(u.source, P, mapping)
+    mapping = []
+    for x in range(u.source.size):
+        idx = pos.get(data.encode((u.map[x], v.map[x])))
+        if idx is None:
+            raise NotCommutative(x, "the pair does not land in the pullback")
+        mapping.append(idx)
+    return build_morphism(u.source, P, tuple(mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +230,19 @@ class DirectedSystem(Record):
         raise NotDirected("finite directed poset must have a maximum")
 
 
+def _check_relations(nodes, relations, maps) -> None:
+    """One map per relation, between nodes that exist."""
+    if len(relations) != len(maps):
+        raise ShapeMismatch(f"{len(relations)} relations but {len(maps)} transition maps")
+    for j, k in relations:
+        if not (0 <= j < len(nodes) and 0 <= k < len(nodes)):
+            raise ShapeMismatch(f"relation {j}->{k} names a node outside 0..{len(nodes) - 1}")
+
+
 def directed_system(nodes, relations, maps) -> DirectedSystem:
     """Close the generating relations transitively and verify coherence."""
     nodes = tuple(nodes)
+    _check_relations(nodes, relations, maps)
     n = len(nodes)
     arrows: dict[tuple[int, int], Morphism] = {}
     for (j, k), f in zip(relations, maps):
@@ -388,6 +403,7 @@ class InverseSystem(Record):
 
 def inverse_system(nodes, relations, maps) -> InverseSystem:
     nodes = tuple(nodes)
+    _check_relations(nodes, relations, maps)
     arrows: dict[tuple[int, int], Morphism] = {}
     for (j, k), f in zip(relations, maps):
         if j == k:

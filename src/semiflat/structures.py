@@ -206,9 +206,6 @@ class Semimodule(Record):
         tag = "bi" if self.second else self.side
         return f"Semimodule({self.size} elements, {tag}, |S|={self.semiring.size})"
 
-    def act(self, x: int, s: int) -> int:
-        return self.action[x][s]
-
 
 def action_violations(semiring: Semiring, side: str, add: Table, zero: int,
                       action: Table, prefix: str = "action") -> list[Violation]:

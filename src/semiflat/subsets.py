@@ -27,13 +27,6 @@ class Subsemimodule(Record):
     def __repr__(self):
         return f"Subsemimodule({list(self.members)} of {self.parent.size})"
 
-    @property
-    def mask(self) -> int:
-        m = 0
-        for x in self.members:
-            m |= 1 << x
-        return m
-
 
 def is_closed_subset(M: Semimodule, members) -> bool:
     """Whether members hold zero and are closed under addition and every action."""

@@ -23,13 +23,15 @@ from . import config
 from .congruence import Congruence, cancellative_reflection, congruence_closure
 from .errors import (BoxBoundExceeded, NotBalanced, NotZeroPreserving,
                      SideMismatch, SizeBoundExceeded)
-from .homology import HomModule, hom_module, hom_postcompose, hom_precompose
+from .homology import (HomModule, hom_module, hom_postcompose, hom_precompose,
+                       morphism_profile)
 from .record import Record
 from .structures import (LEFT, RIGHT, Morphism, SecondAction, Semimodule,
                          additive_span, build_morphism, build_semimodule,
-                         counting_action, counting_semiring_for, element_order,
-                         freeze_table, identity_morphism, monoid_morphism,
-                         swap_actions)
+                         check_entries, check_table, counting_action,
+                         counting_semiring_for, element_order, freeze_table,
+                         identity_morphism, is_cancellative, monoid_morphism,
+                         rehome_pair, swap_actions)
 from .subsets import additive_generators, additive_expressions
 
 
@@ -65,10 +67,31 @@ class TensorPresentation(Record):
     def pair_list(self) -> list[tuple[int, int]]:
         return [(g, h) for g in self.left_gens for h in self.right_gens]
 
-    def class_terms(self, cls: int) -> list[tuple[int, int, int]]:
-        """(count, left element, right element) terms of the class representative."""
-        pairs = self.pair_list()
-        return [(c, g, h) for c, (g, h) in zip(self.rep_coords[cls], pairs) if c]
+
+def _mediate(rep_coords, add, zero, values) -> tuple[int, ...]:
+    """Each coordinate vector to the sum of values[q] taken coords[q] times.
+
+    This is the one way a map out of a tensor presentation is evaluated:
+    ``values`` gives the image of each generator pair, and a class goes to
+    the sum over its representative's generator-pair coordinates.
+    """
+    out = []
+    for coords in rep_coords:
+        val = zero
+        for c, v in zip(coords, values):
+            for _ in range(c):
+                val = add[val][v]
+        out.append(val)
+    return tuple(out)
+
+
+def _pair_multiplicities(exprs_M, exprs_N) -> list[tuple[int, ...]]:
+    """Generator-pair coordinates of each element pair (m, n), row by row.
+
+    The bilinear expansion of m (x) n through the canonical expressions:
+    the pair (g_i, h_j) occurs a_i * b_j times.
+    """
+    return [tuple(a * b for a in am for b in bn) for am in exprs_M for bn in exprs_N]
 
 
 def _tensor_label(pres_left_labels, pres_right_labels, terms) -> str:
@@ -101,10 +124,8 @@ def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False) -> TensorP
     else:
         gens_M = additive_generators(M)
         gens_N = additive_generators(N)
-        full_M = additive_expressions(M)
-        full_N = additive_expressions(N)
-        exprs_M = list(full_M)
-        exprs_N = list(full_N)
+        exprs_M = additive_expressions(M)
+        exprs_N = additive_expressions(N)
     pairs = [(g, h) for g in gens_M for h in gens_N]
     k = len(pairs)
     bounds = tuple(_pair_bound(element_order(M.add, M.zero, g),
@@ -140,18 +161,9 @@ def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False) -> TensorP
         return encode(tuple(reduce_coord(q, ca[q] + cb[q]) for q in range(k)))
 
     # emb(m, n): bilinear expansion through the canonical expressions
-    emb = [[0] * N.size for _ in range(M.size)]
-    for m in range(M.size):
-        am = exprs_M[m]
-        for n in range(N.size):
-            bn = exprs_N[n]
-            coords = []
-            q = 0
-            for gi in range(len(gens_M)):
-                for hj in range(len(gens_N)):
-                    coords.append(reduce_coord(q, am[gi] * bn[hj]))
-                    q += 1
-            emb[m][n] = encode(coords)
+    emb_flat = [encode([reduce_coord(q, c) for q, c in enumerate(mult)])
+                for mult in _pair_multiplicities(exprs_M, exprs_N)]
+    emb = [emb_flat[m * N.size:(m + 1) * N.size] for m in range(M.size)]
 
     relations = set()
 
@@ -191,37 +203,23 @@ def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False) -> TensorP
     cong = congruence_closure(box_size, steps, sorted(relations))
     cls = cong.class_of
     reps = cong.representatives
-    qsize = cong.class_count
     qadd = freeze_table([[cls[box_add(a, b)] for b in reps] for a in reps])
     tau = freeze_table([[cls[emb[m][n]] for n in range(N.size)] for m in range(M.size)])
     rep_coords = tuple(coords_of[r] for r in reps)
     labels = []
-    pair_idx = pairs
-    for ci in range(qsize):
-        terms = [(c, g, h) for c, (g, h) in zip(rep_coords[ci], pair_idx) if c]
+    for coords in rep_coords:
+        terms = [(c, g, h) for c, (g, h) in zip(coords, pairs) if c]
         labels.append(_tensor_label(M.labels, N.labels, terms))
     qzero = cls[0]
 
     def pushed_action(act_table, on_left: bool):
-        """Action on classes via the generator terms of each representative."""
-        size_t = len(act_table[0])
-        out = []
-        for ci in range(qsize):
-            row = []
-            for t in range(size_t):
-                val = qzero
-                for c, (g, h) in zip(rep_coords[ci], pair_idx):
-                    if not c:
-                        continue
-                    if on_left:
-                        term = tau[act_table[g][t]][h]
-                    else:
-                        term = tau[g][act_table[h][t]]
-                    for _ in range(c):
-                        val = qadd[val][term]
-                row.append(val)
-            out.append(row)
-        return freeze_table(out)
+        """Action on classes, evaluated one scalar column at a time."""
+        columns = []
+        for t in range(len(act_table[0])):
+            values = [tau[act_table[g][t]][h] if on_left else tau[g][act_table[h][t]]
+                      for g, h in pairs]
+            columns.append(_mediate(rep_coords, qadd, qzero, values))
+        return freeze_table(zip(*columns))
 
     primary = None
     second = None
@@ -305,26 +303,21 @@ def factor_balanced(pres: TensorPresentation, G: Semimodule, table) -> tuple[int
     Returns one G-element per tensor class; raises when the table is not
     balanced.  The full composite scan re-verifies the factorization.
     """
+    check_table(table, pres.left.size, pres.right.size, "balanced table")
+    check_entries(table, G.size, "balanced table")
     bad = balanced_violations(pres.left, pres.right, G, table)
     zero_bad = [b for b in bad if b[0].startswith("zero")]
     if zero_bad:
         raise NotZeroPreserving(zero_bad[0][1])
     if bad:
         raise NotBalanced(bad[0][1], bad[0][0])
-    pairs = pres.pair_list()
-    gamma = []
-    for ci in range(pres.module.size):
-        val = G.zero
-        for c, (g, h) in zip(pres.rep_coords[ci], pairs):
-            term = table[g][h]
-            for _ in range(c):
-                val = G.add[val][term]
-        gamma.append(val)
+    gamma = _mediate(pres.rep_coords, G.add, G.zero,
+                     [table[g][h] for g, h in pres.pair_list()])
     for m in range(pres.left.size):
         for n in range(pres.right.size):
             if gamma[pres.tau[m][n]] != table[m][n]:
                 raise NotBalanced((m, n), "mediating map does not recover the table")
-    return tuple(gamma)
+    return gamma
 
 
 def enumerate_balanced_maps(M: Semimodule, N: Semimodule, G: Semimodule):
@@ -334,42 +327,18 @@ def enumerate_balanced_maps(M: Semimodule, N: Semimodule, G: Semimodule):
     assignments there are extended bilinearly and filtered by the direct
     table-level checks; the enumeration is exhaustive.
     """
-    gens_M = additive_generators(M)
-    gens_N = additive_generators(N)
-    exprs_M = additive_expressions(M)
-    exprs_N = additive_expressions(N)
-    npairs = len(gens_M) * len(gens_N)
+    npairs = len(additive_generators(M)) * len(additive_generators(N))
     if G.size ** npairs > config.MAX_HOM_CANDIDATES:
         raise SizeBoundExceeded("balanced map enumeration", G.size ** npairs,
                                 config.MAX_HOM_CANDIDATES)
-    out = []
+    mults = _pair_multiplicities(additive_expressions(M), additive_expressions(N))
+    out = {}
     for assign in itertools.product(range(G.size), repeat=npairs):
-        table = []
-        for m in range(M.size):
-            am = exprs_M[m]
-            row = []
-            for n in range(N.size):
-                bn = exprs_N[n]
-                val = G.zero
-                q = 0
-                for gi in range(len(gens_M)):
-                    for hj in range(len(gens_N)):
-                        mult = am[gi] * bn[hj]
-                        for _ in range(mult):
-                            val = G.add[val][assign[q]]
-                        q += 1
-                row.append(val)
-            table.append(tuple(row))
-        table = tuple(table)
+        flat = _mediate(mults, G.add, G.zero, assign)
+        table = tuple(flat[m * N.size:(m + 1) * N.size] for m in range(M.size))
         if not balanced_violations(M, N, G, table):
-            out.append(table)
-    seen = set()
-    unique = []
-    for t in out:
-        if t not in seen:
-            seen.add(t)
-            unique.append(t)
-    return unique
+            out[table] = None
+    return list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +349,8 @@ def tensor_morphisms(f: Morphism, g: Morphism, dense: bool = False) -> Morphism:
     """The induced map between tensor presentations of maps f and g."""
     P = tensor_product(f.source, g.source, dense)
     Q = tensor_product(f.target, g.target, dense)
-    pairs = P.pair_list()
-    mapping = []
-    for ci in range(P.module.size):
-        val = Q.module.zero
-        for c, (gm, hn) in zip(P.rep_coords[ci], pairs):
-            if not c:
-                continue
-            term = Q.tau[f.map[gm]][g.map[hn]]
-            for _ in range(c):
-                val = Q.module.add[val][term]
-        mapping.append(val)
+    mapping = _mediate(P.rep_coords, Q.module.add, Q.module.zero,
+                       [Q.tau[f.map[gm]][g.map[hn]] for gm, hn in P.pair_list()])
     if P.module.semiring == Q.module.semiring and P.module.side == Q.module.side:
         result = build_morphism(P.module, Q.module, mapping)
     else:
@@ -455,33 +415,17 @@ def associativity_iso(M: Semimodule, N_bi: Semimodule, X: Semimodule):
     NX = tensor_product(swap_actions(N_bi), X)       # left module over S
     Q2 = tensor_product(M, NX.module)
 
-    beta = []
-    for u in range(P1.module.size):
-        terms = P1.class_terms(u)
-        row = []
-        for x in range(X.size):
-            val = Q2.module.zero
-            for c, g, h in terms:
-                term = Q2.tau[g][NX.tau[h][x]]
-                for _ in range(c):
-                    val = Q2.module.add[val][term]
-            row.append(val)
-        beta.append(tuple(row))
-    gamma = factor_balanced(P2, Q2.module, tuple(beta))
+    columns = [_mediate(P1.rep_coords, Q2.module.add, Q2.module.zero,
+                        [Q2.tau[g][NX.tau[h][x]] for g, h in P1.pair_list()])
+               for x in range(X.size)]
+    beta = tuple(zip(*columns))
+    gamma = factor_balanced(P2, Q2.module, beta)
     forward = monoid_morphism(P2.module, Q2.module, gamma)
 
-    beta_back = []
-    for m in range(M.size):
-        row = []
-        for w in range(NX.module.size):
-            val = P2.module.zero
-            for c, h, x in NX.class_terms(w):
-                term = P2.tau[P1.tau[m][h]][x]
-                for _ in range(c):
-                    val = P2.module.add[val][term]
-            row.append(val)
-        beta_back.append(tuple(row))
-    gamma_back = factor_balanced(Q2, P2.module, tuple(beta_back))
+    beta_back = tuple(_mediate(NX.rep_coords, P2.module.add, P2.module.zero,
+                               [P2.tau[P1.tau[m][h]][x] for h, x in NX.pair_list()])
+                      for m in range(M.size))
+    gamma_back = factor_balanced(Q2, P2.module, beta_back)
     backward = monoid_morphism(Q2.module, P2.module, gamma_back)
     return P2, Q2, IsoPair(forward, backward)
 
@@ -521,7 +465,6 @@ def certify_cancellative_universal(M: Semimodule, N: Semimodule, targets) -> int
     ct = cancellative_tensor(M, N)
     checked = 0
     for G in targets:
-        from .structures import is_cancellative, rehome_pair
         if not is_cancellative(G):
             raise NotBalanced("target", "universal certification needs cancellative targets")
         C2, G2 = rehome_pair(ct.module, G)
@@ -582,53 +525,36 @@ def adjunction_iso(M_bi: Semimodule, X: Semimodule, Y: Semimodule,
     """
     if M_bi.second is None:
         raise SideMismatch("adjunction needs a bisemimodule in the middle")
+    M_left = swap_actions(M_bi)
     P = tensor_product(M_bi, X)
     LHS = hom_module(P.module, Y)
-    HomMY = hom_module(swap_actions(M_bi), Y)
+    HomMY = hom_module(M_left, Y)
     RHS = hom_module(X, HomMY.module)
 
-    def curry(F: Morphism) -> tuple[int, ...]:
-        out = []
-        for x in range(X.size):
-            inner = tuple(F.map[P.tau[m][x]] for m in range(M_bi.size))
-            out.append(HomMY.index_of(inner))
-        return tuple(out)
+    def curry(F: Morphism, pres: TensorPresentation, inner: HomModule,
+              outer: HomModule) -> int:
+        """F out of M (x) X' as the index of x -> F(- (x) x) in Hom(X', Hom(M, Y'))."""
+        return outer.index_of(tuple(
+            inner.index_of(tuple(F.map[pres.tau[m][x]] for m in range(M_bi.size)))
+            for x in range(pres.right.size)))
 
-    mapping = tuple(RHS.index_of(curry(F)) for F in LHS.maps)
-    bijective = len(set(mapping)) == len(RHS.maps) == len(LHS.maps)
-    additive = True
-    for i in range(len(LHS.maps)):
-        for j in range(len(LHS.maps)):
-            s = LHS.module.add[i][j]
-            if mapping[s] != RHS.module.add[mapping[i]][mapping[j]]:
-                additive = False
-                break
-        if not additive:
-            break
+    mapping = tuple(curry(F, P, HomMY, RHS) for F in LHS.maps)
+    count = len(LHS.maps)
+    bijective = len(set(mapping)) == len(RHS.maps) == count
+    additive = all(mapping[LHS.module.add[i][j]] == RHS.module.add[mapping[i]][mapping[j]]
+                   for i in range(count) for j in range(count))
 
     natural_source = True
     for u in test_source:
         # u : X' -> X induces squares through both sides
         P2 = tensor_product(M_bi, u.source)
-        idu = tensor_morphisms(identity_morphism(M_bi), u)
-        lhs_step = hom_precompose(idu, Y)
+        lhs_step = hom_precompose(tensor_morphisms(identity_morphism(M_bi), u), Y)
         rhs_step = hom_precompose(u, HomMY.module)
         LHS2 = hom_module(P2.module, Y)
         RHS2 = hom_module(u.source, HomMY.module)
-
-        def curry2(F: Morphism) -> int:
-            out = []
-            for x in range(u.source.size):
-                inner = tuple(F.map[P2.tau[m][x]] for m in range(M_bi.size))
-                out.append(HomMY.index_of(inner))
-            return RHS2.index_of(tuple(out))
-
-        for i, F in enumerate(LHS.maps):
-            left_path = curry2(LHS2.maps[lhs_step.map[i]])
-            right_path = rhs_step.map[mapping[i]]
-            if left_path != right_path:
-                natural_source = False
-                break
+        natural_source = all(
+            curry(LHS2.maps[lhs_step.map[i]], P2, HomMY, RHS2) == rhs_step.map[mapping[i]]
+            for i in range(count))
         if not natural_source:
             break
 
@@ -636,23 +562,14 @@ def adjunction_iso(M_bi: Semimodule, X: Semimodule, Y: Semimodule,
     for v in test_target:
         # v : Y -> Y' postcomposes on both sides
         lhs_step = hom_postcompose(P.module, v)
-        inner_step = hom_postcompose(swap_actions(M_bi), v)
-        HomMY2 = hom_module(swap_actions(M_bi), v.target)
+        inner_step = hom_postcompose(M_left, v)
+        HomMY2 = hom_module(M_left, v.target)
         LHS2 = hom_module(P.module, v.target)
         RHS2 = hom_module(X, HomMY2.module)
-        for i, F in enumerate(LHS.maps):
-            G = LHS2.maps[lhs_step.map[i]]
-            out = []
-            for x in range(X.size):
-                inner = tuple(G.map[P.tau[m][x]] for m in range(M_bi.size))
-                out.append(HomMY2.index_of(inner))
-            left_path = RHS2.index_of(tuple(out))
-            curried = RHS.maps[mapping[i]]
-            pushed = tuple(inner_step.map[curried.map[x]] for x in range(X.size))
-            right_path = RHS2.index_of(tuple(pushed))
-            if left_path != right_path:
-                natural_target = False
-                break
+        natural_target = all(
+            curry(LHS2.maps[lhs_step.map[i]], P, HomMY2, RHS2)
+            == RHS2.index_of(tuple(inner_step.map[y] for y in RHS.maps[mapping[i]].map))
+            for i in range(count))
         if not natural_target:
             break
     return AdjunctionReport(LHS, RHS, mapping, bijective, additive,
@@ -674,48 +591,29 @@ class HomTensorComparison(Record):
         d["bijective"] = bijective
 
 
+def _comparison(X: Semimodule, Y_bi: Semimodule, Z: Semimodule, TH: HomModule,
+                pair) -> HomTensorComparison:
+    """The map Hom(X, Y) (x) Z -> TH induced by f (x) z -> pair(f(-), z)."""
+    H = hom_module(X, Y_bi)
+    P = tensor_product(H.module, Z)
+    beta = tuple(tuple(TH.index_of(tuple(pair(y, z) for y in f.map)) for z in range(Z.size))
+                 for f in H.maps)
+    nu = monoid_morphism(P.module, TH.module, factor_balanced(P, TH.module, beta))
+    return HomTensorComparison(nu, nu.injective, morphism_profile(nu).uniform,
+                               nu.injective and nu.surjective)
+
+
 def hom_tensor_comparison(X: Semimodule, Y_bi: Semimodule, Z: Semimodule) -> HomTensorComparison:
     """Hom(X, Y) (x) Z -> Hom(X, Y (x) Z) on pure tensors f (x) z -> f(-) (x) z.
 
     X and Y share a left structure; Y carries a second right action over
     the semiring of Z.
     """
-    from .homology import morphism_profile
-    H = hom_module(X, Y_bi)
-    P = tensor_product(H.module, Z)
     YZ = tensor_product(swap_actions(Y_bi), Z)
-    TH = hom_module(X, YZ.module)
-    beta = []
-    for i, f in enumerate(H.maps):
-        row = []
-        for z in range(Z.size):
-            composite = tuple(YZ.tau[f.map[x]][z] for x in range(X.size))
-            row.append(TH.index_of(composite))
-        beta.append(tuple(row))
-    gamma = factor_balanced(P, TH.module, tuple(beta))
-    nu = monoid_morphism(P.module, TH.module, gamma)
-    prof = morphism_profile(nu)
-    return HomTensorComparison(nu, nu.injective, prof.uniform,
-                               nu.injective and nu.surjective)
+    return _comparison(X, Y_bi, Z, hom_module(X, YZ.module), lambda y, z: YZ.tau[y][z])
 
 
 def dual_comparison(X: Semimodule, Z: Semimodule) -> HomTensorComparison:
     """Hom(X, S) (x) Z -> Hom(X, Z) on f (x) z -> f(-)z."""
-    from .homology import morphism_profile
-    S = X.semiring
-    Y_bi = semiring_bimodule(S, X.side)
-    H = hom_module(X, Y_bi)
-    P = tensor_product(H.module, Z)
-    TH = hom_module(X, Z)
-    beta = []
-    for i, f in enumerate(H.maps):
-        row = []
-        for z in range(Z.size):
-            composite = tuple(Z.action[z][f.map[x]] for x in range(X.size))
-            row.append(TH.index_of(composite))
-        beta.append(tuple(row))
-    gamma = factor_balanced(P, TH.module, tuple(beta))
-    nu = monoid_morphism(P.module, TH.module, gamma)
-    prof = morphism_profile(nu)
-    return HomTensorComparison(nu, nu.injective, prof.uniform,
-                               nu.injective and nu.surjective)
+    return _comparison(X, semiring_bimodule(X.semiring, X.side), Z, hom_module(X, Z),
+                       lambda s, z: Z.action[z][s])

@@ -106,3 +106,14 @@ def test_criterion_12_cli_golden(capsys):
         assert code == expected_code, f"exit code contract broken for {argv}"
     with capsys.disabled():
         print("criterion 12 [PASS] cli-golden: stored reports match byte-for-byte")
+
+
+def test_full_suite_report_golden(results, capsys, monkeypatch):
+    # the whole `semiflat suite` report, from the results computed above
+    import semiflat.cli
+    monkeypatch.setattr(semiflat.cli, "run_suites", lambda only=None: list(results.values()))
+    code = semiflat.cli.main(["suite"])
+    out = capsys.readouterr().out
+    assert out == (FIXTURES / "suite_full.json").read_text(encoding="utf-8"), \
+        "full suite report is not byte-identical"
+    assert code == 0

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from semiflat.catalog import suite_semirings, trivial_module
-from semiflat.errors import NotDirected, NotIntertwining, ShapeMismatch
+from semiflat.errors import (NotCommutative, NotDirected, NotIntertwining,
+                             ShapeMismatch)
 from semiflat.homology import classify_sequence, morphism_profile, with_zero_ends
 from semiflat.limits import (chain_system, coequalizer, colimit_morphism,
                              constant_system, copairing, direct_sum,
@@ -43,6 +44,18 @@ def test_copairing_factors(Z4m, Z2):
     assert compose(h, data.injections[0]).map == f.map
 
 
+def test_pairing_without_legs_rejected(Bm):
+    data = direct_sum((Bm, Bm))
+    with pytest.raises(ShapeMismatch):
+        pairing([], data)
+
+
+def test_copairing_without_legs_rejected(Bm):
+    data = direct_sum((Bm, Bm))
+    with pytest.raises(ShapeMismatch):
+        copairing([], data)
+
+
 def test_equalizer_coequalizer_of_identity(Z4m):
     ident = identity_morphism(Z4m)
     E, inc = equalizer(ident, ident)
@@ -64,6 +77,13 @@ def test_pullback_mediator(Z4m, Z2):
     u = identity_morphism(Z4m)
     med = pullback_mediator(P, inc, data, u, u)
     assert compose(p1, med).map == u.map
+
+
+def test_pullback_mediator_rejects_non_commuting_pair(Bm):
+    ident = identity_morphism(Bm)
+    P, p1, p2, data, inc = pullback(ident, ident)
+    with pytest.raises(NotCommutative):
+        pullback_mediator(P, inc, data, ident, zero_morphism(Bm, Bm))
 
 
 def test_coequalizer_matches_congruence_oracle(Z4m):
@@ -94,6 +114,27 @@ def test_not_directed_rejected(Bm, Z4m):
     with pytest.raises(NotDirected):
         directed_system([Bm, Bm], [(0, 1), (1, 0)],
                         [identity_morphism(Bm), identity_morphism(Bm)])
+
+
+def test_directed_system_relation_without_map_rejected(Bm):
+    with pytest.raises(ShapeMismatch):
+        directed_system([Bm, Bm], [(0, 1)], [])
+
+
+def test_directed_system_node_out_of_range_rejected(Bm):
+    with pytest.raises(ShapeMismatch):
+        directed_system([Bm], [(0, 3)], [identity_morphism(Bm)])
+
+
+def test_inverse_system_relation_without_map_rejected(Bm):
+    # a dropped relation would leave the whole product as the limit
+    with pytest.raises(ShapeMismatch):
+        inverse_limit(inverse_system([Bm, Bm], [(0, 1)], []))
+
+
+def test_inverse_system_node_out_of_range_rejected(Bm):
+    with pytest.raises(ShapeMismatch):
+        inverse_system([Bm], [(0, 3)], [identity_morphism(Bm)])
 
 
 def test_colimit_morphism_identity(Z4m):

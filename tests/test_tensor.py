@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from semiflat.catalog import (bool_semiring, cancellative_targets,
                               free_module, semiring_bimodule, semiring_module,
                               suite_pool, suite_semirings, trivial_module,
                               zmod_module)
-from semiflat.errors import BoxBoundExceeded, NotZeroPreserving, SideMismatch
+from semiflat.catalog import enumerate_commutative_monoids
+from semiflat.errors import (BoxBoundExceeded, MalformedTable,
+                             NotZeroPreserving, SideMismatch)
 from semiflat.structures import (as_left, build_morphism,
                                  find_monoid_isomorphism, identity_morphism,
-                                 isomorphic, with_bimodule_structure,
-                                 zero_morphism)
+                                 isomorphic, monoid_module,
+                                 with_bimodule_structure, zero_morphism)
 from semiflat.tensor import (adjunction_iso, associativity_iso,
+                             balanced_violations,
                              certify_cancellative_universal, dual_comparison,
                              enumerate_balanced_maps, factor_balanced,
                              cancellative_tensor, tensor_morphisms,
@@ -102,6 +107,41 @@ def test_unbalanced_table_rejected(Bm):
     table = ((0, 1), (1, 1))  # violates zero preservation
     with pytest.raises(NotZeroPreserving):
         factor_balanced(pres, Bm, table)
+
+
+@pytest.mark.parametrize("table", [((0, 0),), ((0, 0), (0, 7)), ((0, 0), (0,))],
+                         ids=["short", "out-of-range", "ragged"])
+def test_factor_balanced_rejects_malformed_table(Bm, table):
+    pres = tensor_product(Bm, as_left(Bm))
+    with pytest.raises(MalformedTable):
+        factor_balanced(pres, Bm, table)
+
+
+def test_enumerate_balanced_maps_matches_brute_force():
+    # every table in range(|G|)^(M x N) that balanced_violations accepts is
+    # enumerated exactly once, on every pool pair and small monoid target
+    targets = [monoid_module(t) for n in (1, 2, 3)
+               for t in enumerate_commutative_monoids(n)]
+    cases = 0
+    for S in suite_semirings():
+        for _, M in suite_pool(S):
+            for _, N0 in suite_pool(S):
+                N = as_left(N0)
+                for G in targets:
+                    cells = M.size * N.size
+                    if G.size ** cells > 512:
+                        continue
+                    brute = set()
+                    for flat in itertools.product(range(G.size), repeat=cells):
+                        table = tuple(flat[m * N.size:(m + 1) * N.size]
+                                      for m in range(M.size))
+                        if not balanced_violations(M, N, G, table):
+                            brute.add(table)
+                    found = enumerate_balanced_maps(M, N, G)
+                    assert len(found) == len(set(found)), "duplicate tables"
+                    assert set(found) == brute
+                    cases += 1
+    assert cases == 263
 
 
 def test_balanced_completeness_small_targets():
