@@ -14,7 +14,7 @@ from .structures import (Semiring, Semimodule, Morphism, SecondAction, Violation
                          with_bimodule_structure, swap_actions)
 from .subsets import (Subsemimodule, subsemimodule, generated_subsemimodule,
                       enumerate_subsemimodules, subtractive_closure,
-                      uniform_subsemimodules, minimal_generating_set,
+                      uniform_subsemimodules, module_generators,
                       additive_generators, submodule_of)
 from .congruence import (Congruence, congruence_closure,
                          module_congruence_closure, monoid_congruence_closure,

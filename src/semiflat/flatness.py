@@ -188,68 +188,60 @@ def _free_module(S: Semiring, n: int, side: str = LEFT) -> Semimodule:
     return free_module(S, n, side)
 
 
-def _free_maps(X: Semimodule, n: int):
-    """(map table, images) for every linear map from the free left module of rank n."""
-    S = X.semiring
-    free = _free_module(S, n)
-    tuples = list(itertools.product(range(S.size), repeat=n))
-    for images in itertools.product(range(X.size), repeat=n):
-        table = []
-        for t in tuples:
-            val = X.zero
-            for s, x in zip(t, images):
-                val = X.add[val][X.action[x][s]]
-            table.append(val)
-        yield free, tuple(table), images
+def _map_from_free(X: Semimodule, images) -> tuple[int, ...]:
+    """The table of the linear map S^n -> X sending the i-th basis vector to images[i]."""
+    table = []
+    for t in itertools.product(range(X.semiring.size), repeat=len(images)):
+        val = X.zero
+        for s, x in zip(t, images):
+            val = X.add[val][X.action[x][s]]
+        table.append(val)
+    return tuple(table)
 
 
-def is_uniformly_fg(X: Semimodule):
-    """A uniform surjection from a finite free module, or None."""
-    X = as_left(X)
+def _uniform_covers(X: Semimodule):
+    """(rank, images, map) for every uniform surjection S^n -> X, by rank, then images."""
     for n in range(1, config.MAX_FREE_RANK + 1):
-        for free, table, images in _free_maps(X, n):
+        free = _free_module(X.semiring, n)
+        for images in itertools.product(range(X.size), repeat=n):
+            table = _map_from_free(X, images)
             if len(set(table)) != X.size:
                 continue
             f = build_morphism(free, X, table)
             if morphism_profile(f).uniform:
-                return {"rank": n, "images": images, "map": f}
+                yield n, images, f
+
+
+def is_uniformly_fg(X: Semimodule):
+    """A uniform surjection from a finite free module, or None."""
+    for n, images, f in _uniform_covers(as_left(X)):
+        return {"rank": n, "images": images, "map": f}
     return None
 
 
 def is_uniformly_fp(X: Semimodule):
     """Uniform finite presentation data: every uniform free cover found is
     extended to a two-step presentation with its exactness certificate."""
-    X = as_left(X)
-    witness = is_uniformly_fg(X)
+    witness = None
+    presentations = []
+    for n, images, g in _uniform_covers(as_left(X)):
+        if witness is None:
+            witness = {"rank": n, "images": images, "map": g}
+        free = g.source
+        K = kernel(g)
+        ker_mod, ker_inc = submodule_of(free, K)
+        gens = module_generators(ker_mod)
+        m = max(1, len(gens))
+        cover = _free_module(free.semiring, m)
+        gen_images = [ker_inc.map[g_] for g_ in gens] or [free.zero]
+        f_tilde = build_morphism(cover, free, _map_from_free(free, gen_images))
+        report = classify_sequence([f_tilde, g])
+        if not (report.stages[0].semi_exact and report.stages[0].proper_exact):
+            raise NotExact("presentation middle stage must be proper exact")
+        presentations.append({"rank": n, "kernel_rank": m,
+                              "kernel": K.members, "exact": report})
     if witness is None:
         return None
-    presentations = []
-    for n in range(1, config.MAX_FREE_RANK + 1):
-        for free, table, images in _free_maps(X, n):
-            if len(set(table)) != X.size:
-                continue
-            g = build_morphism(free, X, table)
-            if not morphism_profile(g).uniform:
-                continue
-            K = kernel(g)
-            ker_mod, ker_inc = submodule_of(free, K)
-            gens = module_generators(ker_mod)
-            m = max(1, len(gens))
-            cover = _free_module(X.semiring, m)
-            tuples = list(itertools.product(range(X.semiring.size), repeat=m))
-            gen_images = [ker_inc.map[g_] for g_ in gens] or [free.zero]
-            tbl = []
-            for t in tuples:
-                val = free.zero
-                for s, x in zip(t, gen_images):
-                    val = free.add[val][free.action[x][s]]
-                tbl.append(val)
-            f_tilde = build_morphism(cover, free, tbl)
-            report = classify_sequence([f_tilde, g])
-            if not (report.stages[0].semi_exact and report.stages[0].proper_exact):
-                raise NotExact("presentation middle stage must be proper exact")
-            presentations.append({"rank": n, "kernel_rank": m,
-                                  "kernel": K.members, "exact": report})
     return {"witness": witness, "presentations": presentations}
 
 

@@ -7,7 +7,7 @@ relation, with the maximum-node evaluation kept alongside as an oracle.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import config
 from .catalog import product_module
@@ -188,12 +188,8 @@ def pullback_mediator(P: Semimodule, inc: Morphism, data: ProductData,
 # Directed systems.
 # ---------------------------------------------------------------------------
 
-class DirectedSystem(Record):
-    """Finite directed poset of semimodules with coherent transition maps.
-
-    ``order`` lists the strict relations (j, j') with j < j', transitively
-    closed; ``maps`` holds one morphism per listed relation.
-    """
+class _System(Record):
+    """Nodes, the transitively closed relations in ``order`` and one map per relation."""
 
     _fields = ("nodes", "order", "maps")
 
@@ -207,16 +203,25 @@ class DirectedSystem(Record):
     def _hash_key(self):
         return (self.nodes, self.order, tuple(m.map for m in self.maps))
 
-    def leq(self, j: int, k: int) -> bool:
-        return j == k or (j, k) in set(self.order)
+    @cached_property
+    def _lookup(self) -> dict[tuple[int, int], Morphism]:
+        return dict(zip(self.order, self.maps))
 
     def transition(self, j: int, k: int) -> Morphism:
         if j == k:
             return identity_morphism(self.nodes[j])
-        lookup = self.__dict__.get("_tr")
-        if lookup is None:
-            lookup = self.__dict__["_tr"] = dict(zip(self.order, self.maps))
-        return lookup[(j, k)]
+        return self._lookup[(j, k)]
+
+
+class DirectedSystem(_System):
+    """Finite directed poset of semimodules with coherent transition maps.
+
+    ``order`` lists the strict relations (j, j') with j < j', transitively
+    closed; ``transition(j, j')`` is the map M_j -> M_j'.
+    """
+
+    def leq(self, j: int, k: int) -> bool:
+        return j == k or (j, k) in self._lookup
 
     def upper_bounds(self, j: int, k: int) -> list[int]:
         return [m for m in range(len(self.nodes)) if self.leq(j, m) and self.leq(k, m)]
@@ -230,29 +235,28 @@ class DirectedSystem(Record):
         raise NotDirected("finite directed poset must have a maximum")
 
 
-def _check_relations(nodes, relations, maps) -> None:
-    """One map per relation, between nodes that exist."""
+def _closed_arrows(nodes, relations, maps) -> dict[tuple[int, int], Morphism]:
+    """The arrows (a, b) with map M_a -> M_b, closed under composition.
+
+    Raises unless there is one map per relation, between nodes that exist,
+    with the right endpoints, and unless the closure is free of conflicting
+    maps, incoherent composites and cycles.
+    """
     if len(relations) != len(maps):
         raise ShapeMismatch(f"{len(relations)} relations but {len(maps)} transition maps")
-    for j, k in relations:
-        if not (0 <= j < len(nodes) and 0 <= k < len(nodes)):
-            raise ShapeMismatch(f"relation {j}->{k} names a node outside 0..{len(nodes) - 1}")
-
-
-def directed_system(nodes, relations, maps) -> DirectedSystem:
-    """Close the generating relations transitively and verify coherence."""
-    nodes = tuple(nodes)
-    _check_relations(nodes, relations, maps)
     n = len(nodes)
+    for a, b in relations:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ShapeMismatch(f"relation {a}->{b} names a node outside 0..{n - 1}")
     arrows: dict[tuple[int, int], Morphism] = {}
-    for (j, k), f in zip(relations, maps):
-        if j == k:
+    for (a, b), f in zip(relations, maps):
+        if a == b:
             continue
-        if f.source != nodes[j] or f.target != nodes[k]:
-            raise NotIntertwining(f"transition {j}->{k} has wrong endpoints")
-        if (j, k) in arrows and arrows[(j, k)].map != f.map:
-            raise NotDirected(f"conflicting transitions for {j}->{k}")
-        arrows[(j, k)] = f
+        if f.source != nodes[a] or f.target != nodes[b]:
+            raise NotIntertwining(f"transition {a}->{b} has wrong endpoints")
+        if (a, b) in arrows and arrows[(a, b)].map != f.map:
+            raise NotDirected(f"conflicting transitions for {a}->{b}")
+        arrows[(a, b)] = f
     changed = True
     while changed:
         changed = False
@@ -269,10 +273,17 @@ def directed_system(nodes, relations, maps) -> DirectedSystem:
     for (a, b) in arrows:
         if (b, a) in arrows:
             raise NotDirected(f"cycle between {a} and {b}")
+    return arrows
+
+
+def directed_system(nodes, relations, maps) -> DirectedSystem:
+    """Close the generating relations transitively and verify coherence."""
+    nodes = tuple(nodes)
+    arrows = _closed_arrows(nodes, relations, maps)
     order = tuple(sorted(arrows))
     sys = DirectedSystem(nodes, order, tuple(arrows[p] for p in order))
-    for j in range(n):
-        for k in range(j + 1, n):
+    for j in range(len(nodes)):
+        for k in range(j + 1, len(nodes)):
             if not sys.upper_bounds(j, k):
                 raise NotDirected(f"nodes {j} and {k} have no upper bound")
     return sys
@@ -379,53 +390,19 @@ def colimit_morphism(sysX: DirectedSystem, sysY: DirectedSystem, levelwise) -> M
 # Inverse systems.
 # ---------------------------------------------------------------------------
 
-class InverseSystem(Record):
-    """Same poset data as a directed system, with arrows j <= j' : M_j' -> M_j."""
+class InverseSystem(_System):
+    """Same poset data as a directed system, with arrows j <= j' : M_j' -> M_j.
 
-    _fields = ("nodes", "order", "maps")
-
-    def __init__(self, nodes: tuple[Semimodule, ...], order: tuple[tuple[int, int], ...],
-                 maps: tuple[Morphism, ...]):
-        d = self.__dict__
-        d["nodes"] = nodes
-        d["order"] = order
-        d["maps"] = maps
-
-    def _hash_key(self):
-        return (self.nodes, self.order, tuple(m.map for m in self.maps))
-
-    def transition(self, j: int, k: int) -> Morphism:
-        """The map M_k -> M_j for j <= k."""
-        if j == k:
-            return identity_morphism(self.nodes[j])
-        return dict(zip(self.order, self.maps))[(j, k)]
+    ``transition(j, k)`` is the map M_k -> M_j for j <= k.
+    """
 
 
 def inverse_system(nodes, relations, maps) -> InverseSystem:
+    """Close the relations j <= k, each with its map M_k -> M_j, and verify coherence."""
     nodes = tuple(nodes)
-    _check_relations(nodes, relations, maps)
-    arrows: dict[tuple[int, int], Morphism] = {}
-    for (j, k), f in zip(relations, maps):
-        if j == k:
-            continue
-        if f.source != nodes[k] or f.target != nodes[j]:
-            raise NotIntertwining(f"transition for {j}<={k} must map node {k} to node {j}")
-        arrows[(j, k)] = f
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), f in list(arrows.items()):
-            for (c, d), g in list(arrows.items()):
-                if a != d:
-                    continue
-                comp = compose(g, f)          # M_b -> M_a -> M_c with c <= a <= b
-                if (c, b) not in arrows:
-                    arrows[(c, b)] = comp
-                    changed = True
-                elif arrows[(c, b)].map != comp.map:
-                    raise NotDirected(f"incoherent composites along {c}<={a}<={b}")
-    order = tuple(sorted(arrows))
-    return InverseSystem(nodes, order, tuple(arrows[p] for p in order))
+    arrows = _closed_arrows(nodes, [(k, j) for j, k in relations], maps)
+    order = tuple(sorted((j, k) for k, j in arrows))
+    return InverseSystem(nodes, order, tuple(arrows[(k, j)] for j, k in order))
 
 
 def inverse_limit(sys: InverseSystem):

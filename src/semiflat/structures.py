@@ -7,7 +7,9 @@ functions of their inputs.
 """
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
+from math import lcm
 
 from .errors import AxiomViolation, MalformedTable, SideMismatch
 from .record import Record
@@ -19,7 +21,11 @@ RIGHT = "right"
 
 
 def freeze_table(rows) -> Table:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """Rows as tuples of ints; MalformedTable unless every entry is an integer."""
+    try:
+        return tuple(tuple(map(operator.index, row)) for row in rows)
+    except TypeError as exc:
+        raise MalformedTable(f"not a table of integers: {exc}") from None
 
 
 def check_table(table: Table, nrows: int, ncols: int, what: str) -> None:
@@ -364,7 +370,7 @@ def check_endpoints(source: Semimodule, target: Semimodule) -> None:
 
 def build_morphism(source: Semimodule, target: Semimodule, mapping) -> Morphism:
     check_endpoints(source, target)
-    mapping = tuple(int(x) for x in mapping)
+    mapping, = freeze_table([mapping])
     if len(mapping) != source.size:
         raise MalformedTable(f"map has {len(mapping)} entries for {source.size} elements")
     for x in mapping:
@@ -410,10 +416,6 @@ def element_orders(M: Semimodule) -> tuple[tuple[int, int], ...]:
     return tuple(element_order(M.add, M.zero, x) for x in range(M.size))
 
 
-def monoid_orders(add: Table, zero: int) -> tuple[tuple[int, int], ...]:
-    return tuple(element_order(add, zero, x) for x in range(len(add)))
-
-
 def is_cancellative_table(add: Table) -> bool:
     n = len(add)
     for c in range(n):
@@ -427,30 +429,67 @@ def is_cancellative(M: Semimodule) -> bool:
     return is_cancellative_table(M.add)
 
 
-def additive_span(add: Table, zero: int, seed) -> frozenset[int]:
-    """Closure of a subset under the monoid addition alone."""
-    span = {zero}
-    frontier = list(seed)
-    span.update(frontier)
+# ---------------------------------------------------------------------------
+# The generation engine: what a seed generates, a greedy generating set, and
+# each element as a shortest word in given steps.
+# ---------------------------------------------------------------------------
+
+def span(add: Table, zero: int, seed, actions=()) -> frozenset[int]:
+    """Least subset holding zero and the seed, closed under addition and each action table."""
+    members = {zero}
+    frontier = []
+    for x in seed:
+        if x not in members:
+            members.add(x)
+            frontier.append(x)
     while frontier:
         x = frontier.pop()
-        for y in list(span):
-            z = add[x][y]
-            if z not in span:
-                span.add(z)
+        row = add[x]
+        new = [row[y] for y in list(members)]
+        for table in actions:
+            new.extend(table[x])
+        for z in new:
+            if z not in members:
+                members.add(z)
                 frontier.append(z)
-    return frozenset(span)
+    return frozenset(members)
+
+
+def greedy_generators(size: int, span_of) -> tuple[int, ...]:
+    """Each element in index order that the span of the earlier picks misses."""
+    gens: list[int] = []
+    spanned = span_of(())
+    for x in range(size):
+        if x not in spanned:
+            gens.append(x)
+            spanned = span_of(gens)
+    return tuple(gens)
+
+
+def shortest_words(add: Table, zero: int, steps) -> tuple[tuple[int, ...] | None, ...]:
+    """Per element, the step indices of its first breadth-first path from zero.
+
+    Step k takes x to x + steps[k]; an element no path reaches gets None.
+    """
+    words = {zero: ()}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row = add[x]
+            word = words[x]
+            for k, step in enumerate(steps):
+                y = row[step]
+                if y not in words:
+                    words[y] = word + (k,)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(words.get(x) for x in range(len(add)))
 
 
 def monoid_generators(add: Table, zero: int) -> tuple[int, ...]:
     """Greedy minimal generating set of a commutative monoid table, in index order."""
-    gens: list[int] = []
-    span = additive_span(add, zero, ())
-    for x in range(len(add)):
-        if x not in span:
-            gens.append(x)
-            span = additive_span(add, zero, gens)
-    return tuple(gens)
+    return greedy_generators(len(add), lambda seed: span(add, zero, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +500,10 @@ def monoid_generators(add: Table, zero: int) -> tuple[int, ...]:
 # monoid morphisms typecheck as linear maps.
 # ---------------------------------------------------------------------------
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a * b // gcd(a, b)
-
-
-def monoid_index_period(add: Table, zero: int) -> tuple[int, int]:
-    index, period = 0, 1
-    for i, p in monoid_orders(add, zero):
-        index = max(index, i)
-        period = _lcm(period, p)
-    return index, period
+def _joint_index_period(orders) -> tuple[int, int]:
+    """Least (index, period) that every listed element order satisfies."""
+    orders = tuple(orders)
+    return max((i for i, _ in orders), default=0), lcm(*(p for _, p in orders))
 
 
 @lru_cache(maxsize=None)
@@ -521,30 +553,17 @@ def monoid_module(add: Table, zero: int = 0, labels=None,
     if labels is None:
         labels = tuple(str(k) for k in range(len(add)))
     if semiring is None:
-        semiring = counting_semiring(*monoid_index_period(add, zero))
+        semiring = counting_semiring(*_joint_index_period(
+            element_order(add, zero, x) for x in range(len(add))))
     return build_semimodule(semiring, RIGHT, labels, add, zero,
                             counting_action(add, zero, semiring.size))
 
 
-def common_monoid_modules(parts: list[tuple[Table, int, tuple[str, ...] | None]]) -> list[Semimodule]:
-    """Wrap several monoids over one joint counting semiring."""
-    index, period = 0, 1
-    for add, zero, _ in parts:
-        i, p = monoid_index_period(freeze_table(add), zero)
-        index = max(index, i)
-        period = _lcm(period, p)
-    S = counting_semiring(index, period)
-    return [monoid_module(add, zero, labels, S) for add, zero, labels in parts]
-
-
-def as_monoid(M: Semimodule) -> tuple[Table, int, tuple[str, ...]]:
-    return M.add, M.zero, M.labels
-
-
 def rehome_pair(A: Semimodule, B: Semimodule) -> tuple[Semimodule, Semimodule]:
     """Re-wrap two monoid-level carriers over one counting semiring."""
-    wrapped = common_monoid_modules([as_monoid(A), as_monoid(B)])
-    return wrapped[0], wrapped[1]
+    S = counting_semiring(*_joint_index_period(element_orders(A) + element_orders(B)))
+    return (monoid_module(A.add, A.zero, A.labels, S),
+            monoid_module(B.add, B.zero, B.labels, S))
 
 
 def monoid_morphism(A: Semimodule, B: Semimodule, mapping) -> Morphism:

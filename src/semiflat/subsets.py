@@ -6,8 +6,8 @@ from functools import lru_cache
 from . import config
 from .errors import NotASubsemimodule, SizeBoundExceeded
 from .record import Record
-from .structures import (Morphism, SecondAction, Semimodule, Table,
-                         freeze_table, monoid_generators)
+from .structures import (Morphism, SecondAction, Semimodule, Table, freeze_table,
+                         greedy_generators, monoid_generators, shortest_words, span)
 
 
 class Subsemimodule(Record):
@@ -28,12 +28,17 @@ class Subsemimodule(Record):
         return f"Subsemimodule({list(self.members)} of {self.parent.size})"
 
 
+def _actions(M: Semimodule) -> tuple[Table, ...]:
+    """The primary action table, and the second one of a bisemimodule."""
+    return (M.action,) if M.second is None else (M.action, M.second.table)
+
+
 def is_closed_subset(M: Semimodule, members) -> bool:
     """Whether members hold zero and are closed under addition and every action."""
     s = set(members)
     if M.zero not in s:
         return False
-    actions = [M.action] if M.second is None else [M.action, M.second.table]
+    actions = _actions(M)
     for a in members:
         row = M.add[a]
         for b in members:
@@ -54,23 +59,7 @@ def subsemimodule(M: Semimodule, members) -> Subsemimodule:
 
 def generated_subsemimodule(M: Semimodule, seed) -> Subsemimodule:
     """Least subsemimodule containing the seed."""
-    span = {M.zero}
-    frontier = []
-    for x in seed:
-        if x not in span:
-            span.add(x)
-            frontier.append(x)
-    while frontier:
-        x = frontier.pop()
-        new = [M.add[x][y] for y in list(span)]
-        new.extend(M.action[x][s] for s in range(M.semiring.size))
-        if M.second is not None:
-            new.extend(M.second.table[x][t] for t in range(M.second.semiring.size))
-        for z in new:
-            if z not in span:
-                span.add(z)
-                frontier.append(z)
-    return Subsemimodule(M, tuple(sorted(span)))
+    return Subsemimodule(M, tuple(sorted(span(M.add, M.zero, seed, _actions(M)))))
 
 
 @lru_cache(maxsize=None)
@@ -131,21 +120,6 @@ def uniform_subsemimodules(M: Semimodule) -> tuple[Subsemimodule, ...]:
     return tuple(U for U in enumerate_subsemimodules(M) if is_subtractive(M, U))
 
 
-def _primary_span(M: Semimodule, seed) -> frozenset[int]:
-    span = {M.zero}
-    frontier = [x for x in seed if x not in span]
-    span.update(frontier)
-    while frontier:
-        x = frontier.pop()
-        new = [M.add[x][y] for y in list(span)]
-        new.extend(M.action[x][s] for s in range(M.semiring.size))
-        for z in new:
-            if z not in span:
-                span.add(z)
-                frontier.append(z)
-    return frozenset(span)
-
-
 @lru_cache(maxsize=None)
 def module_generators(M: Semimodule) -> tuple[int, ...]:
     """Greedy inclusion-minimal generating set, deterministic in index order.
@@ -153,16 +127,7 @@ def module_generators(M: Semimodule) -> tuple[int, ...]:
     Spans with the primary action only, so linear maps are determined by
     their values on the result.
     """
-    gens: list[int] = []
-    span = _primary_span(M, ())
-    for x in range(M.size):
-        if x not in span:
-            gens.append(x)
-            span = _primary_span(M, gens)
-    return tuple(gens)
-
-
-minimal_generating_set = module_generators
+    return greedy_generators(M.size, lambda seed: span(M.add, M.zero, seed, (M.action,)))
 
 
 @lru_cache(maxsize=None)
@@ -172,22 +137,12 @@ def module_expressions(M: Semimodule) -> tuple[tuple[tuple[int, int], ...], ...]
     Breadth-first over x -> x + g*s steps, so expressions are shortest and
     deterministic; expressions[zero] is empty.
     """
-    gens = module_generators(M)
-    exprs: dict[int, tuple[tuple[int, int], ...]] = {M.zero: ()}
-    frontier = [M.zero]
-    steps = [(gi, s) for gi in range(len(gens)) for s in range(M.semiring.size)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, s in steps:
-                y = M.add[x][M.action[gens[gi]][s]]
-                if y not in exprs:
-                    exprs[y] = exprs[x] + ((gi, s),)
-                    nxt.append(y)
-        frontier = nxt
-    if len(exprs) != M.size:
+    n = M.semiring.size
+    words = shortest_words(M.add, M.zero,
+                           [M.action[g][s] for g in module_generators(M) for s in range(n)])
+    if None in words:
         raise NotASubsemimodule("generators do not span the module")
-    return tuple(exprs[x] for x in range(M.size))
+    return tuple(tuple(divmod(k, n) for k in word) for word in words)
 
 
 @lru_cache(maxsize=None)
@@ -200,20 +155,8 @@ def additive_generators(M: Semimodule) -> tuple[int, ...]:
 def additive_expressions(M: Semimodule) -> tuple[tuple[int, ...], ...]:
     """Each element as a multiplicity vector over the additive generators."""
     gens = additive_generators(M)
-    k = len(gens)
-    exprs: dict[int, tuple[int, ...]] = {M.zero: (0,) * k}
-    frontier = [M.zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            vx = exprs[x]
-            for gi in range(k):
-                y = M.add[x][gens[gi]]
-                if y not in exprs:
-                    exprs[y] = vx[:gi] + (vx[gi] + 1,) + vx[gi + 1:]
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(exprs[x] for x in range(M.size))
+    words = shortest_words(M.add, M.zero, gens)
+    return tuple(tuple(word.count(gi) for gi in range(len(gens))) for word in words)
 
 
 def submodule_of(M: Semimodule, sub: Subsemimodule) -> tuple[Semimodule, Morphism]:

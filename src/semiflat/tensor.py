@@ -27,11 +27,11 @@ from .homology import (HomModule, hom_module, hom_postcompose, hom_precompose,
                        morphism_profile)
 from .record import Record
 from .structures import (LEFT, RIGHT, Morphism, SecondAction, Semimodule,
-                         additive_span, build_morphism, build_semimodule,
+                         build_morphism, build_semimodule,
                          check_entries, check_table, counting_action,
                          counting_semiring_for, element_order, freeze_table,
                          identity_morphism, is_cancellative, monoid_morphism,
-                         rehome_pair, swap_actions)
+                         rehome_pair, span, swap_actions)
 from .subsets import additive_generators, additive_expressions
 
 
@@ -258,9 +258,8 @@ def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False) -> TensorP
 
 
 def _check_generation(pres: TensorPresentation) -> None:
-    span = additive_span(pres.module.add, pres.module.zero,
-                         [pres.tau[g][h] for g in pres.left_gens for h in pres.right_gens])
-    if len(span) != pres.module.size:
+    pairs = [pres.tau[g][h] for g in pres.left_gens for h in pres.right_gens]
+    if len(span(pres.module.add, pres.module.zero, pairs)) != pres.module.size:
         raise NotBalanced("generation", "generator pairs do not span the quotient")
 
 
@@ -303,6 +302,7 @@ def factor_balanced(pres: TensorPresentation, G: Semimodule, table) -> tuple[int
     Returns one G-element per tensor class; raises when the table is not
     balanced.  The full composite scan re-verifies the factorization.
     """
+    table = freeze_table(table)
     check_table(table, pres.left.size, pres.right.size, "balanced table")
     check_entries(table, G.size, "balanced table")
     bad = balanced_violations(pres.left, pres.right, G, table)

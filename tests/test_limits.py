@@ -137,6 +137,19 @@ def test_inverse_system_node_out_of_range_rejected(Bm):
         inverse_system([Bm], [(0, 3)], [identity_morphism(Bm)])
 
 
+def test_inverse_system_conflicting_maps_rejected(Bm):
+    # keeping either map would change the limit: the zero map leaves 2 elements
+    with pytest.raises(NotDirected):
+        inverse_system([Bm, Bm], [(0, 1), (0, 1)],
+                       [identity_morphism(Bm), zero_morphism(Bm, Bm)])
+
+
+def test_inverse_system_cycle_rejected(Bm):
+    with pytest.raises(NotDirected):
+        inverse_system([Bm, Bm], [(0, 1), (1, 0)],
+                       [identity_morphism(Bm), identity_morphism(Bm)])
+
+
 def test_colimit_morphism_identity(Z4m):
     sys = constant_system(Z4m, 2)
     h = colimit_morphism(sys, sys, [identity_morphism(Z4m)] * 2)

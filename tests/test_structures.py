@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from semiflat.catalog import (product_semiring, semiring_module,
                               trivial_module, zmod_module, cyclic_monoid)
 from semiflat.errors import AxiomViolation, MalformedTable, SideMismatch
-from semiflat.structures import (build_morphism, build_semiring, compose,
+from semiflat.structures import (as_left, build_morphism, build_semiring, compose,
                                  element_order, element_orders,
-                                 find_monoid_isomorphism, identity_morphism,
-                                 is_cancellative, isomorphic, mirror,
-                                 monoid_module, semiring_violations,
+                                 find_monoid_isomorphism, freeze_table,
+                                 identity_morphism, is_cancellative, isomorphic,
+                                 mirror, monoid_module, semiring_violations,
                                  with_bimodule_structure)
+from semiflat.tensor import factor_balanced, tensor_product
 
 
 def test_bool_semiring_is_valid():
@@ -34,6 +35,24 @@ def test_absorbing_violation_is_reported():
 def test_malformed_table_rejected():
     with pytest.raises(MalformedTable):
         build_semiring(["0", "1"], [[0, 1]], [[0, 0], [0, 1]], 0, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda Bm: freeze_table([[0, 1], 5]),
+    lambda Bm: freeze_table([[0, 1], [1, "a"]]),
+    lambda Bm: build_semiring(["0", "1"], [[0, 1], [1, 1.5]], [[0, 0], [0, 1]], 0, 1),
+    lambda Bm: build_morphism(Bm, Bm, [0, 1.5]),
+    lambda Bm: build_morphism(Bm, Bm, [0, "a"]),
+    lambda Bm: build_morphism(Bm, Bm, 5),
+    lambda Bm: factor_balanced(tensor_product(Bm, as_left(Bm)), Bm, (0, 0)),
+    lambda Bm: factor_balanced(tensor_product(Bm, as_left(Bm)), Bm, ((0, 0), (0, 1.5))),
+], ids=["row-not-a-sequence", "entry-a-string", "semiring-entry-1.5", "map-entry-1.5",
+        "map-entry-a-string", "map-not-a-sequence", "balanced-row-not-a-sequence",
+        "balanced-entry-1.5"])
+def test_non_integer_tables_are_malformed(Bm, build):
+    # a non-integer entry is neither truncated nor a raw TypeError or ValueError
+    with pytest.raises(MalformedTable):
+        build(Bm)
 
 
 def test_semiring_as_module_over_itself(S3):

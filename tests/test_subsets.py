@@ -4,16 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflat.catalog import (bool_semiring, product_semiring, semiring_module,
-                              suite_pool, suite_semirings, trivial_module)
+from semiflat.catalog import (bool_semiring, enumerate_commutative_monoids,
+                              enumerate_semimodules, product_semiring, semiring_bimodule,
+                              semiring_module, suite_pool, suite_semirings,
+                              trivial_module, zmod_semiring)
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import NotASubsemimodule
-from semiflat.structures import LEFT, RIGHT, SecondAction, build_semimodule
-from semiflat.subsets import (Subsemimodule, additive_generators,
+from semiflat.homology import hom_module
+from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, build_semimodule,
+                                 monoid_generators, span)
+from semiflat.subsets import (Subsemimodule, additive_expressions, additive_generators,
                               enumerate_subsemimodules,
-                              generated_subsemimodule, minimal_generating_set,
-                              subsemimodule, subtractive_closure,
+                              generated_subsemimodule, module_expressions,
+                              module_generators, subsemimodule, subtractive_closure,
                               uniform_subsemimodules, submodule_of)
+from semiflat.tensor import tensor_product
 
 
 def test_subsemimodules_of_bool(Bm):
@@ -49,8 +54,8 @@ def test_generated_subsemimodule(Z4m):
 
 
 def test_minimal_generating_set(Bm, Z4m):
-    assert minimal_generating_set(Bm) == (1,)
-    assert minimal_generating_set(Z4m) == (1,)
+    assert module_generators(Bm) == (1,)
+    assert module_generators(Z4m) == (1,)
 
 
 def test_additive_generators(S3m):
@@ -117,3 +122,153 @@ def test_generated_contains_seed(seed):
     got = generated_subsemimodule(M, tuple(sorted(seed)))
     assert set(seed) <= set(got.members)
     assert 0 in got.members
+
+
+# ---------------------------------------------------------------------------
+# The generation engine against the seven loops it replaced.  Each reference
+# below is the earlier implementation with its body unchanged; the names
+# carry a ref_ prefix and the caches are dropped.
+# ---------------------------------------------------------------------------
+
+def ref_additive_span(add, zero, seed):
+    """Closure of a subset under the monoid addition alone."""
+    span = {zero}
+    frontier = list(seed)
+    span.update(frontier)
+    while frontier:
+        x = frontier.pop()
+        for y in list(span):
+            z = add[x][y]
+            if z not in span:
+                span.add(z)
+                frontier.append(z)
+    return frozenset(span)
+
+
+def ref_monoid_generators(add, zero):
+    """Greedy minimal generating set of a commutative monoid table, in index order."""
+    gens = []
+    span = ref_additive_span(add, zero, ())
+    for x in range(len(add)):
+        if x not in span:
+            gens.append(x)
+            span = ref_additive_span(add, zero, gens)
+    return tuple(gens)
+
+
+def ref_generated_subsemimodule(M, seed):
+    """Least subsemimodule containing the seed."""
+    span = {M.zero}
+    frontier = []
+    for x in seed:
+        if x not in span:
+            span.add(x)
+            frontier.append(x)
+    while frontier:
+        x = frontier.pop()
+        new = [M.add[x][y] for y in list(span)]
+        new.extend(M.action[x][s] for s in range(M.semiring.size))
+        if M.second is not None:
+            new.extend(M.second.table[x][t] for t in range(M.second.semiring.size))
+        for z in new:
+            if z not in span:
+                span.add(z)
+                frontier.append(z)
+    return Subsemimodule(M, tuple(sorted(span)))
+
+
+def ref_primary_span(M, seed):
+    span = {M.zero}
+    frontier = [x for x in seed if x not in span]
+    span.update(frontier)
+    while frontier:
+        x = frontier.pop()
+        new = [M.add[x][y] for y in list(span)]
+        new.extend(M.action[x][s] for s in range(M.semiring.size))
+        for z in new:
+            if z not in span:
+                span.add(z)
+                frontier.append(z)
+    return frozenset(span)
+
+
+def ref_module_generators(M):
+    gens = []
+    span = ref_primary_span(M, ())
+    for x in range(M.size):
+        if x not in span:
+            gens.append(x)
+            span = ref_primary_span(M, gens)
+    return tuple(gens)
+
+
+def ref_module_expressions(M):
+    gens = ref_module_generators(M)
+    exprs = {M.zero: ()}
+    frontier = [M.zero]
+    steps = [(gi, s) for gi in range(len(gens)) for s in range(M.semiring.size)]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, s in steps:
+                y = M.add[x][M.action[gens[gi]][s]]
+                if y not in exprs:
+                    exprs[y] = exprs[x] + ((gi, s),)
+                    nxt.append(y)
+        frontier = nxt
+    if len(exprs) != M.size:
+        raise NotASubsemimodule("generators do not span the module")
+    return tuple(exprs[x] for x in range(M.size))
+
+
+def ref_additive_expressions(M):
+    gens = ref_monoid_generators(M.add, M.zero)
+    k = len(gens)
+    exprs = {M.zero: (0,) * k}
+    frontier = [M.zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            vx = exprs[x]
+            for gi in range(k):
+                y = M.add[x][gens[gi]]
+                if y not in exprs:
+                    exprs[y] = vx[:gi] + (vx[gi] + 1,) + vx[gi + 1:]
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(exprs[x] for x in range(M.size))
+
+
+def _engine_corpus():
+    """The suite pools, every module of size <= 4 over BOOL, ZMOD2 and ZMOD4,
+    the Hom and tensor modules of the pool pairs, and the Boolean bimodule."""
+    pools = [[M for _, M in suite_pool(S)] for S in (*suite_semirings(), zmod_semiring(2))]
+    out = [M for pool in pools for M in pool]
+    for S in (bool_semiring(), zmod_semiring(2), zmod_semiring(4)):
+        out.extend(enumerate_semimodules(S, 4))
+    for pool in pools:
+        for M in pool:
+            for N in pool:
+                out.append(hom_module(M, N).module)
+                out.append(tensor_product(M, as_left(N)).module)
+    out.append(semiring_bimodule(bool_semiring()))
+    return out
+
+
+def test_generation_engine_matches_the_loops_it_replaced():
+    corpus = _engine_corpus()
+    assert len(corpus) == 142
+    for M in corpus:
+        seeds = [(x,) for x in range(M.size)]
+        seeds += [(x, y) for x in range(M.size) for y in range(x + 1, M.size)]
+        for seed in seeds:
+            assert generated_subsemimodule(M, seed) == ref_generated_subsemimodule(M, seed)
+            assert span(M.add, M.zero, seed) == ref_additive_span(M.add, M.zero, seed)
+            assert span(M.add, M.zero, seed, (M.action,)) == ref_primary_span(M, seed)
+        assert module_generators(M) == ref_module_generators(M)
+        assert module_expressions(M) == ref_module_expressions(M)
+        assert additive_generators(M) == ref_monoid_generators(M.add, M.zero)
+        assert additive_expressions(M) == ref_additive_expressions(M)
+    tables = [t for n in range(1, 5) for t in enumerate_commutative_monoids(n, False)]
+    for t in tables:
+        assert monoid_generators(t, 0) == ref_monoid_generators(t, 0)
