@@ -18,7 +18,7 @@ from .homology import classify_sequence, hom_module, uniformly_injective_rel
 from .limits import directed_colimit, inverse_limit, inverse_system
 from .structures import as_left, as_right
 from .suite import ALL_SUITES, run_suites
-from .tensor import cancellative_tensor, tensor_product
+from .tensor import cancellative_tensor, relation_count, tensor_product
 from .workspace import (Workspace, canonical_json, emit_workspace,
                         load_default_workspace, parse_workspace)
 
@@ -97,8 +97,8 @@ def cmd_tensor(ws, args) -> int:
                                 for g in pres.left_gens for h in pres.right_gens],
             "box_dimensions": list(pres.radices),
             "box_size": pres.box_size,
-            "relation_count": pres.relation_count,
-            "class_count": pres.congruence.class_count,
+            "relation_count": relation_count(pres),
+            "class_count": pres.module.size,
             "elements": list(pres.module.labels),
             "pairing": [[pres.module.labels[pres.tau[m][n]] for n in range(N.size)]
                         for m in range(M.size)],

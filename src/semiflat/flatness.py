@@ -31,7 +31,7 @@ from .limits import (DirectedSystem, constant_system, direct_sum,
 from .record import Record
 from .structures import (LEFT, Morphism, Semimodule, Semiring, as_left,
                          as_right, build_morphism, compose, identity_morphism,
-                         swap_actions, with_bimodule_structure)
+                         map_from_free, swap_actions, with_bimodule_structure)
 from .subsets import (Subsemimodule, enumerate_subsemimodules, module_generators,
                       submodule_of, subsemimodule, uniform_subsemimodules)
 from .tensor import tensor_morphisms, tensor_product
@@ -65,7 +65,7 @@ def is_uniformly_M_flat(F: Semimodule, M: Semimodule) -> FlatnessVerdict:
         induced = _tensored_inclusion(F, M, U)
         prof = morphism_profile(induced)
         ok = induced.injective and prof.i_uniform
-        seq_ok = _tensored_sequence_exact(F, M, U)
+        seq_ok = _tensored_sequence_exact(F, M, U, induced)
         if ok != seq_ok:
             raise NotExact(
                 f"subsemimodule and sequence formulations disagree at U={U.members}")
@@ -75,10 +75,10 @@ def is_uniformly_M_flat(F: Semimodule, M: Semimodule) -> FlatnessVerdict:
     return FlatnessVerdict(True)
 
 
-def _tensored_sequence_exact(F: Semimodule, M: Semimodule, U: Subsemimodule) -> bool:
-    sub, inc = submodule_of(M, U)
+def _tensored_sequence_exact(F: Semimodule, M: Semimodule, U: Subsemimodule,
+                             t_inc: Morphism) -> bool:
+    """Exactness of F(x)U -> F(x)M -> F(x)(M/U), given the tensored inclusion."""
     Q, pi = quotient_by_sub(M, U)
-    t_inc = tensor_morphisms(identity_morphism(F), as_left_morphism(inc))
     t_pi = tensor_morphisms(identity_morphism(F), as_left_morphism(pi))
     report = classify_sequence(with_zero_ends([t_inc, t_pi]))
     return report.exact
@@ -188,23 +188,12 @@ def _free_module(S: Semiring, n: int, side: str = LEFT) -> Semimodule:
     return free_module(S, n, side)
 
 
-def _map_from_free(X: Semimodule, images) -> tuple[int, ...]:
-    """The table of the linear map S^n -> X sending the i-th basis vector to images[i]."""
-    table = []
-    for t in itertools.product(range(X.semiring.size), repeat=len(images)):
-        val = X.zero
-        for s, x in zip(t, images):
-            val = X.add[val][X.action[x][s]]
-        table.append(val)
-    return tuple(table)
-
-
 def _uniform_covers(X: Semimodule):
     """(rank, images, map) for every uniform surjection S^n -> X, by rank, then images."""
     for n in range(1, config.MAX_FREE_RANK + 1):
         free = _free_module(X.semiring, n)
         for images in itertools.product(range(X.size), repeat=n):
-            table = _map_from_free(X, images)
+            table = map_from_free(X, images)
             if len(set(table)) != X.size:
                 continue
             f = build_morphism(free, X, table)
@@ -234,7 +223,7 @@ def is_uniformly_fp(X: Semimodule):
         m = max(1, len(gens))
         cover = _free_module(free.semiring, m)
         gen_images = [ker_inc.map[g_] for g_ in gens] or [free.zero]
-        f_tilde = build_morphism(cover, free, _map_from_free(free, gen_images))
+        f_tilde = build_morphism(cover, free, map_from_free(free, gen_images))
         report = classify_sequence([f_tilde, g])
         if not (report.stages[0].semi_exact and report.stages[0].proper_exact):
             raise NotExact("presentation middle stage must be proper exact")

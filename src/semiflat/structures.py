@@ -7,6 +7,7 @@ functions of their inputs.
 """
 from __future__ import annotations
 
+import itertools
 import operator
 from functools import lru_cache
 from math import lcm
@@ -21,9 +22,19 @@ RIGHT = "right"
 
 
 def freeze_table(rows) -> Table:
-    """Rows as tuples of ints; MalformedTable unless every entry is an integer."""
+    """Rows as tuples of ints; MalformedTable unless every entry is an integer.
+
+    ``True`` and ``False`` are rejected too, although ``operator.index``
+    would read them as 1 and 0.
+    """
     try:
-        return tuple(tuple(map(operator.index, row)) for row in rows)
+        rows = tuple(map(tuple, rows))
+        types = set(map(type, itertools.chain.from_iterable(rows)))
+        if types <= {int}:
+            return rows
+        if bool in types:
+            raise TypeError("True or False is an entry")
+        return tuple([tuple(map(operator.index, row)) for row in rows])
     except TypeError as exc:
         raise MalformedTable(f"not a table of integers: {exc}") from None
 
@@ -396,6 +407,21 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     if g.target != f.source:
         raise SideMismatch("composite endpoints do not match")
     return Morphism(g.source, f.target, tuple(f.map[x] for x in g.map))
+
+
+def map_from_free(X: Semimodule, images) -> tuple[int, ...]:
+    """The table of the linear map S^n -> X sending the i-th basis vector to images[i].
+
+    Entry t, in ``itertools.product`` order over S^n, is the sum of the
+    images[i] * t[i].
+    """
+    table = []
+    for t in itertools.product(range(X.semiring.size), repeat=len(images)):
+        val = X.zero
+        for s, x in zip(t, images):
+            val = X.add[val][X.action[x][s]]
+        table.append(val)
+    return tuple(table)
 
 
 def element_order(add: Table, zero: int, x: int) -> tuple[int, int]:

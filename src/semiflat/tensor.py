@@ -1,26 +1,37 @@
 """Tensor products of semimodules as bounded finitely presented monoids.
 
 The product of a right module M and a left module N over one semiring is
-presented on generator pairs (g, h) drawn from minimal additive generating
-sets.  Each pair contributes one saturating cyclic coordinate, bounded by
-the tighter of the two element orders; the presentation relations are the
+computed from a free cover of N: with h_1..h_n the module generators of
+N, M (x) N is M^n divided by the congruence that the images of the
+kernel pair of S^n -> N generate (right exactness of M (x) -).
+
+Its elements are named through the generator-pair presentation on
+minimal additive generating sets.  Each pair (g, h) contributes one
+saturating cyclic coordinate, bounded by the tighter of the two element
+orders, and each element is numbered, labelled and evaluated by its
+lex-least coordinate vector.  The presentation relations are the
 bilinearity and balance families instantiated over all triples, expanded
 through canonical breadth-first expressions, plus the zero-collapse pair
 family.  Balanced maps are required to send slot zeroes to zero; without
 that collapse the empty word survives as an isolated element and the unit
 law fails already on two-element idempotent carriers.
 
-The ``dense`` flag keeps one coordinate per element pair instead and skips
-the expansion step entirely; it is the independent oracle presentation.
+The box of all coordinate vectors, divided by the congruence the
+relations generate, is the oracle of the cover.  The ``dense`` flag
+builds that box with one coordinate per pair of nonzero elements instead
+and skips the expansion step entirely; it is the independent oracle
+presentation.
 """
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from functools import lru_cache
 
 from .catalog import semiring_bimodule
 from . import config
-from .congruence import Congruence, cancellative_reflection, congruence_closure
+from .congruence import cancellative_reflection, congruence_closure
 from .errors import (BoxBoundExceeded, NotBalanced, NotZeroPreserving,
                      SideMismatch, SizeBoundExceeded)
 from .homology import (HomModule, hom_module, hom_postcompose, hom_precompose,
@@ -30,20 +41,18 @@ from .structures import (LEFT, RIGHT, Morphism, SecondAction, Semimodule,
                          build_morphism, build_semimodule,
                          check_entries, check_table, counting_action,
                          counting_semiring_for, element_order, freeze_table,
-                         identity_morphism, is_cancellative, monoid_morphism,
-                         rehome_pair, span, swap_actions)
-from .subsets import additive_generators, additive_expressions
+                         identity_morphism, is_cancellative, map_from_free,
+                         monoid_morphism, rehome_pair, span, swap_actions)
+from .subsets import additive_expressions, additive_generators, module_generators
 
 
 class TensorPresentation(Record):
     _fields = ("left", "right", "left_gens", "right_gens", "pair_bounds", "radices",
-               "box_size", "relation_count", "congruence", "module", "tau", "rep_coords",
-               "dense")
+               "box_size", "module", "tau", "rep_coords", "dense")
 
     def __init__(self, left: Semimodule, right: Semimodule, left_gens: tuple[int, ...],
                  right_gens: tuple[int, ...], pair_bounds: tuple[tuple[int, int], ...],
-                 radices: tuple[int, ...], box_size: int, relation_count: int,
-                 congruence: Congruence, module: Semimodule,
+                 radices: tuple[int, ...], box_size: int, module: Semimodule,
                  tau: tuple[tuple[int, ...], ...], rep_coords: tuple[tuple[int, ...], ...],
                  dense: bool):
         d = self.__dict__
@@ -54,8 +63,6 @@ class TensorPresentation(Record):
         d["pair_bounds"] = pair_bounds
         d["radices"] = radices
         d["box_size"] = box_size
-        d["relation_count"] = relation_count
-        d["congruence"] = congruence
         d["module"] = module
         d["tau"] = tau
         d["rep_coords"] = rep_coords
@@ -109,13 +116,13 @@ def _pair_bound(oM: tuple[int, int], oN: tuple[int, int]) -> tuple[int, int]:
     return min(oM, oN, key=lambda ip: (ip[0] + ip[1], ip[0]))
 
 
-@lru_cache(maxsize=None)
-def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False) -> TensorPresentation:
-    if M.semiring != N.semiring:
-        raise SideMismatch("tensor factors must share their semiring")
-    if M.side != RIGHT or N.side != LEFT:
-        raise SideMismatch("tensor takes a right module and a left module")
-    S = M.semiring
+def _generators(M: Semimodule, N: Semimodule, dense: bool):
+    """Generators of both factors, their expressions, and the pair bounds.
+
+    The presentation has one coordinate per generator pair (g, h), bounded
+    by the tighter of the two element orders; ``dense`` takes every
+    nonzero element as a generator, expressed as itself.
+    """
     if dense:
         gens_M = tuple(x for x in range(M.size) if x != M.zero)
         gens_N = tuple(x for x in range(N.size) if x != N.zero)
@@ -126,50 +133,38 @@ def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False) -> TensorP
         gens_N = additive_generators(N)
         exprs_M = additive_expressions(M)
         exprs_N = additive_expressions(N)
-    pairs = [(g, h) for g in gens_M for h in gens_N]
-    k = len(pairs)
     bounds = tuple(_pair_bound(element_order(M.add, M.zero, g),
-                               element_order(N.add, N.zero, h)) for g, h in pairs)
-    radices = tuple(i + p for i, p in bounds)
-    box_size = 1
-    for r in radices:
-        box_size *= r
-        if box_size > config.MAX_BOX:
-            raise BoxBoundExceeded("tensor box", box_size, config.MAX_BOX)
+                               element_order(N.add, N.zero, h))
+                   for g in gens_M for h in gens_N)
+    return gens_M, gens_N, exprs_M, exprs_N, bounds
 
-    coords_of = [()] * box_size
-    for idx in range(box_size):
-        rem = idx
-        out = []
-        for r in reversed(radices):
-            out.append(rem % r)
-            rem //= r
-        coords_of[idx] = tuple(reversed(out))
 
-    def encode(coords) -> int:
-        idx = 0
-        for r, c in zip(radices, coords):
-            idx = idx * r + c
-        return idx
+def _saturate(bounds, coords) -> tuple[int, ...]:
+    """Coordinates reduced into their radices: c >= i + p wraps to i + (c - i) % p."""
+    return tuple(c if c < i + p else i + (c - i) % p for (i, p), c in zip(bounds, coords))
 
-    def reduce_coord(q: int, raw: int) -> int:
-        i, p = bounds[q]
-        return raw if raw < i + p else i + (raw - i) % p
 
-    def box_add(a: int, b: int) -> int:
-        ca, cb = coords_of[a], coords_of[b]
-        return encode(tuple(reduce_coord(q, ca[q] + cb[q]) for q in range(k)))
+def _coordinate_relations(M: Semimodule, N: Semimodule, dense: bool):
+    """The defining relations of the presentation, and the embedding of the pure tensors.
 
-    # emb(m, n): bilinear expansion through the canonical expressions
-    emb_flat = [encode([reduce_coord(q, c) for q, c in enumerate(mult)])
-                for mult in _pair_multiplicities(exprs_M, exprs_N)]
-    emb = [emb_flat[m * N.size:(m + 1) * N.size] for m in range(M.size)]
-
+    The embedding sends (m, n) to its bilinear expansion through the
+    canonical expressions, as a coordinate vector in the box.  The
+    relations are the bilinearity and balance families over all triples
+    and the zero-collapse pairs, as pairs of coordinate vectors with the
+    lex-smaller first, deduplicated.
+    """
+    _, _, exprs_M, exprs_N, bounds = _generators(M, N, dense)
+    flat = [_saturate(bounds, mult) for mult in _pair_multiplicities(exprs_M, exprs_N)]
+    emb = [flat[m * N.size:(m + 1) * N.size] for m in range(M.size)]
+    origin = (0,) * len(bounds)
     relations = set()
 
-    def relate(x: int, y: int):
+    def relate(x, y):
         if x != y:
             relations.add((x, y) if x < y else (y, x))
+
+    def box_add(x, y):
+        return _saturate(bounds, [a + b for a, b in zip(x, y)])
 
     for m1 in range(M.size):
         for m2 in range(m1, M.size):
@@ -183,34 +178,190 @@ def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False) -> TensorP
             for m in range(M.size):
                 relate(emb[m][col], box_add(emb[m][n1], emb[m][n2]))
     for m in range(M.size):
-        for s in range(S.size):
+        for s in range(M.semiring.size):
             ms = M.action[m][s]
             for n in range(N.size):
                 relate(emb[ms][n], emb[m][N.action[n][s]])
     for n in range(N.size):
-        relate(emb[M.zero][n], 0)
+        relate(emb[M.zero][n], origin)
     for m in range(M.size):
-        relate(emb[m][N.zero], 0)
+        relate(emb[m][N.zero], origin)
+    return relations, emb
+
+
+def relation_count(pres: TensorPresentation) -> int:
+    """The number of defining relations of the generator-pair presentation."""
+    return len(_coordinate_relations(pres.left, pres.right, pres.dense)[0])
+
+
+@lru_cache(maxsize=None)
+def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False) -> TensorPresentation:
+    """M (x) N from a free cover of N; ``dense`` builds the dense box oracle instead."""
+    if M.semiring != N.semiring:
+        raise SideMismatch("tensor factors must share their semiring")
+    if M.side != RIGHT or N.side != LEFT:
+        raise SideMismatch("tensor takes a right module and a left module")
+    return _box_product(M, N, True) if dense else _cover_product(M, N)
+
+
+def _cover_product(M: Semimodule, N: Semimodule) -> TensorPresentation:
+    """M (x) N, as the quotient of M^n by the image of the kernel pair of a free cover of N.
+
+    M (x) - is left adjoint to Hom(M, -), so it preserves coequalizers.
+    With h_1..h_n the module generators of N and phi: S^n -> N the cover,
+    M (x) S^n is M^n, and M (x) N is M^n divided by the congruence that
+    the pairs (m.x, m.y) generate, for m in M and phi(x) = phi(y); the
+    pairing sends (m, phi(x)) to the class of m.x.
+    """
+    S = M.semiring
+    hs = module_generators(N)
+    n = len(hs)
+    for what, cells in (("tensor cover S^n", S.size ** n), ("tensor cover M^n", M.size ** n)):
+        if cells > config.MAX_PRODUCT:
+            raise SizeBoundExceeded(what, cells, config.MAX_PRODUCT)
+    gens_M, gens_N, _, _, bounds = _generators(M, N, False)
+
+    # M^n, slot 0 most significant, so cell order is lex order
+    weights = [M.size ** (n - 1 - j) for j in range(n)]
+    vectors = list(itertools.product(range(M.size), repeat=n))
+
+    def scaled(m: int, x) -> int:
+        act = M.action[m]
+        return sum(act[s] * w for s, w in zip(x, weights))
+
+    fibres = {}
+    for x, val in zip(itertools.product(range(S.size), repeat=n), map_from_free(N, hs)):
+        fibres.setdefault(val, []).append(x)
+    # (m1 + m2).x = m1.x + m2.x, so the pairs for the additive generators
+    # of M generate those for every m
+    pairs = []
+    for m in additive_generators(M):
+        for fibre in fibres.values():
+            first = scaled(m, fibre[0])
+            pairs.extend((first, scaled(m, x)) for x in fibre[1:])
+    # translation by g in slot j turns digit v_j into v_j + g; the shift
+    # ((v_j + g) - v_j) * weight_j repeats with the period of that digit
+    cells = len(vectors)
+    steps = []
+    for g in additive_generators(M):
+        for w in weights:
+            shift = [(M.add[v][g] - v) * w for v in range(M.size) for _ in range(w)]
+            steps.append(list(map(operator.add, range(cells),
+                                  shift * (cells // len(shift)))))
+    cong = congruence_closure(cells, steps, pairs)
+    cls = cong.class_of
+    reps = cong.representatives
+    add = [[cls[sum(M.add[a][b] * w for a, b, w in zip(vectors[x], vectors[y], weights))]
+            for y in reps] for x in reps]
+    tau = [[cls[scaled(m, fibres[v][0])] for v in range(N.size)] for m in range(M.size)]
+
+    # number the classes by least box vector, the order the box numbers them in
+    coords = _least_box_vectors(add, cls[0], [tau[g][h] for g in gens_M for h in gens_N],
+                                [i + p for i, p in bounds])
+    order = sorted(range(cong.class_count), key=coords.__getitem__)
+    new = [0] * len(order)
+    for i, c in enumerate(order):
+        new[c] = i
+    qadd = freeze_table([[new[add[a][b]] for b in order] for a in order])
+    qtau = freeze_table([[new[c] for c in row] for row in tau])
+    rep_coords = tuple(coords[c] for c in order)
+    return _presentation(M, N, gens_M, gens_N, bounds, qadd, qtau, rep_coords, False)
+
+
+def _least_box_vectors(add, zero: int, values, radices) -> list[tuple[int, ...]]:
+    """Per class, the lex-least c in the box with sum_q c_q * values[q] in the class.
+
+    Suf_q holds the classes that coordinates q..k-1 reach within their
+    radices; each c_q is the least value from which some member of
+    Suf_{q+1} still completes the class.
+    """
+    k = len(values)
+    multiples = []
+    for v, r in zip(values, radices):
+        row = [zero]
+        for _ in range(r - 1):
+            row.append(add[row[-1]][v])
+        multiples.append(row)
+    suffix = [frozenset((zero,))]
+    for q in range(k - 1, -1, -1):
+        suffix.append(frozenset(add[a][c] for a in suffix[-1] for c in multiples[q]))
+    suffix.reverse()
+    reach = {}
+
+    def completes(q: int, prefix: int) -> frozenset[int]:
+        key = (q, prefix)
+        if key not in reach:
+            row = add[prefix]
+            reach[key] = frozenset(row[s] for s in suffix[q])
+        return reach[key]
+
+    out = []
+    for target in range(len(add)):
+        if target not in suffix[0]:
+            raise NotBalanced("generation", "generator pairs do not span the quotient")
+        prefix = zero
+        vec = []
+        for q in range(k):
+            for c, mult in enumerate(multiples[q]):
+                nxt = add[prefix][mult]
+                if target in completes(q + 1, nxt):
+                    vec.append(c)
+                    prefix = nxt
+                    break
+        out.append(tuple(vec))
+    return out
+
+
+def _box_product(M: Semimodule, N: Semimodule, dense: bool) -> TensorPresentation:
+    """M (x) N as a congruence quotient of the whole generator-pair box.
+
+    Each generator pair contributes one saturating cyclic coordinate; the
+    box is divided by the congruence that the defining relations generate.
+    ``tensor_product(dense=True)`` builds it on every nonzero element, as
+    the independent oracle; the tests also build it on the additive
+    generators, as the oracle of the cover.
+    """
+    gens_M, gens_N, _, _, bounds = _generators(M, N, dense)
+    radices = [i + p for i, p in bounds]
+    box_size = 1
+    for r in radices:
+        box_size *= r
+        if box_size > config.MAX_BOX:
+            raise BoxBoundExceeded("tensor box", box_size, config.MAX_BOX)
+    coords_of = list(itertools.product(*(range(r) for r in radices)))
+    index = {c: i for i, c in enumerate(coords_of)}
+    relations, emb = _coordinate_relations(M, N, dense)
+
+    def box_add(a: int, b: int) -> int:
+        return index[_saturate(bounds, [x + y for x, y in zip(coords_of[a], coords_of[b])])]
 
     # the box is generated by the k unit vectors, so closing under the
     # k unit steps closes under every translate
     steps = []
     stride = box_size
-    for q in range(k):
-        stride //= radices[q]
-        steps.append([x + (reduce_coord(q, coords_of[x][q] + 1) - coords_of[x][q]) * stride
-                      for x in range(box_size)])
-    cong = congruence_closure(box_size, steps, sorted(relations))
+    for q, (i, p) in enumerate(bounds):
+        stride //= i + p
+        steps.append([x + (c + 1 if c + 1 < i + p else i) * stride - c * stride
+                      for x, c in enumerate(coords[q] for coords in coords_of)])
+    cong = congruence_closure(box_size, steps,
+                              sorted((index[a], index[b]) for a, b in relations))
     cls = cong.class_of
     reps = cong.representatives
     qadd = freeze_table([[cls[box_add(a, b)] for b in reps] for a in reps])
-    tau = freeze_table([[cls[emb[m][n]] for n in range(N.size)] for m in range(M.size)])
+    tau = freeze_table([[cls[index[c]] for c in row] for row in emb])
     rep_coords = tuple(coords_of[r] for r in reps)
+    return _presentation(M, N, gens_M, gens_N, bounds, qadd, tau, rep_coords, dense)
+
+
+def _presentation(M, N, gens_M, gens_N, bounds, qadd, tau, rep_coords,
+                  dense: bool) -> TensorPresentation:
+    """The tensor module on the classes, its pushed actions, and its checks."""
+    pairs = [(g, h) for g in gens_M for h in gens_N]
     labels = []
     for coords in rep_coords:
         terms = [(c, g, h) for c, (g, h) in zip(coords, pairs) if c]
         labels.append(_tensor_label(M.labels, N.labels, terms))
-    qzero = cls[0]
+    qzero = tau[M.zero][N.zero]
 
     def pushed_action(act_table, on_left: bool):
         """Action on classes, evaluated one scalar column at a time."""
@@ -233,7 +384,7 @@ def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False) -> TensorP
         else:
             second = SecondAction(*left_action)
     if primary is None:
-        CS = counting_semiring_for(S)
+        CS = counting_semiring_for(M.semiring)
         primary = (CS, RIGHT, counting_action(qadd, qzero, CS.size))
     module = build_semimodule(primary[0], primary[1], tuple(labels), qadd, qzero,
                               primary[2], second)
@@ -251,8 +402,9 @@ def tensor_product(M: Semimodule, N: Semimodule, dense: bool = False) -> TensorP
                 for t in range(M.second.semiring.size):
                     assert act[tau[m][n]][t] == tau[M.second.table[m][t]][n], \
                         "pushed left action disagrees with the pairing"
-    pres = TensorPresentation(M, N, gens_M, gens_N, bounds, radices, box_size,
-                              len(relations), cong, module, tau, rep_coords, dense)
+    radices = tuple(i + p for i, p in bounds)
+    pres = TensorPresentation(M, N, gens_M, gens_N, bounds, radices, math.prod(radices),
+                              module, tau, rep_coords, dense)
     _check_generation(pres)
     return pres
 

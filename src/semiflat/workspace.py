@@ -174,9 +174,10 @@ def parse_workspace_dict(doc: dict) -> Workspace:
             aptr = f"{ptr}/arrows/{k}"
             _object(arrow, aptr)
             j, j2 = arrow.get("from"), arrow.get("to")
-            _expect(isinstance(j, int) and 0 <= j < len(nodes), f"{aptr}/from",
+            # type(...) is int: a JSON true or false is not a node index
+            _expect(type(j) is int and 0 <= j < len(nodes), f"{aptr}/from",
                     "from must index a node")
-            _expect(isinstance(j2, int) and 0 <= j2 < len(nodes), f"{aptr}/to",
+            _expect(type(j2) is int and 0 <= j2 < len(nodes), f"{aptr}/to",
                     "to must index a node")
             tgt = nodes[j2]
             tgt_index = {lab: i for i, lab in enumerate(tgt.labels)}

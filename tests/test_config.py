@@ -41,6 +41,11 @@ def _balanced_3x3_into_4():
     return enumerate_balanced_maps(B3, as_left(B3), as_left(_b2()))
 
 
+def _chain_cover(left: int, right: int):
+    # chain_module(k) needs all k - 1 nonzero elements as module generators
+    return tensor_product(chain_module(left), chain_module(right, "left"))
+
+
 def _z4_dense_box():
     Z4m = semiring_module(zmod_semiring(4))
     return tensor_product(Z4m, as_left(Z4m), dense=True)   # a box of 8192 cells
@@ -65,6 +70,9 @@ CASES = [
     ("enumerate_semimodules", lambda: enumerate_semimodules(bool_semiring(), 6),
      SizeBoundExceeded, "MAX_ENUMERATED_SIZE", None),
     ("tensor_product", _z4_dense_box, BoxBoundExceeded, "MAX_BOX", None),
+    ("tensor_cover_free", lambda: _chain_cover(1, 14), SizeBoundExceeded, "MAX_PRODUCT",
+     None),
+    ("tensor_cover", lambda: _chain_cover(3, 9), SizeBoundExceeded, "MAX_PRODUCT", None),
     ("is_uniformly_fg", lambda: is_uniformly_fg(chain_module(3)), SizeBoundExceeded,
      "MAX_PRODUCT", 3),
     ("is_uniformly_fp", lambda: is_uniformly_fp(chain_module(3)), SizeBoundExceeded,
@@ -83,6 +91,7 @@ def test_bound_raises_typed_error(monkeypatch, site, call, error, name, lowered)
         monkeypatch.setattr(config, name, lowered)
     with pytest.raises(error) as info:
         call()
+    assert type(info.value) is error
     assert info.value.bound == getattr(config, name)
     assert info.value.requested > info.value.bound
 

@@ -66,8 +66,8 @@ DECLARATIONS = [
     (InverseSystem, ["nodes", "order", "maps"], True),
     (HomColimitComparison, ["map", "injective", "bijective"], True),
     (TensorPresentation, ["left", "right", "left_gens", "right_gens", "pair_bounds",
-                          "radices", "box_size", "relation_count", "congruence", "module",
-                          "tau", "rep_coords", "dense"], True),
+                          "radices", "box_size", "module", "tau", "rep_coords", "dense"],
+     True),
     (IsoPair, ["forward", "backward"], True),
     (CancellativeTensor, ["presentation", "module", "reflection", "tau"], True),
     (AdjunctionReport, ["left_hom", "right_hom", "mapping", "bijective", "additive",

@@ -46,9 +46,10 @@ def test_malformed_table_rejected():
     lambda Bm: build_morphism(Bm, Bm, 5),
     lambda Bm: factor_balanced(tensor_product(Bm, as_left(Bm)), Bm, (0, 0)),
     lambda Bm: factor_balanced(tensor_product(Bm, as_left(Bm)), Bm, ((0, 0), (0, 1.5))),
+    lambda Bm: freeze_table([[0, 1], [1, True]]),
 ], ids=["row-not-a-sequence", "entry-a-string", "semiring-entry-1.5", "map-entry-1.5",
         "map-entry-a-string", "map-not-a-sequence", "balanced-row-not-a-sequence",
-        "balanced-entry-1.5"])
+        "balanced-entry-1.5", "entry-a-bool"])
 def test_non_integer_tables_are_malformed(Bm, build):
     # a non-integer entry is neither truncated nor a raw TypeError or ValueError
     with pytest.raises(MalformedTable):

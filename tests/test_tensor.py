@@ -8,19 +8,21 @@ from semiflat.catalog import (bool_semiring, cancellative_targets,
                               free_module, semiring_bimodule, semiring_module,
                               suite_pool, suite_semirings, trivial_module,
                               zmod_module)
-from semiflat.catalog import enumerate_commutative_monoids
+from semiflat.catalog import enumerate_commutative_monoids, enumerate_semimodules
+from semiflat import config
 from semiflat.errors import (BoxBoundExceeded, MalformedTable,
                              NotZeroPreserving, SideMismatch)
 from semiflat.structures import (as_left, build_morphism,
                                  find_monoid_isomorphism, identity_morphism,
                                  isomorphic, monoid_module,
                                  with_bimodule_structure, zero_morphism)
-from semiflat.tensor import (adjunction_iso, associativity_iso,
-                             balanced_violations,
+from semiflat.tensor import (_box_product, _generators, adjunction_iso,
+                             associativity_iso, balanced_violations,
                              certify_cancellative_universal, dual_comparison,
                              enumerate_balanced_maps, factor_balanced,
                              cancellative_tensor, tensor_morphisms,
-                             tensor_product, unit_iso, unit_iso_left)
+                             relation_count, tensor_product, unit_iso,
+                             unit_iso_left)
 
 
 def test_unit_case_bool(Bm):
@@ -65,6 +67,52 @@ def test_dense_presentation_agrees_on_pools():
                     f"presentations disagree for |M|={M.size} |N|={N.size}"
                 compared += 1
     assert compared == 47       # of 48 pool pairs; one dense box passes the bound
+
+
+def _assert_cover_matches_box(M, N):
+    cover = tensor_product(M, N)
+    box = _box_product(M, N, False)
+    for field in ("module", "tau", "rep_coords", "radices", "box_size", "left_gens",
+                  "right_gens", "pair_bounds"):
+        assert getattr(cover, field) == getattr(box, field), \
+            f"{field} differs for |M|={M.size} |N|={N.size}"
+    assert cover.module.labels == box.module.labels
+    assert relation_count(cover) == relation_count(box)
+
+
+def test_cover_matches_the_box_on_pools_and_small_modules():
+    # the free-cover quotient numbers, labels and pairs exactly as the
+    # generator-pair box does on the additive generators
+    compared = 0
+    for S in suite_semirings():
+        for _, M in suite_pool(S):
+            for _, N in suite_pool(S):
+                _assert_cover_matches_box(M, as_left(N))
+                compared += 1
+        modules = enumerate_semimodules(S, 4)
+        for M in modules:
+            for N in modules:
+                _assert_cover_matches_box(M, as_left(N))
+                compared += 1
+    assert compared == 48 + 25 + 121 + 16
+
+
+def _box_cells(M, N) -> int:
+    cells = 1
+    for i, p in _generators(M, N, False)[4]:
+        cells *= i + p
+    return cells
+
+
+def test_cover_matches_the_box_past_the_box_bound(monkeypatch):
+    # the smallest SAT3 size-5 pair whose box is past MAX_BOX
+    modules = enumerate_semimodules(suite_semirings()[1], 5)
+    cells, M, N = min(((_box_cells(M, as_left(N)), i, j)
+                       for i, M in enumerate(modules) for j, N in enumerate(modules)
+                       if _box_cells(M, as_left(N)) > config.MAX_BOX))
+    assert cells == 6144
+    monkeypatch.setattr(config, "MAX_BOX", 8192)
+    _assert_cover_matches_box(modules[M], as_left(modules[N]))
 
 
 def test_order_bound_soundness(Z4m, S3m):

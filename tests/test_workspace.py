@@ -102,6 +102,17 @@ def _paths(node, prefix=()):
 
 
 CATALOG_DOC = json.loads(emit_workspace(load_default_workspace()))
+
+
+@pytest.mark.parametrize("end, value", [("from", False), ("to", True)])
+def test_boolean_arrow_end_rejected(end, value):
+    # JSON true and false are not node indices, although bool subclasses int
+    doc = copy.deepcopy(CATALOG_DOC)
+    doc["systems"]["chain_mod2"]["arrows"][0][end] = value
+    with pytest.raises(SchemaError) as exc:
+        parse_workspace_dict(doc)
+    assert exc.value.pointer == f"/systems/chain_mod2/arrows/0/{end}"
+
 CATALOG_PATHS = sorted(_paths(CATALOG_DOC), key=repr)
 DELETE = object()
 JSON_VALUES = st.recursive(
