@@ -256,7 +256,8 @@ def _cover_product(M: Semimodule, N: Semimodule) -> TensorPresentation:
     tau = [[cls[scaled(m, fibres[v][0])] for v in range(N.size)] for m in range(M.size)]
 
     # number the classes by least box vector, the order the box numbers them in
-    coords = _least_box_vectors(add, cls[0], [tau[g][h] for g in gens_M for h in gens_N],
+    coords = _least_box_vectors(add, tau[M.zero][N.zero],
+                                [tau[g][h] for g in gens_M for h in gens_N],
                                 [i + p for i, p in bounds])
     order = sorted(range(cong.class_count), key=coords.__getitem__)
     new = [0] * len(order)

@@ -1,6 +1,6 @@
 """Every size bound of ``semiflat.config`` raises its typed error at its site.
 
-Each case is a real input just past one bound, except the free-cover
+Each case is a real input past one bound, except the free-cover
 case, whose bound is lowered so that a rank-2 cover of the Boolean
 semiring (4 elements) passes it.
 """
@@ -11,7 +11,8 @@ import pytest
 from semiflat import config, flatness
 from semiflat.catalog import (bool_semiring, chain_module, enumerate_commutative_monoids,
                               enumerate_semimodules, free_module, monoid_module,
-                              semiring_module, zmod_semiring)
+                              product_module, semiring_module, zmod_module,
+                              zmod_semiring)
 from semiflat.errors import BoxBoundExceeded, SizeBoundExceeded
 from semiflat.flatness import (is_uniformly_fg, is_uniformly_fp, projectivity_witness,
                                trivial_certificate)
@@ -20,7 +21,7 @@ from semiflat.limits import (InverseSystem, coproduct, direct_sum, inverse_limit
                              product)
 from semiflat.structures import as_left
 from semiflat.subsets import enumerate_subsemimodules
-from semiflat.tensor import enumerate_balanced_maps, tensor_product
+from semiflat.tensor import _box_product, enumerate_balanced_maps, tensor_product
 
 
 def _b2():
@@ -44,6 +45,13 @@ def _balanced_3x3_into_4():
 def _chain_cover(left: int, right: int):
     # chain_module(k) needs all k - 1 nonzero elements as module generators
     return tensor_product(chain_module(left), chain_module(right, "left"))
+
+
+def _z32_over_three_z2():
+    # Z/32 (x) (Z/2)^3: three module generators make |S|^3 = |M|^3 = 32,768,
+    # where the generator-pair box has only 2^3 = 8 cells
+    Z2 = zmod_module(32, 2, "left")
+    return semiring_module(zmod_semiring(32)), product_module(product_module(Z2, Z2), Z2)
 
 
 def _z4_dense_box():
@@ -73,6 +81,8 @@ CASES = [
     ("tensor_cover_free", lambda: _chain_cover(1, 14), SizeBoundExceeded, "MAX_PRODUCT",
      None),
     ("tensor_cover", lambda: _chain_cover(3, 9), SizeBoundExceeded, "MAX_PRODUCT", None),
+    ("tensor_cover_small_box", lambda: tensor_product(*_z32_over_three_z2()),
+     SizeBoundExceeded, "MAX_PRODUCT", None),
     ("is_uniformly_fg", lambda: is_uniformly_fg(chain_module(3)), SizeBoundExceeded,
      "MAX_PRODUCT", 3),
     ("is_uniformly_fp", lambda: is_uniformly_fp(chain_module(3)), SizeBoundExceeded,
@@ -94,6 +104,16 @@ def test_bound_raises_typed_error(monkeypatch, site, call, error, name, lowered)
     assert type(info.value) is error
     assert info.value.bound == getattr(config, name)
     assert info.value.requested > info.value.bound
+
+
+def test_cover_bound_rejects_a_pair_whose_box_fits():
+    # the cover of N is bounded by |S|^n and |M|^n, not by the box it
+    # replaces, so this pair raises although the box builds it
+    M, N = _z32_over_three_z2()
+    box = _box_product(M, N, False)
+    assert (box.box_size, box.module.size) == (8, 8)
+    with pytest.raises(SizeBoundExceeded):
+        tensor_product(M, N)
 
 
 def test_free_cover_bound_is_checked_before_the_module_is_built(monkeypatch):

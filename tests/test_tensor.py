@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from semiflat.catalog import (bool_semiring, cancellative_targets,
+from semiflat.catalog import (bool_semiring, cancellative_targets, chain_module,
                               free_module, semiring_bimodule, semiring_module,
                               suite_pool, suite_semirings, trivial_module,
                               zmod_module)
@@ -12,7 +12,7 @@ from semiflat.catalog import enumerate_commutative_monoids, enumerate_semimodule
 from semiflat import config
 from semiflat.errors import (BoxBoundExceeded, MalformedTable,
                              NotZeroPreserving, SideMismatch)
-from semiflat.structures import (as_left, build_morphism,
+from semiflat.structures import (as_left, build_morphism, build_semimodule,
                                  find_monoid_isomorphism, identity_morphism,
                                  isomorphic, monoid_module,
                                  with_bimodule_structure, zero_morphism)
@@ -95,6 +95,23 @@ def test_cover_matches_the_box_on_pools_and_small_modules():
                 _assert_cover_matches_box(M, as_left(N))
                 compared += 1
     assert compared == 48 + 25 + 121 + 16
+
+
+def _reversed(M):
+    """M with its elements listed in reverse, so its zero is not the first element."""
+    back = list(range(M.size - 1, -1, -1))
+    return build_semimodule(M.semiring, M.side, [M.labels[x] for x in back],
+                            [[back[M.add[x][y]] for y in back] for x in back], back[M.zero],
+                            [[back[M.action[x][s]] for s in range(M.semiring.size)]
+                             for x in back])
+
+
+def test_cover_matches_the_box_when_the_zero_is_not_listed_first():
+    for M in (chain_module(2), chain_module(3), zmod_module(4, 4)):
+        R = _reversed(M)
+        assert R.zero == M.size - 1
+        for left, right in ((R, M), (M, R), (R, R)):
+            _assert_cover_matches_box(left, as_left(right))
 
 
 def _box_cells(M, N) -> int:
