@@ -24,7 +24,7 @@ from .homology import (kernel, image_sub, cokernel, morphism_profile,
                        MorphismProfile, classify_sequence, classify_stage,
                        ExactnessReport, with_zero_ends, hom_module, HomModule,
                        hom_postcompose, hom_precompose, end_comp, is_retract_of,
-                       uniformly_injective_rel, uniformly_cogenerates,
+                       retract_pairs, uniformly_injective_rel, uniformly_cogenerates,
                        verify_retract_square, verify_two_row_diagram)
 from .limits import (direct_sum, product, coproduct, pairing, copairing,
                      equalizer, coequalizer, pullback, pullback_mediator,

@@ -267,18 +267,17 @@ def trivial_certificate(F: Semimodule):
         return None
     sys = constant_system(F, 2)
     colim = directed_colimit(sys)
-    iso = build_morphism(colim.module, F,
-                         tuple(_colim_value(colim, x) for x in range(colim.module.size)))
+    # each colimit class goes to its first member, in node order
+    first: dict[int, int] = {}
+    for row in colim.class_of:
+        for x, c in enumerate(row):
+            first.setdefault(c, x)
+    empty = [c for c in range(colim.module.size) if c not in first]
+    if empty:
+        raise BadCertificate("iso", f"colimit class {empty[0]} has no member")
+    iso = build_morphism(colim.module, F, tuple(first[c] for c in range(colim.module.size)))
     pair = (wit["section"], wit["retraction"])
     return FlatCertificate(sys, (pair, pair), iso)
-
-
-def _colim_value(colim, cls: int) -> int:
-    for j, row in enumerate(colim.class_of):
-        for x, c in enumerate(row):
-            if c == cls:
-                return x
-    raise ValueError("empty colimit class")
 
 
 def flat_certificate_check(F: Semimodule, cert: FlatCertificate, universe,
@@ -513,18 +512,29 @@ def search_counterexamples(config: SearchConfig) -> dict:
     not certified flat within the rank bound is only a candidate: the
     verdicts are labeled inconclusive, never conclusions.  A size below 1,
     a budget that is negative or NaN, or an output file that cannot be
-    opened raises ``InvalidArgument`` before anything is enumerated.
+    opened raises ``InvalidArgument`` before anything is enumerated.  Each
+    record is written to ``out_path`` as soon as its module is classified,
+    so a run cut short by its budget leaves the partial report's records.
     """
-    from .catalog import enumerate_semimodules
     if config.max_size < 1:
         raise InvalidArgument(f"max_size must be at least 1, got {config.max_size}")
     if not config.budget_seconds >= 0:      # NaN compares false with everything
         raise InvalidArgument(f"budget_seconds must be >= 0, got {config.budget_seconds}")
+    sink = None
     if config.out_path:
         try:
-            open(config.out_path, "w", encoding="utf-8").close()
+            sink = open(config.out_path, "w", encoding="utf-8")
         except OSError as exc:
             raise InvalidArgument(f"cannot write {config.out_path!r}: {exc.strerror}") from exc
+    try:
+        return _search(config, sink)
+    finally:
+        if sink is not None:
+            sink.close()
+
+
+def _search(config: SearchConfig, sink) -> dict:
+    from .catalog import enumerate_semimodules
     t0 = time.monotonic()
     records: list[SearchRecord] = []
     inconclusive = []
@@ -544,6 +554,9 @@ def search_counterexamples(config: SearchConfig) -> dict:
             rec = SearchRecord(si, mi, F.size, F.add, F.action, mono, iu,
                                flat.holds, certified, flat.witness)
             records.append(rec)
+            if sink is not None:
+                sink.write(rec.to_json() + "\n")
+                sink.flush()
             if mono and iu and not flat.holds:
                 violations.append((si, mi, "mono+iuniform without uniform flatness"))
             if certified and not flat.holds:
@@ -559,10 +572,6 @@ def search_counterexamples(config: SearchConfig) -> dict:
         "partial": partial,
         "elapsed": time.monotonic() - t0,
     }
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(rec.to_json() + "\n")
     if partial:
         raise TimeBudgetExceeded(report)
     return report

@@ -231,16 +231,26 @@ def linear_maps(M: Semimodule, N: Semimodule) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+def hom_maps(M: Semimodule, N: Semimodule) -> tuple[tuple[int, ...], ...]:
+    """The tables of ``linear_maps(M, N)``, enumerated once per pair.
+
+    ``hom_module`` builds its carrier on them and the retract search reads
+    them directly, so neither enumerates a pair the other has.
+    """
+    return tuple(linear_maps(M, N))
+
+
+@lru_cache(maxsize=None)
 def hom_module(M: Semimodule, N: Semimodule) -> HomModule:
     """Hom(M, N), built without an axiom scan.
 
-    Its maps are the tables ``linear_maps`` checked.  The module axioms
+    Its maps are the tables of ``hom_maps``.  The module axioms
     hold by construction: the addition is pointwise in the valid N, an
     action induced by N's second action is pointwise too, one induced by
     M's second action is (s.f)(x) = f(x.s) on the opposite side, and the
     counting-semiring action is repeated addition.
     """
-    tables = linear_maps(M, N)
+    tables = hom_maps(M, N)
     # a linear map is fixed by its images of the generators, so the maps
     # are indexed by those images and each result is looked up by them
     gens = module_generators(M)
@@ -374,16 +384,27 @@ def end_comp(M: Semimodule) -> EndReport:
     return EndReport(H, ident, tuple(comp), tuple(summands), tuple(retracts))
 
 
-def is_retract_of(N: Semimodule, M: Semimodule) -> tuple[Morphism, Morphism] | None:
-    """A section/retraction pair (into M, back onto N) when one exists."""
-    into = hom_module(N, M)
-    back = hom_module(M, N)
+def retract_pairs(N: Semimodule, M: Semimodule):
+    """Yield every section/retraction pair (into M, back onto N) in Hom order.
+
+    Both Hom tables are enumerated, and so both bounds checked, before the
+    first pair is tested.  The search reads tables only; a pair becomes a
+    pair of morphisms when it is yielded.
+    """
+    into = hom_maps(N, M)
+    back = hom_maps(M, N)
     ident = tuple(range(N.size))
-    for psi in into.injective_maps:
-        for theta in back.maps:
-            if tuple(theta.map[v] for v in psi.map) == ident:
-                return psi, theta
-    return None
+    for psi in into:
+        if len(set(psi)) != N.size:
+            continue
+        for theta in back:
+            if tuple(theta[v] for v in psi) == ident:
+                yield Morphism(N, M, psi), Morphism(M, N, theta)
+
+
+def is_retract_of(N: Semimodule, M: Semimodule) -> tuple[Morphism, Morphism] | None:
+    """The first section/retraction pair of ``retract_pairs``, or None."""
+    return next(retract_pairs(N, M), None)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from .flatness import (SearchConfig, as_left_morphism, flat_certificate_check,
                        search_counterexamples, trivial_certificate)
 from .homology import (classify_sequence, classify_stage, cokernel, end_comp,
                        hom_module, hom_postcompose, hom_precompose, kernel,
-                       morphism_profile, verify_retract_square, with_zero_ends)
+                       morphism_profile, retract_pairs, verify_retract_square,
+                       with_zero_ends)
 from .limits import (chain_system, constant_system, direct_sum,
                      directed_colimit, directed_system, equalizer, coequalizer,
                      hom_colimit_comparison, inverse_limit, inverse_system,
@@ -575,22 +576,12 @@ def _componentwise_items(S, pool) -> int:
     return checks
 
 
-def _retract_pairs(N: Semimodule, M: Semimodule):
-    out = []
-    ident = tuple(range(N.size))
-    for psi in hom_module(N, M).injective_maps:
-        for theta in hom_module(M, N).maps:
-            if tuple(theta.map[v] for v in psi.map) == ident:
-                out.append((psi, theta))
-    return out
-
-
 def _retract_square_items(S, pool) -> int:
     checks = 0
     pairs_cache = {}
     for N in pool:
         for M in pool:
-            pairs_cache[(N, M)] = _retract_pairs(N, M)[:4]
+            pairs_cache[(N, M)] = list(itertools.islice(retract_pairs(N, M), 4))
     for M in pool:
         for M2 in pool:
             for gamma in _homs(M, M2):

@@ -1,8 +1,9 @@
 """Every size bound of ``semiflat.config`` raises its typed error at its site.
 
-Each case is a real input past one bound, except the free-cover
-case, whose bound is lowered so that a rank-2 cover of the Boolean
-semiring (4 elements) passes it.
+Each case is a real input past one bound, except where the bound is
+lowered: the free-cover cases, so that a rank-2 cover of the Boolean
+semiring (4 elements) passes it, and the retract search, whose two Hom
+enumerations are small.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from semiflat.catalog import (bool_semiring, chain_module, enumerate_commutative
 from semiflat.errors import BoxBoundExceeded, SizeBoundExceeded
 from semiflat.flatness import (is_uniformly_fg, is_uniformly_fp, projectivity_witness,
                                trivial_certificate)
-from semiflat.homology import linear_maps
+from semiflat.homology import hom_maps, is_retract_of, linear_maps
 from semiflat.limits import (InverseSystem, coproduct, direct_sum, inverse_limit,
                              product)
 from semiflat.structures import as_left
@@ -54,6 +55,13 @@ def _z32_over_three_z2():
     return semiring_module(zmod_semiring(32)), product_module(product_module(Z2, Z2), Z2)
 
 
+def _retract_of(N, M):
+    # a Hom enumeration is bounded when it is made, not when the cache
+    # hands it out again, so start from an empty cache
+    hom_maps.cache_clear()
+    return is_retract_of(N, M)
+
+
 def _z4_dense_box():
     Z4m = semiring_module(zmod_semiring(4))
     return tensor_product(Z4m, as_left(Z4m), dense=True)   # a box of 8192 cells
@@ -71,6 +79,8 @@ CASES = [
     ("linear_maps",
      lambda: linear_maps(free_module(bool_semiring(), 5), free_module(bool_semiring(), 4)),
      SizeBoundExceeded, "MAX_HOM_CANDIDATES", None),
+    ("is_retract_of", lambda: _retract_of(chain_module(3), _b2()), SizeBoundExceeded,
+     "MAX_HOM_CANDIDATES", 8),
     ("enumerate_balanced_maps", _balanced_3x3_into_4, SizeBoundExceeded,
      "MAX_HOM_CANDIDATES", None),
     ("enumerate_commutative_monoids", lambda: enumerate_commutative_monoids(6),
@@ -128,3 +138,19 @@ def test_free_cover_bound_is_checked_before_the_module_is_built(monkeypatch):
     with pytest.raises(SizeBoundExceeded):
         projectivity_witness(chain_module(3))
     assert built == [1]
+
+
+def test_retract_search_checks_both_bounds_before_searching(monkeypatch):
+    # B is a retract of the chain 0 < 1 < 2.  Hom(B, C3) has 3 candidates
+    # and Hom(C3, B) has 2^2 = 4, so the bound on the second stops the
+    # search although the first would already give a section.
+    monkeypatch.setattr(config, "MAX_HOM_CANDIDATES", 3)
+    with pytest.raises(SizeBoundExceeded) as info:
+        _retract_of(semiring_module(bool_semiring()), chain_module(3))
+    assert info.value.requested == 4
+    # the map into M is bounded first: Hom(C3, B^2) has 4^2 = 16
+    # candidates and Hom(B^2, C3) has 3^2 = 9
+    monkeypatch.setattr(config, "MAX_HOM_CANDIDATES", 8)
+    with pytest.raises(SizeBoundExceeded) as info:
+        _retract_of(chain_module(3), _b2())
+    assert info.value.requested == 16

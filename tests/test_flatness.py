@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
+from semiflat import flatness
 from semiflat.catalog import (bool_semiring, chain_module, free_module,
                               suite_pool, trivial_module)
 from semiflat.congruence import quotient_by_sub
-from semiflat.errors import NotExact
+from semiflat.errors import BadCertificate, NotExact, TimeBudgetExceeded
 from semiflat.flatness import (SearchConfig, baer_ideal_criterion,
                                fg_reduction_check, flat_certificate_check,
                                flatness_flags, in_i_uniform_class,
@@ -16,6 +18,7 @@ from semiflat.flatness import (SearchConfig, baer_ideal_criterion,
                                is_uniformly_fp, middle_flat_transfer,
                                projectivity_witness, search_counterexamples,
                                sum_retract_suite, trivial_certificate)
+from semiflat.limits import Colimit
 from semiflat.structures import identity_morphism
 from semiflat.subsets import submodule_of, subsemimodule
 
@@ -127,6 +130,21 @@ def test_certificate_requires_witnesses(Z2, z4_pool):
     assert trivial_certificate(Z2) is None
 
 
+def test_empty_colimit_class_is_a_typed_error(monkeypatch, Z4m):
+    real = flatness.directed_colimit
+
+    def collapsed(sys):
+        # every element lands in class 0, so the other classes are empty
+        colim = real(sys)
+        return Colimit(colim.system, colim.module, colim.legs,
+                       tuple((0,) * len(row) for row in colim.class_of))
+
+    monkeypatch.setattr(flatness, "directed_colimit", collapsed)
+    with pytest.raises(BadCertificate) as info:
+        trivial_certificate(Z4m)
+    assert info.value.node == "iso"
+
+
 def test_baer_ideal_criterion(Z4m, Z2, Z4, z4_pool):
     rep = baer_ideal_criterion(Z4m, Z4m, z4_pool)
     assert rep["ideal_wise"] and rep["uniformly_flat"]
@@ -197,6 +215,29 @@ def test_search_over_z4(tmp_path, Z4):
     assert len(lines) == len(rep["records"])
     for line in lines:
         json.loads(line)
+
+
+def test_search_streams_each_record_as_it_is_classified(tmp_path, monkeypatch, Z4):
+    # every clock read advances one second; the budget of 2.5 s lets two of
+    # the four modules be classified
+    out = tmp_path / "records.jsonl"
+    ticks = itertools.count()
+    lines_at_read = []
+
+    def clock():
+        lines_at_read.append(len(out.read_text().splitlines()))
+        return next(ticks)
+
+    monkeypatch.setattr(flatness.time, "monotonic", clock)
+    cfg = SearchConfig((Z4,), max_size=4, budget_seconds=2.5, out_path=str(out))
+    with pytest.raises(TimeBudgetExceeded) as info:
+        search_counterexamples(cfg)
+    records = info.value.partial["records"]
+    assert len(records) == 2
+    assert out.read_text().splitlines() == [r.to_json() for r in records]
+    # start, one budget check per module, elapsed: each record is on disk
+    # before the next module is checked
+    assert lines_at_read == [0, 0, 1, 2, 2]
 
 
 def test_search_over_bool():

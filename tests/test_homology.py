@@ -4,18 +4,21 @@ import itertools
 
 import pytest
 
-from semiflat.catalog import (bool_semiring, chain_module, free_module,
-                              product_semiring, semiring_bimodule,
+from semiflat import config
+from semiflat.catalog import (bool_semiring, chain_module, enumerate_semimodules,
+                              free_module, product_semiring, semiring_bimodule,
                               sat_semiring, semiring_module, suite_pool,
                               suite_semirings, trivial_module, zmod_module,
                               zmod_semiring)
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import AxiomViolation, NotCommutative, SideMismatch
+from semiflat.flatness import projectivity_witness
 from semiflat.homology import (classify_sequence, classify_stage, cokernel,
                                end_comp, evaluation_iso, hom_module,
                                hom_postcompose, hom_precompose,
                                is_retract_of, kernel, morphism_profile,
-                               uniformly_cogenerates, uniformly_injective_rel,
+                               retract_pairs, uniformly_cogenerates,
+                               uniformly_injective_rel,
                                verify_retract_square, verify_two_row_diagram,
                                with_zero_ends)
 from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
@@ -359,6 +362,55 @@ def test_retract_of_direct_sum(Bm, B):
     assert pair is not None
     psi, theta = pair
     assert compose(theta, psi).map == (0, 1)
+
+
+def _reference_retract_pairs(N, M):
+    # the search as it was over the Hom modules, kept as the oracle
+    ident = tuple(range(N.size))
+    for psi in hom_module(N, M).injective_maps:
+        for theta in hom_module(M, N).maps:
+            if tuple(theta.map[v] for v in psi.map) == ident:
+                yield psi, theta
+
+
+def _tables(pairs):
+    return [(psi.map, theta.map) for psi, theta in pairs]
+
+
+def _witness_tables(w):
+    return None if w is None else (w["rank"], w["section"].map, w["retraction"].map)
+
+
+def _reference_witness_tables(F):
+    for n in range(1, config.MAX_FREE_RANK + 1):
+        pair = next(_reference_retract_pairs(F, free_module(F.semiring, n, F.side)), None)
+        if pair is not None:
+            return (n, pair[0].map, pair[1].map)
+    return None
+
+
+@pytest.mark.parametrize("S", [bool_semiring(), sat_semiring(3), zmod_semiring(4)],
+                         ids=["BOOL", "SAT3", "ZMOD4"])
+def test_retract_search_matches_the_hom_module_search(S):
+    mods = tuple(dict.fromkeys(enumerate_semimodules(S, 3)
+                               + (semiring_module(S), free_module(S, 2))))
+    for N in mods:
+        assert _witness_tables(projectivity_witness(N)) == _reference_witness_tables(N)
+        for M in mods:
+            expected = _tables(itertools.islice(_reference_retract_pairs(N, M), 4))
+            assert _tables(itertools.islice(retract_pairs(N, M), 4)) == expected
+            pair = is_retract_of(N, M)
+            assert (None if pair is None else _tables([pair])[0]) == \
+                (expected[0] if expected else None)
+            if pair is not None:
+                assert (pair[0].source, pair[0].target) == (N, M)
+                assert (pair[1].source, pair[1].target) == (M, N)
+
+
+def test_retract_search_builds_no_hom_module():
+    before = hom_module.cache_info()
+    assert projectivity_witness(free_module(zmod_semiring(4), 2))["rank"] == 2
+    assert hom_module.cache_info() == before
 
 
 def test_summands_are_retracts():
