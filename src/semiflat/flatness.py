@@ -2,11 +2,11 @@
 
 Uniform flatness of F against M quantifies over the subtractive
 subsemimodules U of M: the induced map F(x)U -> F(x)M must be injective
-and i-uniform for each.  The equivalent formulation through tensored
-short exact sequences is recomputed alongside and any disagreement is
-raised, never silently resolved.  Mono-flatness quantifies injectivity
-over all subsemimodules; membership in the i-uniformity class quantifies
-i-uniformity over the subtractive ones.
+and i-uniform for each.  Mono-flatness quantifies injectivity over all
+subsemimodules; the i-uniformity class, i-uniformity over the subtractive
+ones.  All three come from one scan per (F, M) that tensors each
+inclusion once; the tensored short exact sequences are recomputed
+alongside and any disagreement is raised, never silently resolved.
 
 Genuine flatness (colimit-of-projectives) is handled through explicit
 certificates: checking is sound at finite scale, deciding is not.
@@ -57,22 +57,38 @@ def _tensored_inclusion(F: Semimodule, M: Semimodule, U: Subsemimodule) -> Morph
 
 
 @lru_cache(maxsize=None)
-def is_uniformly_M_flat(F: Semimodule, M: Semimodule) -> FlatnessVerdict:
-    """Subtractive-subsemimodule formulation, cross-checked against the
-    tensored-sequence formulation per subsemimodule."""
+def _flatness_scan(F: Semimodule, M: Semimodule) -> tuple[FlatnessVerdict, ...]:
+    """(mono-flatness, i-uniformity class, uniform M-flatness) of F against M.
+
+    Each L is tensored at most once, while a verdict still needs it; each
+    witness is that verdict's first failing L, in enumeration order."""
     M = as_right(M)
-    for U in uniform_subsemimodules(M):
-        induced = _tensored_inclusion(F, M, U)
-        prof = morphism_profile(induced)
-        ok = induced.injective and prof.i_uniform
-        seq_ok = _tensored_sequence_exact(F, M, U, induced)
-        if ok != seq_ok:
-            raise NotExact(
-                f"subsemimodule and sequence formulations disagree at U={U.members}")
-        if not ok:
-            kind = "not-injective" if not induced.injective else "image-not-closed"
-            return FlatnessVerdict(False, (U.members, kind))
-    return FlatnessVerdict(True)
+    subtractive = set(uniform_subsemimodules(M))
+    mono = iu = uf = None
+    for L in enumerate_subsemimodules(M):
+        needed = L in subtractive and (iu is None or uf is None)
+        if mono is not None and not needed:
+            continue
+        induced = _tensored_inclusion(F, M, L)
+        if mono is None and not induced.injective:
+            mono = FlatnessVerdict(False, (L.members, "not-injective"))
+        if not needed:
+            continue
+        i_uniform = morphism_profile(induced).i_uniform
+        if iu is None and not i_uniform:
+            iu = FlatnessVerdict(False, (L.members, "image-not-closed"))
+        if uf is None:
+            ok = induced.injective and i_uniform
+            if ok != _tensored_sequence_exact(F, M, L, induced):
+                raise NotExact(
+                    f"subsemimodule and sequence formulations disagree at U={L.members}")
+            if not ok:
+                kind = "not-injective" if not induced.injective else "image-not-closed"
+                uf = FlatnessVerdict(False, (L.members, kind))
+    mono, iu, uf = (v or FlatnessVerdict(True) for v in (mono, iu, uf))
+    if mono.holds and iu.holds and not uf.holds:
+        raise NotExact("mono-flat + i-uniform class must imply uniform flatness")
+    return mono, iu, uf
 
 
 def _tensored_sequence_exact(F: Semimodule, M: Semimodule, U: Subsemimodule,
@@ -84,6 +100,21 @@ def _tensored_sequence_exact(F: Semimodule, M: Semimodule, U: Subsemimodule,
     return report.exact
 
 
+def is_mono_flat(F: Semimodule, M: Semimodule) -> FlatnessVerdict:
+    """Injectivity of F(x)L -> F(x)M for every subsemimodule L."""
+    return _flatness_scan(F, M)[0]
+
+
+def in_i_uniform_class(F: Semimodule, M: Semimodule) -> FlatnessVerdict:
+    """i-uniformity of F(x)U -> F(x)M for every subtractive U."""
+    return _flatness_scan(F, M)[1]
+
+
+def is_uniformly_M_flat(F: Semimodule, M: Semimodule) -> FlatnessVerdict:
+    """Injective and i-uniform on every subtractive U, cross-checked by sequences."""
+    return _flatness_scan(F, M)[2]
+
+
 def is_uniformly_flat(F: Semimodule, universe) -> FlatnessVerdict:
     """Conjunction over an explicit finite universe of test modules."""
     for i, M in enumerate(universe):
@@ -93,35 +124,9 @@ def is_uniformly_flat(F: Semimodule, universe) -> FlatnessVerdict:
     return FlatnessVerdict(True, None, "relative to universe")
 
 
-@lru_cache(maxsize=None)
-def is_mono_flat(F: Semimodule, M: Semimodule) -> FlatnessVerdict:
-    """Injectivity of F(x)L -> F(x)M for every subsemimodule L."""
-    M = as_right(M)
-    for L in enumerate_subsemimodules(M):
-        induced = _tensored_inclusion(F, M, L)
-        if not induced.injective:
-            return FlatnessVerdict(False, (L.members, "not-injective"))
-    return FlatnessVerdict(True)
-
-
-@lru_cache(maxsize=None)
-def in_i_uniform_class(F: Semimodule, M: Semimodule) -> FlatnessVerdict:
-    """i-uniformity of F(x)U -> F(x)M for every subtractive U."""
-    M = as_right(M)
-    for U in uniform_subsemimodules(M):
-        induced = _tensored_inclusion(F, M, U)
-        if not morphism_profile(induced).i_uniform:
-            return FlatnessVerdict(False, (U.members, "image-not-closed"))
-    return FlatnessVerdict(True)
-
-
 def flatness_flags(F: Semimodule, M: Semimodule) -> dict:
-    """The three relative predicates plus the implication cross-check."""
-    mono = is_mono_flat(F, M)
-    iu = in_i_uniform_class(F, M)
-    uf = is_uniformly_M_flat(F, M)
-    if mono.holds and iu.holds and not uf.holds:
-        raise NotExact("mono-flat + i-uniform class must imply uniform flatness")
+    """The three relative predicates; the scan checks their implication."""
+    mono, iu, uf = _flatness_scan(F, M)
     return {"mono_flat": mono, "i_uniform_class": iu, "uniformly_flat": uf}
 
 
@@ -129,11 +134,9 @@ def fg_reduction_check(F: Semimodule, M: Semimodule) -> dict:
     """Finitely generated reduction: with F in the i-uniformity class,
     uniform M-flatness coincides with injectivity over all (finitely
     generated, here: all) subsemimodules."""
-    iu = in_i_uniform_class(F, M)
+    mono, iu, uf = _flatness_scan(F, M)
     if not iu.holds:
         return {"applicable": False}
-    mono = is_mono_flat(F, M)
-    uf = is_uniformly_M_flat(F, M)
     if mono.holds != uf.holds:
         raise NotExact("fg reduction failed: predicates disagree")
     return {"applicable": True, "agree": True, "value": uf.holds}
@@ -328,27 +331,26 @@ def _pullback_preserved(F: Semimodule, f: Morphism, g: Morphism) -> bool:
 def baer_ideal_criterion(F: Semimodule, Q: Semimodule, universe) -> dict:
     """Three verdicts side by side; no equivalence is asserted."""
     from .catalog import semiring_module
-    S = F.semiring
-    SM = semiring_module(S)
-    ideal_wise = True
-    ideal_witness = None
-    for I in uniform_subsemimodules(SM):
-        induced = _tensored_inclusion(F, SM, I)
-        if not (induced.injective and morphism_profile(induced).i_uniform):
-            ideal_wise, ideal_witness = False, I.members
-            break
+    ideal = is_uniformly_M_flat(F, semiring_module(F.semiring))
     flat = is_uniformly_flat(F, universe)
     F_bi = swap_actions(with_bimodule_structure(as_right(F)))
     HFQ = hom_module(F_bi, as_left(Q) if Q.side != F_bi.side else Q)
     inj = uniformly_injective_rel(HFQ.module, tuple(as_left(M) if M.side != HFQ.module.side
                                                    else M for M in universe))
-    return {"ideal_wise": ideal_wise, "ideal_witness": ideal_witness,
+    return {"ideal_wise": ideal.holds,
+            "ideal_witness": None if ideal.holds else ideal.witness[0],
             "uniformly_flat": flat.holds, "hom_uniformly_injective": inj.holds}
 
 
 # ---------------------------------------------------------------------------
 # Bridges between flatness and relative injectivity.
 # ---------------------------------------------------------------------------
+
+def _inclusion_probes(F_bi: Semimodule, M: Semimodule) -> list[Morphism]:
+    """F(x)U -> F(x)M for every subtractive U of M, with F a bimodule."""
+    M = as_right(M)
+    return [_tensored_inclusion(F_bi, M, U) for U in uniform_subsemimodules(M)]
+
 
 def _cogenerates_probes(X: Semimodule, probes) -> bool:
     """The contrapositive cogenerator test over an explicit probe family."""
@@ -376,10 +378,7 @@ def injectivity_flatness_bridge(F: Semimodule, M: Semimodule, X: Semimodule) -> 
     flat = is_uniformly_M_flat(F, M).holds
     x_inj = uniformly_injective_rel(X_left, (FM,)).holds
     hom_inj = uniformly_injective_rel(hom_FX.module, (M_left,)).holds
-    M_right = as_right(M)
-    probes = [_tensored_inclusion(F_bi, M_right, U)
-              for U in uniform_subsemimodules(M_right)]
-    cogenerated = _cogenerates_probes(X_left, probes)
+    cogenerated = _cogenerates_probes(X_left, _inclusion_probes(F_bi, M))
     if flat and x_inj and not hom_inj:
         raise NotExact("flat + relatively injective must transport injectivity")
     if cogenerated and hom_inj and not flat:
@@ -405,10 +404,7 @@ def injective_cogenerator_equivalence(Q: Semimodule, universe) -> dict:
     for F in universe:
         F_bi = with_bimodule_structure(as_right(F))
         for M in universe:
-            M_right = as_right(M)
-            probes = [_tensored_inclusion(F_bi, M_right, U)
-                      for U in uniform_subsemimodules(M_right)]
-            if not _cogenerates_probes(Q_left, probes):
+            if not _cogenerates_probes(Q_left, _inclusion_probes(F_bi, M)):
                 cogenerates = False
                 break
         if not cogenerates:
@@ -510,12 +506,15 @@ def search_counterexamples(config: SearchConfig) -> dict:
 
     A module that is uniformly flat relative to the enumerated universe but
     not certified flat within the rank bound is only a candidate: the
-    verdicts are labeled inconclusive, never conclusions.  A size below 1,
-    a budget that is negative or NaN, or an output file that cannot be
-    opened raises ``InvalidArgument`` before anything is enumerated.  Each
-    record is written to ``out_path`` as soon as its module is classified,
-    so a run cut short by its budget leaves the partial report's records.
+    verdicts are labeled inconclusive, never conclusions.  A size that is
+    not an integer or is below 1, a budget that is negative or NaN, or an
+    output file that cannot be opened raises ``InvalidArgument`` before
+    anything is enumerated.  Each record is written to ``out_path`` as soon
+    as its module is classified, so a run cut short by its budget leaves
+    the partial report's records.
     """
+    if not isinstance(config.max_size, int) or isinstance(config.max_size, bool):
+        raise InvalidArgument(f"max_size must be an integer, got {config.max_size!r}")
     if config.max_size < 1:
         raise InvalidArgument(f"max_size must be at least 1, got {config.max_size}")
     if not config.budget_seconds >= 0:      # NaN compares false with everything
@@ -557,8 +556,6 @@ def _search(config: SearchConfig, sink) -> dict:
             if sink is not None:
                 sink.write(rec.to_json() + "\n")
                 sink.flush()
-            if mono and iu and not flat.holds:
-                violations.append((si, mi, "mono+iuniform without uniform flatness"))
             if certified and not flat.holds:
                 violations.append((si, mi, "certified flat but not uniformly flat"))
             if flat.holds and not certified:

@@ -18,7 +18,7 @@ from .errors import (NotCommutative, NotDirected, NotIntertwining,
 from .homology import hom_module
 from .record import Record
 from .structures import (Morphism, Semimodule, build_morphism,
-                         build_semimodule, compose, freeze_table,
+                         build_semimodule, check_table, compose, freeze_table,
                          identity_morphism)
 from .subsets import submodule_of, subsemimodule, enumerate_subsemimodules
 
@@ -235,6 +235,15 @@ class DirectedSystem(_System):
         raise NotDirected("finite directed poset must have a maximum")
 
 
+def _arrow_data(relations, maps) -> tuple[tuple[tuple[int, int], ...], tuple[Morphism, ...]]:
+    """The relations as pairs of integers and the maps as morphisms, or a typed error."""
+    relations = freeze_table(relations)
+    check_table(relations, len(relations), 2, "relations")
+    if not (isinstance(maps, (list, tuple)) and all(isinstance(f, Morphism) for f in maps)):
+        raise ShapeMismatch("transition maps must be a list of morphisms")
+    return relations, tuple(maps)
+
+
 def _closed_arrows(nodes, relations, maps) -> dict[tuple[int, int], Morphism]:
     """The arrows (a, b) with map M_a -> M_b, closed under composition.
 
@@ -279,7 +288,7 @@ def _closed_arrows(nodes, relations, maps) -> dict[tuple[int, int], Morphism]:
 def directed_system(nodes, relations, maps) -> DirectedSystem:
     """Close the generating relations transitively and verify coherence."""
     nodes = tuple(nodes)
-    arrows = _closed_arrows(nodes, relations, maps)
+    arrows = _closed_arrows(nodes, *_arrow_data(relations, maps))
     order = tuple(sorted(arrows))
     sys = DirectedSystem(nodes, order, tuple(arrows[p] for p in order))
     for j in range(len(nodes)):
@@ -400,6 +409,7 @@ class InverseSystem(_System):
 def inverse_system(nodes, relations, maps) -> InverseSystem:
     """Close the relations j <= k, each with its map M_k -> M_j, and verify coherence."""
     nodes = tuple(nodes)
+    relations, maps = _arrow_data(relations, maps)
     arrows = _closed_arrows(nodes, [(k, j) for j, k in relations], maps)
     order = tuple(sorted((j, k) for k, j in arrows))
     return InverseSystem(nodes, order, tuple(arrows[(k, j)] for j, k in order))

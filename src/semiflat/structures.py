@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Mapping, Set
 from functools import lru_cache
 from math import lcm
 
@@ -21,14 +22,22 @@ LEFT = "left"
 RIGHT = "right"
 
 
+def _ordered(items):
+    """items, unless it is a dict, a set or another container without an order."""
+    if type(items) not in (list, tuple) and isinstance(items, (Mapping, Set)):
+        raise TypeError(f"a {type(items).__name__} has no order")
+    return items
+
+
 def freeze_table(rows) -> Table:
     """Rows as tuples of ints; MalformedTable unless every entry is an integer.
 
     ``True`` and ``False`` are rejected too, although ``operator.index``
-    would read them as 1 and 0.
+    would read them as 1 and 0, and so is a table or a row that is a dict
+    or a set, which would be read in key or hash order.
     """
     try:
-        rows = tuple(map(tuple, rows))
+        rows = tuple(map(tuple, map(_ordered, _ordered(rows))))
         types = set(map(type, itertools.chain.from_iterable(rows)))
         if types <= {int}:
             return rows
@@ -37,6 +46,22 @@ def freeze_table(rows) -> Table:
         return tuple([tuple(map(operator.index, row)) for row in rows])
     except TypeError as exc:
         raise MalformedTable(f"not a table of integers: {exc}") from None
+
+
+def _freeze_labels(labels) -> tuple[str, ...]:
+    """Labels as strings; MalformedTable unless they come as an ordered iterable."""
+    try:
+        return tuple(map(str, _ordered(labels)))
+    except TypeError as exc:
+        raise MalformedTable(f"labels must be an ordered iterable: {exc}") from None
+
+
+def _check_index(x, n: int, what: str) -> None:
+    """MalformedTable unless x is an int (not a bool) in 0..n-1."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise MalformedTable(f"{what} must be an integer index, got {x!r}")
+    if not 0 <= x < n:
+        raise MalformedTable(f"{what} index out of range")
 
 
 def check_table(table: Table, nrows: int, ncols: int, what: str) -> None:
@@ -163,7 +188,7 @@ def semiring_violations(labels, add: Table, mul: Table, zero: int, one: int) -> 
 
 
 def build_semiring(labels, add, mul, zero: int, one: int) -> Semiring:
-    labels = tuple(str(x) for x in labels)
+    labels = _freeze_labels(labels)
     n = len(labels)
     add = freeze_table(add)
     mul = freeze_table(mul)
@@ -171,8 +196,8 @@ def build_semiring(labels, add, mul, zero: int, one: int) -> Semiring:
     check_table(mul, n, n, "mul")
     check_entries(add, n, "add")
     check_entries(mul, n, "mul")
-    if not (0 <= zero < n and 0 <= one < n):
-        raise MalformedTable("zero/one index out of range")
+    _check_index(zero, n, "zero")
+    _check_index(one, n, "one")
     violations = semiring_violations(labels, add, mul, zero, one)
     if violations:
         raise AxiomViolation("semiring", violations)
@@ -300,7 +325,7 @@ def build_semimodule(semiring: Semiring, side: str, labels, add, zero: int, acti
                      second: SecondAction | None = None) -> Semimodule:
     if side not in (LEFT, RIGHT):
         raise MalformedTable(f"side must be 'left' or 'right', got {side!r}")
-    labels = tuple(str(x) for x in labels)
+    labels = _freeze_labels(labels)
     n = len(labels)
     add = freeze_table(add)
     action = freeze_table(action)
@@ -308,8 +333,7 @@ def build_semimodule(semiring: Semiring, side: str, labels, add, zero: int, acti
     check_table(action, n, semiring.size, "action")
     check_entries(add, n, "add")
     check_entries(action, n, "action")
-    if not 0 <= zero < n:
-        raise MalformedTable("zero index out of range")
+    _check_index(zero, n, "zero")
     if second is not None:
         if second.side == side:
             raise SideMismatch("second action must act on the opposite side")

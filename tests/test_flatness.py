@@ -6,11 +6,13 @@ import json
 import pytest
 
 from semiflat import flatness
-from semiflat.catalog import (bool_semiring, chain_module, free_module,
-                              suite_pool, trivial_module)
+from semiflat.catalog import (bool_semiring, chain_module, enumerate_semimodules,
+                              free_module, sat_semiring, suite_pool, trivial_module,
+                              zmod_semiring)
 from semiflat.congruence import quotient_by_sub
-from semiflat.errors import BadCertificate, NotExact, TimeBudgetExceeded
-from semiflat.flatness import (SearchConfig, baer_ideal_criterion,
+from semiflat.errors import (BadCertificate, InvalidArgument, NotExact,
+                             TimeBudgetExceeded)
+from semiflat.flatness import (FlatnessVerdict, SearchConfig, baer_ideal_criterion,
                                fg_reduction_check, flat_certificate_check,
                                flatness_flags, in_i_uniform_class,
                                is_mono_flat, is_uniformly_M_flat,
@@ -18,9 +20,11 @@ from semiflat.flatness import (SearchConfig, baer_ideal_criterion,
                                is_uniformly_fp, middle_flat_transfer,
                                projectivity_witness, search_counterexamples,
                                sum_retract_suite, trivial_certificate)
+from semiflat.homology import morphism_profile
 from semiflat.limits import Colimit
-from semiflat.structures import identity_morphism
-from semiflat.subsets import submodule_of, subsemimodule
+from semiflat.structures import as_right, identity_morphism
+from semiflat.subsets import (enumerate_subsemimodules, submodule_of, subsemimodule,
+                              uniform_subsemimodules)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +55,79 @@ def test_mono_flat_and_class_flags(Z2, Z4m):
     assert in_i_uniform_class(Z2, Z4m).holds
     flags = flatness_flags(Z2, Z4m)
     assert not flags["uniformly_flat"].holds
+
+
+def _reference_mono_flat(F, M):
+    M = as_right(M)
+    for L in enumerate_subsemimodules(M):
+        if not flatness._tensored_inclusion(F, M, L).injective:
+            return FlatnessVerdict(False, (L.members, "not-injective"))
+    return FlatnessVerdict(True)
+
+
+def _reference_i_uniform_class(F, M):
+    M = as_right(M)
+    for U in uniform_subsemimodules(M):
+        if not morphism_profile(flatness._tensored_inclusion(F, M, U)).i_uniform:
+            return FlatnessVerdict(False, (U.members, "image-not-closed"))
+    return FlatnessVerdict(True)
+
+
+def _reference_uniformly_M_flat(F, M):
+    M = as_right(M)
+    for U in uniform_subsemimodules(M):
+        induced = flatness._tensored_inclusion(F, M, U)
+        ok = induced.injective and morphism_profile(induced).i_uniform
+        if ok != flatness._tensored_sequence_exact(F, M, U, induced):
+            raise NotExact(f"formulations disagree at U={U.members}")
+        if not ok:
+            kind = "not-injective" if not induced.injective else "image-not-closed"
+            return FlatnessVerdict(False, (U.members, kind))
+    return FlatnessVerdict(True)
+
+
+ORACLE_SEMIRINGS = {"BOOL": bool_semiring, "ZMOD4": lambda: zmod_semiring(4),
+                    "SAT3": lambda: sat_semiring(3)}
+
+
+def test_one_scan_matches_the_three_loops_it_replaced():
+    # the three separate loops of the earlier design are the oracle, on every
+    # pair of modules of size <= 4 over three semirings
+    pairs = 0
+    for name, make in ORACLE_SEMIRINGS.items():
+        universe = enumerate_semimodules(make(), 4)
+        for F, M in itertools.product(universe, repeat=2):
+            flags = flatness_flags(F, M)
+            got = [(v.holds, v.witness) for v in flags.values()]
+            want = [(v.holds, v.witness) for v in (_reference_mono_flat(F, M),
+                                                   _reference_i_uniform_class(F, M),
+                                                   _reference_uniformly_M_flat(F, M))]
+            assert got == want, (name, F.add, M.add)
+            assert [is_mono_flat(F, M), in_i_uniform_class(F, M),
+                    is_uniformly_M_flat(F, M)] == list(flags.values())
+            pairs += 1
+    assert pairs == 162
+
+
+def test_flags_tensor_each_subsemimodule_at_most_once(monkeypatch, Z4):
+    universe = enumerate_semimodules(Z4, 4)
+    real = flatness._tensored_inclusion
+    tensored = []
+
+    def counted(F, M, L):
+        tensored.append(L)
+        return real(F, M, L)
+
+    monkeypatch.setattr(flatness, "_tensored_inclusion", counted)
+    flatness._flatness_scan.cache_clear()
+    for F, M in itertools.product(universe, repeat=2):
+        tensored.clear()
+        flatness_flags(F, M)
+        once = len(tensored)
+        assert once == len(set(tensored)) <= len(enumerate_subsemimodules(as_right(M)))
+        fg_reduction_check(F, M)
+        is_mono_flat(F, M), in_i_uniform_class(F, M), is_uniformly_M_flat(F, M)
+        assert len(tensored) == once, "a second read tensored again"
 
 
 def test_free_is_mono_flat_everywhere(Z4m, z4_pool):
@@ -246,6 +323,12 @@ def test_search_over_bool():
     rep = search_counterexamples(cfg)
     assert not rep["lattice_violations"]
     assert all(r.uniformly_flat for r in rep["records"])
+
+
+@pytest.mark.parametrize("max_size", [2.5, "3", None, True])
+def test_search_rejects_a_non_integer_size(max_size):
+    with pytest.raises(InvalidArgument):
+        search_counterexamples(SearchConfig((bool_semiring(),), max_size=max_size))
 
 
 def test_empty_search():

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiflat.catalog import (product_semiring, semiring_module,
-                              trivial_module, zmod_module, cyclic_monoid)
-from semiflat.errors import AxiomViolation, MalformedTable, SideMismatch
-from semiflat.structures import (as_left, build_morphism, build_semiring, compose,
+                              trivial_module, zmod_module, zmod_semiring, cyclic_monoid)
+from semiflat.errors import AxiomViolation, MalformedTable, SemiflatError, SideMismatch
+from semiflat.limits import directed_system, inverse_system
+from semiflat.structures import (as_left, build_morphism, build_semimodule,
+                                 build_semiring, compose,
                                  element_order, element_orders,
                                  find_monoid_isomorphism, freeze_table,
                                  identity_morphism, is_cancellative, isomorphic,
@@ -37,6 +39,20 @@ def test_malformed_table_rejected():
         build_semiring(["0", "1"], [[0, 1]], [[0, 0], [0, 1]], 0, 1)
 
 
+def _rebuild_semiring(Bm, **changed):
+    """Bm's semiring built again from its tables, with some arguments changed."""
+    S = Bm.semiring
+    args = dict(labels=S.labels, add=S.add, mul=S.mul, zero=S.zero, one=S.one)
+    return build_semiring(**{**args, **changed})
+
+
+def _rebuild_module(Bm, **changed):
+    """Bm built again from its tables, with some arguments changed."""
+    args = dict(semiring=Bm.semiring, side=Bm.side, labels=Bm.labels, add=Bm.add,
+                zero=Bm.zero, action=Bm.action)
+    return build_semimodule(**{**args, **changed})
+
+
 @pytest.mark.parametrize("build", [
     lambda Bm: freeze_table([[0, 1], 5]),
     lambda Bm: freeze_table([[0, 1], [1, "a"]]),
@@ -47,13 +63,96 @@ def test_malformed_table_rejected():
     lambda Bm: factor_balanced(tensor_product(Bm, as_left(Bm)), Bm, (0, 0)),
     lambda Bm: factor_balanced(tensor_product(Bm, as_left(Bm)), Bm, ((0, 0), (0, 1.5))),
     lambda Bm: freeze_table([[0, 1], [1, True]]),
+    # a dict is read by its keys: {0: 0, 1: 0} over Z/2 would be the identity
+    lambda Bm: build_morphism(Z2m := semiring_module(zmod_semiring(2)), Z2m, {0: 0, 1: 0}),
+    lambda Bm: build_morphism(Bm, Bm, {1, 0}),
+    lambda Bm: freeze_table({(0, 1): "row 0", (1, 0): "row 1"}),
+    lambda Bm: freeze_table([[0, 1], frozenset({0, 1})]),
+    lambda Bm: _rebuild_semiring(Bm, zero=None),
+    lambda Bm: _rebuild_semiring(Bm, zero="0"),
+    lambda Bm: _rebuild_semiring(Bm, zero=0.0),
+    lambda Bm: _rebuild_semiring(Bm, one=True),
+    lambda Bm: _rebuild_module(Bm, zero=None),
+    lambda Bm: _rebuild_module(Bm, zero=0.0),
+    lambda Bm: _rebuild_semiring(Bm, labels=2),
+    lambda Bm: _rebuild_semiring(Bm, labels={"0", "1"}),
+    lambda Bm: _rebuild_module(Bm, labels=None),
 ], ids=["row-not-a-sequence", "entry-a-string", "semiring-entry-1.5", "map-entry-1.5",
         "map-entry-a-string", "map-not-a-sequence", "balanced-row-not-a-sequence",
-        "balanced-entry-1.5", "entry-a-bool"])
+        "balanced-entry-1.5", "entry-a-bool", "map-a-dict", "map-a-set", "table-a-dict",
+        "row-a-frozenset", "zero-none", "zero-a-string", "zero-0.0", "one-a-bool",
+        "module-zero-none", "module-zero-0.0", "labels-an-int", "labels-a-set",
+        "module-labels-none"])
 def test_non_integer_tables_are_malformed(Bm, build):
-    # a non-integer entry is neither truncated nor a raw TypeError or ValueError
+    # a non-integer entry or index is neither truncated nor a raw TypeError
+    # or ValueError, and an unordered table is not read in key or hash order
     with pytest.raises(MalformedTable):
         build(Bm)
+
+
+# Values that are neither a table of in-range indices of the expected shape
+# nor an integer index: every constructor must answer them with a typed error.
+_scalars = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(-5, -1),
+                     st.integers(2, 99), st.builds(object))
+_unordered = st.one_of(st.dictionaries(st.integers(0, 1), st.integers(0, 1), min_size=1),
+                       st.frozensets(st.integers(0, 1), min_size=1))
+_cell = st.integers(0, 1)
+_rows = st.lists(st.lists(_cell, min_size=2, max_size=2), min_size=2, max_size=2)
+_bad_cell = st.one_of(st.integers(-5, -1), st.integers(2, 99), st.booleans(),
+                      st.floats(), st.text(max_size=2), st.none())
+
+
+@st.composite
+def _spoiled(draw):
+    """A 2 x 2 table with one entry replaced by a bad cell."""
+    rows = draw(_rows)
+    rows[draw(_cell)][draw(_cell)] = draw(_bad_cell)
+    return rows
+
+
+_malformed = st.one_of(
+    _scalars, _unordered, st.text(max_size=3), _spoiled(),
+    st.lists(_cell, min_size=2, max_size=2).map(lambda row: [row, row[:1]]),      # ragged
+    st.sampled_from([0, 1, 3]).map(lambda n: [[0, 1]] * n),                        # row count
+    st.lists(_unordered, min_size=2, max_size=2),                                  # dict rows
+    st.lists(_bad_cell, min_size=1, max_size=3),                                   # a bad row
+)
+_malformed_labels = st.one_of(_scalars, _unordered)
+
+
+@pytest.fixture(scope="module")
+def boundaries(Bm):
+    pres = tensor_product(Bm, as_left(Bm))
+    ids = [identity_morphism(Bm)] * 2
+    slots = [lambda x, k=k: _rebuild_semiring(Bm, **{k: x}) for k in ("add", "mul", "zero", "one")]
+    slots += [lambda x, k=k: _rebuild_module(Bm, **{k: x}) for k in ("add", "zero", "action")]
+    slots += [
+        lambda x: build_morphism(Bm, Bm, x),
+        lambda x: factor_balanced(pres, Bm, x),
+    ]
+    for system in (directed_system, inverse_system):
+        slots += [
+            lambda x, system=system: system([Bm, Bm], x, ids),
+            lambda x, system=system: system([Bm, Bm], [(0, 1)], x),
+            lambda x, system=system: system([Bm, Bm], [(0, 1)], [x]),
+        ]
+    label_slots = [lambda x: _rebuild_semiring(Bm, labels=x),
+                   lambda x: _rebuild_module(Bm, labels=x)]
+    return slots, label_slots
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(bad=_malformed, bad_labels=_malformed_labels)
+def test_malformed_tables_and_scalars_end_in_typed_errors(boundaries, bad, bad_labels):
+    # a TypeError, IndexError, KeyError, ValueError or AttributeError escapes
+    # pytest.raises and fails the test
+    slots, label_slots = boundaries
+    for slot in slots:
+        with pytest.raises(SemiflatError):
+            slot(bad)
+    for slot in label_slots:
+        with pytest.raises(SemiflatError):
+            slot(bad_labels)
 
 
 def test_semiring_as_module_over_itself(S3):
