@@ -64,20 +64,22 @@ def _flatness_scan(F: Semimodule, M: Semimodule) -> tuple[FlatnessVerdict, ...]:
     witness is that verdict's first failing L, in enumeration order."""
     M = as_right(M)
     subtractive = set(uniform_subsemimodules(M))
-    mono = iu = uf = None
+    mono = iu = uf = None               # each verdict's first failure, once found
     for L in enumerate_subsemimodules(M):
-        needed = L in subtractive and (iu is None or uf is None)
-        if mono is not None and not needed:
+        if mono and iu and uf:
+            break
+        subtractive_open = L in subtractive and not (iu and uf)
+        if mono and not subtractive_open:
             continue
         induced = _tensored_inclusion(F, M, L)
-        if mono is None and not induced.injective:
+        if not mono and not induced.injective:
             mono = FlatnessVerdict(False, (L.members, "not-injective"))
-        if not needed:
+        if not subtractive_open:
             continue
         i_uniform = morphism_profile(induced).i_uniform
-        if iu is None and not i_uniform:
+        if not iu and not i_uniform:
             iu = FlatnessVerdict(False, (L.members, "image-not-closed"))
-        if uf is None:
+        if not uf:
             ok = induced.injective and i_uniform
             if ok != _tensored_sequence_exact(F, M, L, induced):
                 raise NotExact(
@@ -506,12 +508,14 @@ def search_counterexamples(config: SearchConfig) -> dict:
 
     A module that is uniformly flat relative to the enumerated universe but
     not certified flat within the rank bound is only a candidate: the
-    verdicts are labeled inconclusive, never conclusions.  A size that is
-    not an integer or is below 1, a budget that is negative or NaN, or an
-    output file that cannot be opened raises ``InvalidArgument`` before
-    anything is enumerated.  Each record is written to ``out_path`` as soon
-    as its module is classified, so a run cut short by its budget leaves
-    the partial report's records.
+    verdicts are labeled inconclusive, never conclusions.  A module whose
+    verdicts contradict a theorem (a ``NotExact`` from the flatness scan)
+    gets no record; it is listed in ``lattice_violations`` with the message
+    and the search goes on.  A size that is not an integer or is below 1,
+    a budget that is negative or NaN, or an output file that cannot be
+    opened raises ``InvalidArgument`` before anything is enumerated.  Each
+    record is written to ``out_path`` as soon as its module is classified,
+    so a run cut short by its budget leaves the partial report's records.
     """
     if not isinstance(config.max_size, int) or isinstance(config.max_size, bool):
         raise InvalidArgument(f"max_size must be an integer, got {config.max_size!r}")
@@ -546,9 +550,13 @@ def _search(config: SearchConfig, sink) -> dict:
             if time.monotonic() - t0 > config.budget_seconds:
                 partial = True
                 break
-            mono = all(is_mono_flat(F, M).holds for M in universe)
-            iu = all(in_i_uniform_class(F, M).holds for M in universe)
-            flat = is_uniformly_flat(F, universe)
+            try:
+                mono = all(is_mono_flat(F, M).holds for M in universe)
+                iu = all(in_i_uniform_class(F, M).holds for M in universe)
+                flat = is_uniformly_flat(F, universe)
+            except NotExact as exc:     # the verdicts contradict a theorem
+                violations.append((si, mi, str(exc)))
+                continue
             certified = projectivity_witness(F) is not None
             rec = SearchRecord(si, mi, F.size, F.add, F.action, mono, iu,
                                flat.holds, certified, flat.witness)

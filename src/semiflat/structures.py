@@ -56,12 +56,17 @@ def _freeze_labels(labels) -> tuple[str, ...]:
         raise MalformedTable(f"labels must be an ordered iterable: {exc}") from None
 
 
-def _check_index(x, n: int, what: str) -> None:
-    """MalformedTable unless x is an int (not a bool) in 0..n-1."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise MalformedTable(f"{what} must be an integer index, got {x!r}")
+def _index(x, n: int, what: str) -> int:
+    """x as an int in 0..n-1, read by the rule of ``freeze_table``; else MalformedTable."""
+    try:
+        if isinstance(x, bool):
+            raise TypeError("True or False is not an index")
+        x = operator.index(x)
+    except TypeError:
+        raise MalformedTable(f"{what} must be an integer index, got {x!r}") from None
     if not 0 <= x < n:
         raise MalformedTable(f"{what} index out of range")
+    return x
 
 
 def check_table(table: Table, nrows: int, ncols: int, what: str) -> None:
@@ -196,8 +201,8 @@ def build_semiring(labels, add, mul, zero: int, one: int) -> Semiring:
     check_table(mul, n, n, "mul")
     check_entries(add, n, "add")
     check_entries(mul, n, "mul")
-    _check_index(zero, n, "zero")
-    _check_index(one, n, "one")
+    zero = _index(zero, n, "zero")
+    one = _index(one, n, "one")
     violations = semiring_violations(labels, add, mul, zero, one)
     if violations:
         raise AxiomViolation("semiring", violations)
@@ -333,7 +338,7 @@ def build_semimodule(semiring: Semiring, side: str, labels, add, zero: int, acti
     check_table(action, n, semiring.size, "action")
     check_entries(add, n, "add")
     check_entries(action, n, "action")
-    _check_index(zero, n, "zero")
+    zero = _index(zero, n, "zero")
     if second is not None:
         if second.side == side:
             raise SideMismatch("second action must act on the opposite side")

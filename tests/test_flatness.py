@@ -325,6 +325,25 @@ def test_search_over_bool():
     assert all(r.uniformly_flat for r in rep["records"])
 
 
+def test_search_reports_a_contradiction_and_goes_on(tmp_path, monkeypatch, Z4):
+    # a module whose verdicts break the lattice is a violation, not an abort
+    message = "mono-flat + i-uniform class must imply uniform flatness"
+    modules = enumerate_semimodules(Z4, 4)
+    scan = flatness._flatness_scan
+
+    def contradicting_scan(F, M):
+        if F == modules[1]:
+            raise NotExact(message)
+        return scan(F, M)
+
+    monkeypatch.setattr(flatness, "_flatness_scan", contradicting_scan)
+    out = tmp_path / "records.jsonl"
+    rep = search_counterexamples(SearchConfig((Z4,), max_size=4, out_path=str(out)))
+    assert rep["lattice_violations"] == [(0, 1, message)]
+    assert [r.module_index for r in rep["records"]] == [0, 2, 3]
+    assert out.read_text().splitlines() == [r.to_json() for r in rep["records"]]
+
+
 @pytest.mark.parametrize("max_size", [2.5, "3", None, True])
 def test_search_rejects_a_non_integer_size(max_size):
     with pytest.raises(InvalidArgument):

@@ -90,6 +90,24 @@ def test_non_integer_tables_are_malformed(Bm, build):
         build(Bm)
 
 
+class _Index:
+    """An integer type that is not ``int``, like a numpy integer."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_scalars_follow_the_table_entry_rule(Bm):
+    # zero and one are read with operator.index, as table entries are
+    S = _rebuild_semiring(Bm, zero=_Index(Bm.semiring.zero), one=_Index(Bm.semiring.one))
+    M = _rebuild_module(Bm, zero=_Index(Bm.zero), add=[[_Index(x) for x in row] for row in Bm.add])
+    assert S == Bm.semiring and M == Bm
+    assert type(S.zero) is int and type(S.one) is int and type(M.zero) is int
+
+
 # Values that are neither a table of in-range indices of the expected shape
 # nor an integer index: every constructor must answer them with a typed error.
 _scalars = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(-5, -1),
