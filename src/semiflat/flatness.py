@@ -512,17 +512,21 @@ def search_counterexamples(config: SearchConfig) -> dict:
     verdicts contradict a theorem (a ``NotExact`` from the flatness scan)
     gets no record; it is listed in ``lattice_violations`` with the message
     and the search goes on.  A size that is not an integer or is below 1,
-    a budget that is negative or NaN, or an output file that cannot be
-    opened raises ``InvalidArgument`` before anything is enumerated.  Each
-    record is written to ``out_path`` as soon as its module is classified,
-    so a run cut short by its budget leaves the partial report's records.
+    a budget that is not an int or float or is negative or NaN, or an
+    output file that cannot be opened raises ``InvalidArgument`` before
+    anything is enumerated.  Each record is written to ``out_path`` as
+    soon as its module is classified, so a run cut short by its budget
+    leaves the partial report's records.
     """
     if not isinstance(config.max_size, int) or isinstance(config.max_size, bool):
         raise InvalidArgument(f"max_size must be an integer, got {config.max_size!r}")
     if config.max_size < 1:
         raise InvalidArgument(f"max_size must be at least 1, got {config.max_size}")
-    if not config.budget_seconds >= 0:      # NaN compares false with everything
-        raise InvalidArgument(f"budget_seconds must be >= 0, got {config.budget_seconds}")
+    budget = config.budget_seconds
+    if not isinstance(budget, (int, float)) or isinstance(budget, bool):
+        raise InvalidArgument(f"budget_seconds must be a number, got {budget!r}")
+    if not budget >= 0:                     # NaN compares false with everything
+        raise InvalidArgument(f"budget_seconds must be >= 0, got {budget}")
     sink = None
     if config.out_path:
         try:

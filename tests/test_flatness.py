@@ -350,6 +350,13 @@ def test_search_rejects_a_non_integer_size(max_size):
         search_counterexamples(SearchConfig((bool_semiring(),), max_size=max_size))
 
 
+@pytest.mark.parametrize("budget", ["3", None, True])
+def test_search_rejects_a_budget_that_is_not_a_number(budget):
+    with pytest.raises(InvalidArgument):
+        search_counterexamples(SearchConfig((bool_semiring(),), max_size=2,
+                                            budget_seconds=budget))
+
+
 def test_empty_search():
     cfg = SearchConfig((), max_size=4)
     rep = search_counterexamples(cfg)
