@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import config
 from .congruence import module_congruence_closure, quotient_by_congruence
-from .errors import MalformedTable, SizeBoundExceeded
+from .errors import InvalidArgument, MalformedTable, SizeBoundExceeded
 from .structures import (LEFT, RIGHT, Semimodule, Semiring, Table,
                          build_semimodule, build_semiring, freeze_table,
                          monoid_module)
@@ -53,9 +53,22 @@ def product_semiring(A: Semiring, B: Semiring) -> Semiring:
     return build_semiring(labels, add, mul, pos[(A.zero, B.zero)], pos[(A.one, B.one)])
 
 
-@lru_cache(maxsize=None)
 def free_module(S: Semiring, rank: int, side: str = RIGHT) -> Semimodule:
-    """Direct power of the semiring acting on itself."""
+    """Direct power of the semiring acting on itself.
+
+    The rank must be an integer >= 0 and not a bool, and |S|^rank is
+    checked against ``MAX_PRODUCT`` on every call, before anything is
+    built or handed out of the cache.
+    """
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
+        raise InvalidArgument(f"rank must be a non-negative integer, got {rank!r}")
+    if S.size ** rank > config.MAX_PRODUCT:
+        raise SizeBoundExceeded("free module", S.size ** rank, config.MAX_PRODUCT)
+    return _free_module(S, rank, side)
+
+
+@lru_cache(maxsize=None)
+def _free_module(S: Semiring, rank: int, side: str) -> Semimodule:
     if rank == 0:
         return trivial_module(S, side)
     tuples = list(itertools.product(range(S.size), repeat=rank))

@@ -21,17 +21,16 @@ from functools import lru_cache
 from . import config
 from .catalog import free_module
 from .congruence import quotient_by_sub
-from .errors import (BadCertificate, InvalidArgument, NotExact, SizeBoundExceeded,
-                     TimeBudgetExceeded)
+from .errors import BadCertificate, InvalidArgument, NotExact, TimeBudgetExceeded
 from .homology import (classify_sequence, end_comp, hom_module, is_retract_of,
                        kernel, morphism_profile, uniformly_injective_rel,
                        with_zero_ends)
 from .limits import (DirectedSystem, constant_system, direct_sum,
                      directed_colimit, pullback, pullback_mediator)
 from .record import Record
-from .structures import (LEFT, Morphism, Semimodule, Semiring, as_left,
-                         as_right, build_morphism, compose, identity_morphism,
-                         map_from_free, swap_actions, with_bimodule_structure)
+from .structures import (LEFT, Morphism, Semimodule, as_left, as_right, build_morphism,
+                         compose, identity_morphism, map_from_free, swap_actions,
+                         with_bimodule_structure)
 from .subsets import (Subsemimodule, enumerate_subsemimodules, module_generators,
                       submodule_of, subsemimodule, uniform_subsemimodules)
 from .tensor import tensor_morphisms, tensor_product
@@ -186,17 +185,10 @@ def sum_retract_suite(family, M: Semimodule) -> dict:
 # Uniformly finitely generated / presented.
 # ---------------------------------------------------------------------------
 
-def _free_module(S: Semiring, n: int, side: str = LEFT) -> Semimodule:
-    """The free module S^n, once its size is checked against the product bound."""
-    if S.size ** n > config.MAX_PRODUCT:
-        raise SizeBoundExceeded("free cover", S.size ** n, config.MAX_PRODUCT)
-    return free_module(S, n, side)
-
-
 def _uniform_covers(X: Semimodule):
     """(rank, images, map) for every uniform surjection S^n -> X, by rank, then images."""
     for n in range(1, config.MAX_FREE_RANK + 1):
-        free = _free_module(X.semiring, n)
+        free = free_module(X.semiring, n, LEFT)
         for images in itertools.product(range(X.size), repeat=n):
             table = map_from_free(X, images)
             if len(set(table)) != X.size:
@@ -226,7 +218,7 @@ def is_uniformly_fp(X: Semimodule):
         ker_mod, ker_inc = submodule_of(free, K)
         gens = module_generators(ker_mod)
         m = max(1, len(gens))
-        cover = _free_module(free.semiring, m)
+        cover = free_module(free.semiring, m, LEFT)
         gen_images = [ker_inc.map[g_] for g_ in gens] or [free.zero]
         f_tilde = build_morphism(cover, free, map_from_free(free, gen_images))
         report = classify_sequence([f_tilde, g])
@@ -258,7 +250,7 @@ class FlatCertificate(Record):
 def projectivity_witness(F: Semimodule):
     """A retract-of-free pair for F, searched by rank."""
     for n in range(1, config.MAX_FREE_RANK + 1):
-        free = _free_module(F.semiring, n, F.side)
+        free = free_module(F.semiring, n, F.side)
         pair = is_retract_of(F, free)
         if pair is not None:
             return {"rank": n, "section": pair[0], "retraction": pair[1]}

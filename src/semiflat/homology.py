@@ -66,17 +66,20 @@ class MorphismProfile(Record):
 def morphism_profile(f: Morphism) -> MorphismProfile:
     src, tgt = f.source, f.target
     ker = [x for x in range(src.size) if f.map[x] == tgt.zero]
-    corrected = [frozenset(src.add[x][k] for k in ker) for x in range(src.size)]
     by_value: dict[int, list[int]] = {}
     for x in range(src.size):
         by_value.setdefault(f.map[x], []).append(x)
     k_uniform, k_witness = True, None
     for group in by_value.values():
+        if len(group) < 2:
+            continue
+        # only elements of one fibre are compared, so only a fibre with a
+        # collision needs its kernel corrections
+        corrected = [frozenset(map(src.add[x].__getitem__, ker)) for x in group]
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
-                a, b = group[i], group[j]
-                if corrected[a].isdisjoint(corrected[b]):
-                    k_uniform, k_witness = False, (a, b)
+                if corrected[i].isdisjoint(corrected[j]):
+                    k_uniform, k_witness = False, (group[i], group[j])
                     break
             if not k_uniform:
                 break
@@ -339,13 +342,18 @@ def evaluation_iso(S_module: Semimodule, M: Semimodule) -> Morphism | None:
 # ---------------------------------------------------------------------------
 
 class EndReport(Record):
-    _fields = ("hom", "identity", "comp", "summands", "retracts")
+    """End(M) read from the tables of ``hom_maps(M, M)``.
 
-    def __init__(self, hom: HomModule, identity: int, comp: tuple[int, ...],
-                 summands: tuple[tuple[int, ...], ...],
+    ``identity`` and ``comp`` index ``tables``, where the zero map is 0.
+    """
+
+    _fields = ("tables", "identity", "comp", "summands", "retracts")
+
+    def __init__(self, tables: tuple[tuple[int, ...], ...], identity: int,
+                 comp: tuple[int, ...], summands: tuple[tuple[int, ...], ...],
                  retracts: tuple[tuple[int, ...], ...]):
         d = self.__dict__
-        d["hom"] = hom
+        d["tables"] = tables
         d["identity"] = identity
         d["comp"] = comp
         d["summands"] = summands
@@ -356,32 +364,36 @@ class EndReport(Record):
 def end_comp(M: Semimodule) -> EndReport:
     """End(M) with its complemented elements and the direct summands.
 
-    The semiring End(M) is not re-validated: its elements passed the
-    morphism check, its addition is pointwise in the validated M, and
-    composition of maps is associative.  Its composition table is not
-    built either: the complemented elements read only the products of
-    the pairs that add up to the identity, and the retracts only the
-    squares.
+    The semiring End(M) is not built, nor its addition or composition
+    table: its elements passed the morphism check, its addition is
+    pointwise in the validated M, and composition of maps is
+    associative.  An element i is complemented when some j has
+    t_i + t_j = id with both products zero.  A sum of linear maps is
+    linear, so it is the identity when it fixes each generator g of M,
+    and the candidates j are the maps whose image of each g solves
+    t_i(g) + y = g.  The retracts read only the squares.
     """
-    H = hom_module(M, M)
-    tables = [m.map for m in H.maps]
-    k = len(tables)
-    ident = H.index_of(range(M.size))
-    add = H.module.add
+    tables = hom_maps(M, M)
+    pos = {t: i for i, t in enumerate(tables)}
+    ident = pos[tuple(range(M.size))]
+    gens = module_generators(M)
+    by_images = {tuple(t[g] for g in gens): i for i, t in enumerate(tables)}
 
     def mul(i, j):
-        return H.index_of(tables[i][v] for v in tables[j])
+        return pos[tuple(tables[i][v] for v in tables[j])]
 
     comp = []
-    for i in range(k):
-        for j in range(k):
-            if add[i][j] == ident and mul(i, j) == 0 and mul(j, i) == 0:
+    for i, t in enumerate(tables):
+        solutions = [[y for y in range(M.size) if M.add[t[g]][y] == g] for g in gens]
+        for images in itertools.product(*solutions):
+            j = by_images.get(images)
+            if j is not None and mul(i, j) == 0 and mul(j, i) == 0:
                 comp.append(i)
                 break
     summands = sorted({tuple(sorted(set(tables[i]))) for i in comp})
-    idem = [i for i in range(k) if mul(i, i) == i]
+    idem = [i for i in range(len(tables)) if mul(i, i) == i]
     retracts = sorted({tuple(sorted(set(tables[i]))) for i in idem})
-    return EndReport(H, ident, tuple(comp), tuple(summands), tuple(retracts))
+    return EndReport(tables, ident, tuple(comp), tuple(summands), tuple(retracts))
 
 
 def retract_pairs(N: Semimodule, M: Semimodule):

@@ -631,8 +631,14 @@ def monoid_morphism(A: Semimodule, B: Semimodule, mapping) -> Morphism:
 # Side plumbing for commutative coefficient semirings.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def mirror(M: Semimodule) -> Semimodule:
-    """The same carrier viewed from the opposite side (commutative S only)."""
+    """The same carrier viewed from the opposite side (commutative S only).
+
+    Cached, so each module has one mirror object: the caches keyed by
+    modules downstream then find it by identity, without comparing its
+    tables.  A refusal is not cached and is raised again on every call.
+    """
     if not M.semiring.commutative:
         raise SideMismatch("cannot mirror a module over a noncommutative semiring")
     side = LEFT if M.side == RIGHT else RIGHT

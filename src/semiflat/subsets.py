@@ -84,6 +84,13 @@ def enumerate_subsemimodules(M: Semimodule) -> tuple[Subsemimodule, ...]:
 
 def subtractive_closure_set(add: Table, zero: int, members) -> tuple[int, ...]:
     """Least fixed point of one-step difference-witness closure."""
+    return _subtractive_closure(add, zero, frozenset(members))
+
+
+@lru_cache(maxsize=None)
+def _subtractive_closure(add: Table, zero: int, members: frozenset) -> tuple[int, ...]:
+    # the exactness checks close the same images of the same tables many
+    # times over, so each (table, zero, subset) is closed once
     cur = set(members)
     cur.add(zero)
     n = len(add)

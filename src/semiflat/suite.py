@@ -415,6 +415,19 @@ def run_adjunction_suite():
 # 6. The exactness mega-suite.
 # ---------------------------------------------------------------------------
 
+def _cached(memo: dict, key, build):
+    """memo[key], built on first use.
+
+    The exactness items keep call-local memos keyed by object ids: their
+    inputs come from the cached hom sets and stay alive for the call, and
+    ids skip the Python-level hashes of morphisms and modules.
+    """
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build()
+    return value
+
+
 def _is_kernel_via(f: Morphism, g: Morphism) -> bool:
     if not f.injective:
         return False
@@ -422,8 +435,9 @@ def _is_kernel_via(f: Morphism, g: Morphism) -> bool:
                                   if g.map[x] == g.target.zero]
 
 
-def _is_cokernel_via(f: Morphism, g: Morphism) -> bool:
-    Q, pi = cokernel(f)
+def _is_cokernel_via(coker: tuple[Semimodule, Morphism], g: Morphism) -> bool:
+    """Whether g is the projection of ``coker``, the cokernel of the row's f."""
+    Q, pi = coker
     vals = [None] * Q.size
     for b in range(g.source.size):
         c = pi.map[b]
@@ -438,45 +452,57 @@ def _is_cokernel_via(f: Morphism, g: Morphism) -> bool:
 
 def _padded_sequence_items(S, rows) -> int:
     T = trivial_module(S)
+    memo = {}
     checks = 0
     for f, g, stage in rows:
-        zl = zero_morphism(T, f.source)
-        zr = zero_morphism(g.target, T)
+        zl = _cached(memo, ("from T", id(f.source)), lambda: zero_morphism(T, f.source))
+        zr = _cached(memo, ("to T", id(g.target)), lambda: zero_morphism(g.target, T))
         pf, pg = morphism_profile(f), morphism_profile(g)
+        left, right = classify_stage(zl, f), classify_stage(g, zr)
+        is_kernel = _is_kernel_via(f, g)
+        is_cokernel = _is_cokernel_via(
+            _cached(memo, ("cokernel", id(f)), lambda: cokernel(f)), g)
         # item 1: left-padded exactness is injectivity
-        st = classify_stage(zl, f)
-        assert st.exact == f.injective, "item 1 failed"
+        assert left.exact == f.injective, "item 1 failed"
         # item 2: right-padded exactness is surjectivity
-        st = classify_stage(g, zr)
-        assert st.exact == g.surjective, "item 2 failed"
+        assert right.exact == g.surjective, "item 2 failed"
         # item 3: semi-exact left-padded + uniform f <=> source is the kernel
-        lhs = classify_stage(zl, f).semi_exact and stage.semi_exact and pf.uniform
-        assert lhs == _is_kernel_via(f, g), "item 3 failed"
+        lhs = left.semi_exact and stage.semi_exact and pf.uniform
+        assert lhs == is_kernel, "item 3 failed"
         # item 4: semi-exact right-padded + uniform g <=> target is the cokernel
-        lhs = stage.semi_exact and classify_stage(g, zr).semi_exact and pg.uniform
-        assert lhs == _is_cokernel_via(f, g), "item 4 failed"
+        lhs = stage.semi_exact and right.semi_exact and pg.uniform
+        assert lhs == is_cokernel, "item 4 failed"
         # item 5: short exactness <=> kernel and cokernel identifications
-        five = (classify_stage(zl, f).exact and stage.exact
-                and classify_stage(g, zr).exact)
-        assert five == (_is_kernel_via(f, g) and _is_cokernel_via(f, g)), "item 5 failed"
+        five = left.exact and stage.exact and right.exact
+        assert five == (is_kernel and is_cokernel), "item 5 failed"
         checks += 5
     return checks
 
 
 def _hom_functor_items(S, rows, pool) -> int:
-    T = trivial_module(S)
+    memo = {}
+
+    def post(G, f):
+        return _cached(memo, ("post", id(G), id(f)), lambda: hom_postcompose(G, f))
+
+    def pre(f, G):
+        return _cached(memo, ("pre", id(G), id(f)), lambda: hom_precompose(f, G))
+
+    def kernel_is_zero(f):
+        return _cached(memo, ("kernel", id(f)), lambda: kernel(f)).members == (f.source.zero,)
+
     checks = 0
     for G in pool:
         for f, g, stage in rows:
             pf, pg = morphism_profile(f), morphism_profile(g)
             if pf.uniform and f.injective:
-                hf = hom_postcompose(G, f)
+                hf = post(G, f)
                 assert hf.injective and morphism_profile(hf).uniform, \
                     "covariant hom broke an injective uniform map"
                 checks += 1
-            if pf.uniform and stage.semi_exact and kernel(f).members == (f.source.zero,):
-                hf = hom_postcompose(G, f)
-                hg = hom_postcompose(G, g)
+            if pf.uniform and stage.semi_exact and kernel_is_zero(f):
+                hf = post(G, f)
+                hg = post(G, g)
                 st = classify_stage(hf, hg)
                 assert st.semi_exact and st.proper_exact and morphism_profile(hf).uniform, \
                     "covariant hom broke a semi-exact row"
@@ -485,13 +511,13 @@ def _hom_functor_items(S, rows, pool) -> int:
                     assert st.exact, "covariant hom broke an exact row"
                     checks += 1
             if pg.uniform and g.surjective:
-                hg = hom_precompose(g, G)
+                hg = pre(g, G)
                 assert hg.injective and morphism_profile(hg).uniform, \
                     "contravariant hom broke a surjective uniform map"
                 checks += 1
             if pg.uniform and stage.semi_exact and pg.semi_epi:
-                hg = hom_precompose(g, G)
-                hf = hom_precompose(f, G)
+                hg = pre(g, G)
+                hf = pre(f, G)
                 st = classify_stage(hg, hf)
                 assert st.semi_exact and st.proper_exact and morphism_profile(hg).uniform, \
                     "contravariant hom broke a semi-exact row"
@@ -503,19 +529,26 @@ def _hom_functor_items(S, rows, pool) -> int:
 
 
 def _tensor_functor_items(S, rows, pool) -> int:
+    memo = {}
+
+    def tensored(G, f):
+        # id_G (x) f, with f mirrored to a left map once per f
+        idG = _cached(memo, ("id", id(G)), lambda: identity_morphism(G))
+        fL = _cached(memo, ("left", id(f)), lambda: as_left_morphism(f))
+        return _cached(memo, ("tensor", id(G), id(f)), lambda: tensor_morphisms(idG, fL))
+
     checks = 0
     for G in pool:
-        idG = identity_morphism(G)
         for f, g, stage in rows:
             pg = morphism_profile(g)
             if pg.uniform and g.surjective:
-                tg = tensor_morphisms(idG, as_left_morphism(g))
+                tg = tensored(G, g)
                 assert tg.surjective and morphism_profile(tg).uniform, \
                     "tensoring broke a surjective uniform map"
                 checks += 1
             if pg.uniform and stage.semi_exact and pg.semi_epi:
-                tf = tensor_morphisms(idG, as_left_morphism(f))
-                tg = tensor_morphisms(idG, as_left_morphism(g))
+                tf = tensored(G, f)
+                tg = tensored(G, g)
                 st = classify_stage(tf, tg)
                 ptg = morphism_profile(tg)
                 assert st.semi_exact and ptg.uniform and ptg.semi_epi, \
@@ -549,22 +582,23 @@ def _componentwise_items(S, pool) -> int:
     # tensoring with a nonzero free module reflects uniformity both ways
     SM = semiring_module(S)
     free2 = free_module(S, 2)
-    proj = end_comp(free2)
+    frees = [identity_morphism(F) for F in (SM, free2)]
+    projectives = [identity_morphism(submodule_of(free2, subsemimodule(free2, members))[0])
+                   for members in end_comp(free2).retracts[:3]]
     for A in pool:
         for B in pool:
             for phi in _homs(A, B):
                 phiL = as_left_morphism(phi)
                 p = morphism_profile(phi)
-                for F in (SM, free2):
-                    t = tensor_morphisms(identity_morphism(F), phiL)
+                for idF in frees:
+                    t = tensor_morphisms(idF, phiL)
                     pt = morphism_profile(t)
                     assert pt.uniform == p.uniform and pt.k_uniform == p.k_uniform \
                         and pt.i_uniform == p.i_uniform, \
                         "free tensoring must reflect uniformity exactly"
                     checks += 1
-                for members in proj.retracts[:3]:
-                    P, _ = submodule_of(free2, subsemimodule(free2, members))
-                    t = tensor_morphisms(identity_morphism(P), phiL)
+                for idP in projectives:
+                    t = tensor_morphisms(idP, phiL)
                     pt = morphism_profile(t)
                     if p.uniform:
                         assert pt.uniform, "projective tensoring must preserve uniformity"
@@ -621,12 +655,6 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
     checks = {"1a": 0, "1b": 0, "2b": 0}
     memo = {}
 
-    def cached(key, build):
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = build()
-        return value
-
     def grouped(pairs):
         groups = {}
         for p, x in pairs:
@@ -643,10 +671,13 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
                 found = matches(p, q)
                 if not found:
                     continue
+                found = [(id(a), a, n) for a, n in found]
                 for x in xs:
+                    ix = id(x)
                     for y in ys:
-                        for a, n in found:
-                            key = (id(x), id(y), id(a))
+                        iy = id(y)
+                        for ia, a, n in found:
+                            key = (ix, iy, ia)
                             entry = totals.get(key)
                             if entry is None:
                                 totals[key] = [x, y, a, n]
@@ -682,10 +713,10 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
         def matches(f1, f2):
             H = hom_module(f1.target, f2.target)
             candidates = H.injective_maps if injective_only else H.maps
-            index = cached(("f2.a1", id(f1.source), id(f2)), lambda: Counter(
+            index = _cached(memo, ("f2.a1", id(f1.source), id(f2)), lambda: Counter(
                 tuple(f2.map[v] for v in a1.map)
                 for a1 in hom_module(f1.source, f2.source).surjective_maps))
-            probes = cached(("a2.f1", id(f1), id(candidates)), lambda: [
+            probes = _cached(memo, ("a2.f1", id(f1), id(candidates)), lambda: [
                 (a2, tuple(a2.map[v] for v in f1.map)) for a2 in candidates])
             return probe(index, probes)
         return matches
@@ -720,17 +751,17 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
     def a3_matches(g1, g2):
         X, Y = g1.target, g2.target
         candidates = hom_module(g1.source, g2.source).surjective_maps
-        index = cached(("a3.g1", id(g1), id(Y)), lambda: Counter(
+        index = _cached(memo, ("a3.g1", id(g1), id(Y)), lambda: Counter(
             tuple(a3.map[v] for v in g1.map)
-            for a3 in cached(("kernel-free", id(X), id(Y)), lambda: kernel_free(X, Y))))
-        probes = cached(("g2.a2", id(g2), id(candidates)), lambda: [
+            for a3 in _cached(memo, ("kernel-free", id(X), id(Y)), lambda: kernel_free(X, Y))))
+        probes = _cached(memo, ("g2.a2", id(g2), id(candidates)), lambda: [
             (a2, tuple(g2.map[v] for v in a2.map)) for a2 in candidates])
         return probe(index, probes)
 
     semi_by_g1 = grouped((g, f) for f, g, st in rows if st.semi_exact)
     chain_inj_by_g2 = grouped((g, f) for f, g, st in rows if f.injective and st.chain_step)
     for f1, f2, a2, n in partner_counts(semi_by_g1, chain_inj_by_g2, a3_matches):
-        f2_pos = cached(("f2-pos", id(f2)), lambda: {v: i for i, v in enumerate(f2.map)})
+        f2_pos = _cached(memo, ("f2-pos", id(f2)), lambda: {v: i for i, v in enumerate(f2.map)})
         vals = [f2_pos.get(a2.map[v]) for v in f1.map]
         if None in vals:
             continue

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from semiflat.catalog import enumerate_commutative_monoids
+from semiflat.catalog import bool_semiring, enumerate_commutative_monoids, free_module
+from semiflat.errors import InvalidArgument
 
 
 def _associative(t) -> bool:
@@ -55,3 +56,10 @@ def test_commutative_monoids_of_size_five():
     assert len(labelled) == 1486
     assert all(_associative(t) for t in labelled)
     assert len(enumerate_commutative_monoids(5)) == 78     # OEIS A058133
+
+
+@pytest.mark.parametrize("rank", [-1, 1.0, 1.5, "2", None, True, False],
+                         ids=repr)
+def test_free_module_rank_must_be_a_non_bool_int(rank):
+    with pytest.raises(InvalidArgument):
+        free_module(bool_semiring(), rank)

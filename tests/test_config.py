@@ -71,6 +71,9 @@ def _z4_dense_box():
 CASES = [
     ("enumerate_subsemimodules", lambda: enumerate_subsemimodules(_z17()),
      SizeBoundExceeded, "MAX_SUBSET_MODULE", None),
+    # 2^13 = 8,192 elements: the bound must stop this before the table is built
+    ("free_module", lambda: free_module(bool_semiring(), 13), SizeBoundExceeded,
+     "MAX_PRODUCT", None),
     ("direct_sum", lambda: direct_sum(_seven_b2()), SizeBoundExceeded, "MAX_PRODUCT", None),
     ("product", lambda: product(_seven_b2()), SizeBoundExceeded, "MAX_PRODUCT", None),
     ("coproduct", lambda: coproduct(_seven_b2()), SizeBoundExceeded, "MAX_PRODUCT", None),
@@ -127,17 +130,24 @@ def test_cover_bound_rejects_a_pair_whose_box_fits():
 
 
 def test_free_cover_bound_is_checked_before_the_module_is_built(monkeypatch):
+    # the covers are bounded by free_module itself, the one place that
+    # checks S^n; the rank-2 cover of B (4 elements) is refused there
     built = []
 
     def recording_free_module(S, rank, side):
-        built.append(rank)
-        return free_module(S, rank, side)
+        try:
+            out = free_module(S, rank, side)
+        except SizeBoundExceeded as exc:
+            built.append((rank, exc.requested))
+            raise
+        built.append((rank, out.size))
+        return out
 
     monkeypatch.setattr(config, "MAX_PRODUCT", 3)
     monkeypatch.setattr(flatness, "free_module", recording_free_module)
     with pytest.raises(SizeBoundExceeded):
         projectivity_witness(chain_module(3))
-    assert built == [1]
+    assert built == [(1, 2), (2, 4)]
 
 
 def test_retract_search_checks_both_bounds_before_searching(monkeypatch):

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from semiflat import config
+from semiflat import config, homology
 from semiflat.catalog import (bool_semiring, chain_module, enumerate_semimodules,
                               free_module, product_semiring, semiring_bimodule,
                               sat_semiring, semiring_module, suite_pool,
@@ -153,7 +153,8 @@ def test_hom_functoriality(Z4m, Z2):
 
 def test_end_comp_bool(Bm):
     er = end_comp(Bm)
-    assert len(er.hom.maps) == 2
+    assert len(hom_module(Bm, Bm).maps) == 2
+    assert er.tables == tuple(f.map for f in hom_module(Bm, Bm).maps)
     assert er.comp == (0, 1)
     assert er.summands == ((0,), (0, 1))
 
@@ -287,7 +288,8 @@ def test_end_is_a_semiring():
         E = build_semiring([f"e{i}" for i in range(k)], add, mul, 0,
                            pos[tuple(range(M.size))])
         er = end_comp(M)
-        assert er.identity == E.one and er.hom.module.add == E.add
+        assert er.identity == E.one and H.module.add == E.add
+        assert er.tables == tuple(tables)
         # the complemented elements and the retracts, from the reference tables
         comp = tuple(i for i in range(k)
                      if any(E.add[i][j] == E.one and E.mul[i][j] == E.zero
@@ -333,18 +335,14 @@ def test_hom_tables_match_whole_table_lookup():
         assert got == actions
 
 
-@pytest.mark.parametrize("S, k", [(bool_semiring(), 16), (sat_semiring(3), 256),
-                                  (zmod_semiring(4), 256)], ids=["BOOL", "SAT3", "ZMOD4"])
-def test_end_comp_of_free2_matches_composition_table(S, k):
-    # end_comp composes only the complement pairs and the squares; the
-    # reference reads everything from the full k x k composition table
-    M = free_module(S, 2)
-    er = end_comp(M)
-    tables = [f.map for f in er.hom.maps]
-    assert len(tables) == k
+def _end_report_oracle(M):
+    # End(M) read from the full k x k composition and addition tables
+    H = hom_module(M, M)
+    tables = [f.map for f in H.maps]
+    k = len(tables)
     pos = {t: i for i, t in enumerate(tables)}
     mul = [[pos[tuple(t[v] for v in u)] for u in tables] for t in tables]
-    add, _ = _whole_table_hom(M, M, er.hom)
+    add, _ = _whole_table_hom(M, M, H)
     one = pos[tuple(range(M.size))]
     comp = tuple(i for i in range(k)
                  if any(add[i][j] == one and mul[i][j] == 0 and mul[j][i] == 0
@@ -352,8 +350,42 @@ def test_end_comp_of_free2_matches_composition_table(S, k):
     summands = tuple(sorted({tuple(sorted(set(tables[i]))) for i in comp}))
     retracts = tuple(sorted({tuple(sorted(set(tables[i]))) for i in range(k)
                              if mul[i][i] == i}))
+    return tuple(tables), one, comp, summands, retracts
+
+
+FREE2_ENDS = [(bool_semiring(), 16), (sat_semiring(3), 256), (zmod_semiring(4), 256)]
+
+
+@pytest.mark.parametrize("S, k", FREE2_ENDS, ids=["BOOL", "SAT3", "ZMOD4"])
+def test_end_comp_of_free2_matches_composition_table(S, k):
+    # end_comp composes only the complement pairs and the squares; the
+    # reference reads everything from the full k x k composition table
+    M = free_module(S, 2)
+    er = end_comp(M)
+    tables, one, comp, summands, retracts = _end_report_oracle(M)
+    assert len(tables) == k and er.tables == tables
     assert (er.identity, er.comp, er.summands, er.retracts) == (one, comp, summands, retracts)
     assert len(er.summands) > 2
+
+
+@pytest.mark.parametrize("S, k", FREE2_ENDS, ids=["BOOL", "SAT3", "ZMOD4"])
+def test_end_comp_of_free2_builds_no_hom_module(monkeypatch, S, k):
+    # End(S^2) is read from the Hom tables; over SAT3 and ZMOD4 the Hom
+    # module would carry a 256 x 256 addition table that nothing reads
+    calls = []
+
+    def counting_hom_module(M, N):
+        calls.append((M, N))
+        return hom_module(M, N)
+
+    M = free_module(S, 2)
+    monkeypatch.setattr(homology, "hom_module", counting_hom_module)
+    er = end_comp.__wrapped__(M)   # past the cache, so the body runs
+    monkeypatch.undo()
+    assert calls == []
+    assert (er.tables, er.identity, er.comp, er.summands, er.retracts) == \
+        _end_report_oracle(M)
+    assert er == end_comp(M)
 
 
 def test_retract_of_direct_sum(Bm, B):

@@ -53,7 +53,7 @@ DECLARATIONS = [
                   ("witness", ())], True),
     (ExactnessReport, ["stages"], True),
     (HomModule, ["source", "target", "module", "maps"], True),
-    (EndReport, ["hom", "identity", "comp", "summands", "retracts"], True),
+    (EndReport, ["tables", "identity", "comp", "summands", "retracts"], True),
     (InjectivityEntry, ["module_index", "sub_members", "surjective", "uniform"], True),
     (InjectivityReport, ["entries"], True),
     (CogeneratorEntry, ["probe_index", "restriction_surjective", "restriction_uniform",

@@ -8,7 +8,7 @@ from semiflat.catalog import (product_semiring, semiring_module,
                               trivial_module, zmod_module, zmod_semiring, cyclic_monoid)
 from semiflat.errors import AxiomViolation, MalformedTable, SemiflatError, SideMismatch
 from semiflat.limits import directed_system, inverse_system
-from semiflat.structures import (as_left, build_morphism, build_semimodule,
+from semiflat.structures import (as_left, as_right, build_morphism, build_semimodule,
                                  build_semiring, compose,
                                  element_order, element_orders,
                                  find_monoid_isomorphism, freeze_table,
@@ -192,6 +192,43 @@ def test_zero_breaking_map_rejected(Bm):
 def test_side_mismatch_rejected(Bm):
     with pytest.raises(SideMismatch):
         build_morphism(Bm, mirror(Bm), [0, 1])
+
+
+def _upper_triangular_bool():
+    # Boolean upper triangular 2 x 2 matrices [[a, b], [0, c]]: a
+    # noncommutative semiring with eight elements
+    elems = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    pos = {e: i for i, e in enumerate(elems)}
+
+    def mul(x, y):
+        return (x[0] & y[0], (x[0] & y[1]) | (x[1] & y[2]), x[2] & y[2])
+
+    return build_semiring(["".join(map(str, e)) for e in elems],
+                          [[pos[tuple(u | v for u, v in zip(x, y))] for y in elems]
+                           for x in elems],
+                          [[pos[mul(x, y)] for y in elems] for x in elems],
+                          pos[(0, 0, 0)], pos[(1, 0, 1)])
+
+
+def test_mirror_is_one_object_per_module(Z4m):
+    # the mirror is cached, so every cache keyed by modules downstream
+    # finds it by identity
+    assert as_left(Z4m) is as_left(Z4m)
+    assert as_left(Z4m) is mirror(Z4m) and as_left(Z4m).side == "left"
+    assert as_right(as_left(Z4m)) == Z4m
+    assert as_left(as_left(Z4m)) is as_left(Z4m)
+
+
+def test_mirror_refuses_a_noncommutative_semiring_every_time():
+    # a refusal is not cached: the second call raises as the first did
+    S = _upper_triangular_bool()
+    assert not S.commutative
+    M = semiring_module(S)
+    for _ in range(2):
+        with pytest.raises(SideMismatch):
+            mirror(M)
+        with pytest.raises(SideMismatch):
+            as_left(M)
 
 
 def test_element_orders(Z4m, Bm):

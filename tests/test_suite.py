@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from semiflat import suite
 from semiflat.catalog import suite_semirings
 from semiflat.homology import hom_module, morphism_profile
 from semiflat.suite import (_componentwise_items, _hom_functor_items,
@@ -118,3 +119,35 @@ def test_exactness_counts_per_helper(index):
            _tensor_functor_items(S, rows, pool), _componentwise_items(S, pool),
            _retract_square_items(S, pool), _two_row_diagram_items(rows))
     assert got == EXACTNESS_COUNTS[index]
+
+
+def _recording(monkeypatch, name):
+    # the arguments of every call the suite items make to ``name``
+    calls = []
+    real = getattr(suite, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(suite, name, wrapper)
+    return calls
+
+
+def test_exactness_items_call_once_per_distinct_input(monkeypatch):
+    # the padded-sequence and tensor-functor items keep call-local memos,
+    # so a cokernel, a mirrored map and a tensored map are each made once
+    # per distinct input; the counts are taken at the suite's call sites,
+    # so they do not depend on what the package caches already hold
+    S = suite_semirings()[0]
+    pool = _pool_modules(S)
+    rows = _stage_rows(pool)
+    names = ("tensor_morphisms", "cokernel", "as_left_morphism")
+    calls = {name: _recording(monkeypatch, name) for name in names}
+    _padded_sequence_items(S, rows)
+    _tensor_functor_items(S, rows, pool)
+    got = {name: (len(args), len(set(args))) for name, args in calls.items()}
+    # (calls, distinct inputs); before the memos the calls were 1,460,
+    # 1,444 and 1,460
+    assert got == {"tensor_morphisms": (252, 252), "cokernel": (63, 63),
+                   "as_left_morphism": (63, 63)}

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from semiflat.cli import main
 from semiflat.errors import SchemaError, SemiflatError, UnknownObject
-from semiflat.workspace import (emit_workspace, load_default_workspace,
-                                parse_workspace, parse_workspace_dict)
+from semiflat.workspace import (default_workspace_path, emit_workspace,
+                                load_default_workspace, parse_workspace,
+                                parse_workspace_dict)
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +156,30 @@ def test_one_changed_field_is_a_typed_error(ws_path, path, value):
     else:
         assert code == 2
         assert json.loads(out.getvalue())["error"] == error
+
+
+with open(default_workspace_path(), encoding="utf-8") as _fh:
+    DEFAULT_DOC = json.load(_fh)
+DEFAULT_PATHS = sorted(_paths(DEFAULT_DOC), key=repr)
+# what a JSON node can turn into: every kind of scalar, an empty container,
+# or nothing (the key or the list entry is deleted)
+NODE_VALUES = (st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+               | st.sampled_from([[], {}]) | st.just(DELETE))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(DEFAULT_PATHS), NODE_VALUES)
+def test_one_mutated_node_of_the_default_workspace_is_a_typed_error(path, value):
+    # only a SemiflatError may escape parse_workspace_dict
+    doc = copy.deepcopy(DEFAULT_DOC)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    try:
+        parse_workspace_dict(doc)
+    except SemiflatError:
+        pass
