@@ -73,15 +73,14 @@ def morphism_profile(f: Morphism) -> MorphismProfile:
     for group in by_value.values():
         if len(group) < 2:
             continue
-        # only elements of one fibre are compared, so only a fibre with a
-        # collision needs its kernel corrections
-        corrected = [frozenset(map(src.add[x].__getitem__, ker)) for x in group]
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if corrected[i].isdisjoint(corrected[j]):
-                    k_uniform, k_witness = False, (group[i], group[j])
-                    break
-            if not k_uniform:
+        # x + K meets y + K is an equivalence (the Bourne relation of the
+        # submonoid K = ker f), so the fibre is one class exactly when its
+        # first element meets every other; the first failure is also the
+        # first failing pair in (i, j) order
+        first = frozenset(map(src.add[group[0]].__getitem__, ker))
+        for y in group[1:]:
+            if first.isdisjoint(map(src.add[y].__getitem__, ker)):
+                k_uniform, k_witness = False, (group[0], y)
                 break
         if not k_uniform:
             break
@@ -124,7 +123,7 @@ class ExactnessReport(Record):
 
 
 def classify_stage(f: Morphism, g: Morphism) -> StageFlags:
-    if f.target != g.source:
+    if f.target is not g.source and f.target != g.source:
         raise NotComposable("stage maps do not compose")
     mid = f.target
     img = sorted(set(f.map))
@@ -499,7 +498,8 @@ def uniformly_cogenerates(Q: Semimodule, probes) -> tuple[CogeneratorEntry, ...]
 # ---------------------------------------------------------------------------
 
 def _require_commutes(left: Morphism, right: Morphism, tag: str):
-    if left.source != right.source or left.target != right.target:
+    # tuples compare their items by identity before equality
+    if (left.source, left.target) != (right.source, right.target):
         raise NotCommutative(tag, "path endpoints differ")
     for x in range(left.source.size):
         if left.map[x] != right.map[x]:

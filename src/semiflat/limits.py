@@ -130,9 +130,9 @@ def sum_morphism(fs, source_data: ProductData, target_data: ProductData) -> Morp
     a time; it is linear because each component is and the structure of a
     direct sum is componentwise.
     """
-    if (len(fs) != len(source_data.factors) or len(fs) != len(target_data.factors)
-            or any(f.source != A or f.target != B for f, A, B
-                   in zip(fs, source_data.factors, target_data.factors))):
+    # tuples compare their items by identity before equality
+    if (tuple(f.source for f in fs) != source_data.factors
+            or tuple(f.target for f in fs) != target_data.factors):
         raise ShapeMismatch("one component map per factor, between matching factors")
     mapping = [0]
     for f in fs:

@@ -192,6 +192,13 @@ def semiring_violations(labels, add: Table, mul: Table, zero: int, one: int) -> 
     return out
 
 
+# Every semiring built so far, keyed by itself: build_semiring returns the
+# first object built with equal values, so the caches keyed by semirings (and
+# by the modules and maps over them) find it by identity, without comparing
+# its tables.
+_SEMIRINGS: dict[Semiring, Semiring] = {}
+
+
 def build_semiring(labels, add, mul, zero: int, one: int) -> Semiring:
     labels = _freeze_labels(labels)
     n = len(labels)
@@ -206,7 +213,8 @@ def build_semiring(labels, add, mul, zero: int, one: int) -> Semiring:
     violations = semiring_violations(labels, add, mul, zero, one)
     if violations:
         raise AxiomViolation("semiring", violations)
-    return Semiring(labels, add, mul, zero, one)
+    R = Semiring(labels, add, mul, zero, one)
+    return _SEMIRINGS.setdefault(R, R)
 
 
 class SecondAction(Record):
@@ -245,9 +253,6 @@ class Semimodule(Record):
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def _hash_key(self):
-        return (self.semiring, self.side, self.add, self.zero, self.action, self.second)
 
     def __repr__(self):
         tag = "bi" if self.second else self.side
@@ -402,7 +407,7 @@ def morphism_violations(source: Semimodule, target: Semimodule, mapping):
 
 def check_endpoints(source: Semimodule, target: Semimodule) -> None:
     """Raise SideMismatch unless source and target share a semiring and a side."""
-    if source.semiring != target.semiring:
+    if source.semiring is not target.semiring and source.semiring != target.semiring:
         raise SideMismatch("source and target live over different semirings")
     if source.side != target.side:
         raise SideMismatch(f"source is {source.side}-sided, target is {target.side}-sided")
@@ -433,7 +438,7 @@ def zero_morphism(M: Semimodule, N: Semimodule) -> Morphism:
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """Composite f after g."""
-    if g.target != f.source:
+    if g.target is not f.source and g.target != f.source:
         raise SideMismatch("composite endpoints do not match")
     return Morphism(g.source, f.target, tuple(f.map[x] for x in g.map))
 

@@ -107,7 +107,9 @@ def _entries(doc, section):
 
 def parse_workspace_dict(doc: dict) -> Workspace:
     _expect(isinstance(doc, dict), "/", "document must be an object")
-    _expect(doc.get("format") == FORMAT, "/format", f"unsupported format {doc.get('format')!r}")
+    fmt = doc.get("format")
+    # type(...) is int: a JSON true or 1.0 compares equal to 1 but is not format 1
+    _expect(type(fmt) is int and fmt == FORMAT, "/format", f"unsupported format {fmt!r}")
     ws = Workspace()
     for name, raw in _entries(doc, "semirings"):
         ptr = f"/semirings/{name}"
@@ -249,7 +251,11 @@ def _emit_semimodule(name_of_semiring, M: Semimodule) -> dict:
 
 
 def emit_workspace_dict(ws: Workspace) -> dict:
-    name_of_semiring = {S: n for n, S in ws.semirings.items()}
+    # equal semirings are one object (build_semiring), so a semiring declared
+    # under several names is emitted under the first of them in name order
+    name_of_semiring = {}
+    for n, S in sorted(ws.semirings.items()):
+        name_of_semiring.setdefault(S, n)
     name_of_module = {M: n for n, M in ws.semimodules.items()}
     doc = {"format": FORMAT}
     doc["semirings"] = {n: _emit_semiring(S) for n, S in ws.semirings.items()}

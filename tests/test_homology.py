@@ -21,6 +21,7 @@ from semiflat.homology import (classify_sequence, classify_stage, cokernel,
                                uniformly_injective_rel,
                                verify_retract_square, verify_two_row_diagram,
                                with_zero_ends)
+from semiflat.limits import direct_sum, sum_morphism
 from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
                                  build_morphism, build_semimodule,
                                  build_semiring, check_endpoints, compose,
@@ -29,6 +30,7 @@ from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
                                  swap_actions, with_bimodule_structure,
                                  zero_morphism)
 from semiflat.subsets import submodule_of, subsemimodule
+from semiflat.suite import _small_homs
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,49 @@ def test_injective_implies_k_uniform():
                     if f.injective:
                         assert prof.k_uniform
                     assert prof.uniform == (prof.k_uniform and prof.i_uniform)
+
+
+def _k_uniformity_oracle(f):
+    """k-uniformity read off its definition, with the first failure as witness.
+
+    f is k-uniform when f(x) = f(y) gives kernel elements k1, k2 with
+    x + k1 = y + k2; the pairs x < y of one fibre are tried in order, the
+    fibres in the order of their least elements.
+    """
+    add = f.source.add
+    ker = [k for k in range(f.source.size) if f.map[k] == f.target.zero]
+    fibres = {}
+    for x in range(f.source.size):
+        fibres.setdefault(f.map[x], []).append(x)
+    for fibre in fibres.values():
+        for x, y in itertools.combinations(fibre, 2):
+            if not any(add[x][k1] == add[y][k2] for k1 in ker for k2 in ker):
+                return False, (x, y)
+    return True, None
+
+
+def _assert_k_profile(f):
+    prof = morphism_profile(f)
+    assert (prof.k_uniform, prof.k_witness) == _k_uniformity_oracle(f)
+    return prof.k_uniform
+
+
+def test_k_uniformity_matches_its_definition():
+    for S in suite_semirings():
+        pool = [M for _, M in suite_pool(S)]
+        for M in pool:
+            for N in pool:
+                for f in hom_module(M, N).maps:
+                    _assert_k_profile(f)
+    # sums of two maps: larger fibres, and some of them split by the kernel
+    homs = _small_homs([M for _, M in suite_pool(bool_semiring())])[:20]
+    failures = 0
+    for f1 in homs:
+        for f2 in homs:
+            src = direct_sum((f1.source, f2.source))
+            tgt = direct_sum((f1.target, f2.target))
+            failures += not _assert_k_profile(sum_morphism((f1, f2), src, tgt))
+    assert failures > 0
 
 
 def test_stage_flag_lattice_over_pools():

@@ -14,19 +14,23 @@ import pathlib
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from semiflat.catalog import zmod_module
+from semiflat import structures, suite
+from semiflat.catalog import (bool_semiring, sat_semiring, trivial_module, zmod_module,
+                              zmod_semiring)
 from semiflat.congruence import Congruence
 from semiflat.flatness import FlatCertificate, FlatnessVerdict, SearchConfig, SearchRecord
 from semiflat.homology import (CogeneratorEntry, EndReport, ExactnessReport, HomModule,
                                InjectivityEntry, InjectivityReport, MorphismProfile,
-                               RetractSquareReport, StageFlags, TwoRowReport)
+                               RetractSquareReport, StageFlags, TwoRowReport, hom_module)
 from semiflat.limits import (Colimit, DirectedSystem, HomColimitComparison, InverseSystem,
                              ProductData)
+from semiflat.record import Record
 from semiflat.structures import (Morphism, SecondAction, Semimodule, Semiring, Violation,
-                                 identity_morphism, zero_morphism)
+                                 counting_semiring, identity_morphism, zero_morphism)
 from semiflat.subsets import Subsemimodule
 from semiflat.suite import SuiteResult
 from semiflat.tensor import (AdjunctionReport, CancellativeTensor, HomTensorComparison,
@@ -88,7 +92,6 @@ DECLARATIONS = [
 # the classes that define their own repr, and the hash keys that leave fields out
 CUSTOM_REPR = {Semiring, Semimodule, Morphism, Subsemimodule, Congruence}
 HASH_KEYS = {
-    Semimodule: lambda r: (r.semiring, r.side, r.add, r.zero, r.action, r.second),
     Congruence: lambda r: (r.size, r.class_of),
     HomModule: lambda r: (r.source, r.target, r.module),
     DirectedSystem: lambda r: (r.nodes, r.order, tuple(m.map for m in r.maps)),
@@ -195,6 +198,55 @@ def test_morphism_equality_ignores_derived_flags():
     g.__dict__["injective"] = True
     g.__dict__["surjective"] = False
     assert f == g and hash(f) == hash(g)
+
+
+def test_equal_semirings_are_one_object():
+    assert counting_semiring(1, 1) is bool_semiring()
+    assert counting_semiring(3, 1) is sat_semiring(3)
+    assert counting_semiring(0, 4) is zmod_semiring(4)
+
+
+def test_semimodules_hash_their_labels():
+    # the trivial module and a one-element Hom module differ only in the label
+    for S in (bool_semiring(), sat_semiring(3), zmod_semiring(4)):
+        T = trivial_module(S)
+        H = hom_module(T, T).module
+        assert (T.labels, H.labels) == (("0",), ("h0",))
+        assert T != H and hash(T) != hash(H)
+
+
+def _clear_caches():
+    for name, module in list(sys.modules.items()):
+        if name == "semiflat" or name.startswith("semiflat."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+def test_cache_keys_compare_only_equal_records(monkeypatch):
+    # Two distinct records of one class are compared when their hashes
+    # match, so a comparison that returns False is a hash collision between
+    # unequal cache keys.  Two semirings are compared only when
+    # build_semiring looks up the first one built with equal values.
+    unequal, semirings = Counter(), Counter()
+    eq = Record.__eq__
+    intern = structures.build_semiring.__code__
+
+    def counted(self, other):
+        result = eq(self, other)
+        if self is not other and other.__class__ is self.__class__:
+            if not result:
+                unequal[type(self).__name__] += 1
+            caller = sys._getframe(1).f_code
+            if isinstance(self, Semiring) and caller is not intern:
+                semirings[caller.co_name] += 1
+        return result
+
+    _clear_caches()
+    monkeypatch.setattr(Record, "__eq__", counted)
+    B = bool_semiring()
+    suite._componentwise_items(B, suite._pool_modules(B))
+    assert unequal == {} and semirings == {}
 
 
 def test_workspace_maps_are_fresh_per_instance():

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from semiflat.cli import main
 from semiflat.errors import SchemaError, SemiflatError, UnknownObject
-from semiflat.workspace import (default_workspace_path, emit_workspace,
-                                load_default_workspace, parse_workspace,
-                                parse_workspace_dict)
+from semiflat.workspace import (canonical_json, default_workspace_path, emit_workspace,
+                                emit_workspace_dict, load_default_workspace,
+                                parse_workspace, parse_workspace_dict)
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,39 @@ def test_unknown_label_rejected():
 def test_unsupported_format_rejected():
     with pytest.raises(SchemaError):
         parse_workspace_dict({"format": 99})
+
+
+@pytest.mark.parametrize("header", [{"format": True}, {"format": 1.0}, {"format": "1"},
+                                    {"format": None}, {}],
+                         ids=["true", "1.0", "string", "null", "missing"])
+def test_format_must_be_the_integer_one(tmp_path, header):
+    # True and 1.0 compare equal to 1 in Python, but neither is format 1
+    doc = {**header, "semirings": {}}
+    with pytest.raises(SchemaError) as exc:
+        parse_workspace_dict(doc)
+    assert exc.value.pointer == "/format"
+    ws_path = tmp_path / "ws.json"
+    ws_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--workspace", str(ws_path), "validate"])
+    assert code == 2
+    err = json.loads(out.getvalue())
+    assert err["error"] == "SchemaError" and err["detail"].startswith("/format:")
+
+
+def test_equal_semirings_keep_the_first_name():
+    # A and B are one semiring object; the module declared over A names A
+    B = {"elements": ["0", "1"], "add": [["0", "1"], ["1", "1"]],
+         "mul": [["0", "0"], ["0", "1"]], "zero": "0", "one": "1"}
+    M = {"semiring": "A", "side": "right", "elements": ["0", "1"],
+         "add": [["0", "1"], ["1", "1"]], "zero": "0", "action": [["0", "0"], ["0", "1"]]}
+    doc = {"format": 1, "semirings": {"A": B, "B": copy.deepcopy(B)},
+           "semimodules": {"M": M}, "morphisms": {}, "systems": {}, "diagrams": {}}
+    ws = parse_workspace_dict(doc)
+    assert ws.semirings["A"] is ws.semirings["B"]
+    assert emit_workspace_dict(ws)["semimodules"]["M"]["semiring"] == "A"
+    assert emit_workspace(ws) == canonical_json(doc)
 
 
 def test_missing_file_is_schema_error(tmp_path):
