@@ -15,8 +15,8 @@ from . import config
 from .congruence import module_congruence_closure, quotient_by_congruence
 from .errors import InvalidArgument, MalformedTable, SizeBoundExceeded
 from .structures import (LEFT, RIGHT, Semimodule, Semiring, Table,
-                         build_semimodule, build_semiring, freeze_table,
-                         monoid_module)
+                         build_semimodule, build_semiring, canonical_form,
+                         freeze_table, monoid_module)
 from .subsets import submodule_of, subsemimodule
 
 
@@ -265,37 +265,23 @@ def _monoid_tables(n: int):
     return fill(0)
 
 
-def _canonical_monoid(t: Table) -> Table:
-    n = len(t)
-    best = None
-    for perm in itertools.permutations(range(1, n)):
-        p = (0,) + perm
-        inv = [0] * n
-        for i, x in enumerate(p):
-            inv[x] = i
-        cand = tuple(tuple(inv[t[p[a]][p[b]]] for b in range(n)) for a in range(n))
-        if best is None or cand < best:
-            best = cand
-    return best
+def _check_enumerated_size(n, what: str) -> None:
+    """Refuse a size that is not a non-bool int in 1..MAX_ENUMERATED_SIZE, before any cache."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidArgument(f"{what} needs a positive integer size, got {n!r}")
+    if n > config.MAX_ENUMERATED_SIZE:
+        raise SizeBoundExceeded(what, n, config.MAX_ENUMERATED_SIZE)
+
+
+def enumerate_commutative_monoids(n: int) -> tuple[Table, ...]:
+    """The commutative monoids on n elements up to isomorphism, canonical and sorted."""
+    _check_enumerated_size(n, "commutative monoid enumeration")
+    return _commutative_monoids(n)
 
 
 @lru_cache(maxsize=None)
-def enumerate_commutative_monoids(n: int, up_to_iso: bool = True) -> tuple[Table, ...]:
-    if n > config.MAX_ENUMERATED_SIZE:
-        raise SizeBoundExceeded("commutative monoid enumeration", n,
-                                config.MAX_ENUMERATED_SIZE)
-    out = []
-    seen = set()
-    for frozen in _monoid_tables(n):
-        if up_to_iso:
-            canon = _canonical_monoid(frozen)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(canon)
-        else:
-            out.append(frozen)
-    return tuple(sorted(out))
+def _commutative_monoids(n: int) -> tuple[Table, ...]:
+    return tuple(sorted({canonical_form(t, 0)[0][0] for t in _monoid_tables(n)}))
 
 
 def _monoid_endomorphisms(t: Table) -> list[tuple[int, ...]]:
@@ -308,12 +294,14 @@ def _monoid_endomorphisms(t: Table) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def enumerate_semimodules(S: Semiring, max_size: int) -> tuple[Semimodule, ...]:
     """All right S-semimodules with at most max_size elements, up to isomorphism."""
-    if max_size > config.MAX_ENUMERATED_SIZE:
-        raise SizeBoundExceeded("semimodule enumeration", max_size,
-                                config.MAX_ENUMERATED_SIZE)
+    _check_enumerated_size(max_size, "semimodule enumeration")
+    return _semimodules(S, max_size)
+
+
+@lru_cache(maxsize=None)
+def _semimodules(S: Semiring, max_size: int) -> tuple[Semimodule, ...]:
     out: list[Semimodule] = []
     seen: set = set()
     for n in range(1, max_size + 1):
@@ -347,19 +335,7 @@ def enumerate_semimodules(S: Semiring, max_size: int) -> tuple[Semimodule, ...]:
                 if not ok:
                     continue
                 action = freeze_table([[fs[s][x] for s in range(S.size)] for x in range(n)])
-                key = None
-                perm_found = False
-                for perm in itertools.permutations(range(1, n)):
-                    p = (0,) + perm
-                    inv = [0] * n
-                    for i, x in enumerate(p):
-                        inv[x] = i
-                    cadd = tuple(tuple(inv[add[p[a]][p[b]]] for b in range(n)) for a in range(n))
-                    cact = tuple(tuple(inv[action[p[a]][s]] for s in range(S.size))
-                                 for a in range(n))
-                    cand = (cadd, cact)
-                    if key is None or cand < key:
-                        key = cand
+                key = canonical_form(add, 0, action)[0]
                 if key in seen:
                     continue
                 seen.add(key)

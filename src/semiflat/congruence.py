@@ -234,11 +234,3 @@ def cancellative_reflection(M: Semimodule) -> tuple[Semimodule, Morphism]:
     assert is_cancellative(Q)
     return Q, pi
 
-
-def reflection_kernel(M: Semimodule) -> tuple[int, ...]:
-    """Elements absorbed by some padding element: x + w = w."""
-    out = []
-    for x in range(M.size):
-        if any(M.add[x][w] == w for w in range(M.size)):
-            out.append(x)
-    return tuple(out)

@@ -19,7 +19,7 @@ from .errors import (AxiomViolation, NotComposable, NotCommutative,
 from .record import Record
 from .structures import (Morphism, SecondAction, Semimodule, Violation,
                          check_endpoints, compose, counting_action,
-                         counting_semiring_for, freeze_table, monoid_morphism,
+                         counting_semiring_for, freeze_table,
                          morphism_violations, swap_actions, zero_morphism, LEFT,
                          RIGHT)
 from .subsets import (Subsemimodule, module_expressions, module_generators,
@@ -324,16 +324,6 @@ def hom_precompose(f: Morphism, G: Semimodule) -> Morphism:
     _require_second_linear(f)
     mapping = tuple(H2.index_of(tuple(m.map[v] for v in f.map)) for m in H1.maps)
     return Morphism(H1.module, H2.module, mapping)
-
-
-def evaluation_iso(S_module: Semimodule, M: Semimodule) -> Morphism | None:
-    """Hom(S, M) -> M by evaluation at 1, as a monoid map; None when not bijective."""
-    H = hom_module(S_module, M)
-    one = S_module.semiring.one
-    mapping = tuple(m.map[one] for m in H.maps)
-    if len(set(mapping)) != M.size or len(mapping) != M.size:
-        return None
-    return monoid_morphism(H.module, M, mapping)
 
 
 # ---------------------------------------------------------------------------

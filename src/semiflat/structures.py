@@ -684,7 +684,8 @@ def swap_actions(M: Semimodule) -> Semimodule:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism search with iterated signature refinement.
+# Isomorphism search with iterated signature refinement, and the one
+# canonical form.
 # ---------------------------------------------------------------------------
 
 def _signatures(add: Table, zero: int, action: Table | None) -> list:
@@ -781,13 +782,41 @@ def find_monoid_isomorphism(add1: Table, zero1: int, add2: Table, zero2: int,
     return backtrack(0)
 
 
-def find_isomorphism(A: Semimodule, B: Semimodule, monoid_only: bool = False) -> tuple[int, ...] | None:
-    if monoid_only:
-        return find_monoid_isomorphism(A.add, A.zero, B.add, B.zero)
+def find_isomorphism(A: Semimodule, B: Semimodule) -> tuple[int, ...] | None:
     if A.semiring != B.semiring or A.side != B.side:
         return None
     return find_monoid_isomorphism(A.add, A.zero, B.add, B.zero, A.action, B.action)
 
 
-def isomorphic(A: Semimodule, B: Semimodule, monoid_only: bool = False) -> bool:
-    return find_isomorphism(A, B, monoid_only=monoid_only) is not None
+def isomorphic(A: Semimodule, B: Semimodule) -> bool:
+    return find_isomorphism(A, B) is not None
+
+
+def canonical_form(add: Table, zero: int,
+                   action: Table | None = None) -> tuple[tuple, tuple[int, ...]]:
+    """(key, relabelling): the least relabelled tables and the map reaching them.
+
+    Scans every permutation p of the carrier with p[0] = zero, the other
+    elements in ``itertools.permutations`` order, and relabels by its
+    inverse: cadd[a][b] = inv[add[p[a]][p[b]]], cact likewise, or () when
+    no action is given.  The key is the least (cadd, cact), and the
+    relabelling is the first p that reaches it: the map table of an
+    isomorphism from the canonical tables onto the given ones.
+
+    The key compares tables only, so a caller that compares keys across
+    semirings must pair each key with ``M.semiring`` and ``M.side``.
+    """
+    n = len(add)
+    key = relabelling = None
+    for perm in itertools.permutations([x for x in range(n) if x != zero]):
+        p = (zero,) + perm
+        inv = [0] * n
+        for i, x in enumerate(p):
+            inv[x] = i
+        cadd = tuple(tuple(inv[add[p[a]][p[b]]] for b in range(n)) for a in range(n))
+        cact = () if action is None else tuple(
+            tuple(inv[v] for v in action[p[a]]) for a in range(n))
+        cand = (cadd, cact)
+        if key is None or cand < key:
+            key, relabelling = cand, p
+    return key, relabelling

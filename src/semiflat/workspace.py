@@ -252,24 +252,32 @@ def _emit_semimodule(name_of_semiring, M: Semimodule) -> dict:
 
 def emit_workspace_dict(ws: Workspace) -> dict:
     # equal semirings are one object (build_semiring), so a semiring declared
-    # under several names is emitted under the first of them in name order
-    name_of_semiring = {}
+    # under several names is emitted under the first of them in name order;
+    # a module is emitted under its own name, and an equal module declared
+    # under no name under the first of its equal names
+    name_of_semiring, first_equal = {}, {}
     for n, S in sorted(ws.semirings.items()):
         name_of_semiring.setdefault(S, n)
-    name_of_module = {M: n for n, M in ws.semimodules.items()}
+    for n, M in sorted(ws.semimodules.items()):
+        first_equal.setdefault(M, n)
+    declared = {id(M): n for n, M in ws.semimodules.items()}
+
+    def name_of_module(M: Semimodule) -> str:
+        return declared.get(id(M), first_equal[M])
+
     doc = {"format": FORMAT}
     doc["semirings"] = {n: _emit_semiring(S) for n, S in ws.semirings.items()}
     doc["semimodules"] = {n: _emit_semimodule(name_of_semiring, M)
                           for n, M in ws.semimodules.items()}
     doc["morphisms"] = {
-        n: {"source": name_of_module[f.source], "target": name_of_module[f.target],
+        n: {"source": name_of_module(f.source), "target": name_of_module(f.target),
             "map": [f.target.labels[v] for v in f.map]}
         for n, f in ws.morphisms.items()
     }
     doc["systems"] = {}
     for n, sys in ws.systems.items():
         doc["systems"][n] = {
-            "nodes": [name_of_module[node] for node in sys.nodes],
+            "nodes": [name_of_module(node) for node in sys.nodes],
             "arrows": [{"from": j, "to": k,
                         "map": [sys.nodes[k].labels[v] for v in f.map]}
                        for (j, k), f in zip(sys.order, sys.maps)],

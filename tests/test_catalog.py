@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import ast
+import hashlib
 import itertools
+import pathlib
+import random
 
 import pytest
 
-from semiflat.catalog import bool_semiring, enumerate_commutative_monoids, free_module
+import semiflat
+from semiflat import catalog
+from semiflat.catalog import (bool_semiring, enumerate_commutative_monoids,
+                              enumerate_semimodules, free_module, sat_semiring,
+                              zmod_semiring)
 from semiflat.errors import InvalidArgument
+from semiflat.structures import build_semimodule, canonical_form, find_isomorphism
 
 
 def _associative(t) -> bool:
@@ -45,21 +54,142 @@ def test_commutative_monoids_up_to_iso(n, count):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_labelled_monoids_match_brute_force(n):
     # the backtracking fill finds exactly the tables the full scan finds
-    got = enumerate_commutative_monoids(n, up_to_iso=False)
+    got = tuple(sorted(catalog._monoid_tables(n)))
     assert list(got) == sorted(set(got))
     assert set(got) == set(_brute_force_tables(n))
 
 
 def test_commutative_monoids_of_size_five():
     # 5^10 candidate tables: too many for the brute force, so pin the counts
-    labelled = enumerate_commutative_monoids(5, up_to_iso=False)
+    labelled = tuple(sorted(catalog._monoid_tables(5)))
     assert len(labelled) == 1486
     assert all(_associative(t) for t in labelled)
     assert len(enumerate_commutative_monoids(5)) == 78     # OEIS A058133
 
 
-@pytest.mark.parametrize("rank", [-1, 1.0, 1.5, "2", None, True, False],
-                         ids=repr)
-def test_free_module_rank_must_be_a_non_bool_int(rank):
+def _bool_free_module(rank):
+    return free_module(bool_semiring(), rank)
+
+
+def _bool_semimodules(n):
+    return enumerate_semimodules(bool_semiring(), n)
+
+
+SIZE_CASES = [pytest.param(_bool_free_module, rank, id=repr(rank))
+              for rank in [-1, 1.0, 1.5, "2", None, True, False]]
+# an enumerated size must also be at least 1, and is checked before the
+# cache, so True is refused although the cache already holds size 1
+SIZE_CASES += [pytest.param(call, size, id=f"{call.__name__}-{size!r}")
+               for call in [enumerate_commutative_monoids, _bool_semimodules]
+               for size in [0, -1, 2.0, "3", None, True, False]]
+
+
+@pytest.mark.parametrize("call, rank", SIZE_CASES)
+def test_free_module_rank_must_be_a_non_bool_int(call, rank):
+    call(1)
     with pytest.raises(InvalidArgument):
-        free_module(bool_semiring(), rank)
+        call(rank)
+
+
+SEMIRINGS = {"BOOL": bool_semiring, "ZMOD2": lambda: zmod_semiring(2),
+             "ZMOD4": lambda: zmod_semiring(4), "SAT3": lambda: sat_semiring(3)}
+
+# sha256 of the enumerators' tuples, in order: every module index and table
+# in a search record reads them, so a new canonical form must keep them
+MONOID_DIGESTS = {
+    1: "0d7246e98111784f9edd89372367dbc375fdfd4656707d93db0d7876e53a0292",
+    2: "44390a4d15416d33f3d8b11cbfaffed4a5fe97cecaae8dc005df717a5405cec5",
+    3: "5290f154f18e7fb48029fcacf18c21064500dce77ef0d6f2e4130eb75c4cb0c3",
+    4: "065c522d8ab866d5217d1e684e32afa146a8a5723604adbe8868272282cd76ba",
+    5: "fffa134f648ab58e5a5eb9dc7778be859da2963dd185ae2ac9e1f1ed3d364aef",
+}
+SEMIMODULE_DIGESTS = {   # (count, digest of each module's add and action) at size 5
+    "BOOL": (10, "db0960d60cd5c410b446ccaac59d47bbcb7b3e5881b60455d79bf490a4e89536"),
+    "ZMOD2": (3, "729c208fefa0b64097b0f8ed1d4dd3d09e755864f3d5bb99e269acc9c2bcfff4"),
+    "ZMOD4": (4, "1ac8836dd2d853888c0f1b284f22151703d34b0bf0236060c52a1ced0b768fdf"),
+    "SAT3": (41, "a0b363e06fa866f91730cabc82c62a655084cf0a42d83f2f4a5d6bcb15ef1ab2"),
+}
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(MONOID_DIGESTS))
+def test_commutative_monoids_are_pinned(n):
+    assert _digest(enumerate_commutative_monoids(n)) == MONOID_DIGESTS[n]
+
+
+@pytest.mark.parametrize("name", SEMIMODULE_DIGESTS)
+def test_semimodules_are_pinned(name):
+    modules = enumerate_semimodules(SEMIRINGS[name](), 5)
+    assert (len(modules), _digest(tuple((M.add, M.action) for M in modules))) \
+        == SEMIMODULE_DIGESTS[name]
+
+
+def _relabelled(M, p):
+    """M carried over by the bijection p: element i of the result is p[i] of M."""
+    inv = [0] * M.size
+    for i, x in enumerate(p):
+        inv[x] = i
+    add = [[inv[M.add[p[a]][p[b]]] for b in range(M.size)] for a in range(M.size)]
+    action = [[inv[v] for v in M.action[p[a]]] for a in range(M.size)]
+    return build_semimodule(M.semiring, M.side, M.labels, add, inv[M.zero], action)
+
+
+def _least_relabelling(M):
+    """The least (add, action) over the bijections p with p[0] = M.zero, and the first such p."""
+    perms = [p for p in itertools.permutations(range(M.size)) if p[0] == M.zero]
+    keys = [(P.add, P.action) for P in (_relabelled(M, p) for p in perms)]
+    least = min(keys)
+    return least, perms[keys.index(least)]
+
+
+def _is_isomorphism_onto(p, key, M):
+    cadd, cact = key
+    n = M.size
+    return (sorted(p) == list(range(n)) and p[0] == M.zero
+            and all(p[cadd[a][b]] == M.add[p[a]][p[b]] for a in range(n) for b in range(n))
+            and all(p[cact[a][s]] == M.action[p[a]][s]
+                    for a in range(n) for s in range(M.semiring.size)))
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+def test_canonical_form_against_brute_force(name):
+    rng = random.Random(name)
+    modules = []
+    for M in enumerate_semimodules(SEMIRINGS[name](), 4):
+        q = list(range(M.size))
+        rng.shuffle(q)
+        modules += [M, _relabelled(M, q)]
+    forms = [canonical_form(M.add, M.zero, M.action) for M in modules]
+    for M, (key, p) in zip(modules, forms):
+        assert (key, p) == _least_relabelling(M)
+        assert _is_isomorphism_onto(p, key, M)
+    for (A, (key_a, _)), (B, (key_b, _)) in itertools.product(zip(modules, forms), repeat=2):
+        assert (key_a == key_b) == (find_isomorphism(A, B) is not None)
+
+
+def test_canonical_keys_need_the_semiring():
+    # ZMOD4 and SAT3 both have 4 elements, so their modules share keys
+    keys = [{canonical_form(M.add, M.zero, M.action)[0] for M in enumerate_semimodules(S, 4)}
+            for S in (zmod_semiring(4), sat_semiring(3))]
+    assert keys[0] & keys[1]
+
+
+def test_one_permutation_scan_in_the_package():
+    # every all-permutations loop in the package is canonical_form's
+    found = []
+    for path in sorted(pathlib.Path(semiflat.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Attribute) and node.attr == "permutations"
+                            or isinstance(node, ast.Name) and node.id == "permutations"):
+                        found.append((path.name, fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "permutations"
+                                                        for a in node.names):
+                found.append((path.name, "import"))
+    assert sorted(set(found)) == [("structures.py", "canonical_form")]

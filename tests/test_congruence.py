@@ -14,8 +14,7 @@ from semiflat.congruence import (cancellative_reflection, congruence_closure,
                                  module_congruence_closure,
                                  monoid_congruence_closure,
                                  quotient_by_congruence, quotient_by_sub,
-                                 quotient_cancellative, reflection_kernel,
-                                 sub_congruence)
+                                 quotient_cancellative, sub_congruence)
 from semiflat.errors import MalformedTable, NotACongruence
 from semiflat.homology import hom_module, morphism_profile
 from semiflat.structures import (check_endpoints, find_monoid_isomorphism,
@@ -110,10 +109,6 @@ def test_reflection_examples(Bm, S3m, Z2):
     assert C2.size == 1
     C3, cmap3 = cancellative_reflection(Z2)
     assert C3.size == 2 and cmap3.injective
-
-
-def test_reflection_kernel_formula(S3m):
-    assert reflection_kernel(S3m) == (0, 1, 2, 3)
 
 
 def test_reflection_agrees_with_cancellative_quotient_at_zero(Bm):

@@ -14,7 +14,7 @@ from semiflat.congruence import quotient_by_sub
 from semiflat.errors import AxiomViolation, NotCommutative, SideMismatch
 from semiflat.flatness import projectivity_witness
 from semiflat.homology import (classify_sequence, classify_stage, cokernel,
-                               end_comp, evaluation_iso, hom_module,
+                               end_comp, hom_module,
                                hom_postcompose, hom_precompose,
                                is_retract_of, kernel, morphism_profile,
                                retract_pairs, uniformly_cogenerates,
@@ -25,7 +25,7 @@ from semiflat.limits import direct_sum, sum_morphism
 from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
                                  build_morphism, build_semimodule,
                                  build_semiring, check_endpoints, compose,
-                                 identity_morphism, isomorphic,
+                                 find_monoid_isomorphism, identity_morphism,
                                  morphism_violations, semimodule_violations,
                                  swap_actions, with_bimodule_structure,
                                  zero_morphism)
@@ -57,7 +57,7 @@ def test_kernel_of_collapse(sat_setup):
 def test_cokernel_of_inclusion(Z4m, Z2):
     sub, inc = submodule_of(Z4m, subsemimodule(Z4m, (0, 2)))
     Q, _ = cokernel(inc)
-    assert isomorphic(Q, zmod_module(4, 2), monoid_only=True)
+    assert find_monoid_isomorphism(Q.add, Q.zero, Z2.add, Z2.zero) is not None
 
 
 def test_projection_profile(S3m):
@@ -176,11 +176,6 @@ def test_identity_sequence_exact(Z4m, Z4):
 def test_hom_bool(Bm):
     H = hom_module(Bm, Bm)
     assert len(H.maps) == 2
-
-
-def test_hom_free_rank_one_is_evaluation(S3m):
-    ev = evaluation_iso(semiring_module(S3m.semiring), S3m)
-    assert ev is not None and ev.injective and ev.surjective
 
 
 def test_hom_from_trivial(Z4, Z4m):

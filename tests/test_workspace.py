@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from semiflat.cli import main
 from semiflat.errors import SchemaError, SemiflatError, UnknownObject
+from semiflat.structures import build_morphism, build_semimodule
 from semiflat.workspace import (canonical_json, default_workspace_path, emit_workspace,
                                 emit_workspace_dict, load_default_workspace,
                                 parse_workspace, parse_workspace_dict)
@@ -109,6 +110,29 @@ def test_equal_semirings_keep_the_first_name():
     assert ws.semirings["A"] is ws.semirings["B"]
     assert emit_workspace_dict(ws)["semimodules"]["M"]["semiring"] == "A"
     assert emit_workspace(ws) == canonical_json(doc)
+
+
+def test_equal_modules_keep_their_own_names():
+    # M and N are equal but declared apart: f over M and the system over N
+    # keep their names, and a copy declared under no name takes the first
+    B = {"elements": ["0", "1"], "add": [["0", "1"], ["1", "1"]],
+         "mul": [["0", "0"], ["0", "1"]], "zero": "0", "one": "1"}
+    M = {"semiring": "B", "side": "right", "elements": ["0", "1"],
+         "add": [["0", "1"], ["1", "1"]], "zero": "0", "action": [["0", "0"], ["0", "1"]]}
+    doc = {"format": 1, "semirings": {"B": B},
+           "semimodules": {"M": M, "N": copy.deepcopy(M)},
+           "morphisms": {"f": {"source": "M", "target": "M", "map": ["0", "1"]}},
+           "systems": {"s": {"nodes": ["N"], "arrows": []}}, "diagrams": {}}
+    ws = parse_workspace_dict(doc)
+    assert ws.semimodules["M"] == ws.semimodules["N"]
+    assert ws.semimodules["M"] is not ws.semimodules["N"]
+    assert emit_workspace(ws) == canonical_json(doc)
+    assert emit_workspace(parse_workspace_dict(emit_workspace_dict(ws))) == canonical_json(doc)
+    N = ws.semimodules["N"]
+    copy_of_n = build_semimodule(N.semiring, N.side, N.labels, N.add, N.zero, N.action)
+    ws.morphisms["g"] = build_morphism(copy_of_n, N, [0, 1])
+    assert emit_workspace_dict(ws)["morphisms"]["g"] == {
+        "source": "M", "target": "N", "map": ["0", "1"]}
 
 
 def test_missing_file_is_schema_error(tmp_path):
