@@ -295,9 +295,9 @@ def cmd_catalog(ws, args) -> int:
 
 
 def cmd_suite(ws, args) -> int:
-    only = set(args.only.split(",")) if args.only else None
+    only = set(args.only.split(",")) if args.only is not None else None
     known = {tag for tag, _ in ALL_SUITES}
-    if only and not only <= known:
+    if only is not None and not only <= known:
         raise UnknownObject(f"unknown suite tags: {sorted(only - known)}")
     results = run_suites(only)
     if getattr(args, "pretty", False):

@@ -62,8 +62,21 @@ class MorphismProfile(Record):
         return self.k_uniform and self.i_uniform
 
 
-@lru_cache(maxsize=None)
 def morphism_profile(f: Morphism) -> MorphismProfile:
+    """The injectivity, surjectivity and uniformity grades of f, with witnesses.
+
+    The profile is kept on f itself, in ``f.__dict__["_profile"]`` next to
+    the cached ``_hash``: it lives as long as f does, and an equal map built
+    anew is profiled anew.
+    """
+    d = f.__dict__
+    prof = d.get("_profile")
+    if prof is None:
+        prof = d["_profile"] = _profile(f)
+    return prof
+
+
+def _profile(f: Morphism) -> MorphismProfile:
     src, tgt = f.source, f.target
     ker = [x for x in range(src.size) if f.map[x] == tgt.zero]
     by_value: dict[int, list[int]] = {}

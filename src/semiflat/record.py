@@ -8,6 +8,11 @@ class and the fields, a hash of the fields (cached on first use), the repr
 raise ``AttributeError``.  A class declared with ``frozen=False`` assigns
 freely and is unhashable, like a plain ``@dataclass``.
 
+Derived memos may sit in an instance ``__dict__`` outside ``_fields``: the
+cached ``_hash``, and a morphism's ``_profile`` (``homology.morphism_profile``).
+Equality, hashing and the repr read the fields only, so a memo changes none
+of them, and it lives exactly as long as its record.
+
 Records are plain classes because ``@dataclass`` compiles its generated
 methods with ``exec`` at every import of the package, and importing
 ``dataclasses`` loads ``inspect``, ``ast`` and ``dis``.  The README's

@@ -611,7 +611,13 @@ def _componentwise_items(S, pool) -> int:
 
 
 def _retract_square_items(S, pool) -> int:
+    """Checks that uniformity descends along compatible retract squares.
+
+    Each gamma~ = pi2.gamma.iota is one object per (N, N2, table), so its
+    profile, kept on the map, is computed once however many squares share it.
+    """
     checks = 0
+    memo = {}
     pairs_cache = {}
     for N in pool:
         for M in pool:
@@ -623,13 +629,15 @@ def _retract_square_items(S, pool) -> int:
                     for iota, pi in pairs_cache[(N, M)]:
                         for N2 in pool:
                             for iota2, pi2 in pairs_cache[(N2, M2)]:
-                                gamma_t = compose(pi2, compose(gamma, iota))
-                                top_ok = all(iota2.map[gamma_t.map[x]] ==
+                                table = tuple(pi2.map[gamma.map[v]] for v in iota.map)
+                                top_ok = all(iota2.map[table[x]] ==
                                              gamma.map[iota.map[x]] for x in range(N.size))
                                 bottom_ok = all(pi2.map[gamma.map[m]] ==
-                                                gamma_t.map[pi.map[m]] for m in range(M.size))
+                                                table[pi.map[m]] for m in range(M.size))
                                 if not (top_ok and bottom_ok):
                                     continue
+                                gamma_t = _cached(memo, (id(N), id(N2), table),
+                                                  lambda: Morphism(N, N2, table))
                                 rep = verify_retract_square(iota, pi, iota2, pi2,
                                                             gamma, gamma_t)
                                 assert rep.holds, "uniformity did not descend to the retract"

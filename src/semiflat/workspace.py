@@ -217,6 +217,8 @@ def parse_workspace(path: str) -> Workspace:
         raise SchemaError("/", f"not UTF-8: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"not valid JSON: {exc}")
+    except RecursionError:
+        raise SchemaError("/", "JSON nested too deeply to decode")
     return parse_workspace_dict(doc)
 
 

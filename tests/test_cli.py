@@ -81,6 +81,15 @@ def test_unknown_object_is_exit_two(capsys):
     assert json.loads(out)["error"] == "UnknownObject"
 
 
+@pytest.mark.parametrize("only", ["", "exactness,,"], ids=["empty", "trailing-commas"])
+def test_empty_suite_tag_is_unknown(capsys, only):
+    code, out = run_cli(capsys, "suite", "--only", only)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "UnknownObject"
+    assert err["detail"] == "unknown suite tags: ['']"
+
+
 def test_catalog_emits_canonical_workspace(capsys):
     code, out = run_cli(capsys, "catalog")
     assert code == 0

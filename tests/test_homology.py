@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -130,6 +132,34 @@ def test_k_uniformity_matches_its_definition():
             tgt = direct_sum((f1.target, f2.target))
             failures += not _assert_k_profile(sum_morphism((f1, f2), src, tgt))
     assert failures > 0
+
+
+def test_profiles_live_on_their_morphism(monkeypatch):
+    # the profile is kept on the map: computed once per object, the same for
+    # an equal object, and gone with the map, since no module-level cache
+    # keeps a profiled map alive
+    assert not hasattr(morphism_profile, "cache_info")
+    computed = [0]
+    body = homology._profile
+
+    def counted(f):
+        computed[0] += 1
+        return body(f)
+
+    monkeypatch.setattr(homology, "_profile", counted)
+    f1, f2 = _small_homs([M for _, M in suite_pool(bool_semiring())])[1:3]
+    src = direct_sum((f1.source, f2.source))
+    tgt = direct_sum((f1.target, f2.target))
+    fsum = sum_morphism((f1, f2), src, tgt)
+    prof = morphism_profile(fsum)
+    assert morphism_profile(fsum) is prof and computed[0] == 1
+    twin = sum_morphism((f1, f2), src, tgt)
+    assert twin is not fsum and twin == fsum
+    assert morphism_profile(twin) == prof and computed[0] == 2
+    ref = weakref.ref(fsum)
+    del fsum, twin
+    gc.collect()
+    assert ref() is None
 
 
 def test_stage_flag_lattice_over_pools():

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from semiflat import suite
+from semiflat import homology, suite
 from semiflat.catalog import suite_semirings
 from semiflat.homology import hom_module, morphism_profile
 from semiflat.suite import (_componentwise_items, _hom_functor_items,
@@ -151,3 +156,48 @@ def test_exactness_items_call_once_per_distinct_input(monkeypatch):
     # 1,444 and 1,460
     assert got == {"tensor_morphisms": (252, 252), "cokernel": (63, 63),
                    "as_left_morphism": (63, 63)}
+
+
+def test_retract_squares_profile_each_gamma_tilde_table_once(monkeypatch):
+    # the squares that share a gamma~ table share one gamma~ object, so its
+    # profile, kept on the object, is computed once per table
+    S = suite_semirings()[0]
+    pool = _pool_modules(S)
+    squares = _recording(monkeypatch, "verify_retract_square")
+    profiled = []
+    body = homology._profile
+
+    def recorded(f):
+        profiled.append(f)
+        return body(f)
+
+    monkeypatch.setattr(homology, "_profile", recorded)
+    assert _retract_square_items(S, pool) == 901
+    gamma_tildes = [args[5] for args in squares]
+    objects = {id(g): g for g in gamma_tildes}
+    tables = {(id(g.source), id(g.target), g.map) for g in gamma_tildes}
+    assert len(gamma_tildes) == 901 and len(objects) == len(tables) == 63
+    assert sorted(id(f) for f in profiled if id(f) in objects) == sorted(objects)
+
+
+_COUNT_PROFILES = """
+from semiflat import homology
+from semiflat.suite import run_suites
+computed = [0]
+body = homology._profile
+def counted(f):
+    computed[0] += 1
+    return body(f)
+homology._profile = counted
+(result,) = run_suites({"exactness"})
+print(result.checks, computed[0])
+"""
+
+
+def test_exactness_profile_computations():
+    # a fresh interpreter, so no earlier test has profiled the maps the tag
+    # shares with them; the process-wide cache this replaced computed 8,031
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", _COUNT_PROFILES], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout.split()
+    assert out == ["101359", "9295"]

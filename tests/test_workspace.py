@@ -135,6 +135,23 @@ def test_equal_modules_keep_their_own_names():
         "source": "M", "target": "N", "map": ["0", "1"]}
 
 
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                  '{"a": ' * 100000 + "1" + "}" * 100000],
+                         ids=["array", "object"])
+def test_deeply_nested_json_is_schema_error(tmp_path, text):
+    ws_path = tmp_path / "deep.json"
+    ws_path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        parse_workspace(str(ws_path))
+    assert exc.value.pointer == "/"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--workspace", str(ws_path), "validate"])
+    assert code == 2
+    err = json.loads(out.getvalue())
+    assert err["error"] == "SchemaError" and err["detail"].startswith("/:")
+
+
 def test_missing_file_is_schema_error(tmp_path):
     with pytest.raises(SchemaError):
         parse_workspace(str(tmp_path / "nope.json"))
