@@ -348,25 +348,25 @@ def _semimodules(S: Semiring, max_size: int) -> tuple[Semimodule, ...]:
 # Corpus of commutative monoids for the congruence-closure oracle.
 # ---------------------------------------------------------------------------
 
-def oracle_corpus(count: int = 50, max_size: int = 12, seed: int = 2024):
-    """Deterministic family of (table, pairs) cases for the closure oracle."""
-    rng = random.Random(seed)
+def oracle_corpus():
+    """The closure oracle's 50 deterministic (table, pairs) cases, tables of size <= 12."""
+    rng = random.Random(2024)
     tables: list[Table] = []
     for index in range(0, 4):
         for period in range(1, 7):
-            if 2 <= index + period <= max_size:
+            if 2 <= index + period <= 12:
                 tables.append(cyclic_monoid(index, period))
     small = [cyclic_monoid(i, p) for i in range(0, 3) for p in range(1, 4)
              if 2 <= i + p <= 4]
     for t1 in small:
         for t2 in small:
             prod = product_monoid(t1, t2)
-            if len(prod) <= max_size:
+            if len(prod) <= 12:
                 tables.append(prod)
     tables.sort(key=lambda t: (len(t), t))
     cases = []
     i = 0
-    while len(cases) < count:
+    while len(cases) < 50:
         t = tables[i % len(tables)]
         n = len(t)
         npairs = rng.randrange(1, 4)

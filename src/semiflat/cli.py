@@ -356,13 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("flat", help="uniform flatness verdicts")
     p.add_argument("module")
-    p.add_argument("--against", default=None, help="single test module")
-    p.add_argument("--universe", nargs="*", default=None)
+    tests = p.add_mutually_exclusive_group()
+    tests.add_argument("--against", default=None, help="single test module")
+    tests.add_argument("--universe", nargs="+", default=None)
     p.set_defaults(fn=cmd_flat)
 
     p = add_parser("inj", help="relative uniform injectivity")
     p.add_argument("module")
-    p.add_argument("--family", nargs="*", default=None)
+    p.add_argument("--family", nargs="+", default=None)
     p.set_defaults(fn=cmd_inj)
 
     p = add_parser("limits", help="directed colimit / inverse limit of a system")
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_limits)
 
     p = add_parser("search", help="classification search over enumerated modules")
-    p.add_argument("--semirings", nargs="*", default=None)
+    p.add_argument("--semirings", nargs="+", default=None)
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--budget", type=float, default=300.0)
     p.add_argument("--out", default=None, help="JSON-lines output path")

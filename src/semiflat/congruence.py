@@ -20,20 +20,16 @@ from .errors import MalformedTable, NotACongruence, NotASubsemimodule
 from .record import Record
 from .structures import (Morphism, SecondAction, Semimodule, Table,
                          freeze_table, is_cancellative, monoid_generators)
-from .subsets import (Subsemimodule, additive_generators, is_closed_subset,
+from .subsets import (Subsemimodule, additive_generators, is_closed_subset, subsemimodule,
                       subtractive_closure)
 
 
 class Congruence(Record):
     """Partition of a carrier, classes numbered by least member."""
 
-    _fields = ("size", "class_of", "class_count")
-
-    def __init__(self, size: int, class_of: tuple[int, ...], class_count: int):
-        d = self.__dict__
-        d["size"] = size
-        d["class_of"] = class_of
-        d["class_count"] = class_count
+    size: int
+    class_of: tuple[int, ...]
+    class_count: int
 
     def _hash_key(self):
         return (self.size, self.class_of)
@@ -227,10 +223,6 @@ def quotient_cancellative(M: Semimodule, L: Subsemimodule) -> tuple[Semimodule, 
 
 @lru_cache(maxsize=None)
 def cancellative_reflection(M: Semimodule) -> tuple[Semimodule, Morphism]:
-    """Universal cancellative quotient with its surjection."""
-    pad = cancellative_pair_relation(M)
-    cong = _partition_from_relation(M.size, lambda a, b: pad[a][b])
-    Q, pi = quotient_by_congruence(M, cong)
-    assert is_cancellative(Q)
-    return Q, pi
+    """Universal cancellative quotient with its surjection: the one by L = {0}."""
+    return quotient_cancellative(M, subsemimodule(M, (M.zero,)))
 

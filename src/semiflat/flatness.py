@@ -41,13 +41,9 @@ def as_left_morphism(f: Morphism) -> Morphism:
 
 
 class FlatnessVerdict(Record):
-    _fields = ("holds", "witness", "detail")
-
-    def __init__(self, holds: bool, witness: tuple | None = None, detail: str = ""):
-        d = self.__dict__
-        d["holds"] = holds
-        d["witness"] = witness
-        d["detail"] = detail
+    holds: bool
+    witness: tuple | None = None
+    detail: str = ""
 
 
 def _tensored_inclusion(F: Semimodule, M: Semimodule, U: Subsemimodule) -> Morphism:
@@ -236,15 +232,9 @@ def is_uniformly_fp(X: Semimodule):
 # ---------------------------------------------------------------------------
 
 class FlatCertificate(Record):
-    _fields = ("system", "node_witnesses", "iso")
-
-    def __init__(self, system: DirectedSystem,
-                 node_witnesses: tuple[tuple[Morphism, Morphism], ...],  # (into free, back)
-                 iso: Morphism):                                         # colimit -> subject
-        d = self.__dict__
-        d["system"] = system
-        d["node_witnesses"] = node_witnesses
-        d["iso"] = iso
+    system: DirectedSystem
+    node_witnesses: tuple[tuple[Morphism, Morphism], ...]  # (into free, back)
+    iso: Morphism  # colimit -> subject
 
 
 def projectivity_witness(F: Semimodule):
@@ -448,35 +438,23 @@ def colimit_flatness_transfer(system: DirectedSystem, M: Semimodule) -> bool:
 # ---------------------------------------------------------------------------
 
 class SearchConfig(Record):
-    _fields = ("semirings", "max_size", "budget_seconds", "out_path")
-
-    def __init__(self, semirings: tuple, max_size: int = 4, budget_seconds: float = 300.0,
-                 out_path: str | None = None):
-        d = self.__dict__
-        d["semirings"] = semirings
-        d["max_size"] = max_size
-        d["budget_seconds"] = budget_seconds
-        d["out_path"] = out_path
+    semirings: tuple
+    max_size: int = 4
+    budget_seconds: float = 300.0
+    out_path: str | None = None
 
 
 class SearchRecord(Record, frozen=False):
-    _fields = ("semiring_index", "module_index", "size", "add", "action", "mono_flat",
-               "i_uniform_class", "uniformly_flat", "certified_flat", "witness")
-
-    def __init__(self, semiring_index: int, module_index: int, size: int, add: tuple,
-                 action: tuple, mono_flat: bool, i_uniform_class: bool,
-                 uniformly_flat: bool, certified_flat: bool, witness: tuple | None):
-        d = self.__dict__
-        d["semiring_index"] = semiring_index
-        d["module_index"] = module_index
-        d["size"] = size
-        d["add"] = add
-        d["action"] = action
-        d["mono_flat"] = mono_flat
-        d["i_uniform_class"] = i_uniform_class
-        d["uniformly_flat"] = uniformly_flat
-        d["certified_flat"] = certified_flat
-        d["witness"] = witness
+    semiring_index: int
+    module_index: int
+    size: int
+    add: tuple
+    action: tuple
+    mono_flat: bool
+    i_uniform_class: bool
+    uniformly_flat: bool
+    certified_flat: bool
+    witness: tuple | None
 
     def to_json(self) -> str:
         return json.dumps({

@@ -14,7 +14,7 @@ import itertools
 from functools import cached_property, lru_cache
 
 from . import config
-from .errors import (AxiomViolation, NotComposable, NotCommutative,
+from .errors import (AxiomViolation, NotComposable, NotCommutative, ShapeMismatch,
                      SizeBoundExceeded)
 from .record import Record
 from .structures import (Morphism, SecondAction, Semimodule, Violation,
@@ -42,20 +42,13 @@ def cokernel(f: Morphism) -> tuple[Semimodule, Morphism]:
 
 
 class MorphismProfile(Record):
-    _fields = ("injective", "surjective", "k_uniform", "i_uniform", "semi_epi", "k_witness",
-               "i_witness")
-
-    def __init__(self, injective: bool, surjective: bool, k_uniform: bool, i_uniform: bool,
-                 semi_epi: bool, k_witness: tuple[int, int] | None = None,
-                 i_witness: int | None = None):
-        d = self.__dict__
-        d["injective"] = injective
-        d["surjective"] = surjective
-        d["k_uniform"] = k_uniform
-        d["i_uniform"] = i_uniform
-        d["semi_epi"] = semi_epi
-        d["k_witness"] = k_witness
-        d["i_witness"] = i_witness
+    injective: bool
+    surjective: bool
+    k_uniform: bool
+    i_uniform: bool
+    semi_epi: bool
+    k_witness: tuple[int, int] | None = None
+    i_witness: int | None = None
 
     @property
     def uniform(self) -> bool:
@@ -109,26 +102,16 @@ def _profile(f: Morphism) -> MorphismProfile:
 
 
 class StageFlags(Record):
-    _fields = ("chain_step", "proper_exact", "semi_exact", "quasi_exact", "exact",
-               "witness")
-
-    def __init__(self, chain_step: bool, proper_exact: bool, semi_exact: bool,
-                 quasi_exact: bool, exact: bool, witness: tuple = ()):
-        d = self.__dict__
-        d["chain_step"] = chain_step
-        d["proper_exact"] = proper_exact
-        d["semi_exact"] = semi_exact
-        d["quasi_exact"] = quasi_exact
-        d["exact"] = exact
-        d["witness"] = witness
+    chain_step: bool
+    proper_exact: bool
+    semi_exact: bool
+    quasi_exact: bool
+    exact: bool
+    witness: tuple = ()
 
 
 class ExactnessReport(Record):
-    _fields = ("stages",)
-
-    def __init__(self, stages: tuple[StageFlags, ...]):
-        d = self.__dict__
-        d["stages"] = stages
+    stages: tuple[StageFlags, ...]
 
     @property
     def exact(self) -> bool:
@@ -163,16 +146,14 @@ def classify_sequence(morphisms) -> ExactnessReport:
     return ExactnessReport(tuple(stages))
 
 
-def with_zero_ends(morphisms, left: bool = True, right: bool = True):
-    """Pad a sequence with maps from/to the trivial module over the same semiring."""
+def with_zero_ends(morphisms):
+    """Pad a sequence with maps from and to the trivial module over the same semiring."""
     from .catalog import trivial_module
     ms = list(morphisms)
+    if not ms:
+        raise ShapeMismatch("a sequence needs at least one morphism")
     T = trivial_module(ms[0].source.semiring, ms[0].source.side)
-    if left:
-        ms.insert(0, zero_morphism(T, ms[0].source))
-    if right:
-        ms.append(zero_morphism(ms[-1].target, T))
-    return ms
+    return [zero_morphism(T, ms[0].source), *ms, zero_morphism(ms[-1].target, T)]
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +168,10 @@ class HomModule(Record):
     semiring otherwise.  ``maps[i]`` is the morphism encoded by element i.
     """
 
-    _fields = ("source", "target", "module", "maps")
-
-    def __init__(self, source: Semimodule, target: Semimodule, module: Semimodule,
-                 maps: tuple[Morphism, ...]):
-        d = self.__dict__
-        d["source"] = source
-        d["target"] = target
-        d["module"] = module
-        d["maps"] = maps
+    source: Semimodule
+    target: Semimodule
+    module: Semimodule
+    maps: tuple[Morphism, ...]
 
     def _hash_key(self):
         return (self.source, self.target, self.module)
@@ -349,17 +325,11 @@ class EndReport(Record):
     ``identity`` and ``comp`` index ``tables``, where the zero map is 0.
     """
 
-    _fields = ("tables", "identity", "comp", "summands", "retracts")
-
-    def __init__(self, tables: tuple[tuple[int, ...], ...], identity: int,
-                 comp: tuple[int, ...], summands: tuple[tuple[int, ...], ...],
-                 retracts: tuple[tuple[int, ...], ...]):
-        d = self.__dict__
-        d["tables"] = tables
-        d["identity"] = identity
-        d["comp"] = comp
-        d["summands"] = summands
-        d["retracts"] = retracts
+    tables: tuple[tuple[int, ...], ...]
+    identity: int
+    comp: tuple[int, ...]
+    summands: tuple[tuple[int, ...], ...]
+    retracts: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -426,23 +396,14 @@ def is_retract_of(N: Semimodule, M: Semimodule) -> tuple[Morphism, Morphism] | N
 # ---------------------------------------------------------------------------
 
 class InjectivityEntry(Record):
-    _fields = ("module_index", "sub_members", "surjective", "uniform")
-
-    def __init__(self, module_index: int, sub_members: tuple[int, ...], surjective: bool,
-                 uniform: bool):
-        d = self.__dict__
-        d["module_index"] = module_index
-        d["sub_members"] = sub_members
-        d["surjective"] = surjective
-        d["uniform"] = uniform
+    module_index: int
+    sub_members: tuple[int, ...]
+    surjective: bool
+    uniform: bool
 
 
 class InjectivityReport(Record):
-    _fields = ("entries",)
-
-    def __init__(self, entries: tuple[InjectivityEntry, ...]):
-        d = self.__dict__
-        d["entries"] = entries
+    entries: tuple[InjectivityEntry, ...]
 
     @property
     def holds(self) -> bool:
@@ -462,17 +423,11 @@ def uniformly_injective_rel(Q: Semimodule, family) -> InjectivityReport:
 
 
 class CogeneratorEntry(Record):
-    _fields = ("probe_index", "restriction_surjective", "restriction_uniform",
-               "probe_injective", "probe_uniform")
-
-    def __init__(self, probe_index: int, restriction_surjective: bool,
-                 restriction_uniform: bool, probe_injective: bool, probe_uniform: bool):
-        d = self.__dict__
-        d["probe_index"] = probe_index
-        d["restriction_surjective"] = restriction_surjective
-        d["restriction_uniform"] = restriction_uniform
-        d["probe_injective"] = probe_injective
-        d["probe_uniform"] = probe_uniform
+    probe_index: int
+    restriction_surjective: bool
+    restriction_uniform: bool
+    probe_injective: bool
+    probe_uniform: bool
 
     @property
     def consistent(self) -> bool:
@@ -510,12 +465,8 @@ def _require_commutes(left: Morphism, right: Morphism, tag: str):
 
 
 class RetractSquareReport(Record):
-    _fields = ("hypothesis", "conclusion")
-
-    def __init__(self, hypothesis: MorphismProfile, conclusion: MorphismProfile):
-        d = self.__dict__
-        d["hypothesis"] = hypothesis
-        d["conclusion"] = conclusion
+    hypothesis: MorphismProfile
+    conclusion: MorphismProfile
 
     @property
     def holds(self) -> bool:
@@ -540,15 +491,10 @@ def verify_retract_square(iota: Morphism, pi: Morphism, iota2: Morphism, pi2: Mo
 
 
 class TwoRowReport(Record):
-    _fields = ("case_1a", "case_1b", "case_2a", "case_2b")
-
-    def __init__(self, case_1a: bool | None, case_1b: bool | None, case_2a: bool | None,
-                 case_2b: bool | None):
-        d = self.__dict__
-        d["case_1a"] = case_1a
-        d["case_1b"] = case_1b
-        d["case_2a"] = case_2a
-        d["case_2b"] = case_2b
+    case_1a: bool | None
+    case_1b: bool | None
+    case_2a: bool | None
+    case_2b: bool | None
 
     @property
     def holds(self) -> bool:

@@ -24,15 +24,10 @@ from .subsets import submodule_of, subsemimodule, enumerate_subsemimodules
 
 
 class ProductData(Record):
-    _fields = ("module", "factors", "projections", "injections")
-
-    def __init__(self, module: Semimodule, factors: tuple[Semimodule, ...],
-                 projections: tuple[Morphism, ...], injections: tuple[Morphism, ...]):
-        d = self.__dict__
-        d["module"] = module
-        d["factors"] = factors
-        d["projections"] = projections
-        d["injections"] = injections
+    module: Semimodule
+    factors: tuple[Semimodule, ...]
+    projections: tuple[Morphism, ...]
+    injections: tuple[Morphism, ...]
 
     def encode(self, parts: tuple[int, ...]) -> int:
         radices = tuple(f.size for f in self.factors)
@@ -191,14 +186,9 @@ def pullback_mediator(P: Semimodule, inc: Morphism, data: ProductData,
 class _System(Record):
     """Nodes, the transitively closed relations in ``order`` and one map per relation."""
 
-    _fields = ("nodes", "order", "maps")
-
-    def __init__(self, nodes: tuple[Semimodule, ...], order: tuple[tuple[int, int], ...],
-                 maps: tuple[Morphism, ...]):
-        d = self.__dict__
-        d["nodes"] = nodes
-        d["order"] = order
-        d["maps"] = maps
+    nodes: tuple[Semimodule, ...]
+    order: tuple[tuple[int, int], ...]
+    maps: tuple[Morphism, ...]
 
     def _hash_key(self):
         return (self.nodes, self.order, tuple(m.map for m in self.maps))
@@ -288,6 +278,8 @@ def _closed_arrows(nodes, relations, maps) -> dict[tuple[int, int], Morphism]:
 def directed_system(nodes, relations, maps) -> DirectedSystem:
     """Close the generating relations transitively and verify coherence."""
     nodes = tuple(nodes)
+    if not nodes:
+        raise NotDirected("a directed system needs at least one node")
     arrows = _closed_arrows(nodes, *_arrow_data(relations, maps))
     order = tuple(sorted(arrows))
     sys = DirectedSystem(nodes, order, tuple(arrows[p] for p in order))
@@ -307,21 +299,18 @@ def constant_system(M: Semimodule, copies: int = 1) -> DirectedSystem:
 
 def chain_system(morphisms) -> DirectedSystem:
     ms = list(morphisms)
+    if not ms:
+        raise ShapeMismatch("a chain system needs at least one morphism")
     nodes = [ms[0].source] + [f.target for f in ms]
     rels = [(i, i + 1) for i in range(len(ms))]
     return directed_system(nodes, rels, ms)
 
 
 class Colimit(Record):
-    _fields = ("system", "module", "legs", "class_of")
-
-    def __init__(self, system: DirectedSystem, module: Semimodule, legs: tuple[Morphism, ...],
-                 class_of: tuple[tuple[int, ...], ...]):  # per node, element -> colimit element
-        d = self.__dict__
-        d["system"] = system
-        d["module"] = module
-        d["legs"] = legs
-        d["class_of"] = class_of
+    system: DirectedSystem
+    module: Semimodule
+    legs: tuple[Morphism, ...]
+    class_of: tuple[tuple[int, ...], ...]  # per node, element -> colimit element
 
 
 @lru_cache(maxsize=None)
@@ -439,13 +428,9 @@ def inverse_limit(sys: InverseSystem):
 # ---------------------------------------------------------------------------
 
 class HomColimitComparison(Record):
-    _fields = ("map", "injective", "bijective")
-
-    def __init__(self, map: Morphism, injective: bool, bijective: bool):
-        d = self.__dict__
-        d["map"] = map
-        d["injective"] = injective
-        d["bijective"] = bijective
+    map: Morphism
+    injective: bool
+    bijective: bool
 
 
 def hom_colimit_comparison(X: Semimodule, sys: DirectedSystem) -> HomColimitComparison:

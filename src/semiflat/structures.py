@@ -87,13 +87,9 @@ def check_entries(table: Table, carrier: int, what: str) -> None:
 class Violation(Record):
     """A violated axiom together with the witnessing element tuple."""
 
-    _fields = ("axiom", "witness", "detail")
-
-    def __init__(self, axiom: str, witness: tuple[int, ...], detail: str = ""):
-        d = self.__dict__
-        d["axiom"] = axiom
-        d["witness"] = witness
-        d["detail"] = detail
+    axiom: str
+    witness: tuple[int, ...]
+    detail: str = ""
 
 
 def commutative_monoid_violations(add: Table, zero: int, prefix: str = "add") -> list[Violation]:
@@ -127,15 +123,11 @@ def commutative_monoid_violations(add: Table, zero: int, prefix: str = "add") ->
 class Semiring(Record):
     """Finite semiring with explicit addition and multiplication tables."""
 
-    _fields = ("labels", "add", "mul", "zero", "one")
-
-    def __init__(self, labels: tuple[str, ...], add: Table, mul: Table, zero: int, one: int):
-        d = self.__dict__
-        d["labels"] = labels
-        d["add"] = add
-        d["mul"] = mul
-        d["zero"] = zero
-        d["one"] = one
+    labels: tuple[str, ...]
+    add: Table
+    mul: Table
+    zero: int
+    one: int
 
     @property
     def size(self) -> int:
@@ -220,13 +212,9 @@ def build_semiring(labels, add, mul, zero: int, one: int) -> Semiring:
 class SecondAction(Record):
     """The other-side scalar action of a bisemimodule."""
 
-    _fields = ("semiring", "side", "table")
-
-    def __init__(self, semiring: Semiring, side: str, table: Table):
-        d = self.__dict__
-        d["semiring"] = semiring
-        d["side"] = side
-        d["table"] = table
+    semiring: Semiring
+    side: str
+    table: Table
 
 
 class Semimodule(Record):
@@ -237,18 +225,13 @@ class Semimodule(Record):
     the carrier into a bisemimodule.
     """
 
-    _fields = ("semiring", "side", "labels", "add", "zero", "action", "second")
-
-    def __init__(self, semiring: Semiring, side: str, labels: tuple[str, ...], add: Table,
-                 zero: int, action: Table, second: SecondAction | None = None):
-        d = self.__dict__
-        d["semiring"] = semiring
-        d["side"] = side
-        d["labels"] = labels
-        d["add"] = add
-        d["zero"] = zero
-        d["action"] = action
-        d["second"] = second
+    semiring: Semiring
+    side: str
+    labels: tuple[str, ...]
+    add: Table
+    zero: int
+    action: Table
+    second: SecondAction | None = None
 
     @property
     def size(self) -> int:
@@ -363,16 +346,14 @@ class Morphism(Record):
     and hashing leave them out.
     """
 
-    _fields = ("source", "target", "map")
+    source: Semimodule
+    target: Semimodule
+    map: tuple[int, ...]
 
     def __init__(self, source: Semimodule, target: Semimodule, map: tuple[int, ...]):
         image = len(set(map))
-        d = self.__dict__
-        d["source"] = source
-        d["target"] = target
-        d["map"] = map
-        d["injective"] = image == source.size
-        d["surjective"] = image == target.size
+        self.__dict__.update(source=source, target=target, map=map,
+                             injective=image == source.size, surjective=image == target.size)
 
     def __call__(self, x: int) -> int:
         return self.map[x]

@@ -11,12 +11,8 @@ from .structures import (Morphism, SecondAction, Semimodule, Table, freeze_table
 
 
 class Subsemimodule(Record):
-    _fields = ("parent", "members")
-
-    def __init__(self, parent: Semimodule, members: tuple[int, ...]):
-        d = self.__dict__
-        d["parent"] = parent
-        d["members"] = members
+    parent: Semimodule
+    members: tuple[int, ...]
 
     def __contains__(self, x: int) -> bool:
         return x in set(self.members)

@@ -43,15 +43,11 @@ from .tensor import (adjunction_iso, certify_cancellative_universal,
 
 
 class SuiteResult(Record, frozen=False):
-    _fields = ("tag", "passed", "checks", "detail", "seconds")
-
-    def __init__(self, tag: str, passed: bool, checks: int, detail: str, seconds: float):
-        d = self.__dict__
-        d["tag"] = tag
-        d["passed"] = passed
-        d["checks"] = checks
-        d["detail"] = detail
-        d["seconds"] = seconds
+    tag: str
+    passed: bool
+    checks: int
+    detail: str
+    seconds: float
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -324,15 +320,15 @@ def minimal_congruence_partitions(add, pairs):
     return tuple(class_of), len(seen)
 
 
-def run_congruence_oracle_suite(count: int = 50, partition_limit: int = 7):
-    cases = oracle_corpus(count)
+def run_congruence_oracle_suite():
+    cases = oracle_corpus()
     checked = 0
     for add, pairs in cases:
         got = monoid_congruence_closure(add, pairs)
         dense_cls, dense_n = minimal_congruence_dense(add, pairs)
         assert got.class_of == dense_cls and got.class_count == dense_n, \
             f"dense oracle disagrees on size {len(add)} pairs {pairs}"
-        if len(add) <= partition_limit:
+        if len(add) <= 7:           # the partition oracle scans all Bell(n) partitions
             part_cls, part_n = minimal_congruence_partitions(add, pairs)
             assert got.class_of == part_cls and got.class_count == part_n, \
                 f"partition oracle disagrees on size {len(add)} pairs {pairs}"

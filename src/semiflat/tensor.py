@@ -47,26 +47,17 @@ from .subsets import additive_expressions, additive_generators, module_generator
 
 
 class TensorPresentation(Record):
-    _fields = ("left", "right", "left_gens", "right_gens", "pair_bounds", "radices",
-               "box_size", "module", "tau", "rep_coords", "dense")
-
-    def __init__(self, left: Semimodule, right: Semimodule, left_gens: tuple[int, ...],
-                 right_gens: tuple[int, ...], pair_bounds: tuple[tuple[int, int], ...],
-                 radices: tuple[int, ...], box_size: int, module: Semimodule,
-                 tau: tuple[tuple[int, ...], ...], rep_coords: tuple[tuple[int, ...], ...],
-                 dense: bool):
-        d = self.__dict__
-        d["left"] = left
-        d["right"] = right
-        d["left_gens"] = left_gens
-        d["right_gens"] = right_gens
-        d["pair_bounds"] = pair_bounds
-        d["radices"] = radices
-        d["box_size"] = box_size
-        d["module"] = module
-        d["tau"] = tau
-        d["rep_coords"] = rep_coords
-        d["dense"] = dense
+    left: Semimodule
+    right: Semimodule
+    left_gens: tuple[int, ...]
+    right_gens: tuple[int, ...]
+    pair_bounds: tuple[tuple[int, int], ...]
+    radices: tuple[int, ...]
+    box_size: int
+    module: Semimodule
+    tau: tuple[tuple[int, ...], ...]
+    rep_coords: tuple[tuple[int, ...], ...]
+    dense: bool
 
     def _hash_key(self):
         return (self.left, self.right, self.module, self.tau)
@@ -520,12 +511,8 @@ def tensor_morphisms(f: Morphism, g: Morphism, dense: bool = False) -> Morphism:
 # ---------------------------------------------------------------------------
 
 class IsoPair(Record):
-    _fields = ("forward", "backward")
-
-    def __init__(self, forward: Morphism, backward: Morphism):
-        d = self.__dict__
-        d["forward"] = forward
-        d["backward"] = backward
+    forward: Morphism
+    backward: Morphism
 
     @property
     def valid(self) -> bool:
@@ -588,15 +575,10 @@ def associativity_iso(M: Semimodule, N_bi: Semimodule, X: Semimodule):
 # ---------------------------------------------------------------------------
 
 class CancellativeTensor(Record):
-    _fields = ("presentation", "module", "reflection", "tau")
-
-    def __init__(self, presentation: TensorPresentation, module: Semimodule,
-                 reflection: Morphism, tau: tuple[tuple[int, ...], ...]):
-        d = self.__dict__
-        d["presentation"] = presentation
-        d["module"] = module
-        d["reflection"] = reflection
-        d["tau"] = tau
+    presentation: TensorPresentation
+    module: Semimodule
+    reflection: Morphism
+    tau: tuple[tuple[int, ...], ...]
 
 
 def cancellative_tensor(M: Semimodule, N: Semimodule) -> CancellativeTensor:
@@ -648,20 +630,13 @@ def certify_cancellative_universal(M: Semimodule, N: Semimodule, targets) -> int
 # ---------------------------------------------------------------------------
 
 class AdjunctionReport(Record):
-    _fields = ("left_hom", "right_hom", "mapping", "bijective", "additive",
-               "natural_in_source", "natural_in_target")
-
-    def __init__(self, left_hom: HomModule, right_hom: HomModule, mapping: tuple[int, ...],
-                 bijective: bool, additive: bool, natural_in_source: bool,
-                 natural_in_target: bool):
-        d = self.__dict__
-        d["left_hom"] = left_hom
-        d["right_hom"] = right_hom
-        d["mapping"] = mapping
-        d["bijective"] = bijective
-        d["additive"] = additive
-        d["natural_in_source"] = natural_in_source
-        d["natural_in_target"] = natural_in_target
+    left_hom: HomModule
+    right_hom: HomModule
+    mapping: tuple[int, ...]
+    bijective: bool
+    additive: bool
+    natural_in_source: bool
+    natural_in_target: bool
 
     @property
     def holds(self) -> bool:
@@ -734,14 +709,10 @@ def adjunction_iso(M_bi: Semimodule, X: Semimodule, Y: Semimodule,
 # ---------------------------------------------------------------------------
 
 class HomTensorComparison(Record):
-    _fields = ("map", "injective", "uniform", "bijective")
-
-    def __init__(self, map: Morphism, injective: bool, uniform: bool, bijective: bool):
-        d = self.__dict__
-        d["map"] = map
-        d["injective"] = injective
-        d["uniform"] = uniform
-        d["bijective"] = bijective
+    map: Morphism
+    injective: bool
+    uniform: bool
+    bijective: bool
 
 
 def _comparison(X: Semimodule, Y_bi: Semimodule, Z: Semimodule, TH: HomModule,

@@ -21,18 +21,18 @@ FORMAT = 1
 
 
 class Diagram(Record, frozen=False):
-    _fields = ("kind", "arrows")
-
-    def __init__(self, kind: str, arrows: list[str]):
-        d = self.__dict__
-        d["kind"] = kind
-        d["arrows"] = arrows
+    kind: str
+    arrows: list[str]
 
 
 class Workspace(Record, frozen=False):
     """Named objects of one document; each map omitted is a fresh empty dict."""
 
-    _fields = ("semirings", "semimodules", "morphisms", "systems", "diagrams")
+    semirings: dict[str, Semiring]
+    semimodules: dict[str, Semimodule]
+    morphisms: dict[str, Morphism]
+    systems: dict[str, DirectedSystem]
+    diagrams: dict[str, Diagram]
 
     def __init__(self, semirings: dict[str, Semiring] | None = None,
                  semimodules: dict[str, Semimodule] | None = None,

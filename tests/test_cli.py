@@ -90,6 +90,17 @@ def test_empty_suite_tag_is_unknown(capsys, only):
     assert err["detail"] == "unknown suite tags: ['']"
 
 
+@pytest.mark.parametrize("argv", [
+    ["flat", "ZMOD2", "--universe"],
+    ["inj", "ZMOD2", "--family"],
+    ["search", "--semirings", "--max-size", "2"],
+    ["flat", "ZMOD2", "--against", "ZMOD4", "--universe", "BOOL"],
+], ids=["empty-universe", "empty-family", "empty-semirings", "against-and-universe"])
+def test_flags_without_names_are_rejected(argv):
+    # a list flag given no names must not fall back to its default list
+    assert _main(argv) == (2, "")
+
+
 def test_catalog_emits_canonical_workspace(capsys):
     code, out = run_cli(capsys, "catalog")
     assert code == 0

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflat.catalog import (bool_semiring, cyclic_monoid, free_module,
-                              product_monoid, product_semiring, sat_semiring,
+from semiflat.catalog import (bool_semiring, cyclic_monoid, enumerate_semimodules,
+                              free_module, product_monoid, product_semiring, sat_semiring,
                               semiring_module, suite_pool, suite_semirings,
-                              trivial_module, zmod_module)
+                              trivial_module, zmod_module, zmod_semiring)
 from semiflat.congruence import (cancellative_reflection, congruence_closure,
                                  module_congruence_closure,
                                  monoid_congruence_closure,
@@ -115,6 +115,19 @@ def test_reflection_agrees_with_cancellative_quotient_at_zero(Bm):
     Q, _ = quotient_cancellative(Bm, subsemimodule(Bm, (0,)))
     C, _ = cancellative_reflection(Bm)
     assert Q.size == C.size == 1
+
+
+def test_reflection_glues_exactly_the_padded_pairs():
+    # the reflection identifies x and y iff x + w = y + w for some w
+    modules = [M for S in suite_semirings() for _, M in suite_pool(S)]
+    modules += [M for S in (*suite_semirings(), zmod_semiring(2))
+                for M in enumerate_semimodules(S, 4)]
+    for M in modules:
+        _, cmap = cancellative_reflection(M)
+        for x in range(M.size):
+            for y in range(M.size):
+                padded = any(M.add[x][w] == M.add[y][w] for w in range(M.size))
+                assert (cmap.map[x] == cmap.map[y]) == padded
 
 
 def test_reflection_universal_property(Z4, Bm):

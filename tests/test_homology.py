@@ -13,7 +13,7 @@ from semiflat.catalog import (bool_semiring, chain_module, enumerate_semimodules
                               suite_semirings, trivial_module, zmod_module,
                               zmod_semiring)
 from semiflat.congruence import quotient_by_sub
-from semiflat.errors import AxiomViolation, NotCommutative, SideMismatch
+from semiflat.errors import AxiomViolation, NotCommutative, ShapeMismatch, SideMismatch
 from semiflat.flatness import projectivity_witness
 from semiflat.homology import (classify_sequence, classify_stage, cokernel,
                                end_comp, hom_module,
@@ -186,6 +186,14 @@ def test_classifier_on_canonical_quotient(Z4m):
     Q, pi = quotient_by_sub(Z4m, U)
     report = classify_sequence(with_zero_ends([inc, pi]))
     assert report.exact
+
+
+def test_with_zero_ends_pads_both_ends(Z4m, Z4):
+    T = trivial_module(Z4)
+    f = identity_morphism(Z4m)
+    assert with_zero_ends([f]) == [zero_morphism(T, Z4m), f, zero_morphism(Z4m, T)]
+    with pytest.raises(ShapeMismatch):
+        with_zero_ends([])
 
 
 def test_classifier_flag_lattice(sat_setup, S3m, S3):
@@ -569,3 +577,11 @@ def test_two_row_instance(Z4m, Z2, Z4):
     rep = verify_two_row_diagram(inc, pi, inc, pi,
                                  ident(sub), ident(Z4m), ident(Q))
     assert rep.holds and rep.case_1a is True
+    # the cancellative case: Z/4 is a group, so its maps are cancellative
+    rep = verify_two_row_diagram(inc, pi, inc, pi, ident(sub), ident(Z4m), ident(Q),
+                                 cancellative_maps=True)
+    assert rep.holds and rep.case_2a is True
+    # zero columns commute, but a1 is not injective, so case 2a is not met
+    zeros = [zero_morphism(X, X) for X in (sub, Z4m, Q)]
+    rep = verify_two_row_diagram(inc, pi, inc, pi, *zeros, cancellative_maps=True)
+    assert not zeros[0].injective and rep.case_2a is None

@@ -116,6 +116,19 @@ def test_not_directed_rejected(Bm, Z4m):
                         [identity_morphism(Bm), identity_morphism(Bm)])
 
 
+def test_empty_directed_system_rejected(Bm):
+    # a directed set is nonempty
+    with pytest.raises(NotDirected):
+        directed_colimit(directed_system([], [], []))
+    with pytest.raises(NotDirected):
+        directed_colimit(constant_system(Bm, 0))
+
+
+def test_empty_chain_rejected():
+    with pytest.raises(ShapeMismatch):
+        chain_system([])
+
+
 def test_directed_system_relation_without_map_rejected(Bm):
     with pytest.raises(ShapeMismatch):
         directed_system([Bm, Bm], [(0, 1)], [])

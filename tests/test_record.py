@@ -190,6 +190,56 @@ def test_record_matches_dataclass_twin(cls, declared, frozen):
         assert getattr(a, name) == "changed" and a != ours[1]
 
 
+@pytest.mark.parametrize("cls, declared, frozen", DECLARATIONS,
+                         ids=[c.__name__ for c, _, _ in DECLARATIONS])
+def test_bad_arguments_raise_like_the_twin(cls, declared, frozen):
+    twin = _twin(cls, declared, frozen)
+    kwargs = _samples(cls, declared)[0]
+    first = next(iter(kwargs))
+    required = [name for name, default in _fields(declared) if default is dataclasses.MISSING]
+    calls = [((), {**kwargs, "extra": 1}),              # unexpected
+             ((kwargs[first],), kwargs),                # doubled
+             ((*kwargs.values(), None), {})]            # one too many
+    if required:                                        # missing
+        calls.append(((), {n: v for n, v in kwargs.items() if n != required[-1]}))
+    for args, kw in calls:
+        for c in (cls, twin):
+            with pytest.raises(TypeError):
+                c(*args, **kw)
+    # positional calls, with and without the defaulted fields
+    short = [kwargs[n] for n in required]
+    assert cls(*kwargs.values()) == cls(**kwargs)
+    if cls not in CUSTOM_REPR:
+        assert repr(cls(*short)) == repr(twin(*short))
+        assert repr(cls(*kwargs.values())) == repr(twin(*kwargs.values()))
+
+
+def test_subclass_without_annotations_inherits_fields():
+    class Base(Record):
+        a: int
+        b: str = "x"
+        _memo: int = 0          # not a field
+
+    class Sub(Base):
+        def double(self):
+            return 2 * self.a
+
+    class More(Base, frozen=False):
+        c: float = 0.5
+
+    assert Sub._fields == ("a", "b") and More._fields == ("a", "b", "c")
+    s = Sub(1)
+    assert (s.a, s.b, s.double()) == (1, "x", 2) and repr(s).endswith("Sub(a=1, b='x')")
+    assert s == Sub(a=1) and s != Base(1) and hash(s) == hash(Sub(1, "x"))
+    assert str(inspect.signature(Sub)) == "(a: 'int', b: 'str' = 'x')"
+    assert str(inspect.signature(More)) == "(a: 'int', b: 'str' = 'x', c: 'float' = 0.5)"
+    assert More(2, c=1.5).c == 1.5
+    assert DirectedSystem._fields == InverseSystem._fields == ("nodes", "order", "maps")
+    with pytest.raises(TypeError):
+        class Bad(Base):
+            c: int              # no default after a field with one
+
+
 def test_morphism_equality_ignores_derived_flags():
     f, g = Morphism(_M, _N, (0, 1, 0, 1)), Morphism(_M, _N, (0, 1, 0, 1))
     twin = _twin(Morphism, ["source", "target", "map"], True)
