@@ -14,9 +14,9 @@ from functools import lru_cache
 from . import config
 from .congruence import module_congruence_closure, quotient_by_congruence
 from .errors import InvalidArgument, MalformedTable, SizeBoundExceeded
-from .structures import (LEFT, RIGHT, Semimodule, Semiring, Table,
+from .structures import (LEFT, RIGHT, Morphism, Semimodule, Semiring, Table,
                          build_semimodule, build_semiring, canonical_form,
-                         freeze_table, monoid_module)
+                         freeze_table, identity_morphism, monoid_module)
 from .subsets import submodule_of, subsemimodule
 
 
@@ -303,45 +303,77 @@ def enumerate_semimodules(S: Semiring, max_size: int) -> tuple[Semimodule, ...]:
 @lru_cache(maxsize=None)
 def _semimodules(S: Semiring, max_size: int) -> tuple[Semimodule, ...]:
     out: list[Semimodule] = []
-    seen: set = set()
     for n in range(1, max_size + 1):
+        labels = tuple(f"m{i}" for i in range(n))
         for add in enumerate_commutative_monoids(n):
-            endos = _monoid_endomorphisms(add)
-            zero_map = tuple(0 for _ in range(n))
-            ident = tuple(range(n))
-            free_scalars = [s for s in range(S.size) if s not in (S.zero, S.one)]
-            for choice in itertools.product(range(len(endos)), repeat=len(free_scalars)):
-                fs: list[tuple[int, ...] | None] = [None] * S.size
-                fs[S.zero] = zero_map
-                fs[S.one] = ident
-                for s, ci in zip(free_scalars, choice):
-                    fs[s] = endos[ci]
-                ok = True
-                for s in range(S.size):
-                    if not ok:
-                        break
-                    for t2 in range(S.size):
-                        st = S.mul[s][t2]
-                        s_plus_t = S.add[s][t2]
-                        for x in range(n):
-                            if fs[st][x] != fs[t2][fs[s][x]]:
-                                ok = False
-                                break
-                            if fs[s_plus_t][x] != add[fs[s][x]][fs[t2][x]]:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                if not ok:
-                    continue
-                action = freeze_table([[fs[s][x] for s in range(S.size)] for x in range(n)])
-                key = canonical_form(add, 0, action)[0]
-                if key in seen:
-                    continue
-                seen.add(key)
-                labels = [f"m{i}" for i in range(n)]
-                out.append(build_semimodule(S, RIGHT, labels, key[0], 0, key[1]))
+            for action in _actions(S, add, _monoid_endomorphisms(add)):
+                X, _ = class_representative(
+                    Semimodule(S, RIGHT, labels, add, 0, action))
+                if not any(X is Y for Y in out):
+                    out.append(X)
     return tuple(out)
+
+
+def _actions(S: Semiring, add: Table, endos: list[tuple[int, ...]]):
+    """Every right S-action on the monoid add whose scalar maps are endomorphisms.
+
+    Assigns an endomorphism to each scalar other than 0 and 1 in
+    ``itertools.product`` order, depth first, and checks each (s, t)
+    constraint, x(st) = (xs)t and x(s+t) = xs + xt, as soon as its four
+    scalars are assigned, so a failing prefix is abandoned whole.
+    """
+    n = len(add)
+    fs: list[tuple[int, ...] | None] = [None] * S.size
+    fs[S.zero] = tuple(0 for _ in range(n))
+    fs[S.one] = tuple(range(n))
+    free = [s for s in range(S.size) if s not in (S.zero, S.one)]
+    depth = {s: k for k, s in enumerate(free)}
+    due: list[list[tuple[int, int]]] = [[] for _ in range(len(free) + 1)]
+    for s in range(S.size):
+        for t in range(S.size):
+            four = (s, t, S.mul[s][t], S.add[s][t])
+            due[max(depth.get(u, -1) for u in four) + 1].append((s, t))
+
+    def holds(s: int, t: int) -> bool:
+        fs_s, fs_t, fs_st, fs_sum = fs[s], fs[t], fs[S.mul[s][t]], fs[S.add[s][t]]
+        return all(fs_st[x] == fs_t[fs_s[x]] and fs_sum[x] == add[fs_s[x]][fs_t[x]]
+                   for x in range(n))
+
+    def fill(k: int):
+        if not all(holds(s, t) for s, t in due[k]):
+            return
+        if k == len(free):
+            yield freeze_table([[fs[s][x] for s in range(S.size)] for x in range(n)])
+            return
+        for f in endos:
+            fs[free[k]] = f
+            yield from fill(k + 1)
+
+    return fill(0)
+
+
+_REPRESENTATIVES: dict[tuple, Semimodule] = {}
+
+
+def class_representative(M: Semimodule) -> tuple[Semimodule, Morphism]:
+    """(X, sigma): the canonical module of M's isomorphism class and an iso sigma: X -> M.
+
+    X has the tables of ``canonical_form`` over M's semiring and side,
+    labels m0..m{n-1}, and is the one object made for its class in this
+    process (so it is the enumerated module of ``enumerate_semimodules``
+    for that class).  A module with a second action or with more than
+    ``MAX_ENUMERATED_SIZE`` elements, beyond the canonical forms the
+    enumerators compute, is its own representative, with the identity.
+    """
+    if M.second is not None or M.size > config.MAX_ENUMERATED_SIZE:
+        return M, identity_morphism(M)
+    key, relabelling = canonical_form(M.add, M.zero, M.action)
+    X = _REPRESENTATIVES.get((M.semiring, M.side, key))
+    if X is None:
+        X = build_semimodule(M.semiring, M.side, (f"m{i}" for i in range(M.size)),
+                             key[0], 0, key[1])
+        _REPRESENTATIVES[M.semiring, M.side, key] = X
+    return X, Morphism(X, M, relabelling)
 
 
 # ---------------------------------------------------------------------------

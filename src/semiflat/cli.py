@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .congruence import cancellative_reflection
-from .errors import SemiflatError, TimeBudgetExceeded, UnknownObject
+from .errors import InvalidArgument, SemiflatError, TimeBudgetExceeded, UnknownObject
 from .flatness import SearchConfig, is_uniformly_M_flat, is_uniformly_flat, search_counterexamples
 from .homology import classify_sequence, hom_module, uniformly_injective_rel
 from .limits import directed_colimit, inverse_limit, inverse_system
@@ -57,6 +57,14 @@ def _module_pair(ws: Workspace, left_name: str, right_name: str):
     M = as_right(ws.semimodule(left_name))
     N = as_left(ws.semimodule(right_name))
     return M, N
+
+
+def _distinct(names, option: str):
+    """names, unless one of them is listed twice: InvalidArgument."""
+    for i, name in enumerate(names or ()):
+        if name in names[:i]:
+            raise InvalidArgument(f"{option} lists {name!r} twice")
+    return names
 
 
 def _labels_of(module, values):
@@ -188,8 +196,8 @@ def cmd_flat(ws, args) -> int:
         }
         _report(args, payload, "flat")
         return 0 if verdict.holds else 1
-    names = args.universe or [n for n, M in ws.semimodules.items()
-                              if M.semiring == F.semiring]
+    names = _distinct(args.universe, "--universe") or [
+        n for n, M in ws.semimodules.items() if M.semiring == F.semiring]
     universe = tuple(as_right(ws.semimodule(n)) for n in sorted(names))
     verdict = is_uniformly_flat(F, universe)
     witness = None
@@ -210,8 +218,8 @@ def cmd_flat(ws, args) -> int:
 
 def cmd_inj(ws, args) -> int:
     Q = ws.semimodule(args.module)
-    names = args.family or [n for n, M in ws.semimodules.items()
-                            if M.semiring == Q.semiring and M.side == Q.side]
+    names = _distinct(args.family, "--family") or [
+        n for n, M in ws.semimodules.items() if M.semiring == Q.semiring and M.side == Q.side]
     family = [ws.semimodule(n) for n in sorted(names)]
     report = uniformly_injective_rel(Q, family)
     entries = [{"module": sorted(names)[e.module_index],
@@ -258,7 +266,7 @@ def cmd_search(ws, args) -> int:
     named = {"BOOL": bool_semiring(), "SAT3": sat_semiring(3),
              "ZMOD2": zmod_semiring(2), "ZMOD4": zmod_semiring(4)}
     semirings = []
-    for name in args.semirings or ["BOOL"]:
+    for name in _distinct(args.semirings, "--semirings") or ["BOOL"]:
         if name in named:
             semirings.append(named[name])
         elif name in ws.semirings:

@@ -398,6 +398,9 @@ class InverseSystem(_System):
 def inverse_system(nodes, relations, maps) -> InverseSystem:
     """Close the relations j <= k, each with its map M_k -> M_j, and verify coherence."""
     nodes = tuple(nodes)
+    if not nodes:
+        raise ShapeMismatch("an inverse system needs at least one node; "
+                            "use the trivial module explicitly")
     relations, maps = _arrow_data(relations, maps)
     arrows = _closed_arrows(nodes, [(k, j) for j, k in relations], maps)
     order = tuple(sorted((j, k) for k, j in arrows))

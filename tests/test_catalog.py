@@ -10,9 +10,9 @@ import pytest
 
 import semiflat
 from semiflat import catalog
-from semiflat.catalog import (bool_semiring, enumerate_commutative_monoids,
-                              enumerate_semimodules, free_module, sat_semiring,
-                              zmod_semiring)
+from semiflat.catalog import (bool_semiring, class_representative,
+                              enumerate_commutative_monoids, enumerate_semimodules,
+                              free_module, sat_semiring, zmod_semiring)
 from semiflat.errors import InvalidArgument
 from semiflat.structures import build_semimodule, canonical_form, find_isomorphism
 
@@ -125,6 +125,39 @@ def test_semimodules_are_pinned(name):
     modules = enumerate_semimodules(SEMIRINGS[name](), 5)
     assert (len(modules), _digest(tuple((M.add, M.action) for M in modules))) \
         == SEMIMODULE_DIGESTS[name]
+
+
+def _full_product_actions(S, add):
+    """Every choice of endomorphisms in product order, each checked on every (s, t)."""
+    n = len(add)
+    endos = catalog._monoid_endomorphisms(add)
+    free = [s for s in range(S.size) if s not in (S.zero, S.one)]
+    for choice in itertools.product(endos, repeat=len(free)):
+        fs = {S.zero: (0,) * n, S.one: tuple(range(n)), **dict(zip(free, choice))}
+        if all(fs[S.mul[s][t]][x] == fs[t][fs[s][x]]
+               and fs[S.add[s][t]][x] == add[fs[s][x]][fs[t][x]]
+               for s in range(S.size) for t in range(S.size) for x in range(n)):
+            yield tuple(tuple(fs[s][x] for s in range(S.size)) for x in range(n))
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+def test_early_checked_actions_match_the_full_product(name):
+    S = SEMIRINGS[name]()
+    for n in range(1, 5):
+        for add in enumerate_commutative_monoids(n):
+            endos = catalog._monoid_endomorphisms(add)
+            assert list(catalog._actions(S, add, endos)) == list(_full_product_actions(S, add))
+
+
+def test_class_representative_outside_the_canonical_forms():
+    # bisemimodules and modules above MAX_ENUMERATED_SIZE are their own representatives
+    S = bool_semiring()
+    for M in (catalog.semiring_bimodule(S), free_module(S, 3)):
+        X, sigma = class_representative(M)
+        assert X is M and sigma.map == tuple(range(M.size))
+    Y, tau = class_representative(free_module(S, 2))
+    assert Y in enumerate_semimodules(S, 4) and Y.labels == ("m0", "m1", "m2", "m3")
+    assert tau.target == free_module(S, 2) and tau.injective
 
 
 def _relabelled(M, p):

@@ -101,6 +101,28 @@ def test_flags_without_names_are_rejected(argv):
     assert _main(argv) == (2, "")
 
 
+@pytest.mark.parametrize("argv, option, name", [
+    (["flat", "ZMOD2", "--universe", "ZMOD4", "ZMOD2", "ZMOD4"], "--universe", "ZMOD4"),
+    (["inj", "ZMOD2", "--family", "ZMOD2", "ZMOD2"], "--family", "ZMOD2"),
+    (["search", "--semirings", "BOOL", "BOOL", "--max-size", "2"], "--semirings", "BOOL"),
+], ids=["universe", "family", "semirings"])
+def test_names_repeated_in_one_list_are_rejected(capsys, argv, option, name):
+    # a repeated name would be scanned, and counted, twice
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"command": argv[0], "error": "InvalidArgument",
+                               "detail": f"{option} lists {name!r} twice", "format": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["flat", "ZMOD2", "--against", "ZMOD2"],
+    ["inj", "ZMOD2", "--family", "ZMOD2", "ZMOD4"],
+], ids=["flat-against-itself", "inj-family-holds-the-module"])
+def test_a_name_may_repeat_across_arguments(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code in (0, 1) and "error" not in json.loads(out)
+
+
 def test_catalog_emits_canonical_workspace(capsys):
     code, out = run_cli(capsys, "catalog")
     assert code == 0

@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from semiflat import flatness
-from semiflat.catalog import (bool_semiring, chain_module, enumerate_semimodules,
-                              free_module, sat_semiring, suite_pool, trivial_module,
-                              zmod_semiring)
+from semiflat import config, flatness
+from semiflat.catalog import (bool_semiring, chain_module, class_representative,
+                              enumerate_semimodules, free_module, sat_semiring,
+                              suite_pool, trivial_module, zmod_semiring)
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import (BadCertificate, InvalidArgument, NotExact,
-                             TimeBudgetExceeded)
+                             SizeBoundExceeded, TimeBudgetExceeded)
 from semiflat.flatness import (FlatnessVerdict, SearchConfig, baer_ideal_criterion,
                                fg_reduction_check, flat_certificate_check,
                                flatness_flags, in_i_uniform_class,
@@ -20,11 +22,13 @@ from semiflat.flatness import (FlatnessVerdict, SearchConfig, baer_ideal_criteri
                                is_uniformly_fp, middle_flat_transfer,
                                projectivity_witness, search_counterexamples,
                                sum_retract_suite, trivial_certificate)
-from semiflat.homology import morphism_profile
+from semiflat.homology import classify_sequence, morphism_profile, with_zero_ends
 from semiflat.limits import Colimit
-from semiflat.structures import as_right, identity_morphism
+from semiflat.structures import (as_right, build_morphism, build_semimodule,
+                                 identity_morphism)
 from semiflat.subsets import (enumerate_subsemimodules, submodule_of, subsemimodule,
                               uniform_subsemimodules)
+from semiflat.tensor import tensor_morphisms, tensor_product
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +61,26 @@ def test_mono_flat_and_class_flags(Z2, Z4m):
     assert not flags["uniformly_flat"].holds
 
 
+def _untransported_inclusion(F, M, L):
+    # F(x)L -> F(x)M with L as M labels it, not as its class representative
+    sub, inc = submodule_of(M, L)
+    return tensor_morphisms(identity_morphism(F), flatness.as_left_morphism(inc))
+
+
+def _untransported_projection(F, M, L):
+    Q, pi = quotient_by_sub(M, L)
+    return tensor_morphisms(identity_morphism(F), flatness.as_left_morphism(pi))
+
+
+def _untransported_sequence_exact(F, M, L, induced):
+    t_pi = _untransported_projection(F, M, L)
+    return classify_sequence(with_zero_ends([induced, t_pi])).exact
+
+
 def _reference_mono_flat(F, M):
     M = as_right(M)
     for L in enumerate_subsemimodules(M):
-        if not flatness._tensored_inclusion(F, M, L).injective:
+        if not _untransported_inclusion(F, M, L).injective:
             return FlatnessVerdict(False, (L.members, "not-injective"))
     return FlatnessVerdict(True)
 
@@ -68,7 +88,7 @@ def _reference_mono_flat(F, M):
 def _reference_i_uniform_class(F, M):
     M = as_right(M)
     for U in uniform_subsemimodules(M):
-        if not morphism_profile(flatness._tensored_inclusion(F, M, U)).i_uniform:
+        if not morphism_profile(_untransported_inclusion(F, M, U)).i_uniform:
             return FlatnessVerdict(False, (U.members, "image-not-closed"))
     return FlatnessVerdict(True)
 
@@ -76,9 +96,9 @@ def _reference_i_uniform_class(F, M):
 def _reference_uniformly_M_flat(F, M):
     M = as_right(M)
     for U in uniform_subsemimodules(M):
-        induced = flatness._tensored_inclusion(F, M, U)
+        induced = _untransported_inclusion(F, M, U)
         ok = induced.injective and morphism_profile(induced).i_uniform
-        if ok != flatness._tensored_sequence_exact(F, M, U, induced):
+        if ok != _untransported_sequence_exact(F, M, U, induced):
             raise NotExact(f"formulations disagree at U={U.members}")
         if not ok:
             kind = "not-injective" if not induced.injective else "image-not-closed"
@@ -86,48 +106,97 @@ def _reference_uniformly_M_flat(F, M):
     return FlatnessVerdict(True)
 
 
+def _reference_flags(F, M):
+    return [(v.holds, v.witness) for v in (_reference_mono_flat(F, M),
+                                           _reference_i_uniform_class(F, M),
+                                           _reference_uniformly_M_flat(F, M))]
+
+
 ORACLE_SEMIRINGS = {"BOOL": bool_semiring, "ZMOD4": lambda: zmod_semiring(4),
                     "SAT3": lambda: sat_semiring(3)}
 
 
 def test_one_scan_matches_the_three_loops_it_replaced():
-    # the three separate loops of the earlier design are the oracle, on every
-    # pair of modules of size <= 4 over three semirings
+    # the three separate loops of the earlier design, tensoring F, each L and
+    # each M/L as given rather than as class representatives, are the oracle,
+    # on every pair of modules of size <= 4 over three semirings
     pairs = 0
     for name, make in ORACLE_SEMIRINGS.items():
         universe = enumerate_semimodules(make(), 4)
         for F, M in itertools.product(universe, repeat=2):
             flags = flatness_flags(F, M)
             got = [(v.holds, v.witness) for v in flags.values()]
-            want = [(v.holds, v.witness) for v in (_reference_mono_flat(F, M),
-                                                   _reference_i_uniform_class(F, M),
-                                                   _reference_uniformly_M_flat(F, M))]
-            assert got == want, (name, F.add, M.add)
+            assert got == _reference_flags(F, M), (name, F.add, M.add)
             assert [is_mono_flat(F, M), in_i_uniform_class(F, M),
                     is_uniformly_M_flat(F, M)] == list(flags.values())
             pairs += 1
     assert pairs == 162
 
 
-def test_flags_tensor_each_subsemimodule_at_most_once(monkeypatch, Z4):
-    universe = enumerate_semimodules(Z4, 4)
-    real = flatness._tensored_inclusion
-    tensored = []
+def _relabelled(M, p):
+    """M carried over by the bijection p: element i of the result is p[i] of M."""
+    inv = [0] * M.size
+    for i, x in enumerate(p):
+        inv[x] = i
+    add = [[inv[M.add[p[a]][p[b]]] for b in range(M.size)] for a in range(M.size)]
+    action = [[inv[v] for v in M.action[p[a]]] for a in range(M.size)]
+    labels = [f"x{x}" for x in p]
+    return build_semimodule(M.semiring, M.side, labels, add, inv[M.zero], action)
 
-    def counted(F, M, L):
-        tensored.append(L)
-        return real(F, M, L)
 
-    monkeypatch.setattr(flatness, "_tensored_inclusion", counted)
-    flatness._flatness_scan.cache_clear()
-    for F, M in itertools.product(universe, repeat=2):
-        tensored.clear()
-        flatness_flags(F, M)
-        once = len(tensored)
-        assert once == len(set(tensored)) <= len(enumerate_subsemimodules(as_right(M)))
-        fg_reduction_check(F, M)
-        is_mono_flat(F, M), in_i_uniform_class(F, M), is_uniformly_M_flat(F, M)
-        assert len(tensored) == once, "a second read tensored again"
+def test_relabelled_modules_scan_like_the_untransported_scan():
+    # F is scanned as its class representative, which the enumerated modules
+    # are already; relabelled copies of F and M exercise the transport of F
+    # and keep M's own labelling in the witnesses
+    rng = random.Random(2026)
+    moved = 0
+    for name, make in ORACLE_SEMIRINGS.items():
+        universe = enumerate_semimodules(make(), 4)
+        copies = []
+        for M in universe:
+            p = list(range(M.size))
+            rng.shuffle(p)
+            copy = _relabelled(M, p)
+            X, sigma = class_representative(copy)
+            assert X is M and build_morphism(M, copy, sigma.map).injective
+            moved += (copy.add, copy.action) != (M.add, M.action)
+            copies.append(copy)
+        for F, M in itertools.product(copies, repeat=2):
+            got = [(v.holds, v.witness) for v in flatness_flags(F, M).values()]
+            assert got == _reference_flags(F, M), (name, F.add, M.add)
+    assert moved == 14      # of 20 copies; the others kept their class's tables
+
+
+def _refused(tensor):
+    """The cells a fresh tensor cover asks for past MAX_PRODUCT, or None."""
+    tensor_product.cache_clear()            # a cached cover is not bounded again
+    try:
+        tensor()
+    except SizeBoundExceeded as exc:
+        return exc.requested
+    return None
+
+
+def test_transport_keeps_the_refused_covers(monkeypatch):
+    # the cover of F(x)N has |F|^n cells for n the greedy generator count of
+    # N, which a representative can raise: the SAT3 semiring module needs one
+    # generator and its representative three, so without a guard F(x)S3 over
+    # a 4-element F would ask for 64 cells here, not 4
+    monkeypatch.setattr(config, "MAX_PRODUCT", 8)
+    outcomes = Counter()
+    for S in (bool_semiring(), sat_semiring(3), zmod_semiring(4)):
+        pool = [M for _, M in suite_pool(S) if M.size <= 4]
+        for F, M in itertools.product(pool, repeat=2):
+            Fx = class_representative(F)[0]
+            for L in enumerate_subsemimodules(M):
+                t_pi = flatness._represented_projection(M, L)
+                got = (_refused(lambda: flatness._tensored_inclusion(Fx, M, L)),
+                       _refused(lambda: tensor_morphisms(identity_morphism(Fx), t_pi)))
+                want = (_refused(lambda: _untransported_inclusion(F, M, L)),
+                        _refused(lambda: _untransported_projection(F, M, L)))
+                assert got == want, (F.labels, M.labels, L.members)
+                outcomes[got] += 1
+    assert outcomes == {(None, None): 94, (16, 16): 31, (9, 9): 11}
 
 
 def test_free_is_mono_flat_everywhere(Z4m, z4_pool):

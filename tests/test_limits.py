@@ -124,6 +124,12 @@ def test_empty_directed_system_rejected(Bm):
         directed_colimit(constant_system(Bm, 0))
 
 
+def test_empty_inverse_system_rejected_at_construction():
+    # as directed_system does; before, only inverse_limit's product refused it
+    with pytest.raises(ShapeMismatch, match="at least one node"):
+        inverse_system([], [], [])
+
+
 def test_empty_chain_rejected():
     with pytest.raises(ShapeMismatch):
         chain_system([])
