@@ -133,6 +133,27 @@ def test_one_scan_matches_the_three_loops_it_replaced():
     assert pairs == 162
 
 
+def test_flags_tensor_each_subsemimodule_at_most_once(monkeypatch, Z4):
+    universe = enumerate_semimodules(Z4, 4)
+    real = flatness._tensored_inclusion
+    tensored = []
+
+    def counted(F, M, L):
+        tensored.append(L)
+        return real(F, M, L)
+
+    monkeypatch.setattr(flatness, "_tensored_inclusion", counted)
+    flatness._flatness_scan.cache_clear()
+    for F, M in itertools.product(universe, repeat=2):
+        tensored.clear()
+        flatness_flags(F, M)
+        once = len(tensored)
+        assert once == len(set(tensored)) <= len(enumerate_subsemimodules(as_right(M)))
+        fg_reduction_check(F, M)
+        is_mono_flat(F, M), in_i_uniform_class(F, M), is_uniformly_M_flat(F, M)
+        assert len(tensored) == once, "a second read tensored again"
+
+
 def _relabelled(M, p):
     """M carried over by the bijection p: element i of the result is p[i] of M."""
     inv = [0] * M.size
@@ -181,7 +202,7 @@ def test_transport_keeps_the_refused_covers(monkeypatch):
     # the cover of F(x)N has |F|^n cells for n the greedy generator count of
     # N, which a representative can raise: the SAT3 semiring module needs one
     # generator and its representative three, so without a guard F(x)S3 over
-    # a 4-element F would ask for 64 cells here, not 4
+    # a 4-element F would ask for 64 cells, not 4
     monkeypatch.setattr(config, "MAX_PRODUCT", 8)
     outcomes = Counter()
     for S in (bool_semiring(), sat_semiring(3), zmod_semiring(4)):
