@@ -108,11 +108,21 @@ def trivial_module(S: Semiring, side: str = RIGHT) -> Semimodule:
     return build_semimodule(S, side, ["0"], [[0]], 0, [[0] * S.size])
 
 
-@lru_cache(maxsize=None)
 def zmod_module(n: int, d: int, side: str = RIGHT) -> Semimodule:
-    """Z/d as a module over the modular semiring Z/n; requires d | n."""
+    """Z/d as a module over the modular semiring Z/n; requires d | n.
+
+    d must be an integer >= 1 and not a bool, checked on every call,
+    before anything is handed out of the cache.
+    """
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise InvalidArgument(f"d must be a positive integer, got {d!r}")
     if n % d != 0:
         raise MalformedTable(f"{d} does not divide {n}")
+    return _zmod_module(n, d, side)
+
+
+@lru_cache(maxsize=None)
+def _zmod_module(n: int, d: int, side: str) -> Semimodule:
     S = zmod_semiring(n)
     labels = [str(i) for i in range(d)]
     add = [[(a + b) % d for b in range(d)] for a in range(d)]
@@ -164,14 +174,11 @@ def product_monoid(t1: Table, t2: Table) -> Table:
 
 
 @lru_cache(maxsize=None)
-def cancellative_targets(max_size: int = 4) -> tuple[Semimodule, ...]:
-    """All cancellative commutative monoids of bounded size, i.e. abelian groups."""
-    tables: list[Table] = []
-    for n in range(1, max_size + 1):
-        tables.append(cyclic_monoid(0, n))
-    if max_size >= 4:
-        tables.append(product_monoid(cyclic_monoid(0, 2), cyclic_monoid(0, 2)))
-    return tuple(monoid_module(t) for t in tables if len(t) <= max_size)
+def cancellative_targets() -> tuple[Semimodule, ...]:
+    """All cancellative commutative monoids of at most 4 elements, i.e. abelian groups."""
+    tables = [cyclic_monoid(0, n) for n in range(1, 5)]
+    tables.append(product_monoid(cyclic_monoid(0, 2), cyclic_monoid(0, 2)))
+    return tuple(monoid_module(t) for t in tables)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ tensor product itself is built on M^n from a free cover S^n of its right
 factor, and both carriers are bounded by ``MAX_PRODUCT``.
 """
 
-MAX_SUBSET_MODULE = 16        # carrier of a module whose subsemimodules are enumerated
+MAX_SUBSET_MODULE = 16        # carrier searched for its subsemimodules and its least generating sets
 MAX_HOM_CANDIDATES = 65536    # |target| ** #generators in hom and balanced-map enumeration
 MAX_BOX = 4096                # box carrier of a box-built (dense oracle) tensor presentation
 MAX_PRODUCT = 4096            # product and limit carriers, free modules S^n, tensor covers M^n

@@ -47,36 +47,23 @@ class FlatnessVerdict(Record):
 
 
 def _tensored_inclusion(F: Semimodule, M: Semimodule, U: Subsemimodule) -> Morphism:
-    """F(x)X -> F(x)M for the inclusion of U, with X the right factor standing for U."""
+    """F(x)X -> F(x)M for the inclusion of U, with X the class representative of U."""
     return tensor_morphisms(identity_morphism(F), _represented_inclusion(M, U))
-
-
-def _right_factor(N: Semimodule) -> tuple[Semimodule, Morphism]:
-    """N's class representative X with sigma: X -> N, or N itself with the identity.
-
-    N stays as it is when X has another greedy generator count: the free
-    cover of a right tensor factor has |F|^n cells for n that count, so
-    the pairs its size bound refuses, and the cover sizes, stay N's.
-    """
-    X, sigma = class_representative(N)
-    if len(module_generators(X)) != len(module_generators(N)):
-        return N, identity_morphism(N)
-    return X, sigma
 
 
 @lru_cache(maxsize=None)
 def _represented_inclusion(M: Semimodule, U: Subsemimodule) -> Morphism:
-    """inc.sigma: X -> M as a left map, with X, sigma the right factor standing for U."""
+    """inc.sigma: X -> M as a left map, with X, sigma the class representative of U."""
     sub, inc = submodule_of(M, U)
-    X, sigma = _right_factor(sub)
+    X, sigma = class_representative(sub)
     return as_left_morphism(compose(inc, sigma))
 
 
 @lru_cache(maxsize=None)
 def _represented_projection(M: Semimodule, U: Subsemimodule) -> Morphism:
-    """sigma^-1.pi: M -> X as a left map, with X, sigma the right factor standing for M/U."""
+    """sigma^-1.pi: M -> X as a left map, with X, sigma the class representative of M/U."""
     Q, pi = quotient_by_sub(M, U)
-    X, sigma = _right_factor(Q)
+    X, sigma = class_representative(Q)
     return as_left_morphism(Morphism(M, X, tuple(map(sigma.map.index, pi.map))))
 
 
@@ -88,8 +75,8 @@ def _flatness_scan(F: Semimodule, M: Semimodule) -> tuple[FlatnessVerdict, ...]:
     witness is that verdict's first failing L, in enumeration order.  The
     verdicts do not change when F, L or M/L is replaced by an isomorphic
     copy, so the scan runs on F's class representative and tensors L and
-    M/L as representatives too (see ``_right_factor``); only M keeps its
-    labelling, so the witnesses are members of M."""
+    M/L as representatives too; only M keeps its labelling, so the
+    witnesses are members of M."""
     X, _ = class_representative(F)
     if X is not F:
         return _flatness_scan(X, M)
@@ -128,7 +115,7 @@ def _tensored_sequence_exact(F: Semimodule, M: Semimodule, U: Subsemimodule,
                              t_inc: Morphism) -> bool:
     """Exactness of F(x)U -> F(x)M -> F(x)(M/U), given the tensored inclusion.
 
-    M/U is tensored as the right factor standing for it, which changes
+    M/U is tensored as its class representative, which changes
     the sequence only by an isomorphism of its last term."""
     t_pi = tensor_morphisms(identity_morphism(F), _represented_projection(M, U))
     report = classify_sequence(with_zero_ends([t_inc, t_pi]))

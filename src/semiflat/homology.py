@@ -199,7 +199,7 @@ class HomModule(Record):
 
 
 def linear_maps(M: Semimodule, N: Semimodule) -> list[tuple[int, ...]]:
-    """All linear maps M -> N by extension from a minimal generating set."""
+    """All linear maps M -> N by extension from a least generating set."""
     check_endpoints(M, N)
     gens = module_generators(M)
     exprs = module_expressions(M)

@@ -1,6 +1,7 @@
 """Subsemimodules: enumeration, generation, subtractive closure, generators."""
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from . import config
@@ -125,12 +126,24 @@ def uniform_subsemimodules(M: Semimodule) -> tuple[Subsemimodule, ...]:
 
 @lru_cache(maxsize=None)
 def module_generators(M: Semimodule) -> tuple[int, ...]:
-    """Greedy inclusion-minimal generating set, deterministic in index order.
+    """The first generating set of least size, in ``itertools.combinations`` order.
 
-    Spans with the primary action only, so linear maps are determined by
-    their values on the result.
+    An element outside the span of all the others is in every generating
+    set, so only the rest are searched; above ``MAX_SUBSET_MODULE``
+    elements the greedy set in index order stands in.  Spans with the
+    primary action only, so linear maps are determined by their values.
     """
-    return greedy_generators(M.size, lambda seed: span(M.add, M.zero, seed, (M.action,)))
+    def span_of(seed) -> frozenset[int]:
+        return span(M.add, M.zero, seed, (M.action,))
+    if M.size > config.MAX_SUBSET_MODULE:
+        return greedy_generators(M.size, span_of)
+    forced = [x for x in range(M.size) if x not in span_of(set(range(M.size)) - {x})]
+    rest = [x for x in range(M.size) if x not in forced]
+    for k in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            gens = tuple(sorted((*forced, *extra)))
+            if len(span_of(gens)) == M.size:
+                return gens
 
 
 @lru_cache(maxsize=None)

@@ -359,7 +359,7 @@ def run_unit_law_suite():
 # ---------------------------------------------------------------------------
 
 def run_cancellative_universal_suite():
-    targets = cancellative_targets(4)
+    targets = cancellative_targets()
     B = bool_semiring()
     Z4 = zmod_semiring(4)
     S3 = sat_semiring(3)

@@ -12,9 +12,13 @@ import semiflat
 from semiflat import catalog
 from semiflat.catalog import (bool_semiring, class_representative,
                               enumerate_commutative_monoids, enumerate_semimodules,
-                              free_module, sat_semiring, zmod_semiring)
+                              free_module, sat_semiring, suite_pool, suite_semirings,
+                              zmod_module, zmod_semiring)
+from semiflat.congruence import quotient_by_sub
 from semiflat.errors import InvalidArgument
 from semiflat.structures import build_semimodule, canonical_form, find_isomorphism
+from semiflat.subsets import enumerate_subsemimodules, module_generators, submodule_of
+from semiflat.workspace import load_default_workspace
 
 
 def _associative(t) -> bool:
@@ -75,6 +79,10 @@ def _bool_semimodules(n):
     return enumerate_semimodules(bool_semiring(), n)
 
 
+def _z4_module(d):
+    return zmod_module(4, d)
+
+
 SIZE_CASES = [pytest.param(_bool_free_module, rank, id=repr(rank))
               for rank in [-1, 1.0, 1.5, "2", None, True, False]]
 # an enumerated size must also be at least 1, and is checked before the
@@ -82,6 +90,9 @@ SIZE_CASES = [pytest.param(_bool_free_module, rank, id=repr(rank))
 SIZE_CASES += [pytest.param(call, size, id=f"{call.__name__}-{size!r}")
                for call in [enumerate_commutative_monoids, _bool_semimodules]
                for size in [0, -1, 2.0, "3", None, True, False]]
+# so is the order d of zmod_module(n, d), which must be a positive int
+SIZE_CASES += [pytest.param(_z4_module, d, id=f"zmod_module-{d!r}")
+               for d in [0, -1, 2.0, "2", None, True, False]]
 
 
 @pytest.mark.parametrize("call, rank", SIZE_CASES)
@@ -201,6 +212,36 @@ def test_canonical_form_against_brute_force(name):
         assert _is_isomorphism_onto(p, key, M)
     for (A, (key_a, _)), (B, (key_b, _)) in itertools.product(zip(modules, forms), repeat=2):
         assert (key_a == key_b) == (find_isomorphism(A, B) is not None)
+
+
+def _small_parts():
+    """Every subsemimodule and quotient of at most 5 elements of a suite pool
+    module (ZMOD2's pool too) or a module of the default workspace."""
+    modules = [M for S in (*suite_semirings(), zmod_semiring(2)) for _, M in suite_pool(S)]
+    modules += load_default_workspace().semimodules.values()
+    parts = []
+    for M in modules:
+        for L in enumerate_subsemimodules(M):
+            parts += [N for N in (submodule_of(M, L)[0], quotient_by_sub(M, L)[0])
+                      if N.size <= 5]
+    return parts
+
+
+def test_generator_count_is_an_isomorphism_invariant():
+    # a free cover of a right tensor factor has one coordinate per module
+    # generator, so a class representative must not need more than the
+    # module it stands for
+    modules = _small_parts()
+    assert len(modules) == 160
+    for name in ("BOOL", "SAT3", "ZMOD4"):
+        rng = random.Random(name)
+        for M in enumerate_semimodules(SEMIRINGS[name](), 5):
+            p = list(range(M.size))
+            rng.shuffle(p)
+            modules.append(_relabelled(M, p))
+    for N in modules:
+        X, _ = class_representative(N)
+        assert len(module_generators(N)) == len(module_generators(X)), (N.add, N.action)
 
 
 def test_canonical_keys_need_the_semiring():

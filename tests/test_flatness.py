@@ -199,10 +199,10 @@ def _refused(tensor):
 
 
 def test_transport_keeps_the_refused_covers(monkeypatch):
-    # the cover of F(x)N has |F|^n cells for n the greedy generator count of
-    # N, which a representative can raise: the SAT3 semiring module needs one
-    # generator and its representative three, so without a guard F(x)S3 over
-    # a 4-element F would ask for 64 cells, not 4
+    # the cover of F(x)N has |F|^n cells for n the least generator count of
+    # N; every module of N's class has that count, so a representative is
+    # refused exactly where N is (the SAT3 semiring module and its
+    # representative both need one generator)
     monkeypatch.setattr(config, "MAX_PRODUCT", 8)
     outcomes = Counter()
     for S in (bool_semiring(), sat_semiring(3), zmod_semiring(4)):

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflat import catalog
-from semiflat.catalog import (bool_semiring, enumerate_semimodules, product_semiring,
+from semiflat import catalog, config
+from semiflat.catalog import (bool_semiring, class_representative, enumerate_semimodules,
+                              product_module, product_semiring, sat_quotient, sat_semiring,
                               semiring_bimodule, semiring_module, suite_pool, suite_semirings,
                               trivial_module, zmod_semiring)
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import NotASubsemimodule
 from semiflat.homology import hom_module
 from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, build_semimodule,
-                                 monoid_generators, span)
+                                 greedy_generators, monoid_generators, span)
 from semiflat.subsets import (Subsemimodule, additive_expressions, additive_generators,
                               enumerate_subsemimodules,
                               generated_subsemimodule, module_expressions,
@@ -202,8 +205,7 @@ def ref_module_generators(M):
     return tuple(gens)
 
 
-def ref_module_expressions(M):
-    gens = ref_module_generators(M)
+def ref_module_expressions(M, gens):
     exprs = {M.zero: ()}
     frontier = [M.zero]
     steps = [(gi, s) for gi in range(len(gens)) for s in range(M.semiring.size)]
@@ -265,10 +267,29 @@ def test_generation_engine_matches_the_loops_it_replaced():
             assert generated_subsemimodule(M, seed) == ref_generated_subsemimodule(M, seed)
             assert span(M.add, M.zero, seed) == ref_additive_span(M.add, M.zero, seed)
             assert span(M.add, M.zero, seed, (M.action,)) == ref_primary_span(M, seed)
-        assert module_generators(M) == ref_module_generators(M)
-        assert module_expressions(M) == ref_module_expressions(M)
+        # a least generating set, not the greedy one: no larger than the
+        # greedy set, no smaller set spans, and it is the first spanning set
+        # of its size in combinations order
+        gens = module_generators(M)
+        assert len(gens) <= len(ref_module_generators(M))
+        assert all(len(ref_primary_span(M, c)) < M.size for k in range(len(gens))
+                   for c in itertools.combinations(range(M.size), k))
+        assert gens == next(c for c in itertools.combinations(range(M.size), len(gens))
+                            if len(ref_primary_span(M, c)) == M.size)
+        assert module_expressions(M) == ref_module_expressions(M, gens)
         assert additive_generators(M) == ref_monoid_generators(M.add, M.zero)
         assert additive_expressions(M) == ref_additive_expressions(M)
     tables = [t for n in range(1, 5) for t in sorted(catalog._monoid_tables(n))]
     for t in tables:
         assert monoid_generators(t, 0) == ref_monoid_generators(t, 0)
+
+
+def test_generators_above_the_search_bound_are_the_greedy_set():
+    # the least-set search runs up to MAX_SUBSET_MODULE elements; above it
+    # the greedy set stands in, here seven generators where three span
+    X = class_representative(semiring_module(sat_semiring(3)))[0]
+    M = product_module(X, product_module(X, sat_quotient(3, 2, 3)))
+    assert M.size == 48 > config.MAX_SUBSET_MODULE
+    greedy = greedy_generators(M.size, lambda seed: span(M.add, M.zero, seed, (M.action,)))
+    assert module_generators(M) == greedy == ref_module_generators(M)
+    assert len(greedy) == 7 and len(ref_primary_span(M, (1, 9, 36))) == M.size

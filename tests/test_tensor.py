@@ -258,7 +258,7 @@ def test_cancellative_tensor_examples(Bm, Z2, S3m):
 
 
 def test_cancellative_tensor_universal_property(Bm, Z2):
-    targets = cancellative_targets(4)
+    targets = cancellative_targets()
     assert certify_cancellative_universal(Bm, as_left(Bm), targets) > 0
     assert certify_cancellative_universal(Z2, as_left(Z2), targets) > 0
 
