@@ -20,14 +20,25 @@ from .structures import (LEFT, RIGHT, Morphism, Semimodule, Semiring, Table,
 from .subsets import submodule_of, subsemimodule
 
 
+def _check_int(value, least: int, what: str) -> None:
+    """Refuse a bool, a non-int or an int below ``least``, before any cache."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InvalidArgument(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 @lru_cache(maxsize=None)
 def bool_semiring() -> Semiring:
     return build_semiring(["0", "1"], [[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, 1)
 
 
-@lru_cache(maxsize=None)
 def sat_semiring(k: int) -> Semiring:
-    """Saturating arithmetic on {0..k}: a+b and a*b clipped at k."""
+    """Saturating arithmetic on {0..k}: a+b and a*b clipped at k, for an int k >= 1."""
+    _check_int(k, 1, "k")
+    return _sat_semiring(k)
+
+
+@lru_cache(maxsize=None)
+def _sat_semiring(k: int) -> Semiring:
     n = k + 1
     labels = [str(i) for i in range(n)]
     add = [[min(a + b, k) for b in range(n)] for a in range(n)]
@@ -35,8 +46,14 @@ def sat_semiring(k: int) -> Semiring:
     return build_semiring(labels, add, mul, 0, 1)
 
 
-@lru_cache(maxsize=None)
 def zmod_semiring(n: int) -> Semiring:
+    """Arithmetic modulo an int n >= 2."""
+    _check_int(n, 2, "n")
+    return _zmod_semiring(n)
+
+
+@lru_cache(maxsize=None)
+def _zmod_semiring(n: int) -> Semiring:
     labels = [str(i) for i in range(n)]
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]
@@ -60,8 +77,7 @@ def free_module(S: Semiring, rank: int, side: str = RIGHT) -> Semimodule:
     checked against ``MAX_PRODUCT`` on every call, before anything is
     built or handed out of the cache.
     """
-    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
-        raise InvalidArgument(f"rank must be a non-negative integer, got {rank!r}")
+    _check_int(rank, 0, "rank")
     if S.size ** rank > config.MAX_PRODUCT:
         raise SizeBoundExceeded("free module", S.size ** rank, config.MAX_PRODUCT)
     return _free_module(S, rank, side)
@@ -111,11 +127,11 @@ def trivial_module(S: Semiring, side: str = RIGHT) -> Semimodule:
 def zmod_module(n: int, d: int, side: str = RIGHT) -> Semimodule:
     """Z/d as a module over the modular semiring Z/n; requires d | n.
 
-    d must be an integer >= 1 and not a bool, checked on every call,
-    before anything is handed out of the cache.
+    n >= 2 and d >= 1 must be integers and not bools, checked on every
+    call, before anything is handed out of the cache.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise InvalidArgument(f"d must be a positive integer, got {d!r}")
+    _check_int(n, 2, "n")
+    _check_int(d, 1, "d")
     if n % d != 0:
         raise MalformedTable(f"{d} does not divide {n}")
     return _zmod_module(n, d, side)
@@ -123,16 +139,21 @@ def zmod_module(n: int, d: int, side: str = RIGHT) -> Semimodule:
 
 @lru_cache(maxsize=None)
 def _zmod_module(n: int, d: int, side: str) -> Semimodule:
-    S = zmod_semiring(n)
+    S = _zmod_semiring(n)
     labels = [str(i) for i in range(d)]
     add = [[(a + b) % d for b in range(d)] for a in range(d)]
     action = [[(a * s) % d for s in range(n)] for a in range(d)]
     return build_semimodule(S, side, labels, add, 0, action)
 
 
-@lru_cache(maxsize=None)
 def chain_module(k: int, side: str = RIGHT) -> Semimodule:
-    """The k-element chain semilattice 0 < 1 < ... < k-1 over the Boolean semiring."""
+    """The k-element chain semilattice 0 < 1 < ... < k-1 over the Boolean semiring, k >= 1."""
+    _check_int(k, 1, "k")
+    return _chain_module(k, side)
+
+
+@lru_cache(maxsize=None)
+def _chain_module(k: int, side: str) -> Semimodule:
     S = bool_semiring()
     labels = [str(i) for i in range(k)]
     add = [[max(a, b) for b in range(k)] for a in range(k)]
@@ -155,9 +176,15 @@ def product_module(A: Semimodule, B: Semimodule) -> Semimodule:
                             pos[(A.zero, B.zero)], action)
 
 
-@lru_cache(maxsize=None)
 def cyclic_monoid(index: int, period: int) -> Table:
-    """Monogenic commutative monoid table with the given index and period."""
+    """Monogenic commutative monoid table with the given index >= 0 and period >= 1."""
+    _check_int(index, 0, "index")
+    _check_int(period, 1, "period")
+    return _cyclic_monoid(index, period)
+
+
+@lru_cache(maxsize=None)
+def _cyclic_monoid(index: int, period: int) -> Table:
     n = index + period
 
     def red(k: int) -> int:
@@ -274,8 +301,7 @@ def _monoid_tables(n: int):
 
 def _check_enumerated_size(n, what: str) -> None:
     """Refuse a size that is not a non-bool int in 1..MAX_ENUMERATED_SIZE, before any cache."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidArgument(f"{what} needs a positive integer size, got {n!r}")
+    _check_int(n, 1, f"the size of {what}")
     if n > config.MAX_ENUMERATED_SIZE:
         raise SizeBoundExceeded(what, n, config.MAX_ENUMERATED_SIZE)
 

@@ -29,7 +29,7 @@ from .limits import (DirectedSystem, constant_system, direct_sum,
                      directed_colimit, pullback, pullback_mediator)
 from .record import Record
 from .structures import (LEFT, Morphism, Semimodule, as_left, as_right, build_morphism,
-                         compose, identity_morphism, map_from_free, swap_actions,
+                         compose, descend, identity_morphism, map_from_free, swap_actions,
                          with_bimodule_structure)
 from .subsets import (Subsemimodule, enumerate_subsemimodules, module_generators,
                       submodule_of, subsemimodule, uniform_subsemimodules)
@@ -279,15 +279,14 @@ def trivial_certificate(F: Semimodule):
         return None
     sys = constant_system(F, 2)
     colim = directed_colimit(sys)
-    # each colimit class goes to its first member, in node order
-    first: dict[int, int] = {}
-    for row in colim.class_of:
-        for x, c in enumerate(row):
-            first.setdefault(c, x)
-    empty = [c for c in range(colim.module.size) if c not in first]
-    if empty:
-        raise BadCertificate("iso", f"colimit class {empty[0]} has no member")
-    iso = build_morphism(colim.module, F, tuple(first[c] for c in range(colim.module.size)))
+    # each colimit class goes to the one element of F that it holds
+    values = descend(((c, x) for row in colim.class_of for x, c in enumerate(row)),
+                     colim.module.size)
+    if values is None:
+        raise BadCertificate("iso", "a colimit class holds two elements of F")
+    if None in values:
+        raise BadCertificate("iso", f"colimit class {values.index(None)} has no member")
+    iso = build_morphism(colim.module, F, tuple(values))
     pair = (wit["section"], wit["retraction"])
     return FlatCertificate(sys, (pair, pair), iso)
 

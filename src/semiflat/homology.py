@@ -17,9 +17,8 @@ from . import config
 from .errors import (AxiomViolation, NotComposable, NotCommutative, ShapeMismatch,
                      SizeBoundExceeded)
 from .record import Record
-from .structures import (Morphism, SecondAction, Semimodule, Violation,
-                         check_endpoints, compose, counting_action,
-                         counting_semiring_for, freeze_table,
+from .structures import (Morphism, Semimodule, Violation,
+                         check_endpoints, compose, derived_actions, freeze_table,
                          morphism_violations, swap_actions, zero_morphism, LEFT,
                          RIGHT)
 from .subsets import (Subsemimodule, module_expressions, module_generators,
@@ -250,28 +249,21 @@ def hom_module(M: Semimodule, N: Semimodule) -> HomModule:
     add = freeze_table([[pos[tuple(N.add[a][b] for a, b in zip(t, u))] for u in keys]
                         for t in keys])
     labels = tuple("h" + "".join(str(v) for v in t) for t in tables)
-    primary = None
-    second = None
+    actions = []
     if M.second is not None:
         # (s.f)(x) = f(x.s) flips the side of the acting semiring
         T = M.second.semiring
         side = LEFT if M.second.side == RIGHT else RIGHT
         table = freeze_table([[pos[tuple(t[M.second.table[g][s]] for g in gens)]
                                for s in range(T.size)] for t in tables])
-        primary = (T, side, table)
+        actions.append((T, side, table))
     if N.second is not None:
         T = N.second.semiring
-        side = N.second.side
         table = freeze_table([[pos[tuple(N.second.table[v][s] for v in t)]
                                for s in range(T.size)] for t in keys])
-        if primary is None:
-            primary = (T, side, table)
-        else:
-            second = SecondAction(T, side, table)
-    if primary is None:
-        S = counting_semiring_for(M.semiring)
-        primary = (S, RIGHT, counting_action(add, 0, S.size))
-    mod = Semimodule(primary[0], primary[1], labels, add, 0, primary[2], second)
+        actions.append((T, N.second.side, table))
+    T, side, action, second = derived_actions(M.semiring, add, 0, actions)
+    mod = Semimodule(T, side, labels, add, 0, action, second)
     return HomModule(M, N, mod, tuple(Morphism(M, N, t) for t in tables))
 
 

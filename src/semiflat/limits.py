@@ -15,10 +15,10 @@ from .congruence import (congruence_closure, module_congruence_closure,
                          quotient_by_congruence)
 from .errors import (NotCommutative, NotDirected, NotIntertwining,
                      ShapeMismatch, SizeBoundExceeded)
-from .homology import hom_module
+from .homology import hom_module, hom_postcompose
 from .record import Record
 from .structures import (Morphism, Semimodule, build_morphism,
-                         build_semimodule, check_table, compose, freeze_table,
+                         build_semimodule, check_table, compose, descend, freeze_table,
                          identity_morphism)
 from .subsets import submodule_of, subsemimodule, enumerate_subsemimodules
 
@@ -372,15 +372,10 @@ def colimit_morphism(sysX: DirectedSystem, sysY: DirectedSystem, levelwise) -> M
             raise NotIntertwining(f"squares at {j}<={k} do not commute")
     cx = directed_colimit(sysX)
     cy = directed_colimit(sysY)
-    mapping = [None] * cx.module.size
-    for j, M in enumerate(sysX.nodes):
-        for x in range(M.size):
-            tgt = cy.class_of[j][hs[j].map[x]]
-            src = cx.class_of[j][x]
-            if mapping[src] is None:
-                mapping[src] = tgt
-            elif mapping[src] != tgt:
-                raise NotIntertwining("induced map is not well defined")
+    mapping = descend(((cx.class_of[j][x], cy.class_of[j][y])
+                       for j, h in enumerate(hs) for x, y in enumerate(h.map)), cx.module.size)
+    if mapping is None:
+        raise NotIntertwining("induced map is not well defined")
     return build_morphism(cx.module, cy.module, tuple(mapping))
 
 
@@ -440,26 +435,16 @@ def hom_colimit_comparison(X: Semimodule, sys: DirectedSystem) -> HomColimitComp
     """colim Hom(X, M_j) -> Hom(X, colim M_j) by pushing along the legs."""
     colim = directed_colimit(sys)
     hom_nodes = [hom_module(X, M) for M in sys.nodes]
-    rels = list(sys.order)
-    maps = []
-    for (j, k) in rels:
-        f = sys.transition(j, k)
-        H1, H2 = hom_nodes[j], hom_nodes[k]
-        mapping = tuple(H2.index_of(tuple(f.map[v] for v in m.map)) for m in H1.maps)
-        maps.append(build_morphism(H1.module, H2.module, mapping))
-    hom_sys = directed_system([h.module for h in hom_nodes], rels, maps)
+    hom_sys = directed_system([h.module for h in hom_nodes], sys.order,
+                              [hom_postcompose(X, f) for f in sys.maps])
     hc = directed_colimit(hom_sys)
     target = hom_module(X, colim.module)
-    mapping = [None] * hc.module.size
-    for j, H in enumerate(hom_nodes):
-        for i, alpha in enumerate(H.maps):
-            composite = tuple(colim.class_of[j][alpha.map[x]] for x in range(X.size))
-            tgt = target.index_of(composite)
-            src = hc.class_of[j][i]
-            if mapping[src] is None:
-                mapping[src] = tgt
-            elif mapping[src] != tgt:
-                raise NotIntertwining("comparison map is not well defined")
+    mapping = descend(((hc.class_of[j][i],
+                        target.index_of(colim.class_of[j][v] for v in alpha.map))
+                       for j, H in enumerate(hom_nodes) for i, alpha in enumerate(H.maps)),
+                      hc.module.size)
+    if mapping is None:
+        raise NotIntertwining("comparison map is not well defined")
     psi = build_morphism(hc.module, target.module, tuple(mapping))
     return HomColimitComparison(psi, psi.injective, psi.injective and psi.surjective)
 
@@ -484,11 +469,10 @@ def subsemimodule_system(M: Semimodule) -> tuple[DirectedSystem, Morphism]:
                 maps.append(build_morphism(nodes[a], nodes[b], mapping))
     sys = directed_system(nodes, rels, maps)
     colim = directed_colimit(sys)
-    mapping = [None] * colim.module.size
-    for j, U in enumerate(subs):
-        for i, x in enumerate(U.members):
-            src = colim.class_of[j][i]
-            if mapping[src] is None:
-                mapping[src] = x
+    mapping = descend(((colim.class_of[j][i], x)
+                       for j, U in enumerate(subs) for i, x in enumerate(U.members)),
+                      colim.module.size)
+    if mapping is None:
+        raise NotDirected("colimit comparison is not well defined")
     comparison = build_morphism(colim.module, M, tuple(mapping))
     return sys, comparison

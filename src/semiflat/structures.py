@@ -424,6 +424,22 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(g.source, f.target, tuple(f.map[x] for x in g.map))
 
 
+def descend(pairs, size: int) -> list | None:
+    """The value of each of ``size`` classes, read off (class, value) pairs.
+
+    A class no pair reaches gets None; when one class gets two values the
+    map is not well defined on classes and the whole result is None.
+    """
+    out = [None] * size
+    for c, v in pairs:
+        w = out[c]
+        if w is None:
+            out[c] = v
+        elif w != v:
+            return None
+    return out
+
+
 def map_from_free(X: Semimodule, images) -> tuple[int, ...]:
     """The table of the linear map S^n -> X sending the i-th basis vector to images[i].
 
@@ -585,6 +601,21 @@ def counting_action(add: Table, zero: int, count: int) -> Table:
             cur = add[cur][x]
         table.append(row)
     return freeze_table(table)
+
+
+def derived_actions(semiring: Semiring, add: Table, zero: int, actions):
+    """(acting semiring, side, action, second) of a module built from others.
+
+    ``actions`` lists the inherited (semiring, side, table) actions in
+    order: the first becomes the primary action and the next the second
+    one.  With none, the counting semiring of ``semiring`` acts on the
+    right by repeated addition.
+    """
+    if not actions:
+        C = counting_semiring_for(semiring)
+        return C, RIGHT, counting_action(add, zero, C.size), None
+    (T, side, table), *rest = actions
+    return T, side, table, SecondAction(*rest[0]) if rest else None
 
 
 def monoid_module(add: Table, zero: int = 0, labels=None,

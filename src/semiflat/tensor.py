@@ -37,10 +37,10 @@ from .errors import (BoxBoundExceeded, NotBalanced, NotZeroPreserving,
 from .homology import (HomModule, hom_module, hom_postcompose, hom_precompose,
                        morphism_profile)
 from .record import Record
-from .structures import (LEFT, RIGHT, Morphism, SecondAction, Semimodule,
+from .structures import (LEFT, RIGHT, Morphism, Semimodule,
                          build_morphism, build_semimodule,
-                         check_entries, check_table, counting_action,
-                         counting_semiring_for, element_order, freeze_table,
+                         check_entries, check_table, derived_actions, descend,
+                         element_order, freeze_table,
                          identity_morphism, is_cancellative, map_from_free,
                          monoid_morphism, rehome_pair, span, swap_actions)
 from .subsets import additive_expressions, additive_generators, module_generators
@@ -364,22 +364,14 @@ def _presentation(M, N, gens_M, gens_N, bounds, qadd, tau, rep_coords,
             columns.append(_mediate(rep_coords, qadd, qzero, values))
         return freeze_table(zip(*columns))
 
-    primary = None
-    second = None
+    actions = []
     if N.second is not None:
         # right action through the right factor
-        primary = (N.second.semiring, N.second.side, pushed_action(N.second.table, False))
+        actions.append((N.second.semiring, N.second.side, pushed_action(N.second.table, False)))
     if M.second is not None:
-        left_action = (M.second.semiring, M.second.side, pushed_action(M.second.table, True))
-        if primary is None:
-            primary = left_action
-        else:
-            second = SecondAction(*left_action)
-    if primary is None:
-        CS = counting_semiring_for(M.semiring)
-        primary = (CS, RIGHT, counting_action(qadd, qzero, CS.size))
-    module = build_semimodule(primary[0], primary[1], tuple(labels), qadd, qzero,
-                              primary[2], second)
+        actions.append((M.second.semiring, M.second.side, pushed_action(M.second.table, True)))
+    T, side, action, second = derived_actions(M.semiring, qadd, qzero, actions)
+    module = build_semimodule(T, side, tuple(labels), qadd, qzero, action, second)
     if N.second is not None:
         act = module.action
         for m in range(M.size):
@@ -606,13 +598,8 @@ def certify_cancellative_universal(M: Semimodule, N: Semimodule, targets) -> int
         H = hom_module(C2, G2)
         for table in enumerate_balanced_maps(M, N, G):
             gamma = factor_balanced(ct.presentation, G, table)
-            induced = [None] * ct.module.size
-            for x, gx in enumerate(gamma):
-                c = ct.reflection.map[x]
-                if induced[c] is None:
-                    induced[c] = gx
-                elif induced[c] != gx:
-                    raise NotBalanced("reflection", "mediating map not constant on classes")
+            if descend(zip(ct.reflection.map, gamma), ct.module.size) is None:
+                raise NotBalanced("reflection", "mediating map not constant on classes")
             count = 0
             for cand in H.maps:
                 if all(cand.map[ct.tau[m][n]] == table[m][n]

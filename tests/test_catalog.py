@@ -10,10 +10,10 @@ import pytest
 
 import semiflat
 from semiflat import catalog
-from semiflat.catalog import (bool_semiring, class_representative,
-                              enumerate_commutative_monoids, enumerate_semimodules,
-                              free_module, sat_semiring, suite_pool, suite_semirings,
-                              zmod_module, zmod_semiring)
+from semiflat.catalog import (bool_semiring, chain_module, class_representative,
+                              cyclic_monoid, enumerate_commutative_monoids,
+                              enumerate_semimodules, free_module, sat_semiring,
+                              suite_pool, suite_semirings, zmod_module, zmod_semiring)
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import InvalidArgument
 from semiflat.structures import build_semimodule, canonical_form, find_isomorphism
@@ -100,6 +100,30 @@ def test_free_module_rank_must_be_a_non_bool_int(call, rank):
     call(1)
     with pytest.raises(InvalidArgument):
         call(rank)
+
+
+# every integer parameter of the catalog constructors is checked before
+# the cache, so a bad value is refused although the good call warmed it
+PARAMETER_CASES = [
+    (zmod_module, (4, 2), (4.0, 2)), (zmod_module, (4, 2), ("4", 2)),
+    (zmod_module, (2, 1), (True, 1)), (zmod_module, (4, 1), (1, 1)),
+    (zmod_semiring, (4,), (4.0,)), (zmod_semiring, (2,), (1,)),
+    (zmod_semiring, (2,), (True,)),
+    (sat_semiring, (2,), (2.5,)), (sat_semiring, (1,), (0,)), (sat_semiring, (1,), (True,)),
+    (chain_module, (1,), (True,)), (chain_module, (1,), (0,)), (chain_module, (2,), ("2",)),
+    (cyclic_monoid, (0, 1), (0, 0)), (cyclic_monoid, (0, 1), (-1, 2)),
+    (cyclic_monoid, (1, 1), (True, 1)), (cyclic_monoid, (0, 1), (0, True)),
+    (cyclic_monoid, (0, 2), (0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("call, good, bad", [
+    pytest.param(call, good, bad, id=f"{call.__name__}{bad!r}")
+    for call, good, bad in PARAMETER_CASES])
+def test_catalog_integer_parameters_are_checked(call, good, bad):
+    call(*good)
+    with pytest.raises(InvalidArgument):
+        call(*bad)
 
 
 SEMIRINGS = {"BOOL": bool_semiring, "ZMOD2": lambda: zmod_semiring(2),

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,26 @@ def test_hom_subcommand(capsys):
     code, out = run_cli(capsys, "hom", "BOOL", "BOOL")
     assert code == 0
     assert json.loads(out)["result"]["size"] == 2
+
+
+def test_hom_pretty_is_indented_key_value_text(capsys):
+    code, out = run_cli(capsys, "hom", "BOOL", "BOOL", "--pretty")
+    assert code == 0
+    lines = out.splitlines()
+    # the keys in sorted order, each nested level two spaces further in
+    assert lines[:5] == ["command: hom", "format: 1", "inputs:",
+                         "  source: BOOL", "  target: BOOL"]
+    assert lines[5:7] == ["result:", "  maps:"]
+    assert lines[-1] == "  size: 2"
+    assert all(line.startswith("    - ") for line in lines[7:-1])
+
+
+def test_suite_pretty_is_one_line_per_tag(capsys):
+    code, out = run_cli(capsys, "suite", "--only", "unit-law", "--pretty")
+    assert code == 0
+    [line] = out.splitlines()
+    # mark, tag, check count, seconds and detail; the timing is not compared
+    assert re.fullmatch(r"\[PASS\] unit-law +checks=24 +\d+\.\d\ds  \S.*", line), line
 
 
 @pytest.mark.parametrize("source, target", [("BOOL", "SAT3"), ("BOOL", "ZMOD2_SELF")])

@@ -301,15 +301,22 @@ def test_empty_colimit_class_is_a_typed_error(monkeypatch, Z4m):
     real = flatness.directed_colimit
 
     def collapsed(sys):
-        # every element lands in class 0, so the other classes are empty
+        # every element lands in class 0, which so holds four elements of F
         colim = real(sys)
         return Colimit(colim.system, colim.module, colim.legs,
                        tuple((0,) * len(row) for row in colim.class_of))
 
-    monkeypatch.setattr(flatness, "directed_colimit", collapsed)
-    with pytest.raises(BadCertificate) as info:
-        trivial_certificate(Z4m)
-    assert info.value.node == "iso"
+    def widened(sys):
+        # the classes keep F's elements apart, but the classes past |F| are empty
+        colim = real(sys)
+        return Colimit(colim.system, free_module(Z4m.semiring, 2), colim.legs,
+                       colim.class_of)
+
+    for fake, reason in ((collapsed, "two elements"), (widened, "class 4 has no member")):
+        monkeypatch.setattr(flatness, "directed_colimit", fake)
+        with pytest.raises(BadCertificate) as info:
+            trivial_certificate(Z4m)
+        assert info.value.node == "iso" and reason in info.value.reason
 
 
 def test_baer_ideal_criterion(Z4m, Z2, Z4, z4_pool):

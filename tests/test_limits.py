@@ -6,7 +6,8 @@ from semiflat.catalog import suite_semirings, trivial_module
 from semiflat.errors import (NotCommutative, NotDirected, NotIntertwining,
                              ShapeMismatch)
 from semiflat.homology import classify_sequence, morphism_profile, with_zero_ends
-from semiflat.limits import (chain_system, coequalizer, colimit_morphism,
+from semiflat import limits
+from semiflat.limits import (Colimit, chain_system, coequalizer, colimit_morphism,
                              constant_system, copairing, direct_sum,
                              directed_colimit, directed_system, equalizer,
                              hom_colimit_comparison, inverse_limit,
@@ -232,6 +233,20 @@ def test_module_is_colimit_of_subsemimodules(Z4m, S3m):
     for M in (Z4m, S3m):
         sys, comparison = subsemimodule_system(M)
         assert comparison.injective and comparison.surjective
+
+
+def test_subsemimodule_comparison_must_be_well_defined(monkeypatch, Z4m):
+    real = limits.directed_colimit
+
+    def collapsed(sys):
+        # every member lands in class 0, which so holds distinct elements of M
+        colim = real(sys)
+        return Colimit(colim.system, colim.module, colim.legs,
+                       tuple((0,) * len(row) for row in colim.class_of))
+
+    monkeypatch.setattr(limits, "directed_colimit", collapsed)
+    with pytest.raises(NotDirected):
+        subsemimodule_system(Z4m)
 
 
 def test_empty_product_is_terminal(Z4):

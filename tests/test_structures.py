@@ -8,8 +8,10 @@ from semiflat.catalog import (product_semiring, semiring_module,
                               trivial_module, zmod_module, zmod_semiring, cyclic_monoid)
 from semiflat.errors import AxiomViolation, MalformedTable, SemiflatError, SideMismatch
 from semiflat.limits import directed_system, inverse_system
-from semiflat.structures import (as_left, as_right, build_morphism, build_semimodule,
-                                 build_semiring, compose,
+from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
+                                 build_morphism, build_semimodule,
+                                 build_semiring, compose, counting_action,
+                                 counting_semiring_for, derived_actions, descend,
                                  element_order, element_orders,
                                  find_monoid_isomorphism, freeze_table,
                                  identity_morphism, is_cancellative, isomorphic,
@@ -304,3 +306,25 @@ def test_compose_flags(Z4m, Z2):
     g = identity_morphism(Z4m)
     assert compose(f, g).map == f.map
     assert compose(f, g).surjective
+
+
+@pytest.mark.parametrize("pairs, size, expected", [
+    ([(0, 5), (1, 7), (0, 5), (2, 5)], 3, [5, 7, 5]),    # well defined
+    ([(0, 5), (1, 7), (0, 6)], 2, None),                 # class 0 gets 5 and 6
+    ([(2, 4), (0, 1)], 4, [1, None, 4, None]),           # classes 1 and 3 unreached
+    ([], 2, [None, None]),
+])
+def test_descend(pairs, size, expected):
+    assert descend(iter(pairs), size) == expected
+
+
+def test_derived_actions(Z4, S3, Z2):
+    add, zero = Z2.add, Z2.zero
+    C = counting_semiring_for(Z4)
+    assert derived_actions(Z4, add, zero, []) == \
+        (C, RIGHT, counting_action(add, zero, C.size), None)
+    first = (Z4, LEFT, Z2.action)
+    assert derived_actions(Z4, add, zero, [first]) == (Z4, LEFT, Z2.action, None)
+    second = (S3, RIGHT, ((0, 0, 0, 0), (0, 1, 1, 1)))
+    assert derived_actions(Z4, add, zero, [first, second]) == \
+        (Z4, LEFT, Z2.action, SecondAction(*second))

@@ -10,6 +10,8 @@ import pytest
 from semiflat import homology, suite
 from semiflat.catalog import suite_semirings
 from semiflat.homology import hom_module, morphism_profile
+from semiflat.errors import AxiomViolation
+from semiflat.structures import build_semimodule, build_semiring
 from semiflat.suite import (_componentwise_items, _hom_functor_items,
                             _padded_sequence_items, _pool_modules,
                             _retract_square_items, _stage_rows,
@@ -218,3 +220,23 @@ def test_lattice_tensors_each_isomorphism_class_once():
     out = subprocess.run([sys.executable, "-c", _COUNT_PRESENTATIONS], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout.split()
     assert out == ["13", "45"]
+
+
+def test_axiom_fixtures_reach_every_witness_check():
+    # the axiom tag re-checks every reported witness; together the fixtures
+    # report every axiom that _witness_breaks_axiom evaluates
+    reported = set()
+    for name, labels, add, mul, zero, one, axiom in suite._invalid_semiring_fixtures():
+        with pytest.raises(AxiomViolation) as info:
+            build_semiring(labels, add, mul, zero, one)
+        reported |= {v.axiom for v in info.value.violations}
+    for name, S, side, labels, add, zero, action, axiom in suite._invalid_module_fixtures():
+        with pytest.raises(AxiomViolation) as info:
+            build_semimodule(S, side, labels, add, zero, action)
+        reported |= {v.axiom for v in info.value.violations}
+    assert reported == {
+        "add-identity", "add-commutative", "add-associative", "mul-identity",
+        "mul-associative", "left-distributive", "right-distributive", "zero-absorbing",
+        "one-neq-zero", "action-associative", "action-add-distributive",
+        "action-scalar-distributive", "action-unit", "action-scalar-zero",
+        "action-zero-element"}
