@@ -24,7 +24,7 @@ from .homology import (kernel, image_sub, cokernel, morphism_profile,
                        MorphismProfile, classify_sequence, classify_stage,
                        ExactnessReport, with_zero_ends, hom_module, HomModule,
                        hom_postcompose, hom_precompose, end_comp, is_retract_of,
-                       retract_pairs, uniformly_injective_rel, uniformly_cogenerates,
+                       retract_pairs, uniformly_injective_rel,
                        verify_retract_square, verify_two_row_diagram)
 from .limits import (direct_sum, product, coproduct, pairing, copairing,
                      equalizer, coequalizer, pullback, pullback_mediator,
@@ -39,14 +39,9 @@ from .tensor import (TensorPresentation, tensor_product, factor_balanced,
                      certify_cancellative_universal, adjunction_iso,
                      hom_tensor_comparison, dual_comparison)
 from .flatness import (FlatnessVerdict, is_uniformly_M_flat, is_uniformly_flat,
-                       is_mono_flat, in_i_uniform_class, flatness_flags,
-                       fg_reduction_check, middle_flat_transfer,
-                       sum_retract_suite, is_uniformly_fg, is_uniformly_fp,
-                       FlatCertificate, projectivity_witness,
+                       is_mono_flat, in_i_uniform_class, is_uniformly_fg,
+                       is_uniformly_fp, FlatCertificate, projectivity_witness,
                        trivial_certificate, flat_certificate_check,
-                       baer_ideal_criterion, injectivity_flatness_bridge,
-                       injective_cogenerator_equivalence,
-                       fg_subsemimodule_reduction, colimit_flatness_transfer,
                        SearchConfig, search_counterexamples)
 from .catalog import (bool_semiring, sat_semiring, zmod_semiring,
                       product_semiring, free_module, semiring_module,

@@ -212,10 +212,19 @@ def cancellative_targets() -> tuple[Semimodule, ...]:
 # Named catalogs and suite pools.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def sat_quotient(k: int, a: int, b: int) -> Semimodule:
-    """Quotient of the saturating semiring module by gluing a ~ b."""
-    M = semiring_module(sat_semiring(k))
+    """Quotient of the saturating semiring module by gluing a ~ b, for ints 0 <= a, b <= k."""
+    _check_int(k, 1, "k")
+    for value, what in ((a, "a"), (b, "b")):
+        _check_int(value, 0, what)
+        if value > k:
+            raise InvalidArgument(f"{what} must be an integer <= {k}, got {value!r}")
+    return _sat_quotient(k, a, b)
+
+
+@lru_cache(maxsize=None)
+def _sat_quotient(k: int, a: int, b: int) -> Semimodule:
+    M = semiring_module(_sat_semiring(k))
     cong = module_congruence_closure(M, [(a, b)])
     Q, _ = quotient_by_congruence(M, cong)
     return Q

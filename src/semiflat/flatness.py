@@ -1,4 +1,4 @@
-"""Flatness predicates, their reduction checks, and the search harness.
+"""Flatness predicates, flatness certificates, and the search harness.
 
 Uniform flatness of F against M quantifies over the subtractive
 subsemimodules U of M: the induced map F(x)U -> F(x)M must be injective
@@ -22,17 +22,15 @@ from . import config
 from .catalog import class_representative, free_module
 from .congruence import quotient_by_sub
 from .errors import BadCertificate, InvalidArgument, NotExact, TimeBudgetExceeded
-from .homology import (classify_sequence, end_comp, hom_module, is_retract_of,
-                       kernel, morphism_profile, uniformly_injective_rel,
+from .homology import (classify_sequence, is_retract_of, kernel, morphism_profile,
                        with_zero_ends)
-from .limits import (DirectedSystem, constant_system, direct_sum,
-                     directed_colimit, pullback, pullback_mediator)
+from .limits import (DirectedSystem, constant_system, directed_colimit, pullback,
+                     pullback_mediator)
 from .record import Record
 from .structures import (LEFT, Morphism, Semimodule, as_left, as_right, build_morphism,
-                         compose, descend, identity_morphism, map_from_free, swap_actions,
-                         with_bimodule_structure)
+                         compose, descend, identity_morphism, map_from_free)
 from .subsets import (Subsemimodule, enumerate_subsemimodules, module_generators,
-                      submodule_of, subsemimodule, uniform_subsemimodules)
+                      submodule_of, uniform_subsemimodules)
 from .tensor import tensor_morphisms, tensor_product
 
 
@@ -144,62 +142,6 @@ def is_uniformly_flat(F: Semimodule, universe) -> FlatnessVerdict:
         if not v.holds:
             return FlatnessVerdict(False, (i,) + v.witness, "relative to universe")
     return FlatnessVerdict(True, None, "relative to universe")
-
-
-def flatness_flags(F: Semimodule, M: Semimodule) -> dict:
-    """The three relative predicates; the scan checks their implication."""
-    mono, iu, uf = _flatness_scan(F, M)
-    return {"mono_flat": mono, "i_uniform_class": iu, "uniformly_flat": uf}
-
-
-def fg_reduction_check(F: Semimodule, M: Semimodule) -> dict:
-    """Finitely generated reduction: with F in the i-uniformity class,
-    uniform M-flatness coincides with injectivity over all (finitely
-    generated, here: all) subsemimodules."""
-    mono, iu, uf = _flatness_scan(F, M)
-    if not iu.holds:
-        return {"applicable": False}
-    if mono.holds != uf.holds:
-        raise NotExact("fg reduction failed: predicates disagree")
-    return {"applicable": True, "agree": True, "value": uf.holds}
-
-
-def middle_flat_transfer(F: Semimodule, inc: Morphism, pi: Morphism) -> dict:
-    """Transfer of flatness along a short exact sequence M1 -> M -> M2."""
-    report = classify_sequence(with_zero_ends([inc, pi]))
-    if not report.exact:
-        raise NotExact("middle flatness transfer needs a short exact sequence")
-    M1, M, M2 = inc.source, inc.target, pi.target
-    out = {"middle": is_uniformly_M_flat(F, M).holds}
-    if out["middle"]:
-        out["sub"] = is_uniformly_M_flat(F, M1).holds
-        if not out["sub"]:
-            raise NotExact("flatness did not transfer to the subsemimodule")
-        if in_i_uniform_class(F, M2).holds:
-            out["quotient"] = is_uniformly_M_flat(F, M2).holds
-            if not out["quotient"]:
-                raise NotExact("flatness did not transfer to the quotient")
-    return out
-
-
-def sum_retract_suite(family, M: Semimodule) -> dict:
-    """Direct sums and retracts inherit and reflect uniform flatness."""
-    family = tuple(family)
-    data = direct_sum(family)
-    each = [is_uniformly_M_flat(F, M).holds for F in family]
-    total = is_uniformly_M_flat(data.module, M).holds
-    if total != all(each):
-        raise NotExact("sum flatness must match the conjunction of the parts")
-    out = {"sum": total, "parts": each, "retracts": []}
-    if total:
-        er = end_comp(data.module)
-        for members in er.retracts:
-            sub, _ = submodule_of(data.module, subsemimodule(data.module, members))
-            v = is_uniformly_M_flat(sub, M).holds
-            out["retracts"].append((members, v))
-            if not v:
-                raise NotExact("a retract of a flat module failed flatness")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,131 +272,6 @@ def _pullback_preserved(F: Semimodule, f: Morphism, g: Morphism) -> bool:
     P2, q1, q2, data2, inc2 = pullback(t_f, t_g)
     mediator = pullback_mediator(P2, inc2, data2, t_p1, t_p2)
     return mediator.injective and mediator.surjective
-
-
-# ---------------------------------------------------------------------------
-# Ideal-wise criterion.
-# ---------------------------------------------------------------------------
-
-def baer_ideal_criterion(F: Semimodule, Q: Semimodule, universe) -> dict:
-    """Three verdicts side by side; no equivalence is asserted."""
-    from .catalog import semiring_module
-    ideal = is_uniformly_M_flat(F, semiring_module(F.semiring))
-    flat = is_uniformly_flat(F, universe)
-    F_bi = swap_actions(with_bimodule_structure(as_right(F)))
-    HFQ = hom_module(F_bi, as_left(Q) if Q.side != F_bi.side else Q)
-    inj = uniformly_injective_rel(HFQ.module, tuple(as_left(M) if M.side != HFQ.module.side
-                                                   else M for M in universe))
-    return {"ideal_wise": ideal.holds,
-            "ideal_witness": None if ideal.holds else ideal.witness[0],
-            "uniformly_flat": flat.holds, "hom_uniformly_injective": inj.holds}
-
-
-# ---------------------------------------------------------------------------
-# Bridges between flatness and relative injectivity.
-# ---------------------------------------------------------------------------
-
-def _inclusion_probes(F_bi: Semimodule, M: Semimodule) -> list[Morphism]:
-    """F(x)U -> F(x)M for every subtractive U of M, with F a bimodule."""
-    M = as_right(M)
-    return [_tensored_inclusion(F_bi, M, U) for U in uniform_subsemimodules(M)]
-
-
-def _cogenerates_probes(X: Semimodule, probes) -> bool:
-    """The contrapositive cogenerator test over an explicit probe family."""
-    from .homology import uniformly_cogenerates
-    entries = uniformly_cogenerates(X, probes)
-    return all(e.consistent for e in entries)
-
-
-def injectivity_flatness_bridge(F: Semimodule, M: Semimodule, X: Semimodule) -> dict:
-    """Both directions of the hom/tensor duality on one triple.
-
-    Forward: if F is uniformly M-flat and X is uniformly injective
-    relative to F(x)M, then maps into X transported through F are
-    uniformly M-injective.  Backward: if X cogenerates the tensored
-    inclusion probes and the transported module is uniformly
-    M-injective, F must be uniformly M-flat.  Returns the evaluated
-    flags; raises when an implication is violated.
-    """
-    from .homology import hom_module
-    F_bi = with_bimodule_structure(as_right(F))
-    M_left = as_left(M)
-    X_left = as_left(X)
-    FM = tensor_product(F_bi, M_left).module
-    hom_FX = hom_module(swap_actions(F_bi), X_left)
-    flat = is_uniformly_M_flat(F, M).holds
-    x_inj = uniformly_injective_rel(X_left, (FM,)).holds
-    hom_inj = uniformly_injective_rel(hom_FX.module, (M_left,)).holds
-    cogenerated = _cogenerates_probes(X_left, _inclusion_probes(F_bi, M))
-    if flat and x_inj and not hom_inj:
-        raise NotExact("flat + relatively injective must transport injectivity")
-    if cogenerated and hom_inj and not flat:
-        raise NotExact("cogenerated + transported injectivity must force flatness")
-    return {"flat": flat, "target_injective": x_inj,
-            "hom_injective": hom_inj, "cogenerated": cogenerated}
-
-
-def injective_cogenerator_equivalence(Q: Semimodule, universe) -> dict:
-    """Flatness against a certified relative injective-cogenerator.
-
-    When Q is uniformly injective relative to the universe and uniformly
-    cogenerates every tensored inclusion probe assembled from it,
-    uniform flatness of each F in the universe must match uniform
-    injectivity of the transported module Hom(F, Q); certification
-    failures make the result inconclusive, never a verdict.
-    """
-    from .homology import hom_module
-    Q_left = as_left(Q)
-    family = tuple(as_left(M) for M in universe)
-    injective = uniformly_injective_rel(Q_left, family).holds
-    cogenerates = True
-    for F in universe:
-        F_bi = with_bimodule_structure(as_right(F))
-        for M in universe:
-            if not _cogenerates_probes(Q_left, _inclusion_probes(F_bi, M)):
-                cogenerates = False
-                break
-        if not cogenerates:
-            break
-    out = {"certified": injective and cogenerates, "instances": []}
-    if not out["certified"]:
-        return out
-    for F in universe:
-        F_bi = with_bimodule_structure(as_right(F))
-        hom_FQ = hom_module(swap_actions(F_bi), Q_left)
-        flat = is_uniformly_flat(as_right(F), tuple(as_right(M) for M in universe)).holds
-        hom_inj = uniformly_injective_rel(hom_FQ.module, family).holds
-        out["instances"].append((flat, hom_inj))
-        if flat != hom_inj:
-            raise NotExact("flatness and transported injectivity must agree "
-                           "against a certified cogenerator")
-    return out
-
-
-def fg_subsemimodule_reduction(F: Semimodule, universe) -> bool:
-    """If every subsemimodule of F is uniformly flat, so is F."""
-    F = as_right(F)
-    all_subs_flat = True
-    for L in enumerate_subsemimodules(F):
-        sub, _ = submodule_of(F, L)
-        if not is_uniformly_flat(sub, universe).holds:
-            all_subs_flat = False
-            break
-    whole = is_uniformly_flat(F, universe).holds
-    if all_subs_flat and not whole:
-        raise NotExact("flatness of every subsemimodule must pass to the module")
-    return whole
-
-
-def colimit_flatness_transfer(system: DirectedSystem, M: Semimodule) -> bool:
-    """Flatness of every node passes to the directed colimit."""
-    each = [is_uniformly_M_flat(node, M).holds for node in system.nodes]
-    colim = directed_colimit(system)
-    whole = is_uniformly_M_flat(colim.module, M).holds
-    if all(each) and not whole:
-        raise NotExact("nodewise flatness must pass to the colimit")
-    return whole
 
 
 # ---------------------------------------------------------------------------

@@ -384,7 +384,7 @@ def is_retract_of(N: Semimodule, M: Semimodule) -> tuple[Morphism, Morphism] | N
 
 
 # ---------------------------------------------------------------------------
-# Relative injectivity and cogenerators.
+# Relative injectivity.
 # ---------------------------------------------------------------------------
 
 class InjectivityEntry(Record):
@@ -412,35 +412,6 @@ def uniformly_injective_rel(Q: Semimodule, family) -> InjectivityReport:
             prof = morphism_profile(res)
             entries.append(InjectivityEntry(mi, U.members, res.surjective, prof.uniform))
     return InjectivityReport(tuple(entries))
-
-
-class CogeneratorEntry(Record):
-    probe_index: int
-    restriction_surjective: bool
-    restriction_uniform: bool
-    probe_injective: bool
-    probe_uniform: bool
-
-    @property
-    def consistent(self) -> bool:
-        if self.restriction_surjective and not self.probe_injective:
-            return False
-        if (self.restriction_surjective and self.restriction_uniform
-                and not (self.probe_injective and self.probe_uniform)):
-            return False
-        return True
-
-
-def uniformly_cogenerates(Q: Semimodule, probes) -> tuple[CogeneratorEntry, ...]:
-    """Contrapositive cogenerator test over the supplied probe morphisms."""
-    out = []
-    for i, iota in enumerate(probes):
-        res = hom_precompose(iota, Q)
-        rprof = morphism_profile(res)
-        pprof = morphism_profile(iota)
-        out.append(CogeneratorEntry(i, res.surjective, rprof.uniform,
-                                    iota.injective, pprof.uniform))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

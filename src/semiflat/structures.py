@@ -92,18 +92,18 @@ class Violation(Record):
     detail: str = ""
 
 
-def commutative_monoid_violations(add: Table, zero: int, prefix: str = "add") -> list[Violation]:
+def commutative_monoid_violations(add: Table, zero: int) -> list[Violation]:
     n = len(add)
     out = []
     for a in range(n):
         if add[zero][a] != a:
-            out.append(Violation(f"{prefix}-identity", (zero, a),
+            out.append(Violation("add-identity", (zero, a),
                                  f"{zero}+{a} = {add[zero][a]} != {a}"))
     for a in range(n):
         row = add[a]
         for b in range(a + 1, n):
             if row[b] != add[b][a]:
-                out.append(Violation(f"{prefix}-commutative", (a, b),
+                out.append(Violation("add-commutative", (a, b),
                                      f"{a}+{b} != {b}+{a}"))
     for a in range(n):
         for b in range(n):
@@ -111,7 +111,7 @@ def commutative_monoid_violations(add: Table, zero: int, prefix: str = "add") ->
             row_a = add[a]
             for c in range(n):
                 if add[ab][c] != row_a[add[b][c]]:
-                    out.append(Violation(f"{prefix}-associative", (a, b, c),
+                    out.append(Violation("add-associative", (a, b, c),
                                          f"({a}+{b})+{c} != {a}+({b}+{c})"))
                     break
             else:
@@ -144,7 +144,7 @@ class Semiring(Record):
 
 def semiring_violations(labels, add: Table, mul: Table, zero: int, one: int) -> list[Violation]:
     n = len(labels)
-    out = commutative_monoid_violations(add, zero, "add")
+    out = commutative_monoid_violations(add, zero)
     # multiplicative monoid: associativity and two-sided identity
     for a in range(n):
         if mul[one][a] != a or mul[a][one] != a:
@@ -295,7 +295,7 @@ def action_violations(semiring: Semiring, side: str, add: Table, zero: int,
 
 def semimodule_violations(semiring, side, add, zero, action,
                           second: SecondAction | None = None) -> list[Violation]:
-    out = commutative_monoid_violations(add, zero, "add")
+    out = commutative_monoid_violations(add, zero)
     out.extend(action_violations(semiring, side, add, zero, action))
     if second is not None:
         out.extend(action_violations(second.semiring, second.side, add, zero,

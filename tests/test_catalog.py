@@ -12,8 +12,9 @@ import semiflat
 from semiflat import catalog
 from semiflat.catalog import (bool_semiring, chain_module, class_representative,
                               cyclic_monoid, enumerate_commutative_monoids,
-                              enumerate_semimodules, free_module, sat_semiring,
-                              suite_pool, suite_semirings, zmod_module, zmod_semiring)
+                              enumerate_semimodules, free_module, sat_quotient,
+                              sat_semiring, suite_pool, suite_semirings, zmod_module,
+                              zmod_semiring)
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import InvalidArgument
 from semiflat.structures import build_semimodule, canonical_form, find_isomorphism
@@ -114,6 +115,8 @@ PARAMETER_CASES = [
     (cyclic_monoid, (0, 1), (0, 0)), (cyclic_monoid, (0, 1), (-1, 2)),
     (cyclic_monoid, (1, 1), (True, 1)), (cyclic_monoid, (0, 1), (0, True)),
     (cyclic_monoid, (0, 2), (0, 2.0)),
+    (sat_quotient, (3, 1, 2), (3, 1.5, 2)), (sat_quotient, (3, 1, 2), (3, 1, -1)),
+    (sat_quotient, (3, 1, 2), (3, True, 2)), (sat_quotient, (3, 1, 2), (3, 7, 2)),
 ]
 
 

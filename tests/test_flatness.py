@@ -14,19 +14,16 @@ from semiflat.catalog import (bool_semiring, chain_module, class_representative,
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import (BadCertificate, InvalidArgument, NotExact,
                              SizeBoundExceeded, TimeBudgetExceeded)
-from semiflat.flatness import (FlatnessVerdict, SearchConfig, baer_ideal_criterion,
-                               fg_reduction_check, flat_certificate_check,
-                               flatness_flags, in_i_uniform_class,
-                               is_mono_flat, is_uniformly_M_flat,
-                               is_uniformly_fg, is_uniformly_flat,
-                               is_uniformly_fp, middle_flat_transfer,
+from semiflat.flatness import (FlatnessVerdict, SearchConfig, flat_certificate_check,
+                               in_i_uniform_class, is_mono_flat, is_uniformly_M_flat,
+                               is_uniformly_fg, is_uniformly_flat, is_uniformly_fp,
                                projectivity_witness, search_counterexamples,
-                               sum_retract_suite, trivial_certificate)
+                               trivial_certificate)
 from semiflat.homology import classify_sequence, morphism_profile, with_zero_ends
 from semiflat.limits import Colimit
 from semiflat.structures import (as_right, build_morphism, build_semimodule,
                                  identity_morphism)
-from semiflat.subsets import (enumerate_subsemimodules, submodule_of, subsemimodule,
+from semiflat.subsets import (enumerate_subsemimodules, submodule_of,
                               uniform_subsemimodules)
 from semiflat.tensor import tensor_morphisms, tensor_product
 
@@ -57,8 +54,7 @@ def test_empty_universe_vacuous(Z2):
 def test_mono_flat_and_class_flags(Z2, Z4m):
     assert not is_mono_flat(Z2, Z4m).holds
     assert in_i_uniform_class(Z2, Z4m).holds
-    flags = flatness_flags(Z2, Z4m)
-    assert not flags["uniformly_flat"].holds
+    assert not is_uniformly_M_flat(Z2, Z4m).holds
 
 
 def _untransported_inclusion(F, M, L):
@@ -112,6 +108,10 @@ def _reference_flags(F, M):
                                            _reference_uniformly_M_flat(F, M))]
 
 
+def _flags(F, M):
+    return is_mono_flat(F, M), in_i_uniform_class(F, M), is_uniformly_M_flat(F, M)
+
+
 ORACLE_SEMIRINGS = {"BOOL": bool_semiring, "ZMOD4": lambda: zmod_semiring(4),
                     "SAT3": lambda: sat_semiring(3)}
 
@@ -124,11 +124,8 @@ def test_one_scan_matches_the_three_loops_it_replaced():
     for name, make in ORACLE_SEMIRINGS.items():
         universe = enumerate_semimodules(make(), 4)
         for F, M in itertools.product(universe, repeat=2):
-            flags = flatness_flags(F, M)
-            got = [(v.holds, v.witness) for v in flags.values()]
+            got = [(v.holds, v.witness) for v in _flags(F, M)]
             assert got == _reference_flags(F, M), (name, F.add, M.add)
-            assert [is_mono_flat(F, M), in_i_uniform_class(F, M),
-                    is_uniformly_M_flat(F, M)] == list(flags.values())
             pairs += 1
     assert pairs == 162
 
@@ -146,11 +143,10 @@ def test_flags_tensor_each_subsemimodule_at_most_once(monkeypatch, Z4):
     flatness._flatness_scan.cache_clear()
     for F, M in itertools.product(universe, repeat=2):
         tensored.clear()
-        flatness_flags(F, M)
+        _flags(F, M)
         once = len(tensored)
         assert once == len(set(tensored)) <= len(enumerate_subsemimodules(as_right(M)))
-        fg_reduction_check(F, M)
-        is_mono_flat(F, M), in_i_uniform_class(F, M), is_uniformly_M_flat(F, M)
+        _flags(F, M)
         assert len(tensored) == once, "a second read tensored again"
 
 
@@ -183,7 +179,7 @@ def test_relabelled_modules_scan_like_the_untransported_scan():
             moved += (copy.add, copy.action) != (M.add, M.action)
             copies.append(copy)
         for F, M in itertools.product(copies, repeat=2):
-            got = [(v.holds, v.witness) for v in flatness_flags(F, M).values()]
+            got = [(v.holds, v.witness) for v in _flags(F, M)]
             assert got == _reference_flags(F, M), (name, F.add, M.add)
     assert moved == 14      # of 20 copies; the others kept their class's tables
 
@@ -224,41 +220,6 @@ def test_free_is_mono_flat_everywhere(Z4m, z4_pool):
     for M in z4_pool:
         assert is_mono_flat(Z4m, M).holds
         assert in_i_uniform_class(Z4m, M).holds
-
-
-def test_fg_reduction(Z4m, Z2):
-    rep = fg_reduction_check(Z4m, Z4m)
-    assert rep["applicable"] and rep["agree"] and rep["value"]
-    rep2 = fg_reduction_check(Z2, Z4m)
-    assert rep2["applicable"] and rep2["agree"] and not rep2["value"]
-    rep3 = fg_reduction_check(Z4m, trivial_module(Z4m.semiring))
-    assert rep3["applicable"] and rep3["value"]
-
-
-def test_middle_transfer(Z4m, Z4):
-    U = subsemimodule(Z4m, (0, 2))
-    sub, inc = submodule_of(Z4m, U)
-    Q, pi = quotient_by_sub(Z4m, U)
-    rep = middle_flat_transfer(Z4m, inc, pi)
-    assert rep["middle"] and rep["sub"] and rep.get("quotient", True)
-    rep2 = middle_flat_transfer(trivial_module(Z4), inc, pi)
-    assert rep2["middle"] in (True, False)
-
-
-def test_middle_transfer_needs_exactness(Z4m):
-    U = subsemimodule(Z4m, (0, 2))
-    sub, inc = submodule_of(Z4m, U)
-    with pytest.raises(NotExact):
-        middle_flat_transfer(Z4m, inc, identity_morphism(Z4m))
-
-
-def test_sum_retract(Z4m, Z2):
-    rep = sum_retract_suite((Z4m, Z4m), Z4m)
-    assert rep["sum"] and all(rep["parts"])
-    rep2 = sum_retract_suite((Z2, Z4m), Z4m)
-    assert not rep2["sum"] and rep2["parts"] == [False, True]
-    rep3 = sum_retract_suite((Z4m,), Z4m)
-    assert rep3["sum"] == rep3["parts"][0]
 
 
 def test_uniformly_fg_witnesses(Z4m, Z2, S3m):
@@ -317,63 +278,6 @@ def test_empty_colimit_class_is_a_typed_error(monkeypatch, Z4m):
         with pytest.raises(BadCertificate) as info:
             trivial_certificate(Z4m)
         assert info.value.node == "iso" and reason in info.value.reason
-
-
-def test_baer_ideal_criterion(Z4m, Z2, Z4, z4_pool):
-    rep = baer_ideal_criterion(Z4m, Z4m, z4_pool)
-    assert rep["ideal_wise"] and rep["uniformly_flat"]
-    rep2 = baer_ideal_criterion(Z2, Z4m, z4_pool)
-    assert not rep2["ideal_wise"] and rep2["ideal_witness"] == (0, 2)
-    assert not rep2["uniformly_flat"]
-    T = trivial_module(Z4)
-    rep3 = baer_ideal_criterion(T, Z4m, z4_pool)
-    assert rep3["ideal_wise"] and rep3["uniformly_flat"]
-
-
-def test_injectivity_flatness_bridge_on_pools(Z4, z4_pool):
-    from semiflat.flatness import injectivity_flatness_bridge
-    seen_negative = False
-    for F in z4_pool:
-        for M in z4_pool:
-            for X in z4_pool:
-                rep = injectivity_flatness_bridge(F, M, X)
-                if not rep["flat"]:
-                    seen_negative = True
-    assert seen_negative, "the triple family must include non-flat instances"
-
-
-def test_injective_cogenerator_equivalence():
-    from semiflat.catalog import semiring_module
-    from semiflat.flatness import injective_cogenerator_equivalence
-    B = bool_semiring()
-    pool = tuple(m for _, m in suite_pool(B))
-    rep = injective_cogenerator_equivalence(semiring_module(B), pool)
-    assert rep["certified"]
-    assert all(flat == inj for flat, inj in rep["instances"])
-
-
-def test_cogenerator_equivalence_over_z4(Z4, Z4m, z4_pool):
-    from semiflat.flatness import injective_cogenerator_equivalence
-    rep = injective_cogenerator_equivalence(Z4m, z4_pool)
-    assert rep["certified"]
-    flags = dict(zip((m.size for m in z4_pool), rep["instances"]))
-    assert all(flat == inj for flat, inj in rep["instances"])
-    assert any(not flat for flat, _ in rep["instances"])
-
-
-def test_fg_subsemimodule_reduction(z4_pool):
-    from semiflat.flatness import fg_subsemimodule_reduction
-    for F in z4_pool:
-        fg_subsemimodule_reduction(F, z4_pool)
-
-
-def test_colimit_flatness_transfer(Z4m, Z2):
-    from semiflat.flatness import colimit_flatness_transfer
-    from semiflat.limits import chain_system, constant_system
-    from semiflat.structures import build_morphism
-    assert colimit_flatness_transfer(constant_system(Z4m, 3), Z4m)
-    mod2 = build_morphism(Z4m, Z2, [0, 1, 0, 1])
-    assert not colimit_flatness_transfer(chain_system([mod2]), Z4m)
 
 
 def test_search_over_z4(tmp_path, Z4):

@@ -1,0 +1,73 @@
+"""Static checks on the package source, made with ``ast`` alone."""
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import semiflat
+
+PACKAGE = pathlib.Path(semiflat.__file__).parent
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with its line; ``__future__`` aside."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    return out
+
+
+def _called_names(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
+    """The names called as ``f(...)`` or ``mod.f(...)``, outside the subtree ``skip``."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                out.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                out.add(node.func.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py imports to re-export, so it is the one module left out
+    unused = []
+    for path in MODULES:
+        tree = _tree(path)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [(path.name, line, name)
+                   for name, line in _imported_names(tree).items() if name not in used]
+    assert MODULES
+    assert unused == []
+
+
+def test_every_public_flatness_function_has_a_caller_in_the_package():
+    # a check that only tests call belongs in the tests, not in the package;
+    # a function's calls of itself do not count
+    flatness = PACKAGE / "flatness.py"
+    trees = {path: _tree(path) for path in MODULES}
+    public = [node for node in trees[flatness].body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    uncalled = []
+    for fn in public:
+        called = set()
+        for path, tree in trees.items():
+            called |= _called_names(tree, skip=fn if path == flatness else None)
+        if fn.name not in called:
+            uncalled.append(fn.name)
+    assert public
+    assert uncalled == []

@@ -23,9 +23,9 @@ from semiflat.catalog import (bool_semiring, sat_semiring, trivial_module, zmod_
                               zmod_semiring)
 from semiflat.congruence import Congruence
 from semiflat.flatness import FlatCertificate, FlatnessVerdict, SearchConfig, SearchRecord
-from semiflat.homology import (CogeneratorEntry, EndReport, ExactnessReport, HomModule,
-                               InjectivityEntry, InjectivityReport, MorphismProfile,
-                               RetractSquareReport, StageFlags, TwoRowReport, hom_module)
+from semiflat.homology import (EndReport, ExactnessReport, HomModule, InjectivityEntry,
+                               InjectivityReport, MorphismProfile, RetractSquareReport,
+                               StageFlags, TwoRowReport, hom_module)
 from semiflat.limits import (Colimit, DirectedSystem, HomColimitComparison, InverseSystem,
                              ProductData)
 from semiflat.record import Record
@@ -60,8 +60,6 @@ DECLARATIONS = [
     (EndReport, ["tables", "identity", "comp", "summands", "retracts"], True),
     (InjectivityEntry, ["module_index", "sub_members", "surjective", "uniform"], True),
     (InjectivityReport, ["entries"], True),
-    (CogeneratorEntry, ["probe_index", "restriction_surjective", "restriction_uniform",
-                        "probe_injective", "probe_uniform"], True),
     (RetractSquareReport, ["hypothesis", "conclusion"], True),
     (TwoRowReport, ["case_1a", "case_1b", "case_2a", "case_2b"], True),
     (ProductData, ["module", "factors", "projections", "injections"], True),
