@@ -14,6 +14,7 @@ from functools import lru_cache
 from . import config
 from .congruence import module_congruence_closure, quotient_by_congruence
 from .errors import InvalidArgument, MalformedTable, SizeBoundExceeded
+from .homology import linear_maps
 from .structures import (LEFT, RIGHT, Morphism, Semimodule, Semiring, Table,
                          build_semimodule, build_semiring, canonical_form,
                          freeze_table, identity_morphism, monoid_module)
@@ -326,14 +327,14 @@ def _commutative_monoids(n: int) -> tuple[Table, ...]:
     return tuple(sorted({canonical_form(t, 0)[0][0] for t in _monoid_tables(n)}))
 
 
-def _monoid_endomorphisms(t: Table) -> list[tuple[int, ...]]:
-    n = len(t)
-    out = []
-    for values in itertools.product(range(n), repeat=n - 1):
-        f = (0,) + values
-        if all(f[t[a][b]] == t[f[a]][f[b]] for a in range(n) for b in range(a, n)):
-            out.append(f)
-    return out
+@lru_cache(maxsize=None)
+def _monoid_endomorphisms(t: Table) -> tuple[tuple[int, ...], ...]:
+    """The endomorphisms of the monoid t, in lexicographic order.
+
+    Cached, since every semiring's enumeration asks for the same tables.
+    """
+    M = monoid_module(t)
+    return tuple(linear_maps(M, M))
 
 
 def enumerate_semimodules(S: Semiring, max_size: int) -> tuple[Semimodule, ...]:
@@ -356,7 +357,7 @@ def _semimodules(S: Semiring, max_size: int) -> tuple[Semimodule, ...]:
     return tuple(out)
 
 
-def _actions(S: Semiring, add: Table, endos: list[tuple[int, ...]]):
+def _actions(S: Semiring, add: Table, endos: tuple[tuple[int, ...], ...]):
     """Every right S-action on the monoid add whose scalar maps are endomorphisms.
 
     Assigns an endomorphism to each scalar other than 0 and 1 in
@@ -412,8 +413,9 @@ def class_representative(M: Semimodule) -> tuple[Semimodule, Morphism]:
     key, relabelling = canonical_form(M.add, M.zero, M.action)
     X = _REPRESENTATIVES.get((M.semiring, M.side, key))
     if X is None:
-        X = build_semimodule(M.semiring, M.side, (f"m{i}" for i in range(M.size)),
-                             key[0], 0, key[1])
+        # a relabelled copy of M, so no axiom scan
+        X = Semimodule(M.semiring, M.side, tuple(f"m{i}" for i in range(M.size)),
+                       key[0], 0, key[1])
         _REPRESENTATIVES[M.semiring, M.side, key] = X
     return X, Morphism(X, M, relabelling)
 

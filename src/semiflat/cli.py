@@ -23,6 +23,13 @@ from .workspace import (Workspace, canonical_json, emit_workspace,
                         load_default_workspace, parse_workspace)
 
 
+def _inline(value) -> str:
+    """A list as one bracketed line, so the items of a nested list stay together."""
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_inline, value)) + "]"
+    return str(value)
+
+
 def _render_pretty(doc, indent: int = 0) -> str:
     pad = "  " * indent
     lines = []
@@ -36,10 +43,10 @@ def _render_pretty(doc, indent: int = 0) -> str:
                 lines.append(f"{pad}{key}: {value}")
     elif isinstance(doc, list):
         for value in doc:
-            if isinstance(value, (dict, list)):
+            if isinstance(value, dict):
                 lines.append(_render_pretty(value, indent))
             else:
-                lines.append(f"{pad}- {value}")
+                lines.append(f"{pad}- {_inline(value)}")
     else:
         lines.append(f"{pad}{doc}")
     return "\n".join(lines)

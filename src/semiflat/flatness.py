@@ -13,6 +13,7 @@ certificates: checking is sound at finite scale, deciding is not.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import time
@@ -28,14 +29,17 @@ from .limits import (DirectedSystem, constant_system, directed_colimit, pullback
                      pullback_mediator)
 from .record import Record
 from .structures import (LEFT, Morphism, Semimodule, as_left, as_right, build_morphism,
-                         compose, descend, identity_morphism, map_from_free)
+                         check_endpoints, compose, descend, identity_morphism, map_from_free)
 from .subsets import (Subsemimodule, enumerate_subsemimodules, module_generators,
                       submodule_of, uniform_subsemimodules)
 from .tensor import tensor_morphisms, tensor_product
 
 
 def as_left_morphism(f: Morphism) -> Morphism:
-    return build_morphism(as_left(f.source), as_left(f.target), f.map)
+    """f between the left views of its endpoints; mirroring keeps it linear."""
+    source, target = as_left(f.source), as_left(f.target)
+    check_endpoints(source, target)
+    return Morphism(source, target, f.map)
 
 
 class FlatnessVerdict(Record):
@@ -325,9 +329,10 @@ def search_counterexamples(config: SearchConfig) -> dict:
     and the search goes on.  A size that is not an integer or is below 1,
     a budget that is not an int or float or is negative or NaN, or an
     output file that cannot be opened raises ``InvalidArgument`` before
-    anything is enumerated.  Each record is written to ``out_path`` as
-    soon as its module is classified, so a run cut short by its budget
-    leaves the partial report's records.
+    anything is enumerated; a failed write to that file raises it too, with
+    the same message.  Each record is written to ``out_path`` as soon as
+    its module is classified, so a run cut short by its budget leaves the
+    partial report's records.
     """
     if not isinstance(config.max_size, int) or isinstance(config.max_size, bool):
         raise InvalidArgument(f"max_size must be an integer, got {config.max_size!r}")
@@ -343,12 +348,23 @@ def search_counterexamples(config: SearchConfig) -> dict:
         try:
             sink = open(config.out_path, "w", encoding="utf-8")
         except OSError as exc:
-            raise InvalidArgument(f"cannot write {config.out_path!r}: {exc.strerror}") from exc
+            raise _cannot_write(config.out_path, exc) from exc
     try:
         return _search(config, sink)
+    except InvalidArgument:
+        if sink is not None:
+            # a failed flush keeps its line buffered, and closing fails on it
+            # again; the InvalidArgument already names that failure
+            with contextlib.suppress(OSError):
+                sink.close()
+        raise
     finally:
         if sink is not None:
             sink.close()
+
+
+def _cannot_write(path: str, exc: OSError) -> InvalidArgument:
+    return InvalidArgument(f"cannot write {path!r}: {exc.strerror}")
 
 
 def _search(config: SearchConfig, sink) -> dict:
@@ -377,8 +393,11 @@ def _search(config: SearchConfig, sink) -> dict:
                                flat.holds, certified, flat.witness)
             records.append(rec)
             if sink is not None:
-                sink.write(rec.to_json() + "\n")
-                sink.flush()
+                try:
+                    sink.write(rec.to_json() + "\n")
+                    sink.flush()
+                except OSError as exc:
+                    raise _cannot_write(config.out_path, exc) from exc
             if certified and not flat.holds:
                 violations.append((si, mi, "certified flat but not uniformly flat"))
             if flat.holds and not certified:

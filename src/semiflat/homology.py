@@ -198,21 +198,27 @@ class HomModule(Record):
 
 
 def linear_maps(M: Semimodule, N: Semimodule) -> list[tuple[int, ...]]:
-    """All linear maps M -> N by extension from a least generating set."""
+    """All linear maps M -> N by extension from a least generating set.
+
+    The expressions are shortest words, so each one is a shorter one plus
+    a last term: every candidate is built one table step per element, in
+    order of word length.
+    """
     check_endpoints(M, N)
     gens = module_generators(M)
     exprs = module_expressions(M)
     if N.size ** len(gens) > config.MAX_HOM_CANDIDATES:
         raise SizeBoundExceeded("hom enumeration", N.size ** len(gens),
                                 config.MAX_HOM_CANDIDATES)
+    element = {word: x for x, word in enumerate(exprs)}
+    steps = [(x, element[word[:-1]], *word[-1])
+             for x, word in sorted(enumerate(exprs), key=lambda e: len(e[1])) if word]
     found = []
     for images in itertools.product(range(N.size), repeat=len(gens)):
-        table = []
-        for x in range(M.size):
-            val = N.zero
-            for gi, s in exprs[x]:
-                val = N.add[val][N.action[images[gi]][s]]
-            table.append(val)
+        terms = [N.action[y] for y in images]
+        table = [N.zero] * M.size
+        for x, prefix, gi, s in steps:
+            table[x] = N.add[table[prefix]][terms[gi][s]]
         if next(morphism_violations(M, N, table), None) is None:
             found.append(tuple(table))
     zero_map = tuple(N.zero for _ in range(M.size))

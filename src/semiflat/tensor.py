@@ -37,8 +37,7 @@ from .errors import (BoxBoundExceeded, NotBalanced, NotZeroPreserving,
 from .homology import (HomModule, hom_module, hom_postcompose, hom_precompose,
                        morphism_profile)
 from .record import Record
-from .structures import (LEFT, RIGHT, Morphism, Semimodule,
-                         build_morphism, build_semimodule,
+from .structures import (LEFT, RIGHT, Morphism, Semimodule, build_morphism,
                          check_entries, check_table, derived_actions, descend,
                          element_order, freeze_table,
                          identity_morphism, is_cancellative, map_from_free,
@@ -371,7 +370,10 @@ def _presentation(M, N, gens_M, gens_N, bounds, qadd, tau, rep_coords,
     if M.second is not None:
         actions.append((M.second.semiring, M.second.side, pushed_action(M.second.table, True)))
     T, side, action, second = derived_actions(M.semiring, qadd, qzero, actions)
-    module = build_semimodule(T, side, tuple(labels), qadd, qzero, action, second)
+    # a quotient of a valid module by a congruence, with actions induced
+    # by the pairing, so no axiom scan; the asserts below tie the pushed
+    # actions to the pairing
+    module = Semimodule(T, side, tuple(labels), qadd, qzero, action, second)
     if N.second is not None:
         act = module.action
         for m in range(M.size):
@@ -487,10 +489,12 @@ def tensor_morphisms(f: Morphism, g: Morphism, dense: bool = False) -> Morphism:
     Q = tensor_product(f.target, g.target, dense)
     mapping = _mediate(P.rep_coords, Q.module.add, Q.module.zero,
                        [Q.tau[f.map[gm]][g.map[hn]] for gm, hn in P.pair_list()])
+    # f (x) g is linear, so the map gets no morphism check; the loop below
+    # checks that it intertwines the pairings
     if P.module.semiring == Q.module.semiring and P.module.side == Q.module.side:
-        result = build_morphism(P.module, Q.module, mapping)
+        result = Morphism(P.module, Q.module, mapping)
     else:
-        result = monoid_morphism(P.module, Q.module, mapping)
+        result = Morphism(*rehome_pair(P.module, Q.module), mapping)
     for m in range(f.source.size):
         for n in range(g.source.size):
             if mapping[P.tau[m][n]] != Q.tau[f.map[m]][g.map[n]]:

@@ -187,6 +187,17 @@ def test_early_checked_actions_match_the_full_product(name):
             assert list(catalog._actions(S, add, endos)) == list(_full_product_actions(S, add))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monoid_endomorphisms_match_brute_force(n):
+    # the hom enumeration gives what a filter over all n^(n-1) maps that fix
+    # the zero gives, in the same order
+    for add in enumerate_commutative_monoids(n):
+        maps = ((0,) + rest for rest in itertools.product(range(n), repeat=n - 1))
+        want = [f for f in maps
+                if all(f[add[a][b]] == add[f[a]][f[b]] for a in range(n) for b in range(n))]
+        assert list(catalog._monoid_endomorphisms(add)) == want
+
+
 def test_class_representative_outside_the_canonical_forms():
     # bisemimodules and modules above MAX_ENUMERATED_SIZE are their own representatives
     S = bool_semiring()

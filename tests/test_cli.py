@@ -144,15 +144,20 @@ def test_hom_subcommand(capsys):
 
 
 def test_hom_pretty_is_indented_key_value_text(capsys):
-    code, out = run_cli(capsys, "hom", "BOOL", "BOOL", "--pretty")
-    assert code == 0
-    lines = out.splitlines()
-    # the keys in sorted order, each nested level two spaces further in
-    assert lines[:5] == ["command: hom", "format: 1", "inputs:",
-                         "  source: BOOL", "  target: BOOL"]
-    assert lines[5:7] == ["result:", "  maps:"]
-    assert lines[-1] == "  size: 2"
-    assert all(line.startswith("    - ") for line in lines[7:-1])
+    for name, size in (("BOOL", 2), ("BOOL2", 16)):
+        code, out = run_cli(capsys, "hom", name, name, "--pretty")
+        assert code == 0
+        lines = out.splitlines()
+        # the keys in sorted order, each nested level two spaces further in
+        assert lines[:5] == ["command: hom", "format: 1", "inputs:",
+                             f"  source: {name}", f"  target: {name}"]
+        assert lines[5:7] == ["result:", "  maps:"]
+        assert lines[-1] == f"  size: {size}"
+        # one line per map, with its labels in brackets
+        code, doc = run_cli(capsys, "hom", name, name)
+        maps = json.loads(doc)["result"]["maps"]
+        assert len(maps) == size
+        assert lines[7:-1] == ["    - [" + ", ".join(labels) + "]" for labels in maps]
 
 
 def test_suite_pretty_is_one_line_per_tag(capsys):
@@ -242,6 +247,17 @@ def test_search_rejects_bad_arguments(capsys, monkeypatch, tmp_path, flag, value
     err = json.loads(out)
     assert err["error"] == "InvalidArgument"
     assert err["detail"].startswith(detail)
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="no /dev/full")
+def test_search_write_failure_is_invalid_argument(capsys):
+    # every write to /dev/full fails with ENOSPC
+    code, out = run_cli(capsys, "search", "--semirings", "BOOL", "--max-size", "2",
+                        "--out", "/dev/full")
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "InvalidArgument"
+    assert err["detail"] == "cannot write '/dev/full': No space left on device"
 
 
 def test_workspace_flag(capsys, tmp_path):

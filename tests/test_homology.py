@@ -18,7 +18,7 @@ from semiflat.flatness import projectivity_witness
 from semiflat.homology import (classify_sequence, classify_stage, cokernel,
                                end_comp, hom_module,
                                hom_postcompose, hom_precompose,
-                               is_retract_of, kernel, morphism_profile,
+                               is_retract_of, kernel, linear_maps, morphism_profile,
                                retract_pairs,
                                uniformly_injective_rel,
                                verify_retract_square, verify_two_row_diagram,
@@ -326,6 +326,28 @@ def test_hom_module_matches_brute_force():
         _checked_hom(M, N)
     assert sum(M.second is not None for M, _ in shapes) >= 8
     assert sum(N.second is not None for _, N in shapes) >= 10
+
+
+def test_linear_maps_match_the_brute_force_filter():
+    # every table build_morphism accepts between the enumerated modules of
+    # size <= 4 over the suite semirings, with the zero map first and the
+    # rest in lexicographic order, as the step-per-element extension builds
+    pairs = maps = 0
+    for S in suite_semirings():
+        modules = enumerate_semimodules(S, 4)
+        for M in modules:
+            for N in modules:
+                accepted = []
+                for table in itertools.product(range(N.size), repeat=M.size):
+                    try:
+                        accepted.append(build_morphism(M, N, table).map)
+                    except AxiomViolation:
+                        continue
+                zero = (N.zero,) * M.size
+                assert linear_maps(M, N) == sorted(accepted, key=lambda t: (t != zero, t))
+                pairs += 1
+                maps += len(accepted)
+    assert (pairs, maps) == (162, 785)
 
 
 def test_hom_composition_checks_second_actions():

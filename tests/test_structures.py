@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflat.catalog import (product_semiring, semiring_module,
-                              trivial_module, zmod_module, zmod_semiring, cyclic_monoid)
+from semiflat import suite
+from semiflat.catalog import (enumerate_semimodules, product_semiring, semiring_module,
+                              suite_semirings, trivial_module, zmod_module, zmod_semiring,
+                              cyclic_monoid)
 from semiflat.errors import AxiomViolation, MalformedTable, SemiflatError, SideMismatch
 from semiflat.limits import directed_system, inverse_system
 from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
@@ -15,8 +19,9 @@ from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
                                  element_order, element_orders,
                                  find_monoid_isomorphism, freeze_table,
                                  identity_morphism, is_cancellative, isomorphic,
-                                 mirror, monoid_module, semiring_violations,
-                                 with_bimodule_structure)
+                                 mirror, monoid_module, morphism_violations,
+                                 semiring_violations, semimodule_violations,
+                                 Violation, with_bimodule_structure)
 from semiflat.tensor import factor_balanced, tensor_product
 
 
@@ -328,3 +333,56 @@ def test_derived_actions(Z4, S3, Z2):
     second = (S3, RIGHT, ((0, 0, 0, 0), (0, 1, 1, 1)))
     assert derived_actions(Z4, add, zero, [first, second]) == \
         (Z4, LEFT, Z2.action, SecondAction(*second))
+
+
+def _pairwise_violations(source, target, mapping) -> list:
+    """Every violated morphism axiom, scanned over all pairs and all scalars.
+
+    The scan that decided every table before the generator decision; it
+    stays the reference for both the verdict and the witness list.
+    """
+    n = source.size
+    out = []
+    for a in range(n):
+        fa = mapping[a]
+        for b in range(a, n):
+            if mapping[source.add[a][b]] != target.add[fa][mapping[b]]:
+                out.append(Violation("map-additive", (a, b), f"f({a}+{b}) != f({a})+f({b})"))
+    for a in range(n):
+        for s in range(source.semiring.size):
+            if mapping[source.action[a][s]] != target.action[mapping[a]][s]:
+                out.append(Violation("map-linear", (a, s), f"f({a}.s{s}) != f({a}).s{s}"))
+    if mapping[source.zero] != target.zero:
+        out.append(Violation("map-zero", (source.zero,), "f(0) != 0"))
+    return out
+
+
+def test_morphism_violations_match_the_pairwise_scan():
+    # every table between the enumerated modules of size <= 4 over the suite
+    # semirings, and the axiom tag's invalid maps: the generator decision
+    # accepts what the pairwise scan accepts, and a rejected table reports
+    # the pairwise witnesses, in the pairwise order
+    tables = rejected = 0
+    for S in suite_semirings():
+        modules = enumerate_semimodules(S, 4)
+        for M in modules:
+            for N in modules:
+                for table in itertools.product(range(N.size), repeat=M.size):
+                    want = _pairwise_violations(M, N, table)
+                    assert list(morphism_violations(M, N, table)) == want
+                    tables += 1
+                    rejected += bool(want)
+    fixtures = suite._invalid_morphism_fixtures()
+    for name, source, target, mapping, axiom in fixtures:
+        want = _pairwise_violations(source, target, mapping)
+        assert axiom in {v.axiom for v in want}, name
+        assert list(morphism_violations(source, target, mapping)) == want, name
+    assert (tables, rejected, len(fixtures)) == (17541, 16756, 7)
+
+
+def test_enumerated_modules_satisfy_the_axioms():
+    # class_representative builds each enumerated module without an axiom scan
+    for S in suite_semirings():
+        for M in enumerate_semimodules(S, 5):
+            assert semimodule_violations(M.semiring, M.side, M.add, M.zero, M.action,
+                                         M.second) == []

@@ -12,9 +12,11 @@ from semiflat.catalog import enumerate_commutative_monoids, enumerate_semimodule
 from semiflat import config
 from semiflat.errors import (BoxBoundExceeded, MalformedTable,
                              NotZeroPreserving, SideMismatch)
+from semiflat.homology import hom_module, with_zero_ends
 from semiflat.structures import (as_left, build_morphism, build_semimodule,
                                  find_monoid_isomorphism, identity_morphism,
-                                 monoid_module,
+                                 monoid_module, morphism_violations,
+                                 semimodule_violations,
                                  with_bimodule_structure, zero_morphism)
 from semiflat.tensor import (_box_product, _generators, adjunction_iso,
                              associativity_iso, balanced_violations,
@@ -78,6 +80,11 @@ def _assert_cover_matches_box(M, N):
             f"{field} differs for |M|={M.size} |N|={N.size}"
     assert cover.module.labels == box.module.labels
     assert relation_count(cover) == relation_count(box)
+    # the presentations build their modules without an axiom scan
+    for pres in (cover, box):
+        mod = pres.module
+        assert semimodule_violations(mod.semiring, mod.side, mod.add, mod.zero,
+                                     mod.action, mod.second) == []
 
 
 def test_cover_matches_the_box_on_pools_and_small_modules():
@@ -240,6 +247,25 @@ def test_balanced_completeness_small_targets():
 def test_tensor_morphism_identity(Z2):
     t = tensor_morphisms(identity_morphism(Z2), identity_morphism(as_left(Z2)))
     assert t.map == tuple(range(t.source.size))
+
+
+def test_tensored_maps_and_zero_ends_are_linear():
+    # tensor_morphisms and zero_morphism build their maps without the
+    # morphism check; here F (x) g for every pool module F and every map g
+    # between pool modules, padded with zero maps as the flatness scan
+    # pads the sequences it classifies
+    checked = 0
+    for S in suite_semirings():
+        pool = [M for _, M in suite_pool(S)]
+        for F in pool:
+            idF = identity_morphism(F)
+            for M in pool:
+                for N in pool:
+                    for g in hom_module(as_left(M), as_left(N)).maps:
+                        for f in with_zero_ends([tensor_morphisms(idF, g)]):
+                            assert list(morphism_violations(f.source, f.target, f.map)) == []
+                            checked += 1
+    assert checked == 3 * 556          # 556 tensored maps and their zero ends
 
 
 def test_tensor_morphism_zero(Z4m, Z2):
