@@ -25,7 +25,7 @@ from .homology import (kernel, image_sub, cokernel, morphism_profile,
                        ExactnessReport, with_zero_ends, hom_module, HomModule,
                        hom_postcompose, hom_precompose, end_comp, is_retract_of,
                        retract_pairs, uniformly_injective_rel,
-                       verify_retract_square, verify_two_row_diagram)
+                       verify_retract_square)
 from .limits import (direct_sum, product, coproduct, pairing, copairing,
                      equalizer, coequalizer, pullback, pullback_mediator,
                      DirectedSystem, directed_system, constant_system,

@@ -19,8 +19,8 @@ from .errors import (AxiomViolation, NotComposable, NotCommutative, ShapeMismatc
 from .record import Record
 from .structures import (Morphism, Semimodule, Violation,
                          check_endpoints, compose, derived_actions, freeze_table,
-                         morphism_violations, swap_actions, zero_morphism, LEFT,
-                         RIGHT)
+                         is_linear, morphism_violations, swap_actions, zero_morphism,
+                         LEFT, RIGHT)
 from .subsets import (Subsemimodule, module_expressions, module_generators,
                       submodule_of, subsemimodule, subtractive_closure_set,
                       uniform_subsemimodules)
@@ -69,35 +69,45 @@ def morphism_profile(f: Morphism) -> MorphismProfile:
 
 
 def _profile(f: Morphism) -> MorphismProfile:
-    src, tgt = f.source, f.target
-    ker = [x for x in range(src.size) if f.map[x] == tgt.zero]
-    by_value: dict[int, list[int]] = {}
-    for x in range(src.size):
-        by_value.setdefault(f.map[x], []).append(x)
-    k_uniform, k_witness = True, None
-    for group in by_value.values():
+    # an injective map has one-element fibres
+    k_witness = None if f.injective else _k_witness(f)
+    image = set(f.map)
+    closed = subtractive_closure_set(f.target, image)
+    i_uniform = len(closed) == len(image)
+    i_witness = None
+    if not i_uniform:
+        i_witness = next(x for x in closed if x not in image)
+    semi_epi = len(closed) == f.target.size
+    return MorphismProfile(f.injective, f.surjective, k_witness is None, i_uniform,
+                           semi_epi, k_witness, i_witness)
+
+
+def _k_witness(f: Morphism) -> tuple[int, int] | None:
+    """The first pair of one fibre of f whose kernel cosets do not meet."""
+    add, zero = f.source.add, f.target.zero
+    ker = [x for x, v in enumerate(f.map) if v == zero]
+    fibres: dict[int, list[int]] = {}
+    for x, v in enumerate(f.map):
+        group = fibres.get(v)
+        if group is None:
+            fibres[v] = [x]
+        else:
+            group.append(x)
+    for group in fibres.values():
         if len(group) < 2:
             continue
         # x + K meets y + K is an equivalence (the Bourne relation of the
         # submonoid K = ker f), so the fibre is one class exactly when its
         # first element meets every other; the first failure is also the
-        # first failing pair in (i, j) order
-        first = frozenset(map(src.add[group[0]].__getitem__, ker))
+        # first failing pair in (i, j) order.  K holds 0, as f is linear, so
+        # a y inside the first coset meets it, and most fibres are inside
+        first = frozenset(map(add[group[0]].__getitem__, ker))
+        if first.issuperset(group):
+            continue
         for y in group[1:]:
-            if first.isdisjoint(map(src.add[y].__getitem__, ker)):
-                k_uniform, k_witness = False, (group[0], y)
-                break
-        if not k_uniform:
-            break
-    img = sorted(set(f.map))
-    closed = subtractive_closure_set(tgt.add, tgt.zero, img)
-    i_uniform = tuple(img) == closed
-    i_witness = None
-    if not i_uniform:
-        i_witness = next(x for x in closed if x not in set(img))
-    semi_epi = len(closed) == tgt.size
-    return MorphismProfile(f.injective, f.surjective, k_uniform, i_uniform,
-                           semi_epi, k_witness, i_witness)
+            if y not in first and first.isdisjoint(map(add[y].__getitem__, ker)):
+                return group[0], y
+    return None
 
 
 class StageFlags(Record):
@@ -120,12 +130,13 @@ class ExactnessReport(Record):
 def classify_stage(f: Morphism, g: Morphism) -> StageFlags:
     if f.target is not g.source and f.target != g.source:
         raise NotComposable("stage maps do not compose")
-    mid = f.target
-    img = sorted(set(f.map))
-    ker = [x for x in range(mid.size) if g.map[x] == g.target.zero]
-    chain = all(g.map[y] == g.target.zero for y in img)
+    mid, zero = f.target, g.target.zero
+    image = set(f.map)
+    img = sorted(image)
+    ker = [x for x, v in enumerate(g.map) if v == zero]
+    chain = image.issubset(ker)
     proper = img == ker
-    closed = list(subtractive_closure_set(mid.add, mid.zero, img))
+    closed = list(subtractive_closure_set(mid, image))
     semi = closed == ker
     g_k = morphism_profile(g).k_uniform
     witness = ()
@@ -202,7 +213,8 @@ def linear_maps(M: Semimodule, N: Semimodule) -> list[tuple[int, ...]]:
 
     The expressions are shortest words, so each one is a shorter one plus
     a last term: every candidate is built one table step per element, in
-    order of word length.
+    order of word length.  Each candidate gets the linearity decision
+    only; a rejected one has no witness to report.
     """
     check_endpoints(M, N)
     gens = module_generators(M)
@@ -219,7 +231,7 @@ def linear_maps(M: Semimodule, N: Semimodule) -> list[tuple[int, ...]]:
         table = [N.zero] * M.size
         for x, prefix, gi, s in steps:
             table[x] = N.add[table[prefix]][terms[gi][s]]
-        if next(morphism_violations(M, N, table), None) is None:
+        if is_linear(M, N, table):
             found.append(tuple(table))
     zero_map = tuple(N.zero for _ in range(M.size))
     found.sort(key=lambda t: (t != zero_map, t))
@@ -457,54 +469,3 @@ def verify_retract_square(iota: Morphism, pi: Morphism, iota2: Morphism, pi2: Mo
     _require_commutes(compose(iota2, gamma_tilde), compose(gamma, iota), "top square")
     _require_commutes(compose(pi2, gamma), compose(gamma_tilde, pi), "bottom square")
     return RetractSquareReport(morphism_profile(gamma), morphism_profile(gamma_tilde))
-
-
-class TwoRowReport(Record):
-    case_1a: bool | None
-    case_1b: bool | None
-    case_2a: bool | None
-    case_2b: bool | None
-
-    @property
-    def holds(self) -> bool:
-        return all(v is not False for v in (self.case_1a, self.case_1b,
-                                            self.case_2a, self.case_2b))
-
-
-def verify_two_row_diagram(f1: Morphism, g1: Morphism, f2: Morphism, g2: Morphism,
-                           a1: Morphism, a2: Morphism, a3: Morphism,
-                           cancellative_maps: bool = False) -> TwoRowReport:
-    """Conclusions of the two-row diagram chase, case by case.
-
-    Each case evaluates to True (hypotheses hold, conclusion holds), False
-    (hypotheses hold, conclusion fails) or None (hypotheses not met).  The
-    case needing cancellativity side conditions is only evaluated when the
-    caller vouches for them.
-    """
-    _require_commutes(compose(a2, f1), compose(f2, a1), "left square")
-    _require_commutes(compose(a3, g1), compose(g2, a2), "right square")
-    stage2 = classify_stage(f2, g2)
-    p1, p2, p3 = morphism_profile(a1), morphism_profile(a2), morphism_profile(a3)
-    g1_prof = morphism_profile(g1)
-    zero1 = all(g1.map[f1.map[x]] == g1.target.zero for x in range(f1.source.size))
-    zero2 = all(g2.map[f2.map[x]] == g2.target.zero for x in range(f2.source.size))
-    stage1 = classify_stage(f1, g1)
-
-    case_1a = case_1b = case_2a = case_2b = None
-    if stage2.quasi_exact and g1.surjective and a1.surjective:
-        if zero1 and a2.injective:
-            case_1a = a3.injective
-        if a3.surjective:
-            case_1b = p2.semi_epi and (not p2.i_uniform or a2.surjective)
-    if stage1.semi_exact and f2.injective:
-        if cancellative_maps and g1_prof.k_uniform and a1.injective and a3.injective:
-            case_2a = a2.injective
-        ker_a3 = all(a3.map[x] != a3.target.zero
-                     for x in range(a3.source.size) if x != a3.source.zero)
-        if zero2 and ker_a3 and a2.surjective:
-            f1_prof = morphism_profile(f1)
-            ok = p1.semi_epi
-            if p1.i_uniform or f1_prof.i_uniform:
-                ok = ok and a1.surjective
-            case_2b = ok
-    return TwoRowReport(case_1a, case_1b, case_2a, case_2b)

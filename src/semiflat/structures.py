@@ -375,13 +375,15 @@ def _additive_generators(M: Semimodule) -> tuple[int, ...]:
     return gens
 
 
-def _respects_generators(source: Semimodule, target: Semimodule, mapping) -> bool:
-    """Whether f(0) = 0, f(a + x) = f(a) + f(x) and f(a.s) = f(a).s for every
-    element x, scalar s and additive generator a of the source.
+def is_linear(source: Semimodule, target: Semimodule, mapping) -> bool:
+    """Whether an in-range mapping between valid modules is linear.
 
-    Between valid modules this decides linearity: every y is a sum of
+    It checks f(0) = 0, f(a + x) = f(a) + f(x) and f(a.s) = f(a).s for
+    every element x, scalar s and additive generator a of the source.
+    Between valid modules that decides linearity: every y is a sum of
     generators, so f(y + x) = f(y) + f(x) follows by induction over the
-    summands of y, and then f(y.s) = f(y).s term by term.
+    summands of y, and then f(y.s) = f(y).s term by term.  This is the one
+    morphism decision; ``morphism_violations`` adds the witnesses.
     """
     if mapping[source.zero] != target.zero:
         return False
@@ -401,12 +403,12 @@ def _respects_generators(source: Semimodule, target: Semimodule, mapping) -> boo
 def morphism_violations(source: Semimodule, target: Semimodule, mapping):
     """Yield every violated morphism axiom of an in-range mapping, lazily.
 
-    The one morphism checker: ``build_morphism`` collects all witnesses,
-    hom enumeration stops at the first.  A table is decided on the
+    The witness path of the one morphism decision, ``is_linear``:
+    ``build_morphism`` collects all witnesses.  A table is decided on the
     additive generators of the source first; only one that fails there
     gets the scan over all pairs, which reports its witnesses.
     """
-    if _respects_generators(source, target, mapping):
+    if is_linear(source, target, mapping):
         return
     n = source.size
     for a in range(n):

@@ -79,17 +79,19 @@ def enumerate_subsemimodules(M: Semimodule) -> tuple[Subsemimodule, ...]:
     return tuple(Subsemimodule(M, ms) for ms in ordered)
 
 
-def subtractive_closure_set(add: Table, zero: int, members) -> tuple[int, ...]:
-    """Least fixed point of one-step difference-witness closure."""
-    return _subtractive_closure(add, zero, frozenset(members))
+def subtractive_closure_set(M: Semimodule, members) -> tuple[int, ...]:
+    """Least fixed point of one-step difference-witness closure in M."""
+    return _subtractive_closure(M, frozenset(members))
 
 
 @lru_cache(maxsize=None)
-def _subtractive_closure(add: Table, zero: int, members: frozenset) -> tuple[int, ...]:
-    # the exactness checks close the same images of the same tables many
-    # times over, so each (table, zero, subset) is closed once
+def _subtractive_closure(M: Semimodule, members: frozenset) -> tuple[int, ...]:
+    # the exactness checks close the same images in the same modules many
+    # times over, so each (module, subset) is closed once; the module's
+    # hash is kept on it, where a table's would be recomputed per lookup
+    add = M.add
     cur = set(members)
-    cur.add(zero)
+    cur.add(M.zero)
     n = len(add)
     while True:
         nxt = set(cur)
@@ -110,7 +112,7 @@ def subtractive_closure(M: Semimodule, Y) -> Subsemimodule:
         base = Y.members
     else:
         base = generated_subsemimodule(M, Y).members
-    closed = subtractive_closure_set(M.add, M.zero, base)
+    closed = subtractive_closure_set(M, base)
     return subsemimodule(M, closed)
 
 

@@ -451,14 +451,27 @@ def _is_cokernel_via(coker: tuple[Semimodule, Morphism], g: Morphism) -> bool:
 
 
 def _padded_sequence_items(S, rows) -> int:
+    """Checks of the padded-sequence items, five per row.
+
+    The padded stage 0 -> A -> B depends on f alone and B -> C -> 0 on g
+    alone, so each is classified once per map, not once per row.
+    """
     T = trivial_module(S)
     memo = {}
+
+    def padded_left(f):
+        zl = _cached(memo, ("from T", id(f.source)), lambda: zero_morphism(T, f.source))
+        return classify_stage(zl, f)
+
+    def padded_right(g):
+        zr = _cached(memo, ("to T", id(g.target)), lambda: zero_morphism(g.target, T))
+        return classify_stage(g, zr)
+
     checks = 0
     for f, g, stage in rows:
-        zl = _cached(memo, ("from T", id(f.source)), lambda: zero_morphism(T, f.source))
-        zr = _cached(memo, ("to T", id(g.target)), lambda: zero_morphism(g.target, T))
+        left = _cached(memo, ("left", id(f)), lambda: padded_left(f))
+        right = _cached(memo, ("right", id(g)), lambda: padded_right(g))
         pf, pg = morphism_profile(f), morphism_profile(g)
-        left, right = classify_stage(zl, f), classify_stage(g, zr)
         is_kernel = _is_kernel_via(f, g)
         is_cokernel = _is_cokernel_via(
             _cached(memo, ("cokernel", id(f)), lambda: cokernel(f)), g)
@@ -491,16 +504,27 @@ def _hom_functor_items(S, rows, pool) -> int:
     def kernel_is_zero(f):
         return _cached(memo, ("kernel", id(f)), lambda: kernel(f)).members == (f.source.zero,)
 
+    # which items apply depends on the row alone, so each row is read once
+    # and only the rows that some item applies to are met once per G
+    applicable = []
+    for f, g, stage in rows:
+        pf, pg = morphism_profile(f), morphism_profile(g)
+        flags = (pf.uniform and f.injective,
+                 pf.uniform and stage.semi_exact and kernel_is_zero(f),
+                 pg.uniform and g.surjective,
+                 pg.uniform and stage.semi_exact and pg.semi_epi)
+        if any(flags):
+            applicable.append((f, g, stage, *flags))
+
     checks = 0
     for G in pool:
-        for f, g, stage in rows:
-            pf, pg = morphism_profile(f), morphism_profile(g)
-            if pf.uniform and f.injective:
+        for f, g, stage, post_map, post_row, pre_map, pre_row in applicable:
+            if post_map:
                 hf = post(G, f)
                 assert hf.injective and morphism_profile(hf).uniform, \
                     "covariant hom broke an injective uniform map"
                 checks += 1
-            if pf.uniform and stage.semi_exact and kernel_is_zero(f):
+            if post_row:
                 hf = post(G, f)
                 hg = post(G, g)
                 st = classify_stage(hf, hg)
@@ -510,12 +534,12 @@ def _hom_functor_items(S, rows, pool) -> int:
                 if stage.exact and morphism_profile(hg).k_uniform:
                     assert st.exact, "covariant hom broke an exact row"
                     checks += 1
-            if pg.uniform and g.surjective:
+            if pre_map:
                 hg = pre(g, G)
                 assert hg.injective and morphism_profile(hg).uniform, \
                     "contravariant hom broke a surjective uniform map"
                 checks += 1
-            if pg.uniform and stage.semi_exact and pg.semi_epi:
+            if pre_row:
                 hg = pre(g, G)
                 hf = pre(f, G)
                 st = classify_stage(hg, hf)
@@ -537,16 +561,23 @@ def _tensor_functor_items(S, rows, pool) -> int:
         fL = _cached(memo, ("left", id(f)), lambda: as_left_morphism(f))
         return _cached(memo, ("tensor", id(G), id(f)), lambda: tensor_morphisms(idG, fL))
 
+    # which items apply depends on the row alone, as in _hom_functor_items
+    applicable = []
+    for f, g, stage in rows:
+        pg = morphism_profile(g)
+        flags = (pg.uniform and g.surjective, pg.uniform and stage.semi_exact and pg.semi_epi)
+        if any(flags):
+            applicable.append((f, g, stage, *flags))
+
     checks = 0
     for G in pool:
-        for f, g, stage in rows:
-            pg = morphism_profile(g)
-            if pg.uniform and g.surjective:
+        for f, g, stage, map_item, row_item in applicable:
+            if map_item:
                 tg = tensored(G, g)
                 assert tg.surjective and morphism_profile(tg).uniform, \
                     "tensoring broke a surjective uniform map"
                 checks += 1
-            if pg.uniform and stage.semi_exact and pg.semi_epi:
+            if row_item:
                 tf = tensored(G, f)
                 tg = tensored(G, g)
                 st = classify_stage(tf, tg)
@@ -567,14 +598,19 @@ def _small_homs(pool) -> list[Morphism]:
 
 def _componentwise_items(S, pool) -> int:
     checks = 0
+    memo = {}
+
+    def summed(A, B):
+        return _cached(memo, (id(A), id(B)), lambda: direct_sum((A, B)))
+
     all_homs = _small_homs(pool)
     for f1 in all_homs[:60]:
+        p1 = morphism_profile(f1)
         for f2 in all_homs[:60]:
-            src = direct_sum((f1.source, f2.source))
-            tgt = direct_sum((f1.target, f2.target))
+            src = summed(f1.source, f2.source)
+            tgt = summed(f1.target, f2.target)
             fsum = sum_morphism((f1, f2), src, tgt)
-            p1, p2 = morphism_profile(f1), morphism_profile(f2)
-            ps = morphism_profile(fsum)
+            p2, ps = morphism_profile(f2), morphism_profile(fsum)
             assert ps.uniform == (p1.uniform and p2.uniform)
             assert ps.k_uniform == (p1.k_uniform and p2.k_uniform)
             assert ps.i_uniform == (p1.i_uniform and p2.i_uniform)
@@ -615,6 +651,8 @@ def _retract_square_items(S, pool) -> int:
 
     Each gamma~ = pi2.gamma.iota is one object per (N, N2, table), so its
     profile, kept on the map, is computed once however many squares share it.
+    A square is tested by comparing tables: gamma.iota is composed once per
+    (gamma, iota) and pi2.gamma once per (gamma, pi2).
     """
     checks = 0
     memo = {}
@@ -625,23 +663,23 @@ def _retract_square_items(S, pool) -> int:
     for M in pool:
         for M2 in pool:
             for gamma in _homs(M, M2):
+                gmap = gamma.map
+                # (N2, iota2, pi2, pi2.gamma) for every retract pair onto M2
+                lower = [(N2, iota2, pi2, tuple(pi2.map[v] for v in gmap))
+                         for N2 in pool for iota2, pi2 in pairs_cache[(N2, M2)]]
                 for N in pool:
                     for iota, pi in pairs_cache[(N, M)]:
-                        for N2 in pool:
-                            for iota2, pi2 in pairs_cache[(N2, M2)]:
-                                table = tuple(pi2.map[gamma.map[v]] for v in iota.map)
-                                top_ok = all(iota2.map[table[x]] ==
-                                             gamma.map[iota.map[x]] for x in range(N.size))
-                                bottom_ok = all(pi2.map[gamma.map[m]] ==
-                                                table[pi.map[m]] for m in range(M.size))
-                                if not (top_ok and bottom_ok):
-                                    continue
-                                gamma_t = _cached(memo, (id(N), id(N2), table),
-                                                  lambda: Morphism(N, N2, table))
-                                rep = verify_retract_square(iota, pi, iota2, pi2,
-                                                            gamma, gamma_t)
-                                assert rep.holds, "uniformity did not descend to the retract"
-                                checks += 1
+                        upper = tuple(gmap[v] for v in iota.map)
+                        for N2, iota2, pi2, lower_gamma in lower:
+                            table = tuple(lower_gamma[v] for v in iota.map)
+                            if (tuple(iota2.map[v] for v in table) != upper
+                                    or tuple(table[v] for v in pi.map) != lower_gamma):
+                                continue
+                            gamma_t = _cached(memo, (id(N), id(N2), table),
+                                              lambda: Morphism(N, N2, table))
+                            rep = verify_retract_square(iota, pi, iota2, pi2, gamma, gamma_t)
+                            assert rep.holds, "uniformity did not descend to the retract"
+                            checks += 1
     return checks
 
 
@@ -655,8 +693,9 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
     of each row only (f1 and f2 in cases 1a and 1b, g1 and g2 in case 2b),
     so the rows are grouped by those maps and matched once per pair of
     groups.  The partner counts are then summed per middle vertical and
-    the other two row maps, and each sum derives the third vertical, runs
-    the assertions and counts once per partner.  Keys are object ids: the
+    the other two row maps: first per group, then once per set of groups
+    that some rows share.  Each sum derives the third vertical, runs the
+    assertions and counts once per partner.  Keys are object ids: the
     maps come from the cached hom sets, and ids skip the Python-level
     hashes of morphisms and modules.
     """
@@ -673,33 +712,42 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
         return list(groups.values())
 
     def partner_counts(lefts, rights, matches):
-        totals = {}
-        for p, xs in lefts:
+        # the partners of a row depend on its group's map alone, so the
+        # counts are summed per (y, a) over the right groups once per left
+        # group.  Rows that lie in the same left groups share one total, to
+        # which each of those groups adds its sums once
+        sharing = {}
+        for x, groups in grouped((x, i) for i, (p, xs) in enumerate(lefts) for x in xs):
+            sharing.setdefault(tuple(groups), ([], {}))[0].append(x)
+        totals_of = [[] for _ in lefts]
+        for groups, (xs, total) in sharing.items():
+            for i in groups:
+                totals_of[i].append(total)
+        for (p, xs), totals in zip(lefts, totals_of):
+            counts = {}
             for q, ys in rights:
-                found = matches(p, q)
-                if not found:
-                    continue
-                found = [(id(a), a, n) for a, n in found]
-                for x in xs:
-                    ix = id(x)
+                for a, n in matches(p, q):
                     for y in ys:
-                        iy = id(y)
-                        for ia, a, n in found:
-                            key = (ix, iy, ia)
-                            entry = totals.get(key)
-                            if entry is None:
-                                totals[key] = [x, y, a, n]
-                            else:
-                                entry[3] += n
-        return totals.values()
+                        key = (id(y), id(a))
+                        entry = counts.get(key)
+                        if entry is None:
+                            counts[key] = [y, a, n]
+                        else:
+                            entry[2] += n
+            for total in totals:
+                for key, (y, a, n) in counts.items():
+                    entry = total.get(key)
+                    if entry is None:
+                        total[key] = [y, a, n]
+                    else:
+                        entry[2] += n
+        for xs, total in sharing.values():
+            for x in xs:
+                for y, a, n in total.values():
+                    yield x, y, a, n
 
     def probe(index, probes):
-        found = []
-        for a, table in probes:
-            n = index.get(table)
-            if n:
-                found.append((a, n))
-        return found
+        return [(a, n) for a, table in probes if (n := index.get(table))]
 
     def derive_third(g1, g2, a2):
         # a3 with a3.g1 = g2.a2, determined by surjectivity of g1; when it is
@@ -715,13 +763,13 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
     # cases 1a and 1b: a surjective a1 pairs with a2 when f2.a1 = a2.f1
     def a2_matches(injective_only):
         def matches(f1, f2):
-            H = hom_module(f1.target, f2.target)
-            candidates = H.injective_maps if injective_only else H.maps
             index = _cached(memo, ("f2.a1", id(f1.source), id(f2)), lambda: Counter(
                 tuple(f2.map[v] for v in a1.map)
                 for a1 in hom_module(f1.source, f2.source).surjective_maps))
-            probes = _cached(memo, ("a2.f1", id(f1), id(candidates)), lambda: [
-                (a2, tuple(a2.map[v] for v in f1.map)) for a2 in candidates])
+            probes = _cached(memo, ("a2.f1", id(f1), id(f2.target), injective_only), lambda: [
+                (a2, tuple(a2.map[v] for v in f1.map))
+                for a2 in hom_module(f1.target, f2.target).maps
+                if a2.injective or not injective_only])
             return probe(index, probes)
         return matches
 
@@ -754,12 +802,12 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
 
     def a3_matches(g1, g2):
         X, Y = g1.target, g2.target
-        candidates = hom_module(g1.source, g2.source).surjective_maps
         index = _cached(memo, ("a3.g1", id(g1), id(Y)), lambda: Counter(
             tuple(a3.map[v] for v in g1.map)
             for a3 in _cached(memo, ("kernel-free", id(X), id(Y)), lambda: kernel_free(X, Y))))
-        probes = _cached(memo, ("g2.a2", id(g2), id(candidates)), lambda: [
-            (a2, tuple(g2.map[v] for v in a2.map)) for a2 in candidates])
+        probes = _cached(memo, ("g2.a2", id(g2), id(g1.source)), lambda: [
+            (a2, tuple(g2.map[v] for v in a2.map))
+            for a2 in hom_module(g1.source, g2.source).surjective_maps])
         return probe(index, probes)
 
     semi_by_g1 = grouped((g, f) for f, g, st in rows if st.semi_exact)

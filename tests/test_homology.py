@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from semiflat import config, homology
+from semiflat import config, homology, structures, suite
 from semiflat.catalog import (bool_semiring, chain_module, enumerate_semimodules,
                               free_module, product_semiring, semiring_bimodule,
                               sat_semiring, semiring_module, suite_pool,
@@ -15,14 +15,13 @@ from semiflat.catalog import (bool_semiring, chain_module, enumerate_semimodules
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import AxiomViolation, NotCommutative, ShapeMismatch, SideMismatch
 from semiflat.flatness import projectivity_witness
-from semiflat.homology import (classify_sequence, classify_stage, cokernel,
-                               end_comp, hom_module,
+from semiflat.homology import (MorphismProfile, classify_sequence, classify_stage,
+                               cokernel, end_comp, hom_module,
                                hom_postcompose, hom_precompose,
                                is_retract_of, kernel, linear_maps, morphism_profile,
                                retract_pairs,
                                uniformly_injective_rel,
-                               verify_retract_square, verify_two_row_diagram,
-                               with_zero_ends)
+                               verify_retract_square, with_zero_ends)
 from semiflat.limits import direct_sum, sum_morphism
 from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
                                  build_morphism, build_semimodule,
@@ -33,6 +32,7 @@ from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
                                  zero_morphism)
 from semiflat.subsets import submodule_of, subsemimodule
 from semiflat.suite import _small_homs
+from two_row_oracle import verify_two_row_diagram
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,48 @@ def test_k_uniformity_matches_its_definition():
             tgt = direct_sum((f1.target, f2.target))
             failures += not _assert_k_profile(sum_morphism((f1, f2), src, tgt))
     assert failures > 0
+
+
+def _subtractive_closure_oracle(M, members):
+    """The least subset holding members and zero in which x + y and y give x."""
+    closed = set(members) | {M.zero}
+    while True:
+        grown = closed | {x for x in range(M.size) for y in closed if M.add[x][y] in closed}
+        if grown == closed:
+            return sorted(closed)
+        closed = grown
+
+
+def _profile_oracle(f):
+    """The profile of f from the definitions, with the pairwise Bourne check."""
+    k_uniform, k_witness = _k_uniformity_oracle(f)
+    image = sorted(set(f.map))
+    closed = _subtractive_closure_oracle(f.target, image)
+    i_witness = next((x for x in closed if x not in image), None)
+    return MorphismProfile(f.injective, f.surjective, k_uniform, i_witness is None,
+                           len(closed) == f.target.size, k_witness, i_witness)
+
+
+def test_profiles_match_the_pairwise_oracle(monkeypatch):
+    # every hom set of the suite pools and every sum map of the
+    # componentwise items, witnesses included
+    sums = []
+    summed = suite.sum_morphism
+
+    def recorded(*args):
+        sums.append(summed(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(suite, "sum_morphism", recorded)
+    maps = []
+    for S in suite_semirings():
+        pool = suite._pool_modules(S)
+        maps += [f for A in pool for B in pool for f in suite._homs(A, B)]
+        suite._componentwise_items(S, pool)
+    assert len(sums) == 6730
+    profiles = [morphism_profile(f) for f in maps + sums]
+    assert profiles == [_profile_oracle(f) for f in maps + sums]
+    assert any(not p.k_uniform for p in profiles) and any(not p.i_uniform for p in profiles)
 
 
 def test_profiles_live_on_their_morphism(monkeypatch):
@@ -328,11 +370,11 @@ def test_hom_module_matches_brute_force():
     assert sum(N.second is not None for _, N in shapes) >= 10
 
 
-def test_linear_maps_match_the_brute_force_filter():
-    # every table build_morphism accepts between the enumerated modules of
-    # size <= 4 over the suite semirings, with the zero map first and the
-    # rest in lexicographic order, as the step-per-element extension builds
-    pairs = maps = 0
+def _brute_force_hom_sets():
+    """(M, N, tables) for every pair of enumerated modules of size <= 4 over
+    the suite semirings: the tables build_morphism accepts, with the zero
+    map first and the rest in lexicographic order."""
+    out = []
     for S in suite_semirings():
         modules = enumerate_semimodules(S, 4)
         for M in modules:
@@ -344,10 +386,35 @@ def test_linear_maps_match_the_brute_force_filter():
                     except AxiomViolation:
                         continue
                 zero = (N.zero,) * M.size
-                assert linear_maps(M, N) == sorted(accepted, key=lambda t: (t != zero, t))
-                pairs += 1
-                maps += len(accepted)
-    assert (pairs, maps) == (162, 785)
+                out.append((M, N, sorted(accepted, key=lambda t: (t != zero, t))))
+    return out
+
+
+def test_linear_maps_match_the_brute_force_filter():
+    # the order is the one the step-per-element extension builds
+    hom_sets = _brute_force_hom_sets()
+    for M, N, tables in hom_sets:
+        assert linear_maps(M, N) == tables
+    assert (len(hom_sets), sum(len(t) for _, _, t in hom_sets)) == (162, 785)
+
+
+def test_linear_maps_never_reach_the_pairwise_scan(monkeypatch):
+    # a rejected candidate has no witness to report, so hom enumeration asks
+    # only the linearity decision; the pairwise witness scan of
+    # morphism_violations raises here, and every hom set is still the same
+    hom_sets = _brute_force_hom_sets()
+    scanned = structures.morphism_violations
+
+    def no_scan(source, target, mapping):
+        if not structures.is_linear(source, target, mapping):
+            raise AssertionError("the pairwise witness scan was reached")
+        yield from scanned(source, target, mapping)
+
+    monkeypatch.setattr(structures, "morphism_violations", no_scan)
+    monkeypatch.setattr(homology, "morphism_violations", no_scan)
+    for M, N, tables in hom_sets:
+        assert linear_maps(M, N) == tables
+    assert sum(len(t) for _, _, t in hom_sets) == 785
 
 
 def test_hom_composition_checks_second_actions():

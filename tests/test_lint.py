@@ -55,19 +55,29 @@ def test_modules_use_every_name_they_import():
     assert unused == []
 
 
-def test_every_public_flatness_function_has_a_caller_in_the_package():
-    # a check that only tests call belongs in the tests, not in the package;
-    # a function's calls of itself do not count
-    flatness = PACKAGE / "flatness.py"
+def _uncalled_public_functions(module: pathlib.Path) -> list[str]:
+    """The public functions of ``module`` that nothing in the package calls.
+
+    A check that only tests call belongs in the tests, not in the package;
+    a function's calls of itself do not count.
+    """
     trees = {path: _tree(path) for path in MODULES}
-    public = [node for node in trees[flatness].body
+    public = [node for node in trees[module].body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert public
     uncalled = []
     for fn in public:
         called = set()
         for path, tree in trees.items():
-            called |= _called_names(tree, skip=fn if path == flatness else None)
+            called |= _called_names(tree, skip=fn if path == module else None)
         if fn.name not in called:
             uncalled.append(fn.name)
-    assert public
-    assert uncalled == []
+    return uncalled
+
+
+def test_every_public_flatness_function_has_a_caller_in_the_package():
+    assert _uncalled_public_functions(PACKAGE / "flatness.py") == []
+
+
+def test_every_public_homology_function_has_a_caller_in_the_package():
+    assert _uncalled_public_functions(PACKAGE / "homology.py") == []

@@ -25,7 +25,7 @@ from semiflat.congruence import Congruence
 from semiflat.flatness import FlatCertificate, FlatnessVerdict, SearchConfig, SearchRecord
 from semiflat.homology import (EndReport, ExactnessReport, HomModule, InjectivityEntry,
                                InjectivityReport, MorphismProfile, RetractSquareReport,
-                               StageFlags, TwoRowReport, hom_module)
+                               StageFlags, hom_module)
 from semiflat.limits import (Colimit, DirectedSystem, HomColimitComparison, InverseSystem,
                              ProductData)
 from semiflat.record import Record
@@ -36,6 +36,7 @@ from semiflat.suite import SuiteResult
 from semiflat.tensor import (AdjunctionReport, CancellativeTensor, HomTensorComparison,
                              IsoPair, TensorPresentation)
 from semiflat.workspace import Diagram, Workspace
+from two_row_oracle import TwoRowReport
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 FACTORY = object()      # a field declared with default_factory=dict

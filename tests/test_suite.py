@@ -9,17 +9,22 @@ import pytest
 
 from semiflat import homology, suite
 from semiflat.catalog import suite_semirings
-from semiflat.homology import hom_module, morphism_profile
+from semiflat.homology import hom_module
 from semiflat.errors import AxiomViolation
 from semiflat.structures import build_semimodule, build_semiring
 from semiflat.suite import (_componentwise_items, _hom_functor_items,
                             _padded_sequence_items, _pool_modules,
                             _retract_square_items, _stage_rows,
                             _tensor_functor_items, _two_row_diagram_items)
+from two_row_oracle import verify_two_row_diagram
 
 
 def _pairwise_chase(rows) -> dict[str, int]:
-    """The two-row chase that tests every pair of verticals for commutation."""
+    """The two-row chase that tests every pair of verticals for commutation.
+
+    Each commuting diagram it finds is judged by ``verify_two_row_diagram``,
+    which re-checks both squares and evaluates the case on that diagram.
+    """
     checks = {"1a": 0, "1b": 0, "2b": 0}
     quasi_rows = [(f, g, st) for f, g, st in rows if st.quasi_exact]
     semi_rows = [(f, g, st) for f, g, st in rows if st.semi_exact]
@@ -49,7 +54,8 @@ def _pairwise_chase(rows) -> dict[str, int]:
                     a3 = derive_third(g1, g2, a2)
                     if a3 is None:
                         continue
-                    assert a3.injective
+                    rep = verify_two_row_diagram(f1, g1, f2, g2, a1, a2, a3)
+                    assert rep.case_1a is True
                     checks["1a"] += 1
     for f2, g2, st2 in quasi_rows:
         for f1, g1 in surj_rows:
@@ -61,10 +67,8 @@ def _pairwise_chase(rows) -> dict[str, int]:
                     a3 = derive_third(g1, g2, a2)
                     if a3 is None or not a3.surjective:
                         continue
-                    p2 = morphism_profile(a2)
-                    assert p2.semi_epi
-                    if p2.i_uniform:
-                        assert a2.surjective
+                    rep = verify_two_row_diagram(f1, g1, f2, g2, a1, a2, a3)
+                    assert rep.case_1b is True
                     checks["1b"] += 1
     chain2 = [(f2, g2, st2) for f2, g2, st2 in rows
               if f2.injective and st2.chain_step]
@@ -85,10 +89,8 @@ def _pairwise_chase(rows) -> dict[str, int]:
                     H1 = hom_module(f1.source, f2.source)
                     a1 = H1.maps[H1.index_of([f2_pos[a2.map[f1.map[l]]]
                                               for l in range(f1.source.size)])]
-                    p1 = morphism_profile(a1)
-                    assert p1.semi_epi
-                    if p1.i_uniform or morphism_profile(f1).i_uniform:
-                        assert a1.surjective
+                    rep = verify_two_row_diagram(f1, g1, f2, g2, a1, a2, a3)
+                    assert rep.case_2b is True
                     checks["2b"] += 1
     return checks
 
@@ -143,21 +145,27 @@ def _recording(monkeypatch, name):
 
 def test_exactness_items_call_once_per_distinct_input(monkeypatch):
     # the padded-sequence and tensor-functor items keep call-local memos,
-    # so a cokernel, a mirrored map and a tensored map are each made once
-    # per distinct input; the counts are taken at the suite's call sites,
-    # so they do not depend on what the package caches already hold
+    # so a cokernel, a padded stage, a mirrored map and a tensored map are
+    # each made once per distinct input; the counts are taken at the suite's
+    # call sites, so they do not depend on what the package caches already
+    # hold
     S = suite_semirings()[0]
     pool = _pool_modules(S)
     rows = _stage_rows(pool)
-    names = ("tensor_morphisms", "cokernel", "as_left_morphism")
+    names = ("tensor_morphisms", "cokernel", "as_left_morphism", "classify_stage")
     calls = {name: _recording(monkeypatch, name) for name in names}
     _padded_sequence_items(S, rows)
+    # the tensor-functor items classify stages of their own
+    calls["classify_stage"] = list(calls["classify_stage"])
     _tensor_functor_items(S, rows, pool)
     got = {name: (len(args), len(set(args))) for name, args in calls.items()}
     # (calls, distinct inputs); before the memos the calls were 1,460,
-    # 1,444 and 1,460
+    # 1,444, 1,460 and 2,754 (two padded stages per row).  The stages are
+    # made once per f and once per g: the pool holds the trivial module T,
+    # so each T -> A -> T is both the left stage of A -> T and the right
+    # stage of T -> A, and 126 calls see 122 distinct inputs
     assert got == {"tensor_morphisms": (252, 252), "cokernel": (63, 63),
-                   "as_left_morphism": (63, 63)}
+                   "as_left_morphism": (63, 63), "classify_stage": (126, 122)}
 
 
 def test_retract_squares_profile_each_gamma_tilde_table_once(monkeypatch):
@@ -203,6 +211,29 @@ def test_exactness_profile_computations():
     out = subprocess.run([sys.executable, "-c", _COUNT_PROFILES], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout.split()
     assert out == ["101359", "9295"]
+
+
+_COUNT_STAGES = """
+from semiflat import suite
+calls = [0]
+classify = suite.classify_stage
+def counted(f, g):
+    calls[0] += 1
+    return classify(f, g)
+suite.classify_stage = counted
+(result,) = suite.run_suites({"exactness"})
+print(result.checks, calls[0])
+"""
+
+
+def test_exactness_stage_classifications():
+    # a fresh interpreter, as for the profiles.  The padded stages are
+    # classified once per map, not once per row: the tag made 9,345 calls
+    # when each row classified both of its padded stages
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", _COUNT_STAGES], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout.split()
+    assert out == ["101359", "4793"]
 
 
 _COUNT_PRESENTATIONS = """
