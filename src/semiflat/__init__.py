@@ -9,9 +9,8 @@ from .structures import (Semiring, Semimodule, Morphism, SecondAction, Violation
                          build_semiring, build_semimodule, build_morphism,
                          identity_morphism, zero_morphism, compose,
                          element_order, element_orders, is_cancellative,
-                         monoid_module, monoid_morphism, find_isomorphism,
-                         isomorphic, as_left, as_right, mirror,
-                         with_bimodule_structure, swap_actions)
+                         monoid_module, monoid_morphism, as_left, as_right,
+                         mirror, with_bimodule_structure, swap_actions)
 from .subsets import (Subsemimodule, subsemimodule, generated_subsemimodule,
                       enumerate_subsemimodules, subtractive_closure,
                       uniform_subsemimodules, module_generators,
@@ -24,9 +23,8 @@ from .homology import (kernel, image_sub, cokernel, morphism_profile,
                        MorphismProfile, classify_sequence, classify_stage,
                        ExactnessReport, with_zero_ends, hom_module, HomModule,
                        hom_postcompose, hom_precompose, end_comp, is_retract_of,
-                       retract_pairs, uniformly_injective_rel,
-                       verify_retract_square)
-from .limits import (direct_sum, product, coproduct, pairing, copairing,
+                       retract_pairs, uniformly_injective_rel)
+from .limits import (direct_sum, pairing, copairing,
                      equalizer, coequalizer, pullback, pullback_mediator,
                      DirectedSystem, directed_system, constant_system,
                      chain_system, directed_colimit, colimit_morphism,
@@ -34,8 +32,7 @@ from .limits import (direct_sum, product, coproduct, pairing, copairing,
                      hom_colimit_comparison, subsemimodule_system)
 from .tensor import (TensorPresentation, tensor_product, factor_balanced,
                      balanced_violations, enumerate_balanced_maps,
-                     tensor_morphisms, unit_iso, unit_iso_left,
-                     associativity_iso, cancellative_tensor,
+                     tensor_morphisms, unit_iso, unit_iso_left, cancellative_tensor,
                      certify_cancellative_universal, adjunction_iso,
                      hom_tensor_comparison, dual_comparison)
 from .flatness import (FlatnessVerdict, is_uniformly_M_flat, is_uniformly_flat,

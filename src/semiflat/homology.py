@@ -14,11 +14,10 @@ import itertools
 from functools import cached_property, lru_cache
 
 from . import config
-from .errors import (AxiomViolation, NotComposable, NotCommutative, ShapeMismatch,
-                     SizeBoundExceeded)
+from .errors import AxiomViolation, NotComposable, ShapeMismatch, SizeBoundExceeded
 from .record import Record
 from .structures import (Morphism, Semimodule, Violation,
-                         check_endpoints, compose, derived_actions, freeze_table,
+                         check_endpoints, derived_actions, freeze_table,
                          is_linear, morphism_violations, swap_actions, zero_morphism,
                          LEFT, RIGHT)
 from .subsets import (Subsemimodule, module_expressions, module_generators,
@@ -430,42 +429,3 @@ def uniformly_injective_rel(Q: Semimodule, family) -> InjectivityReport:
             prof = morphism_profile(res)
             entries.append(InjectivityEntry(mi, U.members, res.surjective, prof.uniform))
     return InjectivityReport(tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# Diagram verifiers.
-# ---------------------------------------------------------------------------
-
-def _require_commutes(left: Morphism, right: Morphism, tag: str):
-    # tuples compare their items by identity before equality
-    if (left.source, left.target) != (right.source, right.target):
-        raise NotCommutative(tag, "path endpoints differ")
-    for x in range(left.source.size):
-        if left.map[x] != right.map[x]:
-            raise NotCommutative((tag, x), "paths disagree")
-
-
-class RetractSquareReport(Record):
-    hypothesis: MorphismProfile
-    conclusion: MorphismProfile
-
-    @property
-    def holds(self) -> bool:
-        h, c = self.hypothesis, self.conclusion
-        return ((not h.uniform or c.uniform)
-                and (not h.k_uniform or c.k_uniform)
-                and (not h.i_uniform or c.i_uniform))
-
-
-def verify_retract_square(iota: Morphism, pi: Morphism, iota2: Morphism, pi2: Morphism,
-                          gamma: Morphism, gamma_tilde: Morphism) -> RetractSquareReport:
-    """Uniformity descends along compatible retract pairs."""
-    ident = tuple(range(iota.source.size))
-    if tuple(pi.map[v] for v in iota.map) != ident:
-        raise NotCommutative("pi.iota", "not the identity")
-    ident2 = tuple(range(iota2.source.size))
-    if tuple(pi2.map[v] for v in iota2.map) != ident2:
-        raise NotCommutative("pi2.iota2", "not the identity")
-    _require_commutes(compose(iota2, gamma_tilde), compose(gamma, iota), "top square")
-    _require_commutes(compose(pi2, gamma), compose(gamma_tilde, pi), "bottom square")
-    return RetractSquareReport(morphism_profile(gamma), morphism_profile(gamma_tilde))

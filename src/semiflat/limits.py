@@ -72,28 +72,6 @@ def direct_sum(factors: tuple[Semimodule, ...]) -> ProductData:
     return ProductData(module, factors, tuple(projections), tuple(injections))
 
 
-def product(factors, semiring=None, side=None):
-    """Finite product; the empty product is the trivial module."""
-    if not factors:
-        if semiring is None:
-            raise ShapeMismatch("the empty product needs an explicit semiring")
-        from .catalog import trivial_module as _triv
-        return _triv(semiring, side or "right"), ()
-    data = direct_sum(tuple(factors))
-    return data.module, data.projections
-
-
-def coproduct(factors, semiring=None, side=None):
-    """Finite coproduct; the empty coproduct is the trivial module."""
-    if not factors:
-        if semiring is None:
-            raise ShapeMismatch("the empty coproduct needs an explicit semiring")
-        from .catalog import trivial_module as _triv
-        return _triv(semiring, side or "right"), ()
-    data = direct_sum(tuple(factors))
-    return data.module, data.injections
-
-
 def pairing(fs, data: ProductData) -> Morphism:
     """The mediating map <f_1,..,f_k> : X -> product."""
     if not fs or any(f.source != fs[0].source for f in fs) or len(fs) != len(data.factors):

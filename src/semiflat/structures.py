@@ -834,16 +834,6 @@ def find_monoid_isomorphism(add1: Table, zero1: int, add2: Table, zero2: int,
     return backtrack(0)
 
 
-def find_isomorphism(A: Semimodule, B: Semimodule) -> tuple[int, ...] | None:
-    if A.semiring != B.semiring or A.side != B.side:
-        return None
-    return find_monoid_isomorphism(A.add, A.zero, B.add, B.zero, A.action, B.action)
-
-
-def isomorphic(A: Semimodule, B: Semimodule) -> bool:
-    return find_isomorphism(A, B) is not None
-
-
 def canonical_form(add: Table, zero: int,
                    action: Table | None = None) -> tuple[tuple, tuple[int, ...]]:
     """(key, relabelling): the least relabelled tables and the map reaching them.

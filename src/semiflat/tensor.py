@@ -540,32 +540,6 @@ def unit_iso_left(N: Semimodule) -> tuple[TensorPresentation, IsoPair]:
     return pres, IsoPair(forward, backward)
 
 
-def associativity_iso(M: Semimodule, N_bi: Semimodule, X: Semimodule):
-    """(M (x) N) (x) X = M (x) (N (x) X) through balanced factorizations.
-
-    N must carry a left action over the semiring of M and a right action
-    over the semiring of X.
-    """
-    P1 = tensor_product(M, N_bi)                     # right module over T
-    P2 = tensor_product(P1.module, X)
-    NX = tensor_product(swap_actions(N_bi), X)       # left module over S
-    Q2 = tensor_product(M, NX.module)
-
-    columns = [_mediate(P1.rep_coords, Q2.module.add, Q2.module.zero,
-                        [Q2.tau[g][NX.tau[h][x]] for g, h in P1.pair_list()])
-               for x in range(X.size)]
-    beta = tuple(zip(*columns))
-    gamma = factor_balanced(P2, Q2.module, beta)
-    forward = monoid_morphism(P2.module, Q2.module, gamma)
-
-    beta_back = tuple(_mediate(NX.rep_coords, P2.module.add, P2.module.zero,
-                               [P2.tau[P1.tau[m][h]][x] for h, x in NX.pair_list()])
-                      for m in range(M.size))
-    gamma_back = factor_balanced(Q2, P2.module, beta_back)
-    backward = monoid_morphism(Q2.module, P2.module, gamma_back)
-    return P2, Q2, IsoPair(forward, backward)
-
-
 # ---------------------------------------------------------------------------
 # The cancellative tensor product, through the reflection.
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from semiflat.errors import BoxBoundExceeded, SizeBoundExceeded
 from semiflat.flatness import (is_uniformly_fg, is_uniformly_fp, projectivity_witness,
                                trivial_certificate)
 from semiflat.homology import hom_maps, is_retract_of, linear_maps
-from semiflat.limits import (InverseSystem, coproduct, direct_sum, inverse_limit,
-                             product)
+from semiflat.limits import InverseSystem, direct_sum, inverse_limit
 from semiflat.structures import as_left
 from semiflat.subsets import enumerate_subsemimodules
 from semiflat.tensor import _box_product, enumerate_balanced_maps, tensor_product
@@ -75,8 +74,6 @@ CASES = [
     ("free_module", lambda: free_module(bool_semiring(), 13), SizeBoundExceeded,
      "MAX_PRODUCT", None),
     ("direct_sum", lambda: direct_sum(_seven_b2()), SizeBoundExceeded, "MAX_PRODUCT", None),
-    ("product", lambda: product(_seven_b2()), SizeBoundExceeded, "MAX_PRODUCT", None),
-    ("coproduct", lambda: coproduct(_seven_b2()), SizeBoundExceeded, "MAX_PRODUCT", None),
     ("inverse_limit", lambda: inverse_limit(InverseSystem(_seven_b2(), (), ())),
      SizeBoundExceeded, "MAX_PRODUCT", None),
     ("linear_maps",

@@ -18,8 +18,7 @@ from semiflat.congruence import (cancellative_reflection, congruence_closure,
 from semiflat.errors import MalformedTable, NotACongruence
 from semiflat.homology import hom_module, morphism_profile
 from semiflat.structures import (check_endpoints, find_monoid_isomorphism,
-                                 is_cancellative, isomorphic,
-                                 morphism_violations, semimodule_violations)
+                                 is_cancellative, morphism_violations, semimodule_violations)
 from semiflat.subsets import enumerate_subsemimodules, submodule_of, subsemimodule
 from semiflat.suite import (minimal_congruence_dense,
                             minimal_congruence_partitions)
@@ -84,7 +83,8 @@ def test_quotient_by_sub_examples(S3m, Z4m):
     assert Q2.size == 2
     assert morphism_profile(pi2).uniform and pi2.surjective
     Q3, _ = quotient_by_sub(Z4m, subsemimodule(Z4m, (0,)))
-    assert isomorphic(Q3, Z4m)
+    assert find_monoid_isomorphism(Q3.add, Q3.zero, Z4m.add, Z4m.zero,
+                                   Q3.action, Z4m.action) is not None
 
 
 def test_projection_kernel_is_subtractive_closure(S3m):

@@ -13,15 +13,14 @@ from semiflat.catalog import (bool_semiring, chain_module, enumerate_semimodules
                               suite_semirings, trivial_module, zmod_module,
                               zmod_semiring)
 from semiflat.congruence import quotient_by_sub
-from semiflat.errors import AxiomViolation, NotCommutative, ShapeMismatch, SideMismatch
+from semiflat.errors import AxiomViolation, ShapeMismatch, SideMismatch
 from semiflat.flatness import projectivity_witness
 from semiflat.homology import (MorphismProfile, classify_sequence, classify_stage,
                                cokernel, end_comp, hom_module,
                                hom_postcompose, hom_precompose,
                                is_retract_of, kernel, linear_maps, morphism_profile,
                                retract_pairs,
-                               uniformly_injective_rel,
-                               verify_retract_square, with_zero_ends)
+                               uniformly_injective_rel, with_zero_ends)
 from semiflat.limits import direct_sum, sum_morphism
 from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
                                  build_morphism, build_semimodule,
@@ -632,13 +631,6 @@ def test_z2_uniformly_injective_rel_itself():
     M = semiring_module(Z2S)
     rep = uniformly_injective_rel(M, [M])
     assert rep.holds
-
-
-def test_retract_square_requires_commutation(Bm):
-    ident = identity_morphism(Bm)
-    z = zero_morphism(Bm, Bm)
-    with pytest.raises(NotCommutative):
-        verify_retract_square(z, ident, ident, ident, ident, ident)
 
 
 def test_degenerate_diagram_holds(Z4, Z4m):

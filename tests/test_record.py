@@ -24,7 +24,7 @@ from semiflat.catalog import (bool_semiring, sat_semiring, trivial_module, zmod_
 from semiflat.congruence import Congruence
 from semiflat.flatness import FlatCertificate, FlatnessVerdict, SearchConfig, SearchRecord
 from semiflat.homology import (EndReport, ExactnessReport, HomModule, InjectivityEntry,
-                               InjectivityReport, MorphismProfile, RetractSquareReport,
+                               InjectivityReport, MorphismProfile,
                                StageFlags, hom_module)
 from semiflat.limits import (Colimit, DirectedSystem, HomColimitComparison, InverseSystem,
                              ProductData)
@@ -61,7 +61,6 @@ DECLARATIONS = [
     (EndReport, ["tables", "identity", "comp", "summands", "retracts"], True),
     (InjectivityEntry, ["module_index", "sub_members", "surjective", "uniform"], True),
     (InjectivityReport, ["entries"], True),
-    (RetractSquareReport, ["hypothesis", "conclusion"], True),
     (TwoRowReport, ["case_1a", "case_1b", "case_2a", "case_2b"], True),
     (ProductData, ["module", "factors", "projections", "injections"], True),
     (DirectedSystem, ["nodes", "order", "maps"], True),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import os
 import pathlib
 import subprocess
@@ -9,9 +10,9 @@ import pytest
 
 from semiflat import homology, suite
 from semiflat.catalog import suite_semirings
-from semiflat.homology import hom_module
+from semiflat.homology import hom_module, morphism_profile, retract_pairs
 from semiflat.errors import AxiomViolation
-from semiflat.structures import build_semimodule, build_semiring
+from semiflat.structures import build_semimodule, build_semiring, compose
 from semiflat.suite import (_componentwise_items, _hom_functor_items,
                             _padded_sequence_items, _pool_modules,
                             _retract_square_items, _stage_rows,
@@ -130,6 +131,42 @@ def test_exactness_counts_per_helper(index):
     assert got == EXACTNESS_COUNTS[index]
 
 
+def _pairwise_retract_squares(pool) -> int:
+    """The retract squares found by trying every gamma~ in Hom(N, N2).
+
+    The retract pairs are the first four of ``retract_pairs`` on each side,
+    as in the exactness tag.  Both squares are checked by composing, and on
+    each square that commutes uniformity must descend from gamma to gamma~.
+    """
+    pairs = {(N, M): list(itertools.islice(retract_pairs(N, M), 4))
+             for N in pool for M in pool}
+    squares = 0
+    for (M, M2) in itertools.product(pool, repeat=2):
+        for gamma in hom_module(M, M2).maps:
+            hyp = morphism_profile(gamma)
+            for (N, N2) in itertools.product(pool, repeat=2):
+                for (iota, pi), (iota2, pi2) in itertools.product(pairs[(N, M)],
+                                                                  pairs[(N2, M2)]):
+                    top, bottom = compose(gamma, iota).map, compose(pi2, gamma).map
+                    for gamma_t in hom_module(N, N2).maps:
+                        if (compose(iota2, gamma_t).map != top
+                                or compose(gamma_t, pi).map != bottom):
+                            continue
+                        con = morphism_profile(gamma_t)
+                        assert con.k_uniform or not hyp.k_uniform
+                        assert con.i_uniform or not hyp.i_uniform
+                        squares += 1
+    return squares
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["BOOL", "SAT3", "ZMOD4"])
+def test_retract_squares_match_pairwise_scan(index):
+    # the tag reads gamma~ off pi2.gamma.iota and compares tables; the scan
+    # tries every map between the retracts instead
+    pool = _pool_modules(suite_semirings()[index])
+    assert _pairwise_retract_squares(pool) == EXACTNESS_COUNTS[index][5]
+
+
 def _recording(monkeypatch, name):
     # the arguments of every call the suite items make to ``name``
     calls = []
@@ -173,7 +210,7 @@ def test_retract_squares_profile_each_gamma_tilde_table_once(monkeypatch):
     # profile, kept on the object, is computed once per table
     S = suite_semirings()[0]
     pool = _pool_modules(S)
-    squares = _recording(monkeypatch, "verify_retract_square")
+    profiles = _recording(monkeypatch, "morphism_profile")
     profiled = []
     body = homology._profile
 
@@ -183,7 +220,9 @@ def test_retract_squares_profile_each_gamma_tilde_table_once(monkeypatch):
 
     monkeypatch.setattr(homology, "_profile", recorded)
     assert _retract_square_items(S, pool) == 901
-    gamma_tildes = [args[5] for args in squares]
+    # each square profiles gamma, then gamma~
+    assert len(profiles) == 2 * 901
+    gamma_tildes = [args[0] for args in profiles[1::2]]
     objects = {id(g): g for g in gamma_tildes}
     tables = {(id(g.source), id(g.target), g.map) for g in gamma_tildes}
     assert len(gamma_tildes) == 901 and len(objects) == len(tables) == 63

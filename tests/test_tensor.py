@@ -16,10 +16,9 @@ from semiflat.homology import hom_module, with_zero_ends
 from semiflat.structures import (as_left, build_morphism, build_semimodule,
                                  find_monoid_isomorphism, identity_morphism,
                                  monoid_module, morphism_violations,
-                                 semimodule_violations,
-                                 with_bimodule_structure, zero_morphism)
+                                 semimodule_violations, zero_morphism)
 from semiflat.tensor import (_box_product, _generators, adjunction_iso,
-                             associativity_iso, balanced_violations,
+                             balanced_violations,
                              certify_cancellative_universal, dual_comparison,
                              enumerate_balanced_maps, factor_balanced,
                              cancellative_tensor, tensor_morphisms,
@@ -299,19 +298,6 @@ def test_unit_isos_on_pools():
             assert isoL.valid
             count += 1
     assert count >= 10
-
-
-def test_associativity_bool(Bm, B):
-    N_bi = semiring_bimodule(B, "left")
-    P2, Q2, iso = associativity_iso(Bm, N_bi, as_left(Bm))
-    assert iso.valid
-    assert find_monoid_isomorphism(P2.module.add, P2.module.zero, Bm.add, Bm.zero) is not None
-
-
-def test_associativity_z4(Z2, Z4):
-    N_bi = with_bimodule_structure(as_left(Z2))
-    P2, Q2, iso = associativity_iso(Z2, N_bi, as_left(Z2))
-    assert iso.valid
 
 
 def test_adjunction_unit_case(B):

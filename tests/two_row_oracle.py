@@ -7,9 +7,19 @@ for the verdict of each case.
 """
 from __future__ import annotations
 
-from semiflat.homology import _require_commutes, classify_stage, morphism_profile
+from semiflat.errors import NotCommutative
+from semiflat.homology import classify_stage, morphism_profile
 from semiflat.record import Record
 from semiflat.structures import Morphism, compose
+
+
+def _require_commutes(left: Morphism, right: Morphism, tag: str):
+    # tuples compare their items by identity before equality
+    if (left.source, left.target) != (right.source, right.target):
+        raise NotCommutative(tag, "path endpoints differ")
+    for x in range(left.source.size):
+        if left.map[x] != right.map[x]:
+            raise NotCommutative((tag, x), "paths disagree")
 
 
 class TwoRowReport(Record):
