@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .errors import MalformedTable, NotACongruence, NotASubsemimodule
 from .record import Record
-from .structures import (Morphism, SecondAction, Semimodule, Table,
+from .structures import (Morphism, SecondAction, Semimodule, Table, _index,
                          freeze_table, is_cancellative, monoid_generators)
 from .subsets import (Subsemimodule, additive_generators, is_closed_subset, subsemimodule,
                       subtractive_closure)
@@ -51,6 +51,14 @@ class Congruence(Record):
         return tuple(tuple(c) for c in out)
 
 
+def _pair(p, size: int) -> tuple[int, int]:
+    try:
+        a, b = p
+    except (TypeError, ValueError):
+        raise MalformedTable(f"a pair must have two entries, got {p!r}") from None
+    return _index(a, size, "pair"), _index(b, size, "pair")
+
+
 def congruence_closure(size: int, maps, pairs) -> Congruence:
     """Least equivalence on range(size) containing the pairs and closed under the maps.
 
@@ -66,7 +74,7 @@ def congruence_closure(size: int, maps, pairs) -> Congruence:
             x = parent[x]
         return x
 
-    queue = deque((int(a), int(b)) for a, b in pairs)
+    queue = deque(_pair(p, size) for p in pairs)
     while queue:
         a, b = queue.popleft()
         ra, rb = find(a), find(b)
@@ -139,6 +147,11 @@ def quotient_by_congruence(M: Semimodule, cong: Congruence) -> tuple[Semimodule,
     """
     if cong.size != M.size:
         raise NotACongruence((cong.size, M.size), "partition has the wrong carrier")
+    first: dict[int, int] = {}      # each class number, as its least member comes
+    if not (len(cong.class_of) == M.size
+            and all(type(c) is int and first.setdefault(c, len(first)) == c
+                    for c in cong.class_of) and len(first) == cong.class_count):
+        raise NotACongruence(cong.class_of, "classes are not numbered 0.. by least member")
     witness = congruence_violations(M, cong)
     if witness is not None:
         raise NotACongruence(witness[:3], witness[3])

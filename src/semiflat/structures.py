@@ -736,103 +736,8 @@ def swap_actions(M: Semimodule) -> Semimodule:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism search with iterated signature refinement, and the one
-# canonical form.
+# The one canonical form.
 # ---------------------------------------------------------------------------
-
-def _signatures(add: Table, zero: int, action: Table | None) -> list:
-    n = len(add)
-    sig = [(element_order(add, zero, x), add[x][x] == x, x == zero) for x in range(n)]
-    for _ in range(n):
-        canon = {s: i for i, s in enumerate(sorted(set(sig), key=repr))}
-        base = [canon[s] for s in sig]
-        nxt = []
-        for x in range(n):
-            neigh = sorted((base[y], base[add[x][y]]) for y in range(n))
-            act = tuple(base[v] for v in action[x]) if action is not None else ()
-            nxt.append((base[x], tuple(neigh), act))
-        if len(set(nxt)) == len(set(sig)) and all(
-                (sig[x] == sig[y]) == (nxt[x] == nxt[y]) for x in range(n) for y in range(n)):
-            return sig
-        sig = nxt
-    return sig
-
-
-def find_monoid_isomorphism(add1: Table, zero1: int, add2: Table, zero2: int,
-                            action1: Table | None = None,
-                            action2: Table | None = None) -> tuple[int, ...] | None:
-    """Search a table isomorphism; actions, when given, share scalar indices.
-
-    Backtracks over the images of a minimal additive generating set only;
-    each assignment is closed under addition with conflict detection, so
-    non-generators are never branched on.
-    """
-    n = len(add1)
-    if len(add2) != n:
-        return None
-    sig1 = _signatures(add1, zero1, action1)
-    sig2 = _signatures(add2, zero2, action2)
-    if sorted(map(repr, sig1)) != sorted(map(repr, sig2)):
-        return None
-
-    gens = monoid_generators(add1, zero1)
-    candidates = [[y for y in range(n) if repr(sig2[y]) == repr(sig1[g])] for g in gens]
-
-    def extend(images) -> tuple[int, ...] | None:
-        mapping = {zero1: zero2}
-        for g, y in zip(gens, images):
-            if mapping.get(g, y) != y:
-                return None
-            mapping[g] = y
-        frontier = list(mapping)
-        while frontier:
-            a = frontier.pop()
-            ya = mapping[a]
-            for b in list(mapping):
-                c = add1[a][b]
-                c2 = add2[ya][mapping[b]]
-                known = mapping.get(c)
-                if known is None:
-                    mapping[c] = c2
-                    frontier.append(c)
-                elif known != c2:
-                    return None
-        if len(mapping) != n or len(set(mapping.values())) != n:
-            return None
-        out = tuple(mapping[x] for x in range(n))
-        for a in range(n):
-            row = add1[a]
-            for b in range(a, n):
-                if out[row[b]] != add2[out[a]][out[b]]:
-                    return None
-        if action1 is not None:
-            for a in range(n):
-                for s in range(len(action1[0])):
-                    if out[action1[a][s]] != action2[out[a]][s]:
-                        return None
-        return out
-
-    used = [False] * n
-    chosen = [0] * len(gens)
-
-    def backtrack(k: int):
-        if k == len(gens):
-            return extend(chosen)
-        for y in candidates[k]:
-            if used[y]:
-                continue
-            chosen[k] = y
-            used[y] = True
-            result = backtrack(k + 1)
-            used[y] = False
-            if result is not None:
-                return result
-        return None
-
-    if not gens:
-        return extend(()) if n == 1 else None
-    return backtrack(0)
-
 
 def canonical_form(add: Table, zero: int,
                    action: Table | None = None) -> tuple[tuple, tuple[int, ...]]:

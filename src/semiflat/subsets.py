@@ -5,10 +5,11 @@ import itertools
 from functools import lru_cache
 
 from . import config
-from .errors import NotASubsemimodule, SizeBoundExceeded
+from .errors import MalformedTable, NotASubsemimodule, SizeBoundExceeded
 from .record import Record
-from .structures import (Morphism, SecondAction, Semimodule, Table, freeze_table,
-                         greedy_generators, monoid_generators, shortest_words, span)
+from .structures import (Morphism, SecondAction, Semimodule, Table, _index,
+                         freeze_table, greedy_generators, monoid_generators,
+                         shortest_words, span)
 
 
 class Subsemimodule(Record):
@@ -47,8 +48,16 @@ def is_closed_subset(M: Semimodule, members) -> bool:
     return True
 
 
+def _members(M: Semimodule, xs) -> frozenset[int]:
+    """xs as elements of M, each read by the rule of ``freeze_table``."""
+    try:
+        return frozenset([_index(x, M.size, "member") for x in xs])
+    except TypeError:
+        raise MalformedTable(f"members must be iterable, got {xs!r}") from None
+
+
 def subsemimodule(M: Semimodule, members) -> Subsemimodule:
-    members = tuple(sorted(set(int(x) for x in members)))
+    members = tuple(sorted(_members(M, members)))
     if not is_closed_subset(M, members):
         raise NotASubsemimodule(f"{list(members)} is not closed in the parent")
     return Subsemimodule(M, members)
@@ -56,6 +65,7 @@ def subsemimodule(M: Semimodule, members) -> Subsemimodule:
 
 def generated_subsemimodule(M: Semimodule, seed) -> Subsemimodule:
     """Least subsemimodule containing the seed."""
+    seed = _members(M, seed)
     return Subsemimodule(M, tuple(sorted(span(M.add, M.zero, seed, _actions(M)))))
 
 

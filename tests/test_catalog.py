@@ -17,7 +17,7 @@ from semiflat.catalog import (bool_semiring, chain_module, class_representative,
                               zmod_semiring)
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import InvalidArgument
-from semiflat.structures import build_semimodule, canonical_form, find_monoid_isomorphism
+from semiflat.structures import build_semimodule, canonical_form
 from semiflat.subsets import enumerate_subsemimodules, module_generators, submodule_of
 from semiflat.workspace import load_default_workspace
 
@@ -248,9 +248,17 @@ def test_canonical_form_against_brute_force(name):
     for M, (key, p) in zip(modules, forms):
         assert (key, p) == _least_relabelling(M)
         assert _is_isomorphism_onto(p, key, M)
-    for (A, (key_a, _)), (B, (key_b, _)) in itertools.product(zip(modules, forms), repeat=2):
-        iso = find_monoid_isomorphism(A.add, A.zero, B.add, B.zero, A.action, B.action)
-        assert (key_a == key_b) == (iso is not None)
+    # the least relabelling makes isomorphic modules share a key; a shared
+    # key composes the two relabellings into an isomorphism A -> B
+    for (A, (key_a, p_a)), (B, (key_b, p_b)) in itertools.product(zip(modules, forms),
+                                                                  repeat=2):
+        if key_a != key_b:
+            continue
+        iso = dict(zip(p_a, p_b))
+        assert all(iso[A.add[x][y]] == B.add[iso[x]][iso[y]]
+                   for x in range(A.size) for y in range(A.size))
+        assert all(iso[A.action[x][s]] == B.action[iso[x]][s]
+                   for x in range(A.size) for s in range(A.semiring.size))
 
 
 def _small_parts():

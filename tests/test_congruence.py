@@ -10,16 +10,17 @@ from semiflat.catalog import (bool_semiring, cyclic_monoid, enumerate_semimodule
                               free_module, product_monoid, product_semiring, sat_semiring,
                               semiring_module, suite_pool, suite_semirings,
                               trivial_module, zmod_module, zmod_semiring)
-from semiflat.congruence import (cancellative_reflection, congruence_closure,
+from semiflat.congruence import (Congruence, cancellative_reflection, congruence_closure,
                                  module_congruence_closure,
                                  monoid_congruence_closure,
                                  quotient_by_congruence, quotient_by_sub,
                                  quotient_cancellative, sub_congruence)
-from semiflat.errors import MalformedTable, NotACongruence
+from semiflat.errors import MalformedTable, NotACongruence, SemiflatError
 from semiflat.homology import hom_module, morphism_profile
-from semiflat.structures import (check_endpoints, find_monoid_isomorphism,
+from semiflat.structures import (canonical_form, check_endpoints,
                                  is_cancellative, morphism_violations, semimodule_violations)
-from semiflat.subsets import enumerate_subsemimodules, submodule_of, subsemimodule
+from semiflat.subsets import (enumerate_subsemimodules, generated_subsemimodule,
+                              submodule_of, subsemimodule, subtractive_closure)
 from semiflat.suite import (minimal_congruence_dense,
                             minimal_congruence_partitions)
 
@@ -65,15 +66,43 @@ def test_quotient_z4_by_two(Z4m):
     cong = module_congruence_closure(Z4m, [(0, 2)])
     Q, _ = quotient_by_congruence(Z4m, cong)
     assert Q.size == 2
-    assert find_monoid_isomorphism(Q.add, Q.zero, ((0, 1), (1, 0)), 0) is not None
+    assert canonical_form(Q.add, Q.zero)[0] == canonical_form(((0, 1), (1, 0)), 0)[0]
 
 
 def test_bad_partition_rejected(Z4m):
-    from semiflat.congruence import Congruence
     # gluing 0 and 1 alone is not compatible with translation
     bad = Congruence(4, (0, 0, 1, 2), 3)
     with pytest.raises(NotACongruence):
         quotient_by_congruence(Z4m, bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda M: subsemimodule(M, (0, 2.9)),
+    lambda M: subsemimodule(M, ("2", 0)),
+    lambda M: subsemimodule(M, (0, 7)),
+    lambda M: subsemimodule(M, 2),
+    lambda M: generated_subsemimodule(M, (-1,)),
+    lambda M: generated_subsemimodule(M, (1.5,)),
+    lambda M: subtractive_closure(M, (-1,)),
+    lambda M: module_congruence_closure(M, [(0, -1)]),
+    lambda M: module_congruence_closure(M, [(0, 1.5)]),
+    lambda M: module_congruence_closure(M, [(0, 7)]),
+    lambda M: module_congruence_closure(M, [(0, 1, 2)]),
+    lambda M: quotient_by_congruence(M, Congruence(4, (0, 0, 0, 0), 3)),
+    lambda M: quotient_by_congruence(M, Congruence(4, (0, 1, 0, 1), 1)),
+    lambda M: quotient_by_congruence(M, Congruence(4, (0, 0, 5, 5), 2)),
+], ids=["member-float", "member-str", "member-out-of-range", "members-not-iterable",
+        "seed-negative", "seed-float", "closure-seed-negative", "pair-negative",
+        "pair-float", "pair-out-of-range", "pair-of-three", "too-few-classes",
+        "too-many-classes", "class-out-of-range"])
+def test_bad_members_pairs_and_partitions_rejected(Z4m, call):
+    # each member, pair entry and class number is an index into the carrier
+    with pytest.raises(SemiflatError):
+        call(Z4m)
+
+
+def test_members_may_come_as_a_set(Z4m):
+    assert subsemimodule(Z4m, {0, 2}).members == (0, 2)
 
 
 def test_quotient_by_sub_examples(S3m, Z4m):
@@ -83,8 +112,8 @@ def test_quotient_by_sub_examples(S3m, Z4m):
     assert Q2.size == 2
     assert morphism_profile(pi2).uniform and pi2.surjective
     Q3, _ = quotient_by_sub(Z4m, subsemimodule(Z4m, (0,)))
-    assert find_monoid_isomorphism(Q3.add, Q3.zero, Z4m.add, Z4m.zero,
-                                   Q3.action, Z4m.action) is not None
+    assert canonical_form(Q3.add, Q3.zero, Q3.action)[0] == \
+        canonical_form(Z4m.add, Z4m.zero, Z4m.action)[0]
 
 
 def test_projection_kernel_is_subtractive_closure(S3m):

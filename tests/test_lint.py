@@ -86,12 +86,13 @@ def test_every_public_homology_function_has_a_caller_in_the_package():
 
 
 # cli and suite are left out because their public functions are reached
-# through dispatch tables, and catalog because ``product_semiring`` stays
-# as the constructor of the BB semiring that four test modules build.  The
-# check goes by name, so it cannot see a function that shares its name with
-# a call elsewhere: ``itertools.product(...)`` hid an uncalled
-# ``limits.product``.
-@pytest.mark.parametrize("name", ["congruence", "limits", "structures", "subsets",
-                                  "tensor", "workspace"])
+# through dispatch tables.  catalog's ``product_semiring`` is the one named
+# exception: it stays as the constructor of the BB semiring that four test
+# modules build.  The check goes by name, so it cannot see a function that
+# shares its name with a call elsewhere: ``itertools.product(...)`` hid an
+# uncalled ``limits.product``.
+@pytest.mark.parametrize("name", ["catalog", "congruence", "limits", "structures",
+                                  "subsets", "tensor", "workspace"])
 def test_every_public_function_has_a_caller_in_the_package(name):
-    assert _uncalled_public_functions(PACKAGE / f"{name}.py") == []
+    kept = ["product_semiring"] if name == "catalog" else []
+    assert _uncalled_public_functions(PACKAGE / f"{name}.py") == kept

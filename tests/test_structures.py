@@ -14,10 +14,10 @@ from semiflat.errors import AxiomViolation, MalformedTable, SemiflatError, SideM
 from semiflat.limits import directed_system, inverse_system
 from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
                                  build_morphism, build_semimodule,
-                                 build_semiring, compose, counting_action,
-                                 counting_semiring_for, derived_actions, descend,
-                                 element_order, element_orders,
-                                 find_monoid_isomorphism, freeze_table,
+                                 build_semiring, canonical_form, compose,
+                                 counting_action, counting_semiring_for,
+                                 derived_actions, descend, element_order,
+                                 element_orders, freeze_table,
                                  identity_morphism, is_cancellative, mirror,
                                  monoid_module, morphism_violations,
                                  semiring_violations, semimodule_violations,
@@ -264,15 +264,17 @@ def test_isomorphism_detection(Z4):
     A = zmod_module(4, 2)
     Bq = zmod_module(4, 2)
     T = trivial_module(Z4)
-    assert find_monoid_isomorphism(A.add, A.zero, Bq.add, Bq.zero, A.action, Bq.action) is not None
-    assert find_monoid_isomorphism(A.add, A.zero, T.add, T.zero, A.action, T.action) is None
+    assert canonical_form(A.add, A.zero, A.action)[0] == \
+        canonical_form(Bq.add, Bq.zero, Bq.action)[0]
+    assert canonical_form(A.add, A.zero, A.action)[0] != \
+        canonical_form(T.add, T.zero, T.action)[0]
 
 
 def test_monoid_isomorphism_respects_structure():
     chain = ((0, 1), (1, 1))
     group = ((0, 1), (1, 0))
-    assert find_monoid_isomorphism(chain, 0, group, 0) is None
-    assert find_monoid_isomorphism(group, 0, group, 0) == (0, 1)
+    assert canonical_form(chain, 0)[0] != canonical_form(group, 0)[0]
+    assert canonical_form(group, 0) == ((group, ()), (0, 1))
 
 
 def test_monoid_module_wrap():
