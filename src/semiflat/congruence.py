@@ -1,15 +1,18 @@
 """Congruence closure, quotients, and the cancellative reflection.
 
-One union-find engine computes every partition in the package: the least
-equivalence containing some seed pairs and closed under a list of unary
-maps.  Each merge of a pair (a, b) schedules only the images (f(a), f(b))
-under those maps, so chains of merges are mapped term by term.  On a
-commutative monoid a partition closed under translation by each generator
-is closed under translation by every element, since every element is a
-sum of generators; the congruence closures therefore pass the generator
-translates (plus the scalar action columns for S-congruences) instead of
-whole addition tables.  Quotients, the cancellative reflection and
-directed colimits call the engine with no maps at all.
+Every partition in the package is numbered by one rule, ``fibres``: the
+classes of equal values of a map, numbered by least member.  Where a
+partition is the least equivalence containing some seed pairs and closed
+under a list of unary maps, one union-find engine computes it.  Each
+merge of a pair (a, b) schedules only the images (f(a), f(b)) under
+those maps, so chains of merges are mapped term by term.  On a
+commutative monoid a partition closed under translation by each
+generator is closed under translation by every element, since every
+element is a sum of generators; the congruence closures therefore pass
+the generator translates (plus the scalar action columns for
+S-congruences) instead of whole addition tables.  The cancellative
+congruence and directed colimits are fibres of a single map, so they
+need no closure.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from functools import lru_cache
 
 from .errors import MalformedTable, NotACongruence, NotASubsemimodule
 from .record import Record
-from .structures import (Morphism, SecondAction, Semimodule, Table, _index,
+from .structures import (Morphism, SecondAction, Semimodule, Table, _index, _square_table,
                          freeze_table, is_cancellative, monoid_generators)
 from .subsets import (Subsemimodule, additive_generators, is_closed_subset, subsemimodule,
                       subtractive_closure)
@@ -59,6 +62,12 @@ def _pair(p, size: int) -> tuple[int, int]:
     return _index(a, size, "pair"), _index(b, size, "pair")
 
 
+def fibres(values) -> Congruence:
+    """range(len(values)) split into classes of equal values, numbered by least member."""
+    number = {v: k for k, v in enumerate(dict.fromkeys(values))}
+    return Congruence(len(values), tuple(map(number.__getitem__, values)), len(number))
+
+
 def congruence_closure(size: int, maps, pairs) -> Congruence:
     """Least equivalence on range(size) containing the pairs and closed under the maps.
 
@@ -87,16 +96,7 @@ def congruence_closure(size: int, maps, pairs) -> Congruence:
             x, y = f[a], f[b]
             if find(x) != find(y):
                 queue.append((x, y))
-    class_of = [0] * size
-    count = 0
-    for x in range(size):
-        r = find(x)
-        if r == x:
-            class_of[x] = count
-            count += 1
-        else:
-            class_of[x] = class_of[r]
-    return Congruence(size, tuple(class_of), count)
+    return fibres([find(x) for x in range(size)])
 
 
 def module_congruence_closure(M: Semimodule, pairs) -> Congruence:
@@ -112,6 +112,7 @@ def module_congruence_closure(M: Semimodule, pairs) -> Congruence:
 
 def monoid_congruence_closure(add: Table, pairs) -> Congruence:
     """Least congruence on a commutative monoid table containing the pairs."""
+    add = _square_table(add)
     n = len(add)
     zero = next((e for e in range(n) if all(add[e][x] == x for x in range(n))), None)
     if zero is None:
@@ -170,11 +171,6 @@ def quotient_by_congruence(M: Semimodule, cong: Congruence) -> tuple[Semimodule,
     return Q, Morphism(M, Q, cls)
 
 
-def _partition_from_relation(size: int, related) -> Congruence:
-    return congruence_closure(size, (), [(a, b) for a in range(size)
-                                         for b in range(a + 1, size) if related(a, b)])
-
-
 def sub_congruence(M: Semimodule, L: Subsemimodule) -> Congruence:
     """x ~ y when x + l1 = y + l2 for members l1, l2 of L.
 
@@ -186,31 +182,17 @@ def sub_congruence(M: Semimodule, L: Subsemimodule) -> Congruence:
     return module_congruence_closure(M, [(l, M.zero) for l in L.members])
 
 
-def cancellative_pair_relation(M: Semimodule) -> list[list[bool]]:
-    """x ~ y when x + w = y + w for some padding element w."""
-    n = M.size
-    rel = [[False] * n for _ in range(n)]
-    for w in range(n):
-        col = [M.add[x][w] for x in range(n)]
-        for a in range(n):
-            ca = col[a]
-            for b in range(a, n):
-                if ca == col[b]:
-                    rel[a][b] = rel[b][a] = True
-    return rel
-
-
 def cancellative_sub_congruence(M: Semimodule, L: Subsemimodule) -> Congruence:
-    """x ~ y when x + l1 + w = y + l2 + w; the quotient is cancellative."""
-    if L.parent != M or not is_closed_subset(M, L.members):
-        raise NotASubsemimodule("quotient requires a subsemimodule of the parent")
-    pad = cancellative_pair_relation(M)
-    reach = [frozenset(M.add[x][l] for l in L.members) for x in range(M.size)]
+    """x ~ y when x + l1 + w = y + l2 + w; the quotient is cancellative.
 
-    def related(a: int, b: int) -> bool:
-        return any(pad[x][y] for x in reach[a] for y in reach[b])
-
-    return _partition_from_relation(M.size, related)
+    The sum z of all elements is w + r for every w, so z serves as every
+    padding element: x ~ y exactly when x + z and y + z are Bourne-related.
+    """
+    bourne = sub_congruence(M, L).class_of
+    z = M.zero
+    for x in range(M.size):
+        z = M.add[z][x]
+    return fibres([bourne[M.add[x][z]] for x in range(M.size)])
 
 
 def quotient_by_sub(M: Semimodule, L: Subsemimodule) -> tuple[Semimodule, Morphism]:

@@ -21,7 +21,7 @@ from .structures import (Morphism, Semimodule, Violation,
                          is_linear, morphism_violations, swap_actions, zero_morphism,
                          LEFT, RIGHT)
 from .subsets import (Subsemimodule, module_expressions, module_generators,
-                      submodule_of, subsemimodule, subtractive_closure_set,
+                      _subtractive_closure, submodule_of, subsemimodule,
                       uniform_subsemimodules)
 from .congruence import quotient_by_sub
 
@@ -70,8 +70,9 @@ def morphism_profile(f: Morphism) -> MorphismProfile:
 def _profile(f: Morphism) -> MorphismProfile:
     # an injective map has one-element fibres
     k_witness = None if f.injective else _k_witness(f)
-    image = set(f.map)
-    closed = subtractive_closure_set(f.target, image)
+    image = frozenset(f.map)
+    # an image of a linear map is closed, so it is not checked again
+    closed = _subtractive_closure(f.target, image)
     i_uniform = len(closed) == len(image)
     i_witness = None
     if not i_uniform:
@@ -130,12 +131,12 @@ def classify_stage(f: Morphism, g: Morphism) -> StageFlags:
     if f.target is not g.source and f.target != g.source:
         raise NotComposable("stage maps do not compose")
     mid, zero = f.target, g.target.zero
-    image = set(f.map)
+    image = frozenset(f.map)
     img = sorted(image)
     ker = [x for x, v in enumerate(g.map) if v == zero]
     chain = image.issubset(ker)
     proper = img == ker
-    closed = list(subtractive_closure_set(mid, image))
+    closed = list(_subtractive_closure(mid, image))
     semi = closed == ker
     g_k = morphism_profile(g).k_uniform
     witness = ()

@@ -1,18 +1,18 @@
 """Finite (co)limits: products, equalizers, pullbacks, directed (co)limits.
 
 Finite products and coproducts of semimodules share the componentwise
-carrier; only the structure morphisms differ.  Directed colimits are
-built literally from the disjoint union and the eventual-equality
-relation, with the maximum-node evaluation kept alongside as an oracle.
+carrier; only the structure morphisms differ.  A finite directed poset
+has a maximum node t, so the eventual-equality partition of a directed
+colimit is the fibre partition of the images at t.
 """
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import islice
 
 from . import config
 from .catalog import product_module
-from .congruence import (congruence_closure, module_congruence_closure,
-                         quotient_by_congruence)
+from .congruence import fibres, module_congruence_closure, quotient_by_congruence
 from .errors import (NotCommutative, NotDirected, NotIntertwining,
                      ShapeMismatch, SizeBoundExceeded)
 from .homology import hom_module, hom_postcompose
@@ -293,47 +293,28 @@ class Colimit(Record):
 
 @lru_cache(maxsize=None)
 def directed_colimit(sys: DirectedSystem) -> Colimit:
-    """Disjoint union modulo eventual equality, with pushforward addition."""
-    pairs = [(j, x) for j, M in enumerate(sys.nodes) for x in range(M.size)]
-    pos = {p: i for i, p in enumerate(pairs)}
-    n = len(pairs)
-    related = []
-    for i, (j, x) in enumerate(pairs):
-        for i2 in range(i + 1, n):
-            j2, x2 = pairs[i2]
-            if any(sys.transition(j, m).map[x] == sys.transition(j2, m).map[x2]
-                   for m in sys.upper_bounds(j, j2)):
-                related.append((i, i2))
-    cong = congruence_closure(n, (), related)
-    cls = cong.class_of
+    """Disjoint union modulo eventual equality, with pushforward addition.
+
+    Every pair of nodes has the maximum node t as an upper bound, so (j, x)
+    and (k, y) are eventually equal exactly when their images at t agree:
+    the classes are the fibres of the images at t, in (j, x) order, and
+    the addition and action are t's, carried through the images.
+    """
+    t = sys.maximum
+    images = [sys.transition(j, t).map for j in range(len(sys.nodes))]
+    cong = fibres([y for image in images for y in image])
+    rest = iter(cong.class_of)
+    class_table = tuple(tuple(islice(rest, len(image))) for image in images)
+    pairs = [(j, x) for j, image in enumerate(images) for x in range(len(image))]
     reps = [pairs[r] for r in cong.representatives]
-    S = sys.nodes[0].semiring
-
-    def add_elements(p, q):
-        (j, x), (j2, x2) = p, q
-        m = min(sys.upper_bounds(j, j2))
-        M = sys.nodes[m]
-        y = M.add[sys.transition(j, m).map[x]][sys.transition(j2, m).map[x2]]
-        return cls[pos[(m, y)]]
-
-    add = freeze_table([[add_elements(p, q) for q in reps] for p in reps])
-    action = freeze_table([[cls[pos[(j, sys.nodes[j].action[x][s])]]
-                            for s in range(S.size)] for j, x in reps])
+    top, cls = sys.nodes[t], class_table[t]
+    ys = [images[j][x] for j, x in reps]
+    add = freeze_table([[cls[top.add[a][b]] for b in ys] for a in ys])
+    action = freeze_table([[cls[y2] for y2 in top.action[y]] for y in ys])
     labels = tuple(f"{j}:{sys.nodes[j].labels[x]}" for j, x in reps)
-    zero = cls[pos[(0, sys.nodes[0].zero)]]
-    module = build_semimodule(S, sys.nodes[0].side, labels, add, zero, action)
-    legs = []
-    for j, M in enumerate(sys.nodes):
-        legs.append(build_morphism(M, module, tuple(cls[pos[(j, x)]] for x in range(M.size))))
-    class_table = tuple(tuple(cls[pos[(j, x)]] for x in range(M.size))
-                        for j, M in enumerate(sys.nodes))
-    colim = Colimit(sys, module, tuple(legs), class_table)
-    # the leg at the maximum node evaluates the whole construction
-    top = sys.maximum
-    leg = colim.legs[top]
-    if not (leg.injective and leg.surjective):
-        raise NotDirected("colimit disagrees with the maximum-node evaluation")
-    return colim
+    module = build_semimodule(top.semiring, top.side, labels, add, cls[top.zero], action)
+    legs = tuple(build_morphism(M, module, c) for M, c in zip(sys.nodes, class_table))
+    return Colimit(sys, module, legs, class_table)
 
 
 def colimit_morphism(sysX: DirectedSystem, sysY: DirectedSystem, levelwise) -> Morphism:

@@ -84,6 +84,14 @@ def check_entries(table: Table, carrier: int, what: str) -> None:
                 raise MalformedTable(f"{what}[{i}][{j}] = {x} out of range 0..{carrier - 1}")
 
 
+def _square_table(add) -> Table:
+    """A monoid table frozen, square and with entries in range; else MalformedTable."""
+    add = freeze_table(add)
+    check_table(add, len(add), len(add), "add")
+    check_entries(add, len(add), "add")
+    return add
+
+
 class Violation(Record):
     """A violated axiom together with the witnessing element tuple."""
 
@@ -661,7 +669,8 @@ def derived_actions(semiring: Semiring, add: Table, zero: int, actions):
 def monoid_module(add: Table, zero: int = 0, labels=None,
                   semiring: Semiring | None = None) -> Semimodule:
     """Wrap a commutative monoid table as a module over a counting semiring."""
-    add = freeze_table(add)
+    add = _square_table(add)
+    zero = _index(zero, len(add), "zero")
     if labels is None:
         labels = tuple(str(k) for k in range(len(add)))
     if semiring is None:

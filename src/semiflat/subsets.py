@@ -7,9 +7,8 @@ from functools import lru_cache
 from . import config
 from .errors import MalformedTable, NotASubsemimodule, SizeBoundExceeded
 from .record import Record
-from .structures import (Morphism, SecondAction, Semimodule, Table, _index,
-                         freeze_table, greedy_generators, monoid_generators,
-                         shortest_words, span)
+from .structures import (Morphism, SecondAction, Semimodule, Table, _additive_generators,
+                         _index, freeze_table, greedy_generators, shortest_words, span)
 
 
 class Subsemimodule(Record):
@@ -33,13 +32,13 @@ def _actions(M: Semimodule) -> tuple[Table, ...]:
 
 def is_closed_subset(M: Semimodule, members) -> bool:
     """Whether members hold zero and are closed under addition and every action."""
-    s = set(members)
+    s = _members(M, members)
     if M.zero not in s:
         return False
     actions = _actions(M)
-    for a in members:
+    for a in s:
         row = M.add[a]
-        for b in members:
+        for b in s:
             if row[b] not in s:
                 return False
         for table in actions:
@@ -90,30 +89,25 @@ def enumerate_subsemimodules(M: Semimodule) -> tuple[Subsemimodule, ...]:
 
 
 def subtractive_closure_set(M: Semimodule, members) -> tuple[int, ...]:
-    """Least fixed point of one-step difference-witness closure in M."""
-    return _subtractive_closure(M, frozenset(members))
+    """The least subtractive set holding the members, which must be closed in M."""
+    members = _members(M, members)
+    if not is_closed_subset(M, members):
+        raise NotASubsemimodule(f"{sorted(members)} is not closed in the parent")
+    return _subtractive_closure(M, members)
 
 
 @lru_cache(maxsize=None)
 def _subtractive_closure(M: Semimodule, members: frozenset) -> tuple[int, ...]:
-    # the exactness checks close the same images in the same modules many
-    # times over, so each (module, subset) is closed once; the module's
-    # hash is kept on it, where a table's would be recomputed per lookup
-    add = M.add
-    cur = set(members)
-    cur.add(M.zero)
-    n = len(add)
-    while True:
-        nxt = set(cur)
-        for x in range(n):
-            if x in nxt:
-                continue
-            row = add[x]
-            if any(row[y1] in cur for y1 in cur):
-                nxt.add(x)
-        if nxt == cur:
-            return tuple(sorted(cur))
-        cur = nxt
+    """{x : x + y in S for some y in S} for S closed under addition and holding 0.
+
+    This set is already subtractive: if x + y' and y' are in it, with
+    x + y' + s1 and y' + s2 in S, then x + w is in S for w = y' + s1 + s2.
+    The exactness checks close the same images in the same modules many
+    times over, so each (module, subset) is closed once; the module's hash
+    is kept on it, where a table's would be recomputed per lookup.
+    """
+    return tuple(x for x, row in enumerate(M.add)
+                 if x in members or any(row[y] in members for y in members))
 
 
 def subtractive_closure(M: Semimodule, Y) -> Subsemimodule:
@@ -173,10 +167,9 @@ def module_expressions(M: Semimodule) -> tuple[tuple[tuple[int, int], ...], ...]
     return tuple(tuple(divmod(k, n) for k in word) for word in words)
 
 
-@lru_cache(maxsize=None)
 def additive_generators(M: Semimodule) -> tuple[int, ...]:
-    """Greedy minimal generating set of the underlying additive monoid."""
-    return monoid_generators(M.add, M.zero)
+    """Greedy minimal generating set of the underlying additive monoid, kept on M."""
+    return _additive_generators(M)
 
 
 @lru_cache(maxsize=None)

@@ -1055,7 +1055,7 @@ def run_limits_suite():
                            if compose(p1, h).map == u.map and compose(p2, h).map == v.map]
                 assert len(matches) == 1 and matches[0].map == med.map
                 checks += 1
-        # directed colimit equals the maximum-node evaluation (built-in check)
+        # the module is the directed colimit of its subsemimodules
         subs_sys, comparison = subsemimodule_system(SM)
         assert comparison.injective and comparison.surjective, \
             "module must be the colimit of its subsemimodules"

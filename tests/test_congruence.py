@@ -10,17 +10,19 @@ from semiflat.catalog import (bool_semiring, cyclic_monoid, enumerate_semimodule
                               free_module, product_monoid, product_semiring, sat_semiring,
                               semiring_module, suite_pool, suite_semirings,
                               trivial_module, zmod_module, zmod_semiring)
-from semiflat.congruence import (Congruence, cancellative_reflection, congruence_closure,
+from semiflat.congruence import (Congruence, cancellative_reflection,
+                                 cancellative_sub_congruence, congruence_closure, fibres,
                                  module_congruence_closure,
                                  monoid_congruence_closure,
                                  quotient_by_congruence, quotient_by_sub,
                                  quotient_cancellative, sub_congruence)
 from semiflat.errors import MalformedTable, NotACongruence, SemiflatError
 from semiflat.homology import hom_module, morphism_profile
-from semiflat.structures import (canonical_form, check_endpoints,
-                                 is_cancellative, morphism_violations, semimodule_violations)
-from semiflat.subsets import (enumerate_subsemimodules, generated_subsemimodule,
-                              submodule_of, subsemimodule, subtractive_closure)
+from semiflat.structures import (canonical_form, check_endpoints, is_cancellative,
+                                 monoid_module, morphism_violations, semimodule_violations)
+from semiflat.subsets import (Subsemimodule, enumerate_subsemimodules,
+                              generated_subsemimodule, is_closed_subset, submodule_of,
+                              subsemimodule, subtractive_closure, subtractive_closure_set)
 from semiflat.suite import (minimal_congruence_dense,
                             minimal_congruence_partitions)
 
@@ -97,6 +99,34 @@ def test_bad_partition_rejected(Z4m):
         "too-many-classes", "class-out-of-range"])
 def test_bad_members_pairs_and_partitions_rejected(Z4m, call):
     # each member, pair entry and class number is an index into the carrier
+    with pytest.raises(SemiflatError):
+        call(Z4m)
+
+
+@pytest.mark.parametrize("call", [
+    lambda M: monoid_module([[0, 1], [1, 5]]),
+    lambda M: monoid_module([[0, 1], [1]]),
+    lambda M: monoid_module([[0, 1], [1, 0]], zero=5),
+    lambda M: monoid_module([[0, 1], [1, 0]], zero=0.0),
+    lambda M: monoid_congruence_closure(((0, 1), (1, 5)), [(0, 1)]),
+    lambda M: monoid_congruence_closure(((0, 1), (1,)), [(0, 1)]),
+    lambda M: subtractive_closure_set(M, (0, -1)),
+    lambda M: subtractive_closure_set(M, (0, 7)),
+    lambda M: subtractive_closure_set(M, (0, 2.0)),
+    lambda M: subtractive_closure_set(M, (0, 1)),
+    lambda M: is_closed_subset(M, (0, 7)),
+    lambda M: is_closed_subset(M, (0, 2.0)),
+    lambda M: quotient_by_sub(M, Subsemimodule(M, (0, 7))),
+    lambda M: quotient_by_sub(M, Subsemimodule(M, (0, 2.0))),
+    lambda M: quotient_cancellative(M, Subsemimodule(M, (0, 7))),
+    lambda M: quotient_cancellative(M, Subsemimodule(M, (0, 2.0))),
+], ids=["monoid-entry-out-of-range", "monoid-ragged", "monoid-zero-out-of-range",
+        "monoid-zero-float", "closure-entry-out-of-range", "closure-ragged",
+        "subtractive-negative", "subtractive-out-of-range", "subtractive-float",
+        "subtractive-not-closed", "closed-out-of-range", "closed-float",
+        "quotient-out-of-range", "quotient-float", "cancellative-out-of-range",
+        "cancellative-float"])
+def test_tables_and_members_are_checked_before_they_are_read(Z4m, call):
     with pytest.raises(SemiflatError):
         call(Z4m)
 
@@ -230,3 +260,28 @@ def test_sub_congruence_is_the_bourne_relation():
                                                  mod.zero, mod.action, mod.second)
                 check_endpoints(f.source, f.target)
                 assert not list(morphism_violations(f.source, f.target, f.map)), (name, L)
+
+
+def test_fibres_numbers_classes_by_least_member():
+    assert fibres([5, 3, 5, 7]) == Congruence(4, (0, 1, 0, 2), 3)
+    assert fibres([]) == Congruence(0, (), 0)
+
+
+def _padded_partition(M, L):
+    """x ~ y when x + l1 + w = y + l2 + w for l1, l2 in L and some w, closed
+    transitively: the relation the cancellative congruence is defined by."""
+    n = M.size
+    reach = [{M.add[x][l] for l in L.members} for x in range(n)]
+    pad = [[any(M.add[x][w] == M.add[y][w] for w in range(n)) for y in range(n)]
+           for x in range(n)]
+    related = [(a, b) for a in range(n) for b in range(a + 1, n)
+               if any(pad[x][y] for x in reach[a] for y in reach[b])]
+    return congruence_closure(n, (), related)
+
+
+def test_cancellative_congruence_matches_the_padded_relation(closure_corpus):
+    # the sum of all elements pads every pair that some element pads
+    pairs = [(M, L) for M in closure_corpus for L in enumerate_subsemimodules(M)]
+    assert len(pairs) == 2992
+    for M, L in pairs:
+        assert cancellative_sub_congruence(M, L) == _padded_partition(M, L), L

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from semiflat.catalog import suite_semirings, trivial_module
+from semiflat.catalog import (enumerate_semimodules, semiring_module, suite_semirings,
+                              trivial_module)
+from semiflat.congruence import congruence_closure
 from semiflat.errors import (NotCommutative, NotDirected, NotIntertwining,
                              ShapeMismatch)
-from semiflat.homology import classify_sequence, morphism_profile, with_zero_ends
+from semiflat.homology import (classify_sequence, hom_module, morphism_profile,
+                               with_zero_ends)
 from semiflat import limits
 from semiflat.limits import (Colimit, chain_system, coequalizer, colimit_morphism,
                              constant_system, copairing, direct_sum,
@@ -14,10 +17,11 @@ from semiflat.limits import (Colimit, chain_system, coequalizer, colimit_morphis
                              inverse_system, pairing, pullback,
                              pullback_mediator, subsemimodule_system,
                              sum_morphism)
-from semiflat.structures import (build_morphism, canonical_form, compose,
+from semiflat.structures import (build_morphism, build_semimodule, canonical_form, compose,
                                  identity_morphism, morphism_violations, zero_morphism)
 from semiflat.subsets import submodule_of, subsemimodule
 from semiflat.suite import _pool_modules, _small_homs
+from semiflat.workspace import load_default_workspace
 
 
 def test_direct_sum_bool(Bm):
@@ -286,3 +290,48 @@ def test_sum_morphism_matches_checked_table(S):
         sum_morphism((f1,), src, tgt)
     with pytest.raises(ShapeMismatch):
         sum_morphism((f1, f2), src, direct_sum((f1.target,)))
+
+
+def _eventual_equality_colimit(sys):
+    """The colimit built literally: the disjoint union modulo the pairs that
+    agree at some common upper bound, added at their least upper bound."""
+    pairs = [(j, x) for j, M in enumerate(sys.nodes) for x in range(M.size)]
+    pos = {p: i for i, p in enumerate(pairs)}
+
+    def at(m, p):
+        return sys.transition(p[0], m).map[p[1]]
+
+    related = [(i, i2) for i, p in enumerate(pairs) for i2, q in enumerate(pairs)
+               if i < i2 and any(at(m, p) == at(m, q) for m in sys.upper_bounds(p[0], q[0]))]
+    cong = congruence_closure(len(pairs), (), related)
+    cls = cong.class_of
+    reps = [pairs[r] for r in cong.representatives]
+
+    def add(p, q):
+        m = min(sys.upper_bounds(p[0], q[0]))
+        return cls[pos[(m, sys.nodes[m].add[at(m, p)][at(m, q)])]]
+
+    S = sys.nodes[0].semiring
+    labels = tuple(f"{j}:{sys.nodes[j].labels[x]}" for j, x in reps)
+    action = [[cls[pos[(j, sys.nodes[j].action[x][s])]] for s in range(S.size)]
+              for j, x in reps]
+    module = build_semimodule(S, sys.nodes[0].side, labels,
+                              [[add(p, q) for q in reps] for p in reps],
+                              cls[pos[(0, sys.nodes[0].zero)]], action)
+    class_table = tuple(tuple(cls[pos[(j, x)]] for x in range(M.size))
+                        for j, M in enumerate(sys.nodes))
+    legs = tuple(build_morphism(M, module, c) for M, c in zip(sys.nodes, class_table))
+    return Colimit(sys, module, legs, class_table)
+
+
+def test_directed_colimit_matches_eventual_equality():
+    # the images at the maximum node decide eventual equality
+    systems = list(load_default_workspace().systems.values())
+    systems += [subsemimodule_system(semiring_module(S))[0] for S in suite_semirings()]
+    for S in suite_semirings():
+        for M in enumerate_semimodules(S, 4):
+            systems.append(constant_system(M, 3))
+            systems += [chain_system([h, h]) for h in hom_module(M, M).maps[:5]]
+    assert len(systems) == 99
+    for sys in systems:
+        assert directed_colimit(sys) == _eventual_equality_colimit(sys)

@@ -96,3 +96,23 @@ def test_every_public_homology_function_has_a_caller_in_the_package():
 def test_every_public_function_has_a_caller_in_the_package(name):
     kept = ["product_semiring"] if name == "catalog" else []
     assert _uncalled_public_functions(PACKAGE / f"{name}.py") == kept
+
+
+def test_every_congruence_closure_has_maps_to_close_under():
+    # a partition with nothing to close under is the fibres of a map, and
+    # goes through ``congruence.fibres`` instead of the union-find engine
+    calls, empty = 0, []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) != "congruence_closure":
+                continue
+            calls += 1
+            maps = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "maps"), None)
+            if isinstance(maps, (ast.Tuple, ast.List)) and not maps.elts:
+                empty.append((path.name, node.lineno))
+    assert calls
+    assert empty == []

@@ -20,7 +20,7 @@ from semiflat.subsets import (Subsemimodule, additive_expressions, additive_gene
                               enumerate_subsemimodules,
                               generated_subsemimodule, module_expressions,
                               module_generators, subsemimodule, subtractive_closure,
-                              uniform_subsemimodules, submodule_of)
+                              subtractive_closure_set, uniform_subsemimodules, submodule_of)
 from semiflat.tensor import tensor_product
 
 
@@ -63,6 +63,8 @@ def test_minimal_generating_set(Bm, Z4m):
 
 def test_additive_generators(S3m):
     assert additive_generators(S3m) == (1,)
+    # one memo, kept on the module, answers for the package
+    assert additive_generators(S3m) is S3m.__dict__["_gens"]
 
 
 def test_not_closed_subset_rejected(Z4m):
@@ -104,6 +106,24 @@ def test_closure_properties_on_catalog():
                 for V in subs:
                     if set(U.members) <= set(V.members):
                         assert set(cl) <= set(closures[V.members])
+
+
+def _fixpoint_closure(M, members):
+    """The subtractive closure as a least fixed point: add each x with
+    x + y1 in the set for some y1 in the set, until nothing is added."""
+    cur = set(members) | {M.zero}
+    while True:
+        nxt = cur | {x for x in range(M.size) if any(M.add[x][y1] in cur for y1 in cur)}
+        if nxt == cur:
+            return tuple(sorted(cur))
+        cur = nxt
+
+
+def test_one_pass_closure_matches_the_fixpoint(closure_corpus):
+    # over a closed set the one pass is already subtractive
+    for M in closure_corpus:
+        for U in enumerate_subsemimodules(M):
+            assert subtractive_closure_set(M, U.members) == _fixpoint_closure(M, U.members), U
 
 
 def test_uniform_subsemimodules_are_subtractive(Z4m):
