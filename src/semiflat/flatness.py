@@ -289,7 +289,7 @@ class SearchConfig(Record):
     out_path: str | None = None
 
 
-class SearchRecord(Record, frozen=False):
+class SearchRecord(Record):
     semiring_index: int
     module_index: int
     size: int

@@ -200,10 +200,6 @@ class HomModule(Record):
         return i
 
     @cached_property
-    def injective_maps(self) -> tuple[Morphism, ...]:
-        return tuple(m for m in self.maps if m.injective)
-
-    @cached_property
     def surjective_maps(self) -> tuple[Morphism, ...]:
         return tuple(m for m in self.maps if m.surjective)
 
@@ -266,7 +262,7 @@ def hom_module(M: Semimodule, N: Semimodule) -> HomModule:
     pos = {key: i for i, key in enumerate(keys)}
     add = freeze_table([[pos[tuple(N.add[a][b] for a, b in zip(t, u))] for u in keys]
                         for t in keys])
-    labels = tuple("h" + "".join(str(v) for v in t) for t in tables)
+    labels = tuple("h" + ",".join(map(str, t)) for t in tables)
     actions = []
     if M.second is not None:
         # (s.f)(x) = f(x.s) flips the side of the acting semiring
@@ -326,56 +322,34 @@ def hom_precompose(f: Morphism, G: Semimodule) -> Morphism:
 
 
 # ---------------------------------------------------------------------------
-# Endomorphisms, complemented idempotents, retracts, direct summands.
+# Endomorphisms and retracts.
 # ---------------------------------------------------------------------------
 
 class EndReport(Record):
     """End(M) read from the tables of ``hom_maps(M, M)``.
 
-    ``identity`` and ``comp`` index ``tables``, where the zero map is 0.
+    ``identity`` indexes ``tables``, where the zero map is 0.
     """
 
     tables: tuple[tuple[int, ...], ...]
     identity: int
-    comp: tuple[int, ...]
-    summands: tuple[tuple[int, ...], ...]
     retracts: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
 def end_comp(M: Semimodule) -> EndReport:
-    """End(M) with its complemented elements and the direct summands.
+    """End(M) with the retracts of M, the images of its idempotents.
 
     The semiring End(M) is not built, nor its addition or composition
     table: its elements passed the morphism check, its addition is
     pointwise in the validated M, and composition of maps is
-    associative.  An element i is complemented when some j has
-    t_i + t_j = id with both products zero.  A sum of linear maps is
-    linear, so it is the identity when it fixes each generator g of M,
-    and the candidates j are the maps whose image of each g solves
-    t_i(g) + y = g.  The retracts read only the squares.
+    associative.  The retracts read only the squares.
     """
     tables = hom_maps(M, M)
-    pos = {t: i for i, t in enumerate(tables)}
-    ident = pos[tuple(range(M.size))]
-    gens = module_generators(M)
-    by_images = {tuple(t[g] for g in gens): i for i, t in enumerate(tables)}
-
-    def mul(i, j):
-        return pos[tuple(tables[i][v] for v in tables[j])]
-
-    comp = []
-    for i, t in enumerate(tables):
-        solutions = [[y for y in range(M.size) if M.add[t[g]][y] == g] for g in gens]
-        for images in itertools.product(*solutions):
-            j = by_images.get(images)
-            if j is not None and mul(i, j) == 0 and mul(j, i) == 0:
-                comp.append(i)
-                break
-    summands = sorted({tuple(sorted(set(tables[i]))) for i in comp})
-    idem = [i for i in range(len(tables)) if mul(i, i) == i]
-    retracts = sorted({tuple(sorted(set(tables[i]))) for i in idem})
-    return EndReport(tables, ident, tuple(comp), tuple(summands), tuple(retracts))
+    ident = tables.index(tuple(range(M.size)))
+    retracts = sorted({tuple(sorted(set(t))) for t in tables
+                       if tuple(t[v] for v in t) == t})
+    return EndReport(tables, ident, tuple(retracts))
 
 
 def retract_pairs(N: Semimodule, M: Semimodule):

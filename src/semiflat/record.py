@@ -15,10 +15,8 @@ taking the fields by position or keyword (``TypeError`` for a missing,
 unexpected or doubled argument), equality on the class and the fields, a
 hash of the fields (cached on first use), the repr ``Name(field=value,
 ...)``, and attribute assignment and deletion that raise
-``AttributeError``.  A class declared with ``frozen=False`` assigns freely
-and is unhashable, like a plain ``@dataclass``.  ``inspect.signature`` of
-a record class is built only when asked for, so importing the package
-loads no ``inspect``.
+``AttributeError``.  ``inspect.signature`` of a record class is built only
+when asked for, so importing the package loads no ``inspect``.
 
 Fields live in the instance ``__dict__``.  A class that does more than
 store its arguments writes its own ``__init__`` and fills ``self.__dict__``
@@ -61,7 +59,7 @@ class Record:
     _defaults: dict[str, object] = {}
     __signature__ = _LazySignature()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = vars(cls)
         declared = [n for n in own.get("__annotations__", {}) if not n.startswith("_")]
@@ -73,10 +71,6 @@ class Record:
         get = itemgetter(*fields)
         # the field values as a tuple, read from an instance __dict__
         cls._values = staticmethod(get if len(fields) > 1 else lambda d: (get(d),))
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

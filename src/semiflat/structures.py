@@ -363,15 +363,8 @@ class Morphism(Record):
         self.__dict__.update(source=source, target=target, map=map,
                              injective=image == source.size, surjective=image == target.size)
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
     def __repr__(self):
         return f"Morphism({self.source.size}->{self.target.size}, {list(self.map)})"
-
-    @property
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.map)))
 
 
 def _additive_generators(M: Semimodule) -> tuple[int, ...]:

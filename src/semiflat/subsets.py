@@ -15,12 +15,6 @@ class Subsemimodule(Record):
     parent: Semimodule
     members: tuple[int, ...]
 
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
     def __repr__(self):
         return f"Subsemimodule({list(self.members)} of {self.parent.size})"
 

@@ -17,7 +17,7 @@ from .catalog import (bool_semiring, cancellative_targets, chain_module,
                       suite_pool, suite_semirings, trivial_module,
                       zmod_module, zmod_semiring)
 from .congruence import monoid_congruence_closure, quotient_by_sub
-from .errors import AxiomViolation, SemiflatError
+from .errors import AxiomViolation, InvalidArgument, SemiflatError
 from .flatness import (SearchConfig, as_left_morphism, flat_certificate_check,
                        is_uniformly_M_flat, is_uniformly_fg, is_uniformly_flat,
                        is_uniformly_fp, projectivity_witness,
@@ -41,7 +41,7 @@ from .tensor import (adjunction_iso, certify_cancellative_universal,
                      tensor_product, unit_iso, unit_iso_left)
 
 
-class SuiteResult(Record, frozen=False):
+class SuiteResult(Record):
     tag: str
     passed: bool
     checks: int
@@ -1154,6 +1154,9 @@ ALL_SUITES = (
 
 
 def run_suites(only=None) -> list[SuiteResult]:
+    if not __debug__:   # python -O strips the asserts the suites check with
+        raise InvalidArgument("the property suite checks with assert statements, "
+                              "which python -O removes; run it without -O")
     results = []
     for tag, fn in ALL_SUITES:
         if only and tag not in only:

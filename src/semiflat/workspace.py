@@ -20,12 +20,12 @@ from .structures import (Morphism, SecondAction, Semimodule, Semiring,
 FORMAT = 1
 
 
-class Diagram(Record, frozen=False):
+class Diagram(Record):
     kind: str
     arrows: list[str]
 
 
-class Workspace(Record, frozen=False):
+class Workspace(Record):
     """Named objects of one document; each map omitted is a fresh empty dict."""
 
     semirings: dict[str, Semiring]

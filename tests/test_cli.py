@@ -3,8 +3,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +169,17 @@ def test_suite_pretty_is_one_line_per_tag(capsys):
     [line] = out.splitlines()
     # mark, tag, check count, seconds and detail; the timing is not compared
     assert re.fullmatch(r"\[PASS\] unit-law +checks=24 +\d+\.\d\ds  \S.*", line), line
+
+
+def test_suite_under_optimize_is_a_typed_error():
+    # python -O strips the asserts the suites check with, so a run would
+    # pass without checking anything
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-O", "-m", "semiflat.cli", "suite",
+                           "--only", "axioms"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["error"] == "InvalidArgument"
 
 
 @pytest.mark.parametrize("source, target", [("BOOL", "SAT3"), ("BOOL", "ZMOD2_SELF")])

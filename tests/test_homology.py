@@ -15,7 +15,7 @@ from semiflat.catalog import (bool_semiring, chain_module, enumerate_semimodules
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import AxiomViolation, ShapeMismatch, SideMismatch
 from semiflat.flatness import projectivity_witness
-from semiflat.homology import (MorphismProfile, classify_sequence, classify_stage,
+from semiflat.homology import (EndReport, MorphismProfile, classify_sequence, classify_stage,
                                cokernel, end_comp, hom_module,
                                hom_postcompose, hom_precompose,
                                is_retract_of, kernel, linear_maps, morphism_profile,
@@ -29,7 +29,7 @@ from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
                                  morphism_violations, semimodule_violations,
                                  swap_actions, with_bimodule_structure,
                                  zero_morphism)
-from semiflat.subsets import submodule_of, subsemimodule
+from semiflat.subsets import module_generators, submodule_of, subsemimodule
 from semiflat.suite import _small_homs
 from two_row_oracle import verify_two_row_diagram
 
@@ -274,13 +274,31 @@ def test_end_comp_bool(Bm):
     er = end_comp(Bm)
     assert len(hom_module(Bm, Bm).maps) == 2
     assert er.tables == tuple(f.map for f in hom_module(Bm, Bm).maps)
-    assert er.comp == (0, 1)
-    assert er.summands == ((0,), (0, 1))
+    assert (er.identity, er.retracts) == (1, ((0,), (0, 1)))
 
 
 def test_end_comp_trivial(Z4):
     er = end_comp(trivial_module(Z4))
-    assert er.comp == (0,)
+    assert er == EndReport(((0,),), 0, ((0,),))
+
+
+def test_hom_labels_are_distinct():
+    # with a target of more than ten elements, entries run together would
+    # collide: (0, 1, 10, 11) and (0, 11, 0, 11) both gave h011011
+    B = bool_semiring()
+    mods = _pool_modules() + [free_module(B, k) for k in range(1, 5)]
+    checked = 0
+    for M in mods:
+        for N in mods:
+            if (M.semiring, M.side) != (N.semiring, N.side):
+                continue
+            if N.size ** len(module_generators(M)) > 256:
+                continue        # more maps would mean an addition table past 65,536 entries
+            H = hom_module(M, N).module
+            assert len(set(H.labels)) == H.size
+            checked += 1
+    assert checked == 101
+    assert len(hom_module(free_module(B, 2), free_module(B, 4)).module.labels) == 256
 
 
 def test_hom_across_sides_raises():
@@ -456,13 +474,10 @@ def test_end_is_a_semiring():
         er = end_comp(M)
         assert er.identity == E.one and H.module.add == E.add
         assert er.tables == tuple(tables)
-        # the complemented elements and the retracts, from the reference tables
-        comp = tuple(i for i in range(k)
-                     if any(E.add[i][j] == E.one and E.mul[i][j] == E.zero
-                            and E.mul[j][i] == E.zero for j in range(k)))
+        # the retracts, from the reference tables
         idem = [i for i in range(k) if E.mul[i][i] == i]
         retracts = tuple(sorted({tuple(sorted(set(tables[i]))) for i in idem}))
-        assert er.comp == comp and er.retracts == retracts
+        assert er.retracts == retracts
         checked += 1
     assert checked >= 12
 
@@ -508,15 +523,10 @@ def _end_report_oracle(M):
     k = len(tables)
     pos = {t: i for i, t in enumerate(tables)}
     mul = [[pos[tuple(t[v] for v in u)] for u in tables] for t in tables]
-    add, _ = _whole_table_hom(M, M, H)
     one = pos[tuple(range(M.size))]
-    comp = tuple(i for i in range(k)
-                 if any(add[i][j] == one and mul[i][j] == 0 and mul[j][i] == 0
-                        for j in range(k)))
-    summands = tuple(sorted({tuple(sorted(set(tables[i]))) for i in comp}))
     retracts = tuple(sorted({tuple(sorted(set(tables[i]))) for i in range(k)
                              if mul[i][i] == i}))
-    return tuple(tables), one, comp, summands, retracts
+    return tuple(tables), one, retracts
 
 
 FREE2_ENDS = [(bool_semiring(), 16), (sat_semiring(3), 256), (zmod_semiring(4), 256)]
@@ -524,14 +534,14 @@ FREE2_ENDS = [(bool_semiring(), 16), (sat_semiring(3), 256), (zmod_semiring(4), 
 
 @pytest.mark.parametrize("S, k", FREE2_ENDS, ids=["BOOL", "SAT3", "ZMOD4"])
 def test_end_comp_of_free2_matches_composition_table(S, k):
-    # end_comp composes only the complement pairs and the squares; the
-    # reference reads everything from the full k x k composition table
+    # end_comp composes only the squares; the reference reads everything
+    # from the full k x k composition table
     M = free_module(S, 2)
     er = end_comp(M)
-    tables, one, comp, summands, retracts = _end_report_oracle(M)
+    tables, one, retracts = _end_report_oracle(M)
     assert len(tables) == k and er.tables == tables
-    assert (er.identity, er.comp, er.summands, er.retracts) == (one, comp, summands, retracts)
-    assert len(er.summands) > 2
+    assert (er.identity, er.retracts) == (one, retracts)
+    assert len(er.retracts) > 2
 
 
 @pytest.mark.parametrize("S, k", FREE2_ENDS, ids=["BOOL", "SAT3", "ZMOD4"])
@@ -549,8 +559,7 @@ def test_end_comp_of_free2_builds_no_hom_module(monkeypatch, S, k):
     er = end_comp.__wrapped__(M)   # past the cache, so the body runs
     monkeypatch.undo()
     assert calls == []
-    assert (er.tables, er.identity, er.comp, er.summands, er.retracts) == \
-        _end_report_oracle(M)
+    assert (er.tables, er.identity, er.retracts) == _end_report_oracle(M)
     assert er == end_comp(M)
 
 
@@ -565,7 +574,7 @@ def test_retract_of_direct_sum(Bm, B):
 def _reference_retract_pairs(N, M):
     # the search as it was over the Hom modules, kept as the oracle
     ident = tuple(range(N.size))
-    for psi in hom_module(N, M).injective_maps:
+    for psi in (m for m in hom_module(N, M).maps if m.injective):
         for theta in hom_module(M, N).maps:
             if tuple(theta.map[v] for v in psi.map) == ident:
                 yield psi, theta
@@ -609,15 +618,6 @@ def test_retract_search_builds_no_hom_module():
     before = hom_module.cache_info()
     assert projectivity_witness(free_module(zmod_semiring(4), 2))["rank"] == 2
     assert hom_module.cache_info() == before
-
-
-def test_summands_are_retracts():
-    for S in suite_semirings():
-        M = free_module(S, 2)
-        er = end_comp(M)
-        for members in er.summands:
-            sub, _ = submodule_of(M, subsemimodule(M, members))
-            assert is_retract_of(sub, M) is not None
 
 
 def test_trivial_uniformly_injective(B, Bm):

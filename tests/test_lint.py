@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import ast
+import functools
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,7 @@ PACKAGE = pathlib.Path(semiflat.__file__).parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
 
+@functools.lru_cache(maxsize=None)
 def _tree(path: pathlib.Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -28,21 +31,30 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def _called_names(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
-    """The names called as ``f(...)`` or ``mod.f(...)``, outside the subtree ``skip``."""
-    out = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name):
-                out.add(node.func.id)
-            elif isinstance(node.func, ast.Attribute):
-                out.add(node.func.attr)
-        stack.extend(ast.iter_child_nodes(node))
-    return out
+def _uses(node: ast.AST) -> tuple[Counter, Counter]:
+    """How often each name is called, as ``f(...)`` or ``obj.f(...)``, and read
+    as an attribute, ``obj.f``, in the subtree of ``node``."""
+    calls, reads = Counter(), Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            if isinstance(sub.func, ast.Name):
+                calls[sub.func.id] += 1
+            elif isinstance(sub.func, ast.Attribute):
+                calls[sub.func.attr] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            reads[sub.attr] += 1
+    return calls, reads
+
+
+@functools.lru_cache(maxsize=None)
+def _package_uses() -> tuple[Counter, Counter]:
+    """``_uses`` summed over the package, one walk per module tree."""
+    calls, reads = Counter(), Counter()
+    for path in MODULES:
+        c, r = _uses(_tree(path))
+        calls += c
+        reads += r
+    return calls, reads
 
 
 def test_modules_use_every_name_they_import():
@@ -63,18 +75,11 @@ def _uncalled_public_functions(module: pathlib.Path) -> list[str]:
     A check that only tests call belongs in the tests, not in the package;
     a function's calls of itself do not count.
     """
-    trees = {path: _tree(path) for path in MODULES}
-    public = [node for node in trees[module].body
+    calls, _ = _package_uses()
+    public = [node for node in _tree(module).body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
     assert public
-    uncalled = []
-    for fn in public:
-        called = set()
-        for path, tree in trees.items():
-            called |= _called_names(tree, skip=fn if path == module else None)
-        if fn.name not in called:
-            uncalled.append(fn.name)
-    return uncalled
+    return [fn.name for fn in public if calls[fn.name] == _uses(fn)[0][fn.name]]
 
 
 def test_every_public_flatness_function_has_a_caller_in_the_package():
@@ -116,3 +121,22 @@ def test_every_congruence_closure_has_maps_to_close_under():
                 empty.append((path.name, node.lineno))
     assert calls
     assert empty == []
+
+
+def test_every_public_member_is_read_in_the_package():
+    # A public method or property that only tests read belongs in the
+    # tests.  A member counts as read when its name is read as an
+    # attribute outside its own body.  Dunders are exempt: they are called
+    # implicitly (``x in s``, ``len(s)``, ``f(x)``), so no attribute names
+    # them and this check cannot tell a used one from an unused one.
+    _, reads = _package_uses()
+    unread = []
+    for path in MODULES:
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if (isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                        and reads[member.name] == _uses(member)[1][member.name]):
+                    unread.append(f"{cls.name}.{member.name}")
+    assert unread == []

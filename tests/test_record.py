@@ -2,8 +2,8 @@
 
 The package's records are plain classes on ``semiflat.record.Record`` so
 that importing the package compiles no generated code.  Each one must keep
-the behaviour the ``@dataclass`` declaration gave it: the constructor
-signature, equality, hashing, repr, and frozen or mutable instances.
+the behaviour the ``@dataclass(frozen=True)`` declaration gave it: the
+constructor signature, equality, hashing, repr and frozen instances.
 """
 from __future__ import annotations
 
@@ -41,50 +41,48 @@ from two_row_oracle import TwoRowReport
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 FACTORY = object()      # a field declared with default_factory=dict
 
-# Every record as it was declared with @dataclass: fields in order, a
-# (name, default) pair for a field with a default, and the frozen flag.
+# Every record as it was declared with @dataclass: fields in order, and a
+# (name, default) pair for a field with a default.
 DECLARATIONS = [
-    (Violation, ["axiom", "witness", ("detail", "")], True),
-    (Semiring, ["labels", "add", "mul", "zero", "one"], True),
-    (SecondAction, ["semiring", "side", "table"], True),
-    (Semimodule, ["semiring", "side", "labels", "add", "zero", "action", ("second", None)],
-     True),
-    (Morphism, ["source", "target", "map"], True),
-    (Subsemimodule, ["parent", "members"], True),
-    (Congruence, ["size", "class_of", "class_count"], True),
+    (Violation, ["axiom", "witness", ("detail", "")]),
+    (Semiring, ["labels", "add", "mul", "zero", "one"]),
+    (SecondAction, ["semiring", "side", "table"]),
+    (Semimodule, ["semiring", "side", "labels", "add", "zero", "action", ("second", None)]),
+    (Morphism, ["source", "target", "map"]),
+    (Subsemimodule, ["parent", "members"]),
+    (Congruence, ["size", "class_of", "class_count"]),
     (MorphismProfile, ["injective", "surjective", "k_uniform", "i_uniform", "semi_epi",
-                       ("k_witness", None), ("i_witness", None)], True),
+                       ("k_witness", None), ("i_witness", None)]),
     (StageFlags, ["chain_step", "proper_exact", "semi_exact", "quasi_exact", "exact",
-                  ("witness", ())], True),
-    (ExactnessReport, ["stages"], True),
-    (HomModule, ["source", "target", "module", "maps"], True),
-    (EndReport, ["tables", "identity", "comp", "summands", "retracts"], True),
-    (InjectivityEntry, ["module_index", "sub_members", "surjective", "uniform"], True),
-    (InjectivityReport, ["entries"], True),
-    (TwoRowReport, ["case_1a", "case_1b", "case_2a", "case_2b"], True),
-    (ProductData, ["module", "factors", "projections", "injections"], True),
-    (DirectedSystem, ["nodes", "order", "maps"], True),
-    (Colimit, ["system", "module", "legs", "class_of"], True),
-    (InverseSystem, ["nodes", "order", "maps"], True),
-    (HomColimitComparison, ["map", "injective", "bijective"], True),
+                  ("witness", ())]),
+    (ExactnessReport, ["stages"]),
+    (HomModule, ["source", "target", "module", "maps"]),
+    (EndReport, ["tables", "identity", "retracts"]),
+    (InjectivityEntry, ["module_index", "sub_members", "surjective", "uniform"]),
+    (InjectivityReport, ["entries"]),
+    (TwoRowReport, ["case_1a", "case_1b", "case_2a", "case_2b"]),
+    (ProductData, ["module", "factors", "projections", "injections"]),
+    (DirectedSystem, ["nodes", "order", "maps"]),
+    (Colimit, ["system", "module", "legs", "class_of"]),
+    (InverseSystem, ["nodes", "order", "maps"]),
+    (HomColimitComparison, ["map", "injective", "bijective"]),
     (TensorPresentation, ["left", "right", "left_gens", "right_gens", "pair_bounds",
-                          "radices", "box_size", "module", "tau", "rep_coords", "dense"],
-     True),
-    (IsoPair, ["forward", "backward"], True),
-    (CancellativeTensor, ["presentation", "module", "reflection", "tau"], True),
+                          "radices", "box_size", "module", "tau", "rep_coords", "dense"]),
+    (IsoPair, ["forward", "backward"]),
+    (CancellativeTensor, ["presentation", "module", "reflection", "tau"]),
     (AdjunctionReport, ["left_hom", "right_hom", "mapping", "bijective", "additive",
-                        "natural_in_source", "natural_in_target"], True),
-    (HomTensorComparison, ["map", "injective", "uniform", "bijective"], True),
-    (FlatnessVerdict, ["holds", ("witness", None), ("detail", "")], True),
-    (FlatCertificate, ["system", "node_witnesses", "iso"], True),
+                        "natural_in_source", "natural_in_target"]),
+    (HomTensorComparison, ["map", "injective", "uniform", "bijective"]),
+    (FlatnessVerdict, ["holds", ("witness", None), ("detail", "")]),
+    (FlatCertificate, ["system", "node_witnesses", "iso"]),
     (SearchConfig, ["semirings", ("max_size", 4), ("budget_seconds", 300.0),
-                    ("out_path", None)], True),
+                    ("out_path", None)]),
     (SearchRecord, ["semiring_index", "module_index", "size", "add", "action", "mono_flat",
-                    "i_uniform_class", "uniformly_flat", "certified_flat", "witness"], False),
-    (SuiteResult, ["tag", "passed", "checks", "detail", "seconds"], False),
-    (Diagram, ["kind", "arrows"], False),
+                    "i_uniform_class", "uniformly_flat", "certified_flat", "witness"]),
+    (SuiteResult, ["tag", "passed", "checks", "detail", "seconds"]),
+    (Diagram, ["kind", "arrows"]),
     (Workspace, [("semirings", FACTORY), ("semimodules", FACTORY), ("morphisms", FACTORY),
-                 ("systems", FACTORY), ("diagrams", FACTORY)], False),
+                 ("systems", FACTORY), ("diagrams", FACTORY)]),
 ]
 
 # the classes that define their own repr, and the hash keys that leave fields out
@@ -105,7 +103,7 @@ def _fields(declared):
     return [f if isinstance(f, tuple) else (f, dataclasses.MISSING) for f in declared]
 
 
-def _twin(cls, declared, frozen):
+def _twin(cls, declared):
     fields = []
     for name, default in _fields(declared):
         if default is FACTORY:
@@ -122,7 +120,7 @@ def _twin(cls, declared, frozen):
             object.__setattr__(self, "injective", image == self.source.size)
             object.__setattr__(self, "surjective", image == self.target.size)
         namespace["__post_init__"] = __post_init__
-    return dataclasses.make_dataclass(cls.__name__, fields, frozen=frozen,
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True,
                                       namespace=namespace)
 
 
@@ -146,10 +144,10 @@ def _samples(cls, declared):
     return out
 
 
-@pytest.mark.parametrize("cls, declared, frozen", DECLARATIONS,
-                         ids=[c.__name__ for c, _, _ in DECLARATIONS])
-def test_record_matches_dataclass_twin(cls, declared, frozen):
-    twin = _twin(cls, declared, frozen)
+@pytest.mark.parametrize("cls, declared", DECLARATIONS,
+                         ids=[c.__name__ for c, _ in DECLARATIONS])
+def test_record_matches_dataclass_twin(cls, declared):
+    twin = _twin(cls, declared)
 
     def params(c):
         return [(p.name, p.kind, None if repr(p.default) == "<factory>" else p.default)
@@ -163,35 +161,27 @@ def test_record_matches_dataclass_twin(cls, declared, frozen):
         for b, tb in zip(ours, twins):
             assert (a == b) == (ta == tb)
             assert (a != b) == (ta != tb)
-            if frozen and a == b:
+            if a == b:
                 assert hash(a) == hash(b)
-        if frozen:
-            assert hash(a) == hash(HASH_KEYS[cls](a) if cls in HASH_KEYS else ta)
+        assert hash(a) == hash(HASH_KEYS[cls](a) if cls in HASH_KEYS else ta)
         if cls not in CUSTOM_REPR:
             assert repr(a) == repr(ta)
         assert a != ta and a != object()
 
     a = ours[0]
     name = _fields(declared)[0][0]
-    if frozen:
-        with pytest.raises(AttributeError):
-            setattr(a, name, None)
-        with pytest.raises(AttributeError):
-            setattr(a, "extra", None)
-        with pytest.raises(AttributeError):
-            delattr(a, name)
-    else:
-        assert cls.__hash__ is None
-        with pytest.raises(TypeError):
-            hash(a)
-        setattr(a, name, "changed")
-        assert getattr(a, name) == "changed" and a != ours[1]
+    with pytest.raises(AttributeError):
+        setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        setattr(a, "extra", None)
+    with pytest.raises(AttributeError):
+        delattr(a, name)
 
 
-@pytest.mark.parametrize("cls, declared, frozen", DECLARATIONS,
-                         ids=[c.__name__ for c, _, _ in DECLARATIONS])
-def test_bad_arguments_raise_like_the_twin(cls, declared, frozen):
-    twin = _twin(cls, declared, frozen)
+@pytest.mark.parametrize("cls, declared", DECLARATIONS,
+                         ids=[c.__name__ for c, _ in DECLARATIONS])
+def test_bad_arguments_raise_like_the_twin(cls, declared):
+    twin = _twin(cls, declared)
     kwargs = _samples(cls, declared)[0]
     first = next(iter(kwargs))
     required = [name for name, default in _fields(declared) if default is dataclasses.MISSING]
@@ -222,7 +212,7 @@ def test_subclass_without_annotations_inherits_fields():
         def double(self):
             return 2 * self.a
 
-    class More(Base, frozen=False):
+    class More(Base):
         c: float = 0.5
 
     assert Sub._fields == ("a", "b") and More._fields == ("a", "b", "c")
@@ -240,7 +230,7 @@ def test_subclass_without_annotations_inherits_fields():
 
 def test_morphism_equality_ignores_derived_flags():
     f, g = Morphism(_M, _N, (0, 1, 0, 1)), Morphism(_M, _N, (0, 1, 0, 1))
-    twin = _twin(Morphism, ["source", "target", "map"], True)
+    twin = _twin(Morphism, ["source", "target", "map"])
     tf = twin(_M, _N, (0, 1, 0, 1))
     assert (f.injective, f.surjective) == (tf.injective, tf.surjective) == (False, True)
     g.__dict__["injective"] = True

@@ -48,7 +48,7 @@ def _pairwise_chase(rows) -> dict[str, int]:
     for f2, g2, st2 in quasi_rows:
         for f1, g1 in chain_rows_surj:
             for a1 in hom_module(f1.source, f2.source).surjective_maps:
-                for a2 in hom_module(g1.source, g2.source).injective_maps:
+                for a2 in (m for m in hom_module(g1.source, g2.source).maps if m.injective):
                     if any(f2.map[a1.map[x]] != a2.map[f1.map[x]]
                            for x in range(f1.source.size)):
                         continue
