@@ -10,9 +10,9 @@ commutative monoid a partition closed under translation by each
 generator is closed under translation by every element, since every
 element is a sum of generators; the congruence closures therefore pass
 the generator translates (plus the scalar action columns for
-S-congruences) instead of whole addition tables.  The cancellative
-congruence and directed colimits are fibres of a single map, so they
-need no closure.
+S-congruences other than Bourne ones) instead of whole addition
+tables.  The cancellative congruence and directed colimits are fibres
+of a single map, so they need no closure.
 """
 from __future__ import annotations
 
@@ -171,15 +171,22 @@ def quotient_by_congruence(M: Semimodule, cong: Congruence) -> tuple[Semimodule,
     return Q, Morphism(M, Q, cls)
 
 
-def sub_congruence(M: Semimodule, L: Subsemimodule) -> Congruence:
-    """x ~ y when x + l1 = y + l2 for members l1, l2 of L.
+@lru_cache(maxsize=None)
+def _bourne(M: Semimodule, members: tuple[int, ...]) -> Congruence:
+    """x ~ y when x + l1 = y + l2 for members l1, l2 of a submonoid.
 
-    This Bourne relation is the least congruence gluing L to zero: any
-    congruence containing each (l, 0) relates x ~ x + l1 = y + l2 ~ y.
+    The least congruence gluing the members to zero, since any such one
+    relates x ~ x + l1 = y + l2 ~ y; for a subsemimodule an S-congruence.
     """
+    maps = [M.add[g] for g in additive_generators(M)]
+    return congruence_closure(M.size, maps, [(l, M.zero) for l in members])
+
+
+def sub_congruence(M: Semimodule, L: Subsemimodule) -> Congruence:
+    """The Bourne congruence of a subsemimodule L of M."""
     if L.parent != M or not is_closed_subset(M, L.members):
         raise NotASubsemimodule("quotient requires a subsemimodule of the parent")
-    return module_congruence_closure(M, [(l, M.zero) for l in L.members])
+    return _bourne(M, tuple(L.members))
 
 
 def cancellative_sub_congruence(M: Semimodule, L: Subsemimodule) -> Congruence:

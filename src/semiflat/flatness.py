@@ -28,8 +28,9 @@ from .homology import (classify_sequence, is_retract_of, kernel, morphism_profil
 from .limits import (DirectedSystem, constant_system, directed_colimit, pullback,
                      pullback_mediator)
 from .record import Record
-from .structures import (LEFT, Morphism, Semimodule, as_left, as_right, build_morphism,
-                         check_endpoints, compose, descend, identity_morphism, map_from_free)
+from .structures import (LEFT, Morphism, Semimodule, Semiring, as_left, as_right,
+                         build_morphism, check_endpoints, compose, descend, identity_morphism,
+                         map_from_free)
 from .subsets import (Subsemimodule, enumerate_subsemimodules, module_generators,
                       submodule_of, uniform_subsemimodules)
 from .tensor import tensor_morphisms, tensor_product
@@ -326,14 +327,19 @@ def search_counterexamples(config: SearchConfig) -> dict:
     verdicts are labeled inconclusive, never conclusions.  A module whose
     verdicts contradict a theorem (a ``NotExact`` from the flatness scan)
     gets no record; it is listed in ``lattice_violations`` with the message
-    and the search goes on.  A size that is not an integer or is below 1,
-    a budget that is not an int or float or is negative or NaN, or an
-    output file that cannot be opened raises ``InvalidArgument`` before
-    anything is enumerated; a failed write to that file raises it too, with
-    the same message.  Each record is written to ``out_path`` as soon as
-    its module is classified, so a run cut short by its budget leaves the
-    partial report's records.
+    and the search goes on.  Semirings other than a list or tuple of
+    ``Semiring``, a size that is not an integer or is below 1, a budget
+    that is not an int or float or is negative or NaN, or an output file
+    that cannot be opened raises ``InvalidArgument`` before anything is
+    enumerated; a failed write to that file raises it too, with the same
+    message.  Each record is written to ``out_path`` as soon as its module
+    is classified, so a run cut short by its budget leaves the partial
+    report's records.
     """
+    if not (isinstance(config.semirings, (list, tuple))
+            and all(isinstance(S, Semiring) for S in config.semirings)):
+        raise InvalidArgument(f"semirings must be a list or tuple of Semiring, "
+                              f"got {config.semirings!r}")
     if not isinstance(config.max_size, int) or isinstance(config.max_size, bool):
         raise InvalidArgument(f"max_size must be an integer, got {config.max_size!r}")
     if config.max_size < 1:

@@ -23,7 +23,7 @@ from .structures import (Morphism, Semimodule, Violation,
 from .subsets import (Subsemimodule, module_expressions, module_generators,
                       _subtractive_closure, submodule_of, subsemimodule,
                       uniform_subsemimodules)
-from .congruence import quotient_by_sub
+from .congruence import _bourne, quotient_by_sub
 
 
 def kernel(f: Morphism) -> Subsemimodule:
@@ -83,31 +83,15 @@ def _profile(f: Morphism) -> MorphismProfile:
 
 
 def _k_witness(f: Morphism) -> tuple[int, int] | None:
-    """The first pair of one fibre of f whose kernel cosets do not meet."""
-    add, zero = f.source.add, f.target.zero
-    ker = [x for x, v in enumerate(f.map) if v == zero]
-    fibres: dict[int, list[int]] = {}
-    for x, v in enumerate(f.map):
-        group = fibres.get(v)
-        if group is None:
-            fibres[v] = [x]
-        else:
-            group.append(x)
-    for group in fibres.values():
-        if len(group) < 2:
-            continue
-        # x + K meets y + K is an equivalence (the Bourne relation of the
-        # submonoid K = ker f), so the fibre is one class exactly when its
-        # first element meets every other; the first failure is also the
-        # first failing pair in (i, j) order.  K holds 0, as f is linear, so
-        # a y inside the first coset meets it, and most fibres are inside
-        first = frozenset(map(add[group[0]].__getitem__, ker))
-        if first.issuperset(group):
-            continue
-        for y in group[1:]:
-            if y not in first and first.isdisjoint(map(add[y].__getitem__, ker)):
-                return group[0], y
-    return None
+    """The least pair (x, y) of a fibre of f, x its first member, in two Bourne classes.
+
+    f is k-uniform exactly when its fibres are the Bourne classes of ker f.
+    """
+    zero = f.target.zero
+    cls = _bourne(f.source, tuple(x for x, v in enumerate(f.map) if v == zero)).class_of
+    first: dict[int, int] = {}
+    pairs = ((first.setdefault(v, y), y) for y, v in enumerate(f.map))
+    return min(((x, y) for x, y in pairs if cls[x] != cls[y]), default=None)
 
 
 class StageFlags(Record):

@@ -715,11 +715,10 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
             entry[1].append(x)
         return list(groups.values())
 
-    def partner_counts(lefts, rights, matches):
-        # the partners of a row depend on its group's map alone, so the
-        # counts are summed per (y, a) over the right groups once per left
-        # group.  Rows that lie in the same left groups share one total, to
-        # which each of those groups adds its sums once
+    def partner_counts(lefts, sums):
+        # a row's partners depend on its group's map p alone, and sums(p)
+        # counts them per (y, a) over the right groups.  Rows in the same
+        # left groups share one total, to which each group adds its sums once
         sharing = {}
         for x, groups in grouped((x, i) for i, (p, xs) in enumerate(lefts) for x in xs):
             sharing.setdefault(tuple(groups), ([], {}))[0].append(x)
@@ -728,27 +727,22 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
             for i in groups:
                 totals_of[i].append(total)
         for (p, xs), totals in zip(lefts, totals_of):
-            counts = {}
-            for q, ys in rights:
-                for a, n in matches(p, q):
-                    for y in ys:
-                        key = (id(y), id(a))
-                        entry = counts.get(key)
-                        if entry is None:
-                            counts[key] = [y, a, n]
-                        else:
-                            entry[2] += n
+            counts = sums(p)
             for total in totals:
                 for key, (y, a, n) in counts.items():
-                    entry = total.get(key)
-                    if entry is None:
-                        total[key] = [y, a, n]
-                    else:
-                        entry[2] += n
+                    total.setdefault(key, [y, a, 0])[2] += n
         for xs, total in sharing.values():
             for x in xs:
                 for y, a, n in total.values():
                     yield x, y, a, n
+
+    def summed(rights, matches, p):
+        counts = {}
+        for q, ys in rights:
+            for a, n in matches(p, q):
+                for y in ys:
+                    counts.setdefault((id(y), id(a)), [y, a, 0])[2] += n
+        return counts
 
     def probe(index, probes):
         return [(a, n) for a, table in probes if (n := index.get(table))]
@@ -765,30 +759,27 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
         return H3.maps[H3.index_of(out)]
 
     # cases 1a and 1b: a surjective a1 pairs with a2 when f2.a1 = a2.f1
-    def a2_matches(injective_only):
-        def matches(f1, f2):
-            index = _cached(memo, ("f2.a1", id(f1.source), id(f2)), lambda: Counter(
-                tuple(f2.map[v] for v in a1.map)
-                for a1 in hom_module(f1.source, f2.source).surjective_maps))
-            probes = _cached(memo, ("a2.f1", id(f1), id(f2.target), injective_only), lambda: [
-                (a2, tuple(a2.map[v] for v in f1.map))
-                for a2 in hom_module(f1.target, f2.target).maps
-                if a2.injective or not injective_only])
-            return probe(index, probes)
-        return matches
+    def a2_matches(f1, f2):
+        index = _cached(memo, ("f2.a1", id(f1.source), id(f2)), lambda: Counter(
+            tuple(f2.map[v] for v in a1.map)
+            for a1 in hom_module(f1.source, f2.source).surjective_maps))
+        probes = _cached(memo, ("a2.f1", id(f1), id(f2.target)), lambda: [
+            (a2, tuple(a2.map[v] for v in f1.map))
+            for a2 in hom_module(f1.target, f2.target).maps])
+        return probe(index, probes)
 
     quasi_by_f2 = grouped((f, g) for f, g, st in rows if st.quasi_exact)
-    # case 1a: bottom quasi-exact, top a chain with surjective g1
-    chain_surj_by_f1 = grouped((f, g) for f, g, st in rows if st.chain_step and g.surjective)
-    for g1, g2, a2, n in partner_counts(chain_surj_by_f1, quasi_by_f2, a2_matches(True)):
-        a3 = derive_third(g1, g2, a2)
-        if a3 is None:
-            continue
-        assert a3.injective, "case 1a: third vertical must be injective"
-        checks["1a"] += n
+
+    # the rows of case 1a are rows of 1b, and its middle verticals the
+    # injective ones among 1b's, so 1b keeps those entries of its sums for 1a
+    def f1_sums(f1):
+        counts = summed(quasi_by_f2, a2_matches, f1)
+        memo[("1a", id(f1))] = {key: e for key, e in counts.items() if e[1].injective}
+        return counts
+
     # case 1b: bottom quasi-exact, top surjective g1, derived a3 surjective
     surj_by_f1 = grouped((f, g) for f, g, st in rows if g.surjective)
-    for g1, g2, a2, n in partner_counts(surj_by_f1, quasi_by_f2, a2_matches(False)):
+    for g1, g2, a2, n in partner_counts(surj_by_f1, f1_sums):
         a3 = derive_third(g1, g2, a2)
         if a3 is None or not a3.surjective:
             continue
@@ -797,6 +788,14 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
         if p2.i_uniform:
             assert a2.surjective, "case 1b: i-uniform middle must be onto"
         checks["1b"] += n
+    # case 1a: bottom quasi-exact, top a chain with surjective g1
+    chain_surj_by_f1 = grouped((f, g) for f, g, st in rows if st.chain_step and g.surjective)
+    for g1, g2, a2, n in partner_counts(chain_surj_by_f1, lambda f1: memo[("1a", id(f1))]):
+        a3 = derive_third(g1, g2, a2)
+        if a3 is None:
+            continue
+        assert a3.injective, "case 1a: third vertical must be injective"
+        checks["1a"] += n
 
     # case 2b: top semi-exact, injective f2 with g2.f2 = 0; a surjective a2
     # pairs with a kernel-free a3 when a3.g1 = g2.a2
@@ -816,7 +815,8 @@ def _two_row_diagram_items(rows) -> dict[str, int]:
 
     semi_by_g1 = grouped((g, f) for f, g, st in rows if st.semi_exact)
     chain_inj_by_g2 = grouped((g, f) for f, g, st in rows if f.injective and st.chain_step)
-    for f1, f2, a2, n in partner_counts(semi_by_g1, chain_inj_by_g2, a3_matches):
+    for f1, f2, a2, n in partner_counts(
+            semi_by_g1, lambda g1: summed(chain_inj_by_g2, a3_matches, g1)):
         f2_pos = _cached(memo, ("f2-pos", id(f2)), lambda: {v: i for i, v in enumerate(f2.map)})
         vals = [f2_pos.get(a2.map[v]) for v in f1.map]
         if None in vals:

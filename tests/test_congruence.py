@@ -10,8 +10,9 @@ from semiflat.catalog import (bool_semiring, cyclic_monoid, enumerate_semimodule
                               free_module, product_monoid, product_semiring, sat_semiring,
                               semiring_module, suite_pool, suite_semirings,
                               trivial_module, zmod_module, zmod_semiring)
-from semiflat.congruence import (Congruence, cancellative_reflection,
-                                 cancellative_sub_congruence, congruence_closure, fibres,
+from semiflat.congruence import (Congruence, _bourne, cancellative_reflection,
+                                 cancellative_sub_congruence, congruence_closure,
+                                 congruence_violations, fibres,
                                  module_congruence_closure,
                                  monoid_congruence_closure,
                                  quotient_by_congruence, quotient_by_sub,
@@ -285,3 +286,17 @@ def test_cancellative_congruence_matches_the_padded_relation(closure_corpus):
     assert len(pairs) == 2992
     for M, L in pairs:
         assert cancellative_sub_congruence(M, L) == _padded_partition(M, L), L
+
+
+def test_bourne_congruence_is_the_literal_relation(closure_corpus):
+    # x ~ y when x + l1 = y + l2 for l1, l2 in L, read pair by pair; closed
+    # under the additive translates alone, it is closed under every action
+    pairs = [(M, L) for M in closure_corpus for L in enumerate_subsemimodules(M)]
+    assert len(pairs) == 2992
+    for M, L in pairs:
+        reach = [{M.add[x][l] for l in L.members} for x in range(M.size)]
+        related = [(x, y) for x in range(M.size) for y in range(x + 1, M.size)
+                   if reach[x] & reach[y]]
+        got = _bourne(M, L.members)
+        assert got == congruence_closure(M.size, (), related), (M, L)
+        assert congruence_violations(M, got) is None, (M, L)

@@ -358,6 +358,15 @@ def test_search_rejects_a_budget_that_is_not_a_number(budget):
                                             budget_seconds=budget))
 
 
+@pytest.mark.parametrize("semirings", ["BOOL", (1,), ("BOOL",), None, frozenset()])
+def test_search_rejects_semirings_that_are_not_a_sequence_of_semirings(semirings, tmp_path):
+    out = tmp_path / "records.jsonl"
+    with pytest.raises(InvalidArgument):
+        search_counterexamples(SearchConfig(semirings, max_size=1, out_path=str(out)))
+    # refused before anything is enumerated or written
+    assert not out.exists()
+
+
 def test_empty_search():
     cfg = SearchConfig((), max_size=4)
     rep = search_counterexamples(cfg)

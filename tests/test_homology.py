@@ -6,9 +6,10 @@ import weakref
 
 import pytest
 
-from semiflat import config, homology, structures, suite
-from semiflat.catalog import (bool_semiring, chain_module, enumerate_semimodules,
-                              free_module, product_semiring, semiring_bimodule,
+from semiflat import config, flatness, homology, structures, suite
+from semiflat.catalog import (bool_semiring, chain_module, class_representative,
+                              enumerate_semimodules, free_module, product_semiring,
+                              semiring_bimodule,
                               sat_semiring, semiring_module, suite_pool,
                               suite_semirings, trivial_module, zmod_module,
                               zmod_semiring)
@@ -29,7 +30,9 @@ from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
                                  morphism_violations, semimodule_violations,
                                  swap_actions, with_bimodule_structure,
                                  zero_morphism)
-from semiflat.subsets import module_generators, submodule_of, subsemimodule
+from semiflat.subsets import (enumerate_subsemimodules, module_generators, submodule_of,
+                              subsemimodule)
+from semiflat.tensor import tensor_morphisms
 from semiflat.suite import _small_homs
 from two_row_oracle import verify_two_row_diagram
 
@@ -131,6 +134,22 @@ def test_k_uniformity_matches_its_definition():
             tgt = direct_sum((f1.target, f2.target))
             failures += not _assert_k_profile(sum_morphism((f1, f2), src, tgt))
     assert failures > 0
+    # the tensored inclusions and projections of the flatness scan over the
+    # BOOL and ZMOD4 universes: maps between tensor modules, where most of
+    # the kernels' Bourne partitions are built
+    tensored = []
+    for S in (bool_semiring(), zmod_semiring(4)):
+        universe = enumerate_semimodules(S, 4)
+        for F in universe:
+            X, _ = class_representative(F)
+            for M in map(as_right, universe):
+                for L in enumerate_subsemimodules(M):
+                    t_pi = tensor_morphisms(identity_morphism(X),
+                                            flatness._represented_projection(M, L))
+                    tensored += [flatness._tensored_inclusion(X, M, L), t_pi]
+    assert len(tensored) == 308
+    assert all(_assert_k_profile(f) for f in tensored)
+    assert sum(not f.injective for f in tensored) == 89
 
 
 def _subtractive_closure_oracle(M, members):

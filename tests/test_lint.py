@@ -33,7 +33,9 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
 
 def _uses(node: ast.AST) -> tuple[Counter, Counter]:
     """How often each name is called, as ``f(...)`` or ``obj.f(...)``, and read
-    as an attribute, ``obj.f``, in the subtree of ``node``."""
+    as an attribute, ``obj.f``, in the subtree of ``node``.  A function named
+    in a dispatch table, the ``ALL_SUITES`` tuple or a ``set_defaults(fn=...)``
+    keyword, counts as called there."""
     calls, reads = Counter(), Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call):
@@ -41,8 +43,14 @@ def _uses(node: ast.AST) -> tuple[Counter, Counter]:
                 calls[sub.func.id] += 1
             elif isinstance(sub.func, ast.Attribute):
                 calls[sub.func.attr] += 1
+                if sub.func.attr == "set_defaults":
+                    calls.update(k.value.id for k in sub.keywords
+                                 if isinstance(k.value, ast.Name))
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             reads[sub.attr] += 1
+        elif isinstance(sub, ast.Assign) and any(getattr(t, "id", None) == "ALL_SUITES"
+                                                 for t in sub.targets):
+            calls.update(n.id for n in ast.walk(sub.value) if isinstance(n, ast.Name))
     return calls, reads
 
 
@@ -69,38 +77,44 @@ def test_modules_use_every_name_they_import():
     assert unused == []
 
 
-def _uncalled_public_functions(module: pathlib.Path) -> list[str]:
-    """The public functions of ``module`` that nothing in the package calls.
+def _uncalled_functions(module: pathlib.Path, private: bool) -> list[str]:
+    """The public or private functions of ``module`` that nothing in the package calls.
 
     A check that only tests call belongs in the tests, not in the package;
     a function's calls of itself do not count.
     """
     calls, _ = _package_uses()
-    public = [node for node in _tree(module).body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
-    assert public
-    return [fn.name for fn in public if calls[fn.name] == _uses(fn)[0][fn.name]]
+    functions = [node for node in _tree(module).body
+                 if isinstance(node, ast.FunctionDef) and node.name.startswith("_") == private]
+    assert functions
+    return [fn.name for fn in functions if calls[fn.name] == _uses(fn)[0][fn.name]]
 
 
 def test_every_public_flatness_function_has_a_caller_in_the_package():
-    assert _uncalled_public_functions(PACKAGE / "flatness.py") == []
+    assert _uncalled_functions(PACKAGE / "flatness.py", private=False) == []
 
 
 def test_every_public_homology_function_has_a_caller_in_the_package():
-    assert _uncalled_public_functions(PACKAGE / "homology.py") == []
+    assert _uncalled_functions(PACKAGE / "homology.py", private=False) == []
 
 
-# cli and suite are left out because their public functions are reached
-# through dispatch tables.  catalog's ``product_semiring`` is the one named
-# exception: it stays as the constructor of the BB semiring that four test
-# modules build.  The check goes by name, so it cannot see a function that
-# shares its name with a call elsewhere: ``itertools.product(...)`` hid an
-# uncalled ``limits.product``.
-@pytest.mark.parametrize("name", ["catalog", "congruence", "limits", "structures",
-                                  "subsets", "tensor", "workspace"])
+# catalog's ``product_semiring`` is the one named exception: it stays as
+# the constructor of the BB semiring that four test modules build.  The
+# check goes by name, so it cannot see a function that shares its name with
+# a call elsewhere: ``itertools.product(...)`` hid an uncalled
+# ``limits.product``.
+@pytest.mark.parametrize("name", ["catalog", "cli", "congruence", "limits", "structures",
+                                  "subsets", "suite", "tensor", "workspace"])
 def test_every_public_function_has_a_caller_in_the_package(name):
     kept = ["product_semiring"] if name == "catalog" else []
-    assert _uncalled_public_functions(PACKAGE / f"{name}.py") == kept
+    assert _uncalled_functions(PACKAGE / f"{name}.py", private=False) == kept
+
+
+@pytest.mark.parametrize("name", ["catalog", "cli", "congruence", "flatness", "homology",
+                                  "limits", "structures", "subsets", "suite", "tensor",
+                                  "workspace"])
+def test_every_private_function_has_a_caller_in_the_package(name):
+    assert _uncalled_functions(PACKAGE / f"{name}.py", private=True) == []
 
 
 def test_every_congruence_closure_has_maps_to_close_under():

@@ -131,6 +131,32 @@ def test_exactness_counts_per_helper(index):
     assert got == EXACTNESS_COUNTS[index]
 
 
+# (probe, derive_third) calls of the chase per pool; case 1a probed its own
+# injective a2 once per (f1, target of f2) before it read case 1b's sums,
+# which made 11,907, 2,187 and 7,203 probes
+CHASE_CALLS = [(7938, 3130), (1458, 436), (4802, 4340)]
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["BOOL", "SAT3", "ZMOD4"])
+def test_two_row_chase_matches_each_group_pair_once(index):
+    rows = _stage_rows(_pool_modules(suite_semirings()[index]))
+    calls = {"probe": 0, "derive_third": 0}
+
+    def count(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == suite.__file__ and code.co_name in calls:
+            calls[code.co_name] += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        got = _two_row_diagram_items(rows)
+    finally:
+        sys.setprofile(outer)
+    assert got == EXACTNESS_COUNTS[index][6]
+    assert (calls["probe"], calls["derive_third"]) == CHASE_CALLS[index]
+
+
 def _pairwise_retract_squares(pool) -> int:
     """The retract squares found by trying every gamma~ in Hom(N, N2).
 
