@@ -10,11 +10,11 @@ from .structures import (Semiring, Semimodule, Morphism, SecondAction, Violation
                          identity_morphism, zero_morphism, compose,
                          element_order, element_orders, is_cancellative,
                          monoid_module, monoid_morphism, as_left, as_right,
-                         mirror, with_bimodule_structure, swap_actions)
+                         mirror, with_bimodule_structure, swap_actions,
+                         additive_generators)
 from .subsets import (Subsemimodule, subsemimodule, generated_subsemimodule,
                       enumerate_subsemimodules, subtractive_closure,
-                      uniform_subsemimodules, module_generators,
-                      additive_generators, submodule_of)
+                      uniform_subsemimodules, module_generators, submodule_of)
 from .congruence import (Congruence, congruence_closure,
                          module_congruence_closure, monoid_congruence_closure,
                          quotient_by_congruence, quotient_by_sub,

@@ -22,9 +22,9 @@ from functools import lru_cache
 from .errors import MalformedTable, NotACongruence, NotASubsemimodule
 from .record import Record
 from .structures import (Morphism, SecondAction, Semimodule, Table, _index, _square_table,
-                         freeze_table, is_cancellative, monoid_generators)
-from .subsets import (Subsemimodule, additive_generators, is_closed_subset, subsemimodule,
-                      subtractive_closure)
+                         additive_generators, freeze_table, is_cancellative,
+                         monoid_generators)
+from .subsets import Subsemimodule, is_closed_subset, subsemimodule, subtractive_closure
 
 
 class Congruence(Record):

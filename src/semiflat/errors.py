@@ -5,6 +5,12 @@ from __future__ import annotations
 class SemiflatError(Exception):
     """Base class for all workbench errors."""
 
+    def __reduce__(self):
+        # A subclass's __init__ takes its own fields and passes Exception only
+        # the formatted message, so a copy or an unpickled error restores
+        # ``args`` and the attributes without calling __init__ again.
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 class MalformedTable(SemiflatError):
     """An operation table has the wrong shape or an out-of-range entry."""

@@ -46,7 +46,6 @@ def as_left_morphism(f: Morphism) -> Morphism:
 class FlatnessVerdict(Record):
     holds: bool
     witness: tuple | None = None
-    detail: str = ""
 
 
 def _tensored_inclusion(F: Semimodule, M: Semimodule, U: Subsemimodule) -> Morphism:
@@ -145,8 +144,8 @@ def is_uniformly_flat(F: Semimodule, universe) -> FlatnessVerdict:
     for i, M in enumerate(universe):
         v = is_uniformly_M_flat(F, M)
         if not v.holds:
-            return FlatnessVerdict(False, (i,) + v.witness, "relative to universe")
-    return FlatnessVerdict(True, None, "relative to universe")
+            return FlatnessVerdict(False, (i,) + v.witness)
+    return FlatnessVerdict(True)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,6 @@ class MorphismProfile(Record):
     k_uniform: bool
     i_uniform: bool
     semi_epi: bool
-    k_witness: tuple[int, int] | None = None
-    i_witness: int | None = None
 
     @property
     def uniform(self) -> bool:
@@ -54,7 +52,7 @@ class MorphismProfile(Record):
 
 
 def morphism_profile(f: Morphism) -> MorphismProfile:
-    """The injectivity, surjectivity and uniformity grades of f, with witnesses.
+    """The injectivity, surjectivity and uniformity grades of f.
 
     The profile is kept on f itself, in ``f.__dict__["_profile"]`` next to
     the cached ``_hash``: it lives as long as f does, and an equal map built
@@ -68,30 +66,17 @@ def morphism_profile(f: Morphism) -> MorphismProfile:
 
 
 def _profile(f: Morphism) -> MorphismProfile:
-    # an injective map has one-element fibres
-    k_witness = None if f.injective else _k_witness(f)
-    image = frozenset(f.map)
-    # an image of a linear map is closed, so it is not checked again
-    closed = _subtractive_closure(f.target, image)
-    i_uniform = len(closed) == len(image)
-    i_witness = None
-    if not i_uniform:
-        i_witness = next(x for x in closed if x not in image)
-    semi_epi = len(closed) == f.target.size
-    return MorphismProfile(f.injective, f.surjective, k_witness is None, i_uniform,
-                           semi_epi, k_witness, i_witness)
-
-
-def _k_witness(f: Morphism) -> tuple[int, int] | None:
-    """The least pair (x, y) of a fibre of f, x its first member, in two Bourne classes.
-
-    f is k-uniform exactly when its fibres are the Bourne classes of ker f.
-    """
+    # f is k-uniform exactly when its fibres are the Bourne classes of
+    # ker f.  Those classes refine the fibres, so that holds exactly when
+    # there are as many; an injective map has one-element fibres
     zero = f.target.zero
-    cls = _bourne(f.source, tuple(x for x, v in enumerate(f.map) if v == zero)).class_of
-    first: dict[int, int] = {}
-    pairs = ((first.setdefault(v, y), y) for y, v in enumerate(f.map))
-    return min(((x, y) for x, y in pairs if cls[x] != cls[y]), default=None)
+    image = frozenset(f.map)
+    k_uniform = f.injective or len(image) == _bourne(
+        f.source, tuple(x for x, v in enumerate(f.map) if v == zero)).class_count
+    # an image of a linear map is closed, so it is not checked again
+    closed = len(_subtractive_closure(f.target, image))
+    return MorphismProfile(f.injective, f.surjective, k_uniform, closed == len(image),
+                           closed == f.target.size)
 
 
 class StageFlags(Record):
@@ -100,7 +85,6 @@ class StageFlags(Record):
     semi_exact: bool
     quasi_exact: bool
     exact: bool
-    witness: tuple = ()
 
 
 class ExactnessReport(Record):
@@ -114,20 +98,15 @@ class ExactnessReport(Record):
 def classify_stage(f: Morphism, g: Morphism) -> StageFlags:
     if f.target is not g.source and f.target != g.source:
         raise NotComposable("stage maps do not compose")
-    mid, zero = f.target, g.target.zero
+    zero = g.target.zero
     image = frozenset(f.map)
-    img = sorted(image)
-    ker = [x for x, v in enumerate(g.map) if v == zero]
+    ker = tuple(x for x, v in enumerate(g.map) if v == zero)
+    # the image lies in ker, and has its size, exactly when they are equal
     chain = image.issubset(ker)
-    proper = img == ker
-    closed = list(_subtractive_closure(mid, image))
-    semi = closed == ker
+    proper = chain and len(image) == len(ker)
+    semi = _subtractive_closure(f.target, image) == ker
     g_k = morphism_profile(g).k_uniform
-    witness = ()
-    if not semi:
-        diff = set(closed).symmetric_difference(ker)
-        witness = (sorted(diff)[0],)
-    return StageFlags(chain, proper, semi, semi and g_k, proper and g_k, witness)
+    return StageFlags(chain, proper, semi, semi and g_k, proper and g_k)
 
 
 def classify_sequence(morphisms) -> ExactnessReport:
@@ -179,8 +158,7 @@ class HomModule(Record):
         table = tuple(mapping)
         i = self._lookup.get(table)
         if i is None:
-            raise AxiomViolation("morphism", [Violation("hom-member", table,
-                                                        "not a linear map")])
+            raise AxiomViolation("morphism", [Violation("hom-member", table)])
         return i
 
     @cached_property
@@ -309,31 +287,16 @@ def hom_precompose(f: Morphism, G: Semimodule) -> Morphism:
 # Endomorphisms and retracts.
 # ---------------------------------------------------------------------------
 
-class EndReport(Record):
-    """End(M) read from the tables of ``hom_maps(M, M)``.
-
-    ``identity`` indexes ``tables``, where the zero map is 0.
-    """
-
-    tables: tuple[tuple[int, ...], ...]
-    identity: int
-    retracts: tuple[tuple[int, ...], ...]
-
-
 @lru_cache(maxsize=None)
-def end_comp(M: Semimodule) -> EndReport:
-    """End(M) with the retracts of M, the images of its idempotents.
+def end_comp(M: Semimodule) -> tuple[tuple[int, ...], ...]:
+    """The retracts of M, the images of the idempotents of End(M), in sorted order.
 
     The semiring End(M) is not built, nor its addition or composition
-    table: its elements passed the morphism check, its addition is
-    pointwise in the validated M, and composition of maps is
-    associative.  The retracts read only the squares.
+    table: its elements are the tables of ``hom_maps(M, M)``, and the
+    retracts read only their squares.
     """
-    tables = hom_maps(M, M)
-    ident = tables.index(tuple(range(M.size)))
-    retracts = sorted({tuple(sorted(set(t))) for t in tables
-                       if tuple(t[v] for v in t) == t})
-    return EndReport(tables, ident, tuple(retracts))
+    return tuple(sorted({tuple(sorted(set(t))) for t in hom_maps(M, M)
+                         if tuple(t[v] for v in t) == t}))
 
 
 def retract_pairs(N: Semimodule, M: Semimodule):

@@ -3,10 +3,9 @@
 A record class declares each field once, as a class annotation in order,
 with its default as the class value where it has one::
 
-    class Violation(Record):
-        axiom: str
-        witness: tuple[int, ...]
-        detail: str = ""
+    class FlatnessVerdict(Record):
+        holds: bool
+        witness: tuple | None = None
 
 A subclass inherits its base's fields and appends its own; names that
 start with ``_`` are not fields.  From these declarations the base class

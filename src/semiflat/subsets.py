@@ -7,7 +7,7 @@ from functools import lru_cache
 from . import config
 from .errors import MalformedTable, NotASubsemimodule, SizeBoundExceeded
 from .record import Record
-from .structures import (Morphism, SecondAction, Semimodule, Table, _additive_generators,
+from .structures import (Morphism, SecondAction, Semimodule, Table, additive_generators,
                          _index, freeze_table, greedy_generators, shortest_words, span)
 
 
@@ -159,11 +159,6 @@ def module_expressions(M: Semimodule) -> tuple[tuple[tuple[int, int], ...], ...]
     if None in words:
         raise NotASubsemimodule("generators do not span the module")
     return tuple(tuple(divmod(k, n) for k in word) for word in words)
-
-
-def additive_generators(M: Semimodule) -> tuple[int, ...]:
-    """Greedy minimal generating set of the underlying additive monoid, kept on M."""
-    return _additive_generators(M)
 
 
 @lru_cache(maxsize=None)

@@ -152,8 +152,14 @@ def _invalid_morphism_fixtures():
     return out
 
 
-def _witness_breaks_axiom(axiom, witness, add, mul=None, action=None, S=None, zero=0, one=None):
-    """Independent re-evaluation that a reported witness violates its axiom."""
+def _witness_breaks_axiom(axiom, witness, add, mul=None, action=None, S=None, zero=0, one=None,
+                          mapping=None, target=None):
+    """Independent re-evaluation that a reported witness violates its axiom.
+
+    ``add``, ``action`` and ``zero`` are the tables of the structure, or of
+    a map's source, with ``mapping`` and ``target`` for a map.  An axiom
+    this function does not know is not broken, so its witness fails.
+    """
     if axiom == "add-identity":
         z, a = witness
         return add[z][a] != a
@@ -179,7 +185,7 @@ def _witness_breaks_axiom(axiom, witness, add, mul=None, action=None, S=None, ze
         z, a = witness
         return mul[z][a] != z or mul[a][z] != z
     if axiom == "one-neq-zero":
-        return True
+        return zero == one
     if axiom == "action-associative":
         x, s, t = witness
         return action[action[x][s]][t] != action[x][S.mul[s][t]]
@@ -198,7 +204,16 @@ def _witness_breaks_axiom(axiom, witness, add, mul=None, action=None, S=None, ze
     if axiom == "action-zero-element":
         z, s = witness
         return action[z][s] != zero
-    return True
+    if axiom == "map-zero":
+        z, = witness
+        return mapping[z] != target.zero
+    if axiom == "map-additive":
+        a, b = witness
+        return mapping[add[a][b]] != target.add[mapping[a]][mapping[b]]
+    if axiom == "map-linear":
+        a, s = witness
+        return mapping[action[a][s]] != target.action[mapping[a]][s]
+    return False
 
 
 def run_axiom_suite():
@@ -217,7 +232,8 @@ def run_axiom_suite():
             assert any(v.axiom == axiom for v in exc.violations), \
                 f"fixture {name}: no {axiom} violation in {exc.violations}"
             for v in exc.violations:
-                assert _witness_breaks_axiom(v.axiom, v.witness, add, mul=mul), \
+                assert _witness_breaks_axiom(v.axiom, v.witness, add, mul=mul, zero=zero,
+                                             one=one), \
                     f"fixture {name}: witness {v.witness} does not break {v.axiom}"
             rejected += 1
     for name, S, side, labels, add, zero, action, axiom in _invalid_module_fixtures():
@@ -239,6 +255,10 @@ def run_axiom_suite():
         except AxiomViolation as exc:
             assert any(v.axiom == axiom for v in exc.violations), \
                 f"fixture {name}: no {axiom} violation in {exc.violations}"
+            for v in exc.violations:
+                assert _witness_breaks_axiom(v.axiom, v.witness, src.add, action=src.action,
+                                             mapping=mapping, target=tgt), \
+                    f"fixture {name}: witness {v.witness} does not break {v.axiom}"
             rejected += 1
     assert rejected >= 20, f"only {rejected} invalid fixtures"
     return checks + rejected, f"{rejected} invalid fixtures rejected with verified witnesses"
@@ -619,7 +639,7 @@ def _componentwise_items(S, pool) -> int:
     free2 = free_module(S, 2)
     frees = [identity_morphism(F) for F in (SM, free2)]
     projectives = [identity_morphism(submodule_of(free2, subsemimodule(free2, members))[0])
-                   for members in end_comp(free2).retracts[:3]]
+                   for members in end_comp(free2)[:3]]
     for A in pool:
         for B in pool:
             for phi in _homs(A, B):
@@ -875,8 +895,7 @@ def run_flat_positive_suite():
                                      pullback_battery=_pullback_battery(S))
         assert rep["flat"]
         checks += 1
-        er = end_comp(free2)
-        for members in er.retracts:
+        for members in end_comp(free2):
             R, _ = submodule_of(free2, subsemimodule(free2, members))
             v = is_uniformly_flat(R, pool)
             assert v.holds, f"retract of a free module failed flatness over {S}"

@@ -37,12 +37,12 @@ from .errors import (BoxBoundExceeded, NotBalanced, NotZeroPreserving,
 from .homology import (HomModule, hom_module, hom_postcompose, hom_precompose,
                        morphism_profile)
 from .record import Record
-from .structures import (LEFT, RIGHT, Morphism, Semimodule, build_morphism,
-                         check_entries, check_table, derived_actions, descend,
-                         element_order, freeze_table,
+from .structures import (LEFT, RIGHT, Morphism, Semimodule, additive_generators,
+                         build_morphism, check_entries, check_table, derived_actions,
+                         descend, element_order, freeze_table,
                          identity_morphism, is_cancellative, map_from_free,
                          monoid_morphism, rehome_pair, span, swap_actions)
-from .subsets import additive_expressions, additive_generators, module_generators
+from .subsets import additive_expressions, module_generators
 
 
 class TensorPresentation(Record):
@@ -50,7 +50,6 @@ class TensorPresentation(Record):
     right: Semimodule
     left_gens: tuple[int, ...]
     right_gens: tuple[int, ...]
-    pair_bounds: tuple[tuple[int, int], ...]
     radices: tuple[int, ...]
     box_size: int
     module: Semimodule
@@ -246,9 +245,9 @@ def _cover_product(M: Semimodule, N: Semimodule) -> TensorPresentation:
     tau = [[cls[scaled(m, fibres[v][0])] for v in range(N.size)] for m in range(M.size)]
 
     # number the classes by least box vector, the order the box numbers them in
+    radices = tuple(i + p for i, p in bounds)
     coords = _least_box_vectors(add, tau[M.zero][N.zero],
-                                [tau[g][h] for g in gens_M for h in gens_N],
-                                [i + p for i, p in bounds])
+                                [tau[g][h] for g in gens_M for h in gens_N], radices)
     order = sorted(range(cong.class_count), key=coords.__getitem__)
     new = [0] * len(order)
     for i, c in enumerate(order):
@@ -256,7 +255,7 @@ def _cover_product(M: Semimodule, N: Semimodule) -> TensorPresentation:
     qadd = freeze_table([[new[add[a][b]] for b in order] for a in order])
     qtau = freeze_table([[new[c] for c in row] for row in tau])
     rep_coords = tuple(coords[c] for c in order)
-    return _presentation(M, N, gens_M, gens_N, bounds, qadd, qtau, rep_coords, False)
+    return _presentation(M, N, gens_M, gens_N, radices, qadd, qtau, rep_coords, False)
 
 
 def _least_box_vectors(add, zero: int, values, radices) -> list[tuple[int, ...]]:
@@ -313,7 +312,7 @@ def _box_product(M: Semimodule, N: Semimodule, dense: bool) -> TensorPresentatio
     generators, as the oracle of the cover.
     """
     gens_M, gens_N, _, _, bounds = _generators(M, N, dense)
-    radices = [i + p for i, p in bounds]
+    radices = tuple(i + p for i, p in bounds)
     box_size = 1
     for r in radices:
         box_size *= r
@@ -341,10 +340,10 @@ def _box_product(M: Semimodule, N: Semimodule, dense: bool) -> TensorPresentatio
     qadd = freeze_table([[cls[box_add(a, b)] for b in reps] for a in reps])
     tau = freeze_table([[cls[index[c]] for c in row] for row in emb])
     rep_coords = tuple(coords_of[r] for r in reps)
-    return _presentation(M, N, gens_M, gens_N, bounds, qadd, tau, rep_coords, dense)
+    return _presentation(M, N, gens_M, gens_N, radices, qadd, tau, rep_coords, dense)
 
 
-def _presentation(M, N, gens_M, gens_N, bounds, qadd, tau, rep_coords,
+def _presentation(M, N, gens_M, gens_N, radices, qadd, tau, rep_coords,
                   dense: bool) -> TensorPresentation:
     """The tensor module on the classes, its pushed actions, and its checks."""
     pairs = [(g, h) for g in gens_M for h in gens_N]
@@ -388,8 +387,7 @@ def _presentation(M, N, gens_M, gens_N, bounds, qadd, tau, rep_coords,
                 for t in range(M.second.semiring.size):
                     assert act[tau[m][n]][t] == tau[M.second.table[m][t]][n], \
                         "pushed left action disagrees with the pairing"
-    radices = tuple(i + p for i, p in bounds)
-    pres = TensorPresentation(M, N, gens_M, gens_N, bounds, radices, math.prod(radices),
+    pres = TensorPresentation(M, N, gens_M, gens_N, radices, math.prod(radices),
                               module, tau, rep_coords, dense)
     _check_generation(pres)
     return pres
@@ -595,9 +593,6 @@ def certify_cancellative_universal(M: Semimodule, N: Semimodule, targets) -> int
 # ---------------------------------------------------------------------------
 
 class AdjunctionReport(Record):
-    left_hom: HomModule
-    right_hom: HomModule
-    mapping: tuple[int, ...]
     bijective: bool
     additive: bool
     natural_in_source: bool
@@ -665,8 +660,7 @@ def adjunction_iso(M_bi: Semimodule, X: Semimodule, Y: Semimodule,
             for i in range(count))
         if not natural_target:
             break
-    return AdjunctionReport(LHS, RHS, mapping, bijective, additive,
-                            natural_source, natural_target)
+    return AdjunctionReport(bijective, additive, natural_source, natural_target)
 
 
 # ---------------------------------------------------------------------------

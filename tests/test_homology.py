@@ -16,8 +16,8 @@ from semiflat.catalog import (bool_semiring, chain_module, class_representative,
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import AxiomViolation, ShapeMismatch, SideMismatch
 from semiflat.flatness import projectivity_witness
-from semiflat.homology import (EndReport, MorphismProfile, classify_sequence, classify_stage,
-                               cokernel, end_comp, hom_module,
+from semiflat.homology import (MorphismProfile, classify_sequence, classify_stage,
+                               cokernel, end_comp, hom_maps, hom_module,
                                hom_postcompose, hom_precompose,
                                is_retract_of, kernel, linear_maps, morphism_profile,
                                retract_pairs,
@@ -73,7 +73,7 @@ def test_projection_profile(S3m):
 def test_collapse_is_not_k_uniform(sat_setup):
     _, _, g = sat_setup
     prof = morphism_profile(g)
-    assert not prof.k_uniform and prof.k_witness == (1, 2)
+    assert not prof.k_uniform and not _k_uniformity_oracle(g)
 
 
 def test_inclusion_is_not_i_uniform(sat_setup):
@@ -94,11 +94,10 @@ def test_injective_implies_k_uniform():
 
 
 def _k_uniformity_oracle(f):
-    """k-uniformity read off its definition, with the first failure as witness.
+    """k-uniformity read off its definition.
 
     f is k-uniform when f(x) = f(y) gives kernel elements k1, k2 with
-    x + k1 = y + k2; the pairs x < y of one fibre are tried in order, the
-    fibres in the order of their least elements.
+    x + k1 = y + k2, for every pair x < y of one fibre.
     """
     add = f.source.add
     ker = [k for k in range(f.source.size) if f.map[k] == f.target.zero]
@@ -108,13 +107,13 @@ def _k_uniformity_oracle(f):
     for fibre in fibres.values():
         for x, y in itertools.combinations(fibre, 2):
             if not any(add[x][k1] == add[y][k2] for k1 in ker for k2 in ker):
-                return False, (x, y)
-    return True, None
+                return False
+    return True
 
 
 def _assert_k_profile(f):
     prof = morphism_profile(f)
-    assert (prof.k_uniform, prof.k_witness) == _k_uniformity_oracle(f)
+    assert prof.k_uniform == _k_uniformity_oracle(f)
     return prof.k_uniform
 
 
@@ -164,17 +163,15 @@ def _subtractive_closure_oracle(M, members):
 
 def _profile_oracle(f):
     """The profile of f from the definitions, with the pairwise Bourne check."""
-    k_uniform, k_witness = _k_uniformity_oracle(f)
     image = sorted(set(f.map))
     closed = _subtractive_closure_oracle(f.target, image)
-    i_witness = next((x for x in closed if x not in image), None)
-    return MorphismProfile(f.injective, f.surjective, k_uniform, i_witness is None,
-                           len(closed) == f.target.size, k_witness, i_witness)
+    return MorphismProfile(f.injective, f.surjective, _k_uniformity_oracle(f),
+                           closed == image, len(closed) == f.target.size)
 
 
 def test_profiles_match_the_pairwise_oracle(monkeypatch):
     # every hom set of the suite pools and every sum map of the
-    # componentwise items, witnesses included
+    # componentwise items
     sums = []
     summed = suite.sum_morphism
 
@@ -290,15 +287,14 @@ def test_hom_functoriality(Z4m, Z2):
 
 
 def test_end_comp_bool(Bm):
-    er = end_comp(Bm)
-    assert len(hom_module(Bm, Bm).maps) == 2
-    assert er.tables == tuple(f.map for f in hom_module(Bm, Bm).maps)
-    assert (er.identity, er.retracts) == (1, ((0,), (0, 1)))
+    assert hom_maps(Bm, Bm) == tuple(f.map for f in hom_module(Bm, Bm).maps) == ((0, 0), (0, 1))
+    assert end_comp(Bm) == ((0,), (0, 1))
 
 
 def test_end_comp_trivial(Z4):
-    er = end_comp(trivial_module(Z4))
-    assert er == EndReport(((0,),), 0, ((0,),))
+    T = trivial_module(Z4)
+    assert hom_maps(T, T) == ((0,),)
+    assert end_comp(T) == ((0,),)
 
 
 def test_hom_labels_are_distinct():
@@ -490,13 +486,13 @@ def test_end_is_a_semiring():
         mul = [[pos[tuple(t[v] for v in u)] for u in tables] for t in tables]
         E = build_semiring([f"e{i}" for i in range(k)], add, mul, 0,
                            pos[tuple(range(M.size))])
-        er = end_comp(M)
-        assert er.identity == E.one and H.module.add == E.add
-        assert er.tables == tuple(tables)
+        # End(M)'s elements are the Hom tables, its identity among them
+        assert hom_maps(M, M) == tuple(tables) and H.module.add == E.add
+        assert tuple(range(M.size)) in hom_maps(M, M)
         # the retracts, from the reference tables
         idem = [i for i in range(k) if E.mul[i][i] == i]
         retracts = tuple(sorted({tuple(sorted(set(tables[i]))) for i in idem}))
-        assert er.retracts == retracts
+        assert end_comp(M) == retracts
         checked += 1
     assert checked >= 12
 
@@ -542,10 +538,9 @@ def _end_report_oracle(M):
     k = len(tables)
     pos = {t: i for i, t in enumerate(tables)}
     mul = [[pos[tuple(t[v] for v in u)] for u in tables] for t in tables]
-    one = pos[tuple(range(M.size))]
     retracts = tuple(sorted({tuple(sorted(set(tables[i]))) for i in range(k)
                              if mul[i][i] == i}))
-    return tuple(tables), one, retracts
+    return tuple(tables), retracts
 
 
 FREE2_ENDS = [(bool_semiring(), 16), (sat_semiring(3), 256), (zmod_semiring(4), 256)]
@@ -556,11 +551,11 @@ def test_end_comp_of_free2_matches_composition_table(S, k):
     # end_comp composes only the squares; the reference reads everything
     # from the full k x k composition table
     M = free_module(S, 2)
-    er = end_comp(M)
-    tables, one, retracts = _end_report_oracle(M)
-    assert len(tables) == k and er.tables == tables
-    assert (er.identity, er.retracts) == (one, retracts)
-    assert len(er.retracts) > 2
+    tables, retracts = _end_report_oracle(M)
+    assert len(tables) == k and hom_maps(M, M) == tables
+    assert tuple(range(M.size)) in hom_maps(M, M)
+    assert end_comp(M) == retracts
+    assert len(retracts) > 2
 
 
 @pytest.mark.parametrize("S, k", FREE2_ENDS, ids=["BOOL", "SAT3", "ZMOD4"])
@@ -575,11 +570,12 @@ def test_end_comp_of_free2_builds_no_hom_module(monkeypatch, S, k):
 
     M = free_module(S, 2)
     monkeypatch.setattr(homology, "hom_module", counting_hom_module)
-    er = end_comp.__wrapped__(M)   # past the cache, so the body runs
+    retracts = end_comp.__wrapped__(M)   # past the cache, so the body runs
     monkeypatch.undo()
     assert calls == []
-    assert (er.tables, er.identity, er.retracts) == _end_report_oracle(M)
-    assert er == end_comp(M)
+    tables, want = _end_report_oracle(M)
+    assert hom_maps(M, M) == tables and tuple(range(M.size)) in hom_maps(M, M)
+    assert retracts == want == end_comp(M)
 
 
 def test_retract_of_direct_sum(Bm, B):

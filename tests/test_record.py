@@ -23,7 +23,7 @@ from semiflat.catalog import (bool_semiring, sat_semiring, trivial_module, zmod_
                               zmod_semiring)
 from semiflat.congruence import Congruence
 from semiflat.flatness import FlatCertificate, FlatnessVerdict, SearchConfig, SearchRecord
-from semiflat.homology import (EndReport, ExactnessReport, HomModule, InjectivityEntry,
+from semiflat.homology import (ExactnessReport, HomModule, InjectivityEntry,
                                InjectivityReport, MorphismProfile,
                                StageFlags, hom_module)
 from semiflat.limits import (Colimit, DirectedSystem, HomColimitComparison, InverseSystem,
@@ -44,20 +44,17 @@ FACTORY = object()      # a field declared with default_factory=dict
 # Every record as it was declared with @dataclass: fields in order, and a
 # (name, default) pair for a field with a default.
 DECLARATIONS = [
-    (Violation, ["axiom", "witness", ("detail", "")]),
+    (Violation, ["axiom", "witness"]),
     (Semiring, ["labels", "add", "mul", "zero", "one"]),
     (SecondAction, ["semiring", "side", "table"]),
     (Semimodule, ["semiring", "side", "labels", "add", "zero", "action", ("second", None)]),
     (Morphism, ["source", "target", "map"]),
     (Subsemimodule, ["parent", "members"]),
     (Congruence, ["size", "class_of", "class_count"]),
-    (MorphismProfile, ["injective", "surjective", "k_uniform", "i_uniform", "semi_epi",
-                       ("k_witness", None), ("i_witness", None)]),
-    (StageFlags, ["chain_step", "proper_exact", "semi_exact", "quasi_exact", "exact",
-                  ("witness", ())]),
+    (MorphismProfile, ["injective", "surjective", "k_uniform", "i_uniform", "semi_epi"]),
+    (StageFlags, ["chain_step", "proper_exact", "semi_exact", "quasi_exact", "exact"]),
     (ExactnessReport, ["stages"]),
     (HomModule, ["source", "target", "module", "maps"]),
-    (EndReport, ["tables", "identity", "retracts"]),
     (InjectivityEntry, ["module_index", "sub_members", "surjective", "uniform"]),
     (InjectivityReport, ["entries"]),
     (TwoRowReport, ["case_1a", "case_1b", "case_2a", "case_2b"]),
@@ -66,14 +63,13 @@ DECLARATIONS = [
     (Colimit, ["system", "module", "legs", "class_of"]),
     (InverseSystem, ["nodes", "order", "maps"]),
     (HomColimitComparison, ["map", "injective", "bijective"]),
-    (TensorPresentation, ["left", "right", "left_gens", "right_gens", "pair_bounds",
-                          "radices", "box_size", "module", "tau", "rep_coords", "dense"]),
+    (TensorPresentation, ["left", "right", "left_gens", "right_gens", "radices", "box_size",
+                          "module", "tau", "rep_coords", "dense"]),
     (IsoPair, ["forward", "backward"]),
     (CancellativeTensor, ["presentation", "module", "reflection", "tau"]),
-    (AdjunctionReport, ["left_hom", "right_hom", "mapping", "bijective", "additive",
-                        "natural_in_source", "natural_in_target"]),
+    (AdjunctionReport, ["bijective", "additive", "natural_in_source", "natural_in_target"]),
     (HomTensorComparison, ["map", "injective", "uniform", "bijective"]),
-    (FlatnessVerdict, ["holds", ("witness", None), ("detail", "")]),
+    (FlatnessVerdict, ["holds", ("witness", None)]),
     (FlatCertificate, ["system", "node_witnesses", "iso"]),
     (SearchConfig, ["semirings", ("max_size", 4), ("budget_seconds", 300.0),
                     ("out_path", None)]),

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflat import suite
+from semiflat import errors, suite
 from semiflat.catalog import (enumerate_semimodules, product_semiring, semiring_module,
                               suite_semirings, trivial_module, zmod_module, zmod_semiring,
                               cyclic_monoid)
@@ -44,6 +46,37 @@ def test_absorbing_violation_is_reported():
 def test_malformed_table_rejected():
     with pytest.raises(MalformedTable):
         build_semiring(["0", "1"], [[0, 1]], [[0, 0], [0, 1]], 0, 1)
+
+
+# constructor arguments of the errors whose __init__ takes fields of their own
+_ERROR_ARGS = {
+    "AxiomViolation": ("semiring", [Violation("add-identity", (0, 1)),
+                                    Violation("one-neq-zero", (0,))]),
+    "SizeBoundExceeded": ("hom enumeration", 300, 256),
+    "BoxBoundExceeded": ("tensor box", 5000, 4096),
+    "NotACongruence": ((1, 2), "why"),
+    "NotBalanced": ((0, 1), "balance"),
+    "NotZeroPreserving": ((0, 3),),
+    "NotCommutative": ((2,), "square"),
+    "BadCertificate": ("flatness", "not flat"),
+    "TimeBudgetExceeded": ({"records": [1, 2]},),
+    "SchemaError": ("/semirings/0", "missing 'add'"),
+}
+
+
+def test_errors_survive_pickling_and_copying():
+    # the subclasses format their message in __init__; a copy must neither
+    # call it with the message alone nor format the message twice
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.SemiflatError)]
+    assert len(classes) == 21
+    own_init = {c.__name__ for c in classes if c.__init__ is not Exception.__init__}
+    assert own_init == set(_ERROR_ARGS)
+    for cls in classes:
+        error = cls(*_ERROR_ARGS.get(cls.__name__, ("plain message",)))
+        for copied in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+            assert type(copied) is cls
+            assert (str(copied), vars(copied)) == (str(error), vars(error)), cls.__name__
 
 
 def _rebuild_semiring(Bm, **changed):
@@ -339,7 +372,7 @@ def test_derived_actions(Z4, S3, Z2):
 
 
 def _pairwise_violations(source, target, mapping) -> list:
-    """Every violated morphism axiom, scanned over all pairs and all scalars.
+    """Every violated morphism axiom, as (axiom, witness), scanned over all pairs and scalars.
 
     The scan that decided every table before the generator decision; it
     stays the reference for both the verdict and the witness list.
@@ -350,13 +383,13 @@ def _pairwise_violations(source, target, mapping) -> list:
         fa = mapping[a]
         for b in range(a, n):
             if mapping[source.add[a][b]] != target.add[fa][mapping[b]]:
-                out.append(Violation("map-additive", (a, b), f"f({a}+{b}) != f({a})+f({b})"))
+                out.append(("map-additive", (a, b)))
     for a in range(n):
         for s in range(source.semiring.size):
             if mapping[source.action[a][s]] != target.action[mapping[a]][s]:
-                out.append(Violation("map-linear", (a, s), f"f({a}.s{s}) != f({a}).s{s}"))
+                out.append(("map-linear", (a, s)))
     if mapping[source.zero] != target.zero:
-        out.append(Violation("map-zero", (source.zero,), "f(0) != 0"))
+        out.append(("map-zero", (source.zero,)))
     return out
 
 
@@ -365,6 +398,9 @@ def test_morphism_violations_match_the_pairwise_scan():
     # semirings, and the axiom tag's invalid maps: the generator decision
     # accepts what the pairwise scan accepts, and a rejected table reports
     # the pairwise witnesses, in the pairwise order
+    def found(source, target, table):
+        return [(v.axiom, v.witness) for v in morphism_violations(source, target, table)]
+
     tables = rejected = 0
     for S in suite_semirings():
         modules = enumerate_semimodules(S, 4)
@@ -372,14 +408,14 @@ def test_morphism_violations_match_the_pairwise_scan():
             for N in modules:
                 for table in itertools.product(range(N.size), repeat=M.size):
                     want = _pairwise_violations(M, N, table)
-                    assert list(morphism_violations(M, N, table)) == want
+                    assert found(M, N, table) == want
                     tables += 1
                     rejected += bool(want)
     fixtures = suite._invalid_morphism_fixtures()
     for name, source, target, mapping, axiom in fixtures:
         want = _pairwise_violations(source, target, mapping)
-        assert axiom in {v.axiom for v in want}, name
-        assert list(morphism_violations(source, target, mapping)) == want, name
+        assert axiom in {a for a, _ in want}, name
+        assert found(source, target, mapping) == want, name
     assert (tables, rejected, len(fixtures)) == (17541, 16756, 7)
 
 

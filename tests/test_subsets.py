@@ -14,10 +14,9 @@ from semiflat.catalog import (bool_semiring, class_representative, enumerate_sem
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import NotASubsemimodule
 from semiflat.homology import hom_module
-from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, build_semimodule,
-                                 greedy_generators, monoid_generators, span)
-from semiflat.subsets import (Subsemimodule, additive_expressions, additive_generators,
-                              enumerate_subsemimodules,
+from semiflat.structures import (LEFT, RIGHT, SecondAction, additive_generators, as_left,
+                                 build_semimodule, greedy_generators, monoid_generators, span)
+from semiflat.subsets import (Subsemimodule, additive_expressions, enumerate_subsemimodules,
                               generated_subsemimodule, module_expressions,
                               module_generators, subsemimodule, subtractive_closure,
                               subtractive_closure_set, uniform_subsemimodules, submodule_of)

@@ -9,10 +9,10 @@ import sys
 import pytest
 
 from semiflat import homology, suite
-from semiflat.catalog import suite_semirings
+from semiflat.catalog import bool_semiring, semiring_module, suite_semirings
 from semiflat.homology import hom_module, morphism_profile, retract_pairs
 from semiflat.errors import AxiomViolation
-from semiflat.structures import build_semimodule, build_semiring, compose
+from semiflat.structures import build_morphism, build_semimodule, build_semiring, compose
 from semiflat.suite import (_componentwise_items, _hom_functor_items,
                             _padded_sequence_items, _pool_modules,
                             _retract_square_items, _stage_rows,
@@ -321,6 +321,15 @@ def test_lattice_tensors_each_isomorphism_class_once():
     assert out == ["13", "45", "36"]
 
 
+# every axiom the validators report and the axiom tag re-checks
+AXIOMS = {
+    "add-identity", "add-commutative", "add-associative", "mul-identity",
+    "mul-associative", "left-distributive", "right-distributive", "zero-absorbing",
+    "one-neq-zero", "action-associative", "action-add-distributive",
+    "action-scalar-distributive", "action-unit", "action-scalar-zero",
+    "action-zero-element", "map-zero", "map-additive", "map-linear"}
+
+
 def test_axiom_fixtures_reach_every_witness_check():
     # the axiom tag re-checks every reported witness; together the fixtures
     # report every axiom that _witness_breaks_axiom evaluates
@@ -333,9 +342,28 @@ def test_axiom_fixtures_reach_every_witness_check():
         with pytest.raises(AxiomViolation) as info:
             build_semimodule(S, side, labels, add, zero, action)
         reported |= {v.axiom for v in info.value.violations}
-    assert reported == {
-        "add-identity", "add-commutative", "add-associative", "mul-identity",
-        "mul-associative", "left-distributive", "right-distributive", "zero-absorbing",
-        "one-neq-zero", "action-associative", "action-add-distributive",
-        "action-scalar-distributive", "action-unit", "action-scalar-zero",
-        "action-zero-element"}
+    for name, source, target, mapping, axiom in suite._invalid_morphism_fixtures():
+        with pytest.raises(AxiomViolation) as info:
+            build_morphism(source, target, mapping)
+        reported |= {v.axiom for v in info.value.violations}
+    assert reported == AXIOMS
+
+
+def test_witness_check_rejects_a_witness_that_breaks_nothing():
+    # over valid tables no witness breaks its axiom, so each re-check must
+    # say so; an axiom the re-check does not know fails too
+    B = bool_semiring()
+    Bm = semiring_module(B)
+    witnesses = {
+        "add-identity": (0, 1), "add-commutative": (0, 1), "add-associative": (1, 0, 1),
+        "mul-identity": (1, 0), "mul-associative": (1, 1, 0),
+        "left-distributive": (1, 0, 1), "right-distributive": (0, 1, 1),
+        "zero-absorbing": (0, 1), "one-neq-zero": (0,), "action-associative": (1, 1, 1),
+        "action-add-distributive": (0, 1, 1), "action-scalar-distributive": (1, 0, 1),
+        "action-unit": (1, 1), "action-scalar-zero": (1, 0), "action-zero-element": (0, 1),
+        "map-zero": (0,), "map-additive": (0, 1), "map-linear": (1, 1)}
+    assert set(witnesses) == AXIOMS
+    for axiom, witness in {**witnesses, "actions-commute": (1, 1, 1)}.items():
+        assert not suite._witness_breaks_axiom(axiom, witness, Bm.add, mul=B.mul,
+                                               action=Bm.action, S=B, zero=B.zero, one=B.one,
+                                               mapping=(0, 1), target=Bm), axiom

@@ -78,9 +78,11 @@ def _assert_cover_matches_box(M, N):
     cover = tensor_product(M, N)
     box = _box_product(M, N, False)
     for field in ("module", "tau", "rep_coords", "radices", "box_size", "left_gens",
-                  "right_gens", "pair_bounds"):
+                  "right_gens"):
         assert getattr(cover, field) == getattr(box, field), \
             f"{field} differs for |M|={M.size} |N|={N.size}"
+    # one radix per generator pair, from its bound: preperiod plus period
+    assert cover.radices == tuple(i + p for i, p in _generators(M, N, False)[4])
     assert cover.module.labels == box.module.labels
     assert relation_count(cover) == relation_count(box)
     # the presentations build their modules without an axiom scan
@@ -145,9 +147,10 @@ def test_cover_matches_the_box_past_the_box_bound(monkeypatch):
 def test_order_bound_soundness(Z4m, S3m):
     for M in (Z4m, S3m):
         pres = tensor_product(M, as_left(M))
+        bounds = _generators(M, as_left(M), False)[4]
         pairs = pres.pair_list()
         for q, (g, h) in enumerate(pairs):
-            i, p = pres.pair_bounds[q]
+            i, p = bounds[q]
             base = pres.tau[g][h]
             add = pres.module.add
             acc = pres.module.zero
