@@ -41,9 +41,8 @@ from .flatness import (FlatnessVerdict, is_uniformly_M_flat, is_uniformly_flat,
                        trivial_certificate, flat_certificate_check,
                        SearchConfig, search_counterexamples)
 from .catalog import (bool_semiring, sat_semiring, zmod_semiring,
-                      product_semiring, free_module, semiring_module,
-                      semiring_bimodule, trivial_module, zmod_module,
-                      chain_module, product_module, suite_pool,
+                      free_module, semiring_module, semiring_bimodule,
+                      trivial_module, zmod_module, chain_module, suite_pool,
                       enumerate_semimodules, cancellative_targets)
 from .workspace import (Workspace, parse_workspace, parse_workspace_dict,
                         emit_workspace, load_default_workspace)

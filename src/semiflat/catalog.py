@@ -1,13 +1,12 @@
 """Built-in finite semirings and semimodules used as the test universe.
 
 Includes the table-level constructors (cyclic, saturating, modular,
-products, free modules), per-semiring module pools for the property
-suites, and bounded enumeration of commutative monoids and semimodules
-up to isomorphism.
+free modules), per-semiring module pools for the property suites, and
+bounded enumeration of commutative monoids and semimodules up to
+isomorphism.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from functools import lru_cache
 
@@ -15,9 +14,10 @@ from . import config
 from .congruence import module_congruence_closure, quotient_by_congruence
 from .errors import InvalidArgument, MalformedTable, SizeBoundExceeded
 from .homology import linear_maps
+from .limits import direct_sum
 from .structures import (LEFT, RIGHT, Morphism, Semimodule, Semiring, Table,
                          build_semimodule, build_semiring, canonical_form,
-                         freeze_table, identity_morphism, monoid_module)
+                         freeze_table, identity_morphism, monoid_module, product_table)
 from .subsets import submodule_of, subsemimodule
 
 
@@ -61,16 +61,6 @@ def _zmod_semiring(n: int) -> Semiring:
     return build_semiring(labels, add, mul, 0, 1)
 
 
-@lru_cache(maxsize=None)
-def product_semiring(A: Semiring, B: Semiring) -> Semiring:
-    pairs = [(a, b) for a in range(A.size) for b in range(B.size)]
-    pos = {p: i for i, p in enumerate(pairs)}
-    labels = [f"({A.labels[a]},{B.labels[b]})" for a, b in pairs]
-    add = [[pos[(A.add[a][c], B.add[b][d])] for c, d in pairs] for a, b in pairs]
-    mul = [[pos[(A.mul[a][c], B.mul[b][d])] for c, d in pairs] for a, b in pairs]
-    return build_semiring(labels, add, mul, pos[(A.zero, B.zero)], pos[(A.one, B.one)])
-
-
 def free_module(S: Semiring, rank: int, side: str = RIGHT) -> Semimodule:
     """Direct power of the semiring acting on itself.
 
@@ -88,19 +78,10 @@ def free_module(S: Semiring, rank: int, side: str = RIGHT) -> Semimodule:
 def _free_module(S: Semiring, rank: int, side: str) -> Semimodule:
     if rank == 0:
         return trivial_module(S, side)
-    tuples = list(itertools.product(range(S.size), repeat=rank))
-    pos = {t: i for i, t in enumerate(tuples)}
     if rank == 1:
-        labels = list(S.labels)
-    else:
-        labels = ["(" + ",".join(S.labels[i] for i in t) + ")" for t in tuples]
-    add = [[pos[tuple(S.add[x][y] for x, y in zip(t, u))] for u in tuples] for t in tuples]
-    if side == RIGHT:
-        action = [[pos[tuple(S.mul[x][s] for x in t)] for s in range(S.size)] for t in tuples]
-    else:
-        action = [[pos[tuple(S.mul[s][x] for x in t)] for s in range(S.size)] for t in tuples]
-    zero = pos[tuple(S.zero for _ in range(rank))]
-    return build_semimodule(S, side, labels, add, zero, action)
+        action = S.mul if side == RIGHT else tuple(zip(*S.mul))
+        return build_semimodule(S, side, S.labels, S.add, S.zero, action)
+    return direct_sum((_free_module(S, 1, side),) * rank).module
 
 
 def semiring_module(S: Semiring, side: str = RIGHT) -> Semimodule:
@@ -162,21 +143,6 @@ def _chain_module(k: int, side: str) -> Semimodule:
     return build_semimodule(S, side, labels, add, 0, action)
 
 
-@lru_cache(maxsize=None)
-def product_module(A: Semimodule, B: Semimodule) -> Semimodule:
-    """Componentwise product carrier; structure maps live in the limits module."""
-    if A.semiring != B.semiring or A.side != B.side:
-        raise MalformedTable("product factors must share semiring and side")
-    pairs = [(a, b) for a in range(A.size) for b in range(B.size)]
-    pos = {p: i for i, p in enumerate(pairs)}
-    labels = [f"({A.labels[a]},{B.labels[b]})" for a, b in pairs]
-    add = [[pos[(A.add[a][c], B.add[b][d])] for c, d in pairs] for a, b in pairs]
-    action = [[pos[(A.action[a][s], B.action[b][s])] for s in range(A.semiring.size)]
-              for a, b in pairs]
-    return build_semimodule(A.semiring, A.side, labels, add,
-                            pos[(A.zero, B.zero)], action)
-
-
 def cyclic_monoid(index: int, period: int) -> Table:
     """Monogenic commutative monoid table with the given index >= 0 and period >= 1."""
     _check_int(index, 0, "index")
@@ -194,18 +160,11 @@ def _cyclic_monoid(index: int, period: int) -> Table:
     return freeze_table([[red(a + b) for b in range(n)] for a in range(n)])
 
 
-def product_monoid(t1: Table, t2: Table) -> Table:
-    n1, n2 = len(t1), len(t2)
-    pairs = [(a, b) for a in range(n1) for b in range(n2)]
-    pos = {p: i for i, p in enumerate(pairs)}
-    return freeze_table([[pos[(t1[a][c], t2[b][d])] for c, d in pairs] for a, b in pairs])
-
-
 @lru_cache(maxsize=None)
 def cancellative_targets() -> tuple[Semimodule, ...]:
     """All cancellative commutative monoids of at most 4 elements, i.e. abelian groups."""
     tables = [cyclic_monoid(0, n) for n in range(1, 5)]
-    tables.append(product_monoid(cyclic_monoid(0, 2), cyclic_monoid(0, 2)))
+    tables.append(product_table([cyclic_monoid(0, 2)] * 2))
     return tuple(monoid_module(t) for t in tables)
 
 
@@ -250,7 +209,7 @@ def suite_pool(S: Semiring) -> tuple[tuple[str, Semimodule], ...]:
         return (("TRIV", trivial_module(S)),
                 ("S", semiring_module(S)),
                 ("Z2", zmod_module(4, 2)),
-                ("Z2xZ2", product_module(zmod_module(4, 2), zmod_module(4, 2))))
+                ("Z2xZ2", direct_sum((zmod_module(4, 2),) * 2).module))
     if S == zmod_semiring(2):
         return (("TRIV", trivial_module(S)),
                 ("S", semiring_module(S)),
@@ -436,7 +395,7 @@ def oracle_corpus():
              if 2 <= i + p <= 4]
     for t1 in small:
         for t2 in small:
-            prod = product_monoid(t1, t2)
+            prod = product_table((t1, t2))
             if len(prod) <= 12:
                 tables.append(prod)
     tables.sort(key=lambda t: (len(t), t))

@@ -6,6 +6,11 @@ tensor box).  The sites read these names from this module at call time.
 ``MAX_BOX`` bounds only the box of the dense oracle presentation; the
 tensor product itself is built on M^n from a free cover S^n of its right
 factor, and both carriers are bounded by ``MAX_PRODUCT``.
+
+``MAX_PRODUCT`` bounds the carrier of every direct sum, inverse limit
+and free module S^n.  These are built by the componentwise fold of
+``structures.product_table`` with no axiom scan, so the bound bounds the
+work too: a table of |P|^2 entries, where a scan would take |P|^3 steps.
 """
 
 MAX_SUBSET_MODULE = 16        # carrier searched for its subsemimodules and its least generating sets

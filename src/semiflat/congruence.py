@@ -21,9 +21,8 @@ from functools import lru_cache
 
 from .errors import MalformedTable, NotACongruence, NotASubsemimodule
 from .record import Record
-from .structures import (Morphism, SecondAction, Semimodule, Table, _index, _square_table,
-                         additive_generators, freeze_table, is_cancellative,
-                         monoid_generators)
+from .structures import (Morphism, Semimodule, Table, _index, _square_table,
+                         additive_generators, is_cancellative, monoid_generators, transport)
 from .subsets import Subsemimodule, is_closed_subset, subsemimodule, subtractive_closure
 
 
@@ -158,16 +157,7 @@ def quotient_by_congruence(M: Semimodule, cong: Congruence) -> tuple[Semimodule,
         raise NotACongruence(witness[:3], witness[3])
     reps = cong.representatives
     cls = cong.class_of
-    labels = tuple(f"[{M.labels[r]}]" for r in reps)
-    add = freeze_table([[cls[M.add[a][b]] for b in reps] for a in reps])
-    action = freeze_table([[cls[M.action[a][s]] for s in range(M.semiring.size)]
-                           for a in reps])
-    second = None
-    if M.second is not None:
-        table = freeze_table([[cls[M.second.table[a][t]]
-                               for t in range(M.second.semiring.size)] for a in reps])
-        second = SecondAction(M.second.semiring, M.second.side, table)
-    Q = Semimodule(M.semiring, M.side, labels, add, cls[M.zero], action, second)
+    Q = transport(M, reps, cls, (f"[{M.labels[r]}]" for r in reps))
     return Q, Morphism(M, Q, cls)
 
 

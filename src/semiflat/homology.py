@@ -40,8 +40,6 @@ def cokernel(f: Morphism) -> tuple[Semimodule, Morphism]:
 
 
 class MorphismProfile(Record):
-    injective: bool
-    surjective: bool
     k_uniform: bool
     i_uniform: bool
     semi_epi: bool
@@ -75,8 +73,7 @@ def _profile(f: Morphism) -> MorphismProfile:
         f.source, tuple(x for x, v in enumerate(f.map) if v == zero)).class_count
     # an image of a linear map is closed, so it is not checked again
     closed = len(_subtractive_closure(f.target, image))
-    return MorphismProfile(f.injective, f.surjective, k_uniform, closed == len(image),
-                           closed == f.target.size)
+    return MorphismProfile(k_uniform, closed == len(image), closed == f.target.size)
 
 
 class StageFlags(Record):

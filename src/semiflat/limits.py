@@ -11,15 +11,14 @@ from functools import cached_property, lru_cache
 from itertools import islice
 
 from . import config
-from .catalog import product_module
 from .congruence import fibres, module_congruence_closure, quotient_by_congruence
-from .errors import (NotCommutative, NotDirected, NotIntertwining,
+from .errors import (MalformedTable, NotCommutative, NotDirected, NotIntertwining,
                      ShapeMismatch, SizeBoundExceeded)
 from .homology import hom_module, hom_postcompose
 from .record import Record
-from .structures import (Morphism, Semimodule, build_morphism,
-                         build_semimodule, check_table, compose, descend, freeze_table,
-                         identity_morphism)
+from .structures import (Morphism, Semimodule, build_morphism, check_table, compose,
+                         descend, freeze_table, identity_morphism, product_action,
+                         product_table, transport)
 from .subsets import submodule_of, subsemimodule, enumerate_subsemimodules
 
 
@@ -47,7 +46,13 @@ class ProductData(Record):
 
 @lru_cache(maxsize=None)
 def direct_sum(factors: tuple[Semimodule, ...]) -> ProductData:
-    """Componentwise biproduct with projections and injections."""
+    """Componentwise biproduct with projections and injections.
+
+    The carrier's tables are the ``product_table`` and ``product_action``
+    folds of the factors', its labels left-nested, ((a,b),c).  A product
+    of valid modules is valid and its structure maps are linear, so none
+    of them gets a scan.
+    """
     if not factors:
         raise ShapeMismatch("empty family; use the trivial module explicitly")
     total = 1
@@ -55,21 +60,23 @@ def direct_sum(factors: tuple[Semimodule, ...]) -> ProductData:
         total *= f.size
     if total > config.MAX_PRODUCT:
         raise SizeBoundExceeded("product carrier", total, config.MAX_PRODUCT)
-    module = factors[0]
-    for f in factors[1:]:
-        module = product_module(module, f)
-    data = ProductData(module, factors, (), ())
-    projections = []
-    injections = []
-    for i, f in enumerate(factors):
-        proj = tuple(data.decode(x)[i] for x in range(module.size))
-        projections.append(build_morphism(module, f, proj))
-        inj = []
-        for a in range(f.size):
-            parts = tuple(a if j == i else g.zero for j, g in enumerate(factors))
-            inj.append(data.encode(parts))
-        injections.append(build_morphism(f, module, inj))
-    return ProductData(module, factors, tuple(projections), tuple(injections))
+    first, *rest = factors
+    if any(f.semiring != first.semiring or f.side != first.side for f in rest):
+        raise MalformedTable("product factors must share semiring and side")
+    labels, zero, strides = first.labels, first.zero, [1]
+    for f in rest:
+        labels = tuple(f"({a},{b})" for a in labels for b in f.labels)
+        zero = zero * f.size + f.zero
+        strides = [k * f.size for k in strides] + [1]
+    # one factor is its own sum, second action and all
+    module = first if not rest else Semimodule(
+        first.semiring, first.side, labels, product_table([f.add for f in factors]), zero,
+        product_action([f.action for f in factors]))
+    projections = tuple(Morphism(module, f, tuple(x // k % f.size for x in range(total)))
+                        for f, k in zip(factors, strides))
+    injections = tuple(Morphism(f, module, tuple(zero + (a - f.zero) * k for a in range(f.size)))
+                       for f, k in zip(factors, strides))
+    return ProductData(module, factors, projections, injections)
 
 
 def pairing(fs, data: ProductData) -> Morphism:
@@ -285,7 +292,6 @@ def chain_system(morphisms) -> DirectedSystem:
 
 
 class Colimit(Record):
-    system: DirectedSystem
     module: Semimodule
     legs: tuple[Morphism, ...]
     class_of: tuple[tuple[int, ...], ...]  # per node, element -> colimit element
@@ -308,13 +314,10 @@ def directed_colimit(sys: DirectedSystem) -> Colimit:
     pairs = [(j, x) for j, image in enumerate(images) for x in range(len(image))]
     reps = [pairs[r] for r in cong.representatives]
     top, cls = sys.nodes[t], class_table[t]
-    ys = [images[j][x] for j, x in reps]
-    add = freeze_table([[cls[top.add[a][b]] for b in ys] for a in ys])
-    action = freeze_table([[cls[y2] for y2 in top.action[y]] for y in ys])
-    labels = tuple(f"{j}:{sys.nodes[j].labels[x]}" for j, x in reps)
-    module = build_semimodule(top.semiring, top.side, labels, add, cls[top.zero], action)
-    legs = tuple(build_morphism(M, module, c) for M, c in zip(sys.nodes, class_table))
-    return Colimit(sys, module, legs, class_table)
+    labels = (f"{j}:{sys.nodes[j].labels[x]}" for j, x in reps)
+    module = transport(top, [images[j][x] for j, x in reps], cls, labels)
+    legs = tuple(Morphism(M, module, c) for M, c in zip(sys.nodes, class_table))
+    return Colimit(module, legs, class_table)
 
 
 def colimit_morphism(sysX: DirectedSystem, sysY: DirectedSystem, levelwise) -> Morphism:
@@ -385,7 +388,6 @@ def inverse_limit(sys: InverseSystem):
 # ---------------------------------------------------------------------------
 
 class HomColimitComparison(Record):
-    map: Morphism
     injective: bool
     bijective: bool
 
@@ -405,7 +407,7 @@ def hom_colimit_comparison(X: Semimodule, sys: DirectedSystem) -> HomColimitComp
     if mapping is None:
         raise NotIntertwining("comparison map is not well defined")
     psi = build_morphism(hc.module, target.module, tuple(mapping))
-    return HomColimitComparison(psi, psi.injective, psi.injective and psi.surjective)
+    return HomColimitComparison(psi.injective, psi.injective and psi.surjective)
 
 
 def subsemimodule_system(M: Semimodule) -> tuple[DirectedSystem, Morphism]:

@@ -457,6 +457,53 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(g.source, f.target, tuple(f.map[x] for x in g.map))
 
 
+# ---------------------------------------------------------------------------
+# Derived carriers: the one product and the one transport.  A product or
+# quotient of valid structures is valid, and so is a closed subset of one,
+# so neither gives its result an axiom scan.
+# ---------------------------------------------------------------------------
+
+def product_table(tables) -> Table:
+    """The componentwise table of a product, folded one factor at a time.
+
+    Elements are numbered by the radix rule with the first factor most
+    significant, so they come in lex order of their component tuples.
+    """
+    out, *rest = tables
+    for table in rest:
+        n = len(table)
+        out = tuple(tuple(v * n + w for v in row for w in trow)
+                    for row in out for trow in table)
+    return out
+
+
+def product_action(actions) -> Table:
+    """The componentwise action of a product, numbered as ``product_table``'s."""
+    out, *rest = actions
+    for table in rest:
+        n = len(table)
+        out = tuple(tuple(v * n + w for v, w in zip(row, trow))
+                    for row in out for trow in table)
+    return out
+
+
+def transport(M: Semimodule, elements, renumber, labels) -> Semimodule:
+    """M's tables on the listed elements, each value renumbered by ``renumber``.
+
+    Both actions are carried along.  The caller vouches that ``renumber``
+    maps every value onto the new carrier compatibly with M's operations,
+    as the positions in a closed subset or the classes of a congruence do.
+    """
+    def rows(table):
+        return tuple(tuple(renumber[v] for v in table[x]) for x in elements)
+
+    add = tuple(tuple(renumber[M.add[a][b]] for b in elements) for a in elements)
+    second = None if M.second is None else SecondAction(
+        M.second.semiring, M.second.side, rows(M.second.table))
+    return Semimodule(M.semiring, M.side, tuple(labels), add, renumber[M.zero],
+                      rows(M.action), second)
+
+
 def descend(pairs, size: int) -> list | None:
     """The value of each of ``size`` classes, read off (class, value) pairs.
 

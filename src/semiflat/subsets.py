@@ -7,8 +7,8 @@ from functools import lru_cache
 from . import config
 from .errors import MalformedTable, NotASubsemimodule, SizeBoundExceeded
 from .record import Record
-from .structures import (Morphism, SecondAction, Semimodule, Table, additive_generators,
-                         _index, freeze_table, greedy_generators, shortest_words, span)
+from .structures import (Morphism, Semimodule, Table, additive_generators, _index,
+                         greedy_generators, shortest_words, span, transport)
 
 
 class Subsemimodule(Record):
@@ -177,14 +177,5 @@ def submodule_of(M: Semimodule, sub: Subsemimodule) -> tuple[Semimodule, Morphis
     """
     members = sub.members
     pos = {x: i for i, x in enumerate(members)}
-    labels = tuple(M.labels[x] for x in members)
-    add = freeze_table([[pos[M.add[a][b]] for b in members] for a in members])
-    action = freeze_table([[pos[M.action[a][s]] for s in range(M.semiring.size)]
-                           for a in members])
-    second = None
-    if M.second is not None:
-        table = freeze_table([[pos[M.second.table[a][t]]
-                               for t in range(M.second.semiring.size)] for a in members])
-        second = SecondAction(M.second.semiring, M.second.side, table)
-    module = Semimodule(M.semiring, M.side, labels, add, pos[M.zero], action, second)
+    module = transport(M, members, pos, (M.labels[x] for x in members))
     return module, Morphism(module, M, members)

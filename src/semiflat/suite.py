@@ -153,12 +153,13 @@ def _invalid_morphism_fixtures():
 
 
 def _witness_breaks_axiom(axiom, witness, add, mul=None, action=None, S=None, zero=0, one=None,
-                          mapping=None, target=None):
+                          mapping=None, target=None, side=RIGHT):
     """Independent re-evaluation that a reported witness violates its axiom.
 
     ``add``, ``action`` and ``zero`` are the tables of the structure, or of
-    a map's source, with ``mapping`` and ``target`` for a map.  An axiom
-    this function does not know is not broken, so its witness fails.
+    a map's source, with ``mapping`` and ``target`` for a map, and ``side``
+    the side a module's scalars act on.  An axiom this function does not
+    know is not broken, so its witness fails.
     """
     if axiom == "add-identity":
         z, a = witness
@@ -187,8 +188,10 @@ def _witness_breaks_axiom(axiom, witness, add, mul=None, action=None, S=None, ze
     if axiom == "one-neq-zero":
         return zero == one
     if axiom == "action-associative":
+        # right: (x s) t = x (s t); left: t (s x) = (t s) x
         x, s, t = witness
-        return action[action[x][s]][t] != action[x][S.mul[s][t]]
+        st = S.mul[s][t] if side == RIGHT else S.mul[t][s]
+        return action[action[x][s]][t] != action[x][st]
     if axiom == "action-add-distributive":
         x, y, s = witness
         return action[add[x][y]][s] != add[action[x][s]][action[y][s]]
@@ -245,7 +248,7 @@ def run_axiom_suite():
                 f"fixture {name}: no {axiom} violation in {exc.violations}"
             for v in exc.violations:
                 assert _witness_breaks_axiom(v.axiom, v.witness, add, action=action,
-                                             S=S, zero=zero, one=S.one), \
+                                             S=S, zero=zero, one=S.one, side=side), \
                     f"fixture {name}: witness {v.witness} does not break {v.axiom}"
             rejected += 1
     for name, src, tgt, mapping, axiom in _invalid_morphism_fixtures():

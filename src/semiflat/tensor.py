@@ -668,7 +668,6 @@ def adjunction_iso(M_bi: Semimodule, X: Semimodule, Y: Semimodule,
 # ---------------------------------------------------------------------------
 
 class HomTensorComparison(Record):
-    map: Morphism
     injective: bool
     uniform: bool
     bijective: bool
@@ -682,7 +681,7 @@ def _comparison(X: Semimodule, Y_bi: Semimodule, Z: Semimodule, TH: HomModule,
     beta = tuple(tuple(TH.index_of(tuple(pair(y, z) for y in f.map)) for z in range(Z.size))
                  for f in H.maps)
     nu = monoid_morphism(P.module, TH.module, factor_balanced(P, TH.module, beta))
-    return HomTensorComparison(nu, nu.injective, morphism_profile(nu).uniform,
+    return HomTensorComparison(nu.injective, morphism_profile(nu).uniform,
                                nu.injective and nu.surjective)
 
 

@@ -12,8 +12,7 @@ import pytest
 from semiflat import config, flatness
 from semiflat.catalog import (bool_semiring, chain_module, enumerate_commutative_monoids,
                               enumerate_semimodules, free_module, monoid_module,
-                              product_module, semiring_module, zmod_module,
-                              zmod_semiring)
+                              semiring_module, zmod_module, zmod_semiring)
 from semiflat.errors import BoxBoundExceeded, SizeBoundExceeded
 from semiflat.flatness import (is_uniformly_fg, is_uniformly_fp, projectivity_witness,
                                trivial_certificate)
@@ -51,7 +50,7 @@ def _z32_over_three_z2():
     # Z/32 (x) (Z/2)^3: three module generators make |S|^3 = |M|^3 = 32,768,
     # where the generator-pair box has only 2^3 = 8 cells
     Z2 = zmod_module(32, 2, "left")
-    return semiring_module(zmod_semiring(32)), product_module(product_module(Z2, Z2), Z2)
+    return semiring_module(zmod_semiring(32)), direct_sum((Z2,) * 3).module
 
 
 def _retract_of(N, M):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiflat.catalog import (bool_semiring, cyclic_monoid, enumerate_semimodules,
-                              free_module, product_monoid, product_semiring, sat_semiring,
+                              free_module, sat_semiring,
                               semiring_module, suite_pool, suite_semirings,
                               trivial_module, zmod_module, zmod_semiring)
 from semiflat.congruence import (Congruence, _bourne, cancellative_reflection,
@@ -20,12 +20,14 @@ from semiflat.congruence import (Congruence, _bourne, cancellative_reflection,
 from semiflat.errors import MalformedTable, NotACongruence, SemiflatError
 from semiflat.homology import hom_module, morphism_profile
 from semiflat.structures import (canonical_form, check_endpoints, is_cancellative,
-                                 monoid_module, morphism_violations, semimodule_violations)
+                                 monoid_module, morphism_violations, product_table,
+                                 semimodule_violations)
 from semiflat.subsets import (Subsemimodule, enumerate_subsemimodules,
                               generated_subsemimodule, is_closed_subset, submodule_of,
                               subsemimodule, subtractive_closure, subtractive_closure_set)
 from semiflat.suite import (minimal_congruence_dense,
                             minimal_congruence_partitions)
+from products import product_semiring
 
 
 def test_empty_pairs_give_identity(Bm):
@@ -39,7 +41,7 @@ def test_bool_collapse(Bm):
 
 
 def test_closure_matches_oracles_on_mixed_monoid():
-    table = product_monoid(cyclic_monoid(1, 2), cyclic_monoid(0, 2))
+    table = product_table((cyclic_monoid(1, 2), cyclic_monoid(0, 2)))
     pairs = [(1, 4)]
     got = monoid_congruence_closure(table, pairs)
     dense_cls, dense_n = minimal_congruence_dense(table, pairs)
@@ -211,7 +213,7 @@ def test_reflection_universal_property(Z4, Bm):
        st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)),
                 min_size=1, max_size=3))
 def test_closure_matches_dense_oracle(i1, p1, i2, p2, raw_pairs):
-    table = product_monoid(cyclic_monoid(i1, p1), cyclic_monoid(i2, p2))
+    table = product_table((cyclic_monoid(i1, p1), cyclic_monoid(i2, p2)))
     n = len(table)
     pairs = [(a % n, b % n) for a, b in raw_pairs]
     got = monoid_congruence_closure(table, pairs)

@@ -264,13 +264,13 @@ def test_empty_colimit_class_is_a_typed_error(monkeypatch, Z4m):
     def collapsed(sys):
         # every element lands in class 0, which so holds four elements of F
         colim = real(sys)
-        return Colimit(colim.system, colim.module, colim.legs,
+        return Colimit(colim.module, colim.legs,
                        tuple((0,) * len(row) for row in colim.class_of))
 
     def widened(sys):
         # the classes keep F's elements apart, but the classes past |F| are empty
         colim = real(sys)
-        return Colimit(colim.system, free_module(Z4m.semiring, 2), colim.legs,
+        return Colimit(free_module(Z4m.semiring, 2), colim.legs,
                        colim.class_of)
 
     for fake, reason in ((collapsed, "two elements"), (widened, "class 4 has no member")):

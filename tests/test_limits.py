@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from semiflat.catalog import (enumerate_semimodules, semiring_module, suite_semirings,
-                              trivial_module)
-from semiflat.congruence import congruence_closure
+from semiflat import catalog, structures
+from semiflat.catalog import (bool_semiring, enumerate_semimodules, semiring_bimodule,
+                              semiring_module, suite_pool, suite_semirings, trivial_module)
+from semiflat.congruence import congruence_closure, quotient_by_congruence, sub_congruence
 from semiflat.errors import (NotCommutative, NotDirected, NotIntertwining,
                              ShapeMismatch)
 from semiflat.homology import (classify_sequence, hom_module, morphism_profile,
@@ -18,8 +21,9 @@ from semiflat.limits import (Colimit, chain_system, coequalizer, colimit_morphis
                              pullback_mediator, subsemimodule_system,
                              sum_morphism)
 from semiflat.structures import (build_morphism, build_semimodule, canonical_form, compose,
-                                 identity_morphism, morphism_violations, zero_morphism)
-from semiflat.subsets import submodule_of, subsemimodule
+                                 identity_morphism, morphism_violations, semimodule_violations,
+                                 zero_morphism)
+from semiflat.subsets import enumerate_subsemimodules, submodule_of, subsemimodule
 from semiflat.suite import _pool_modules, _small_homs
 from semiflat.workspace import load_default_workspace
 
@@ -249,7 +253,7 @@ def test_subsemimodule_comparison_must_be_well_defined(monkeypatch, Z4m):
     def collapsed(sys):
         # every member lands in class 0, which so holds distinct elements of M
         colim = real(sys)
-        return Colimit(colim.system, colim.module, colim.legs,
+        return Colimit(colim.module, colim.legs,
                        tuple((0,) * len(row) for row in colim.class_of))
 
     monkeypatch.setattr(limits, "directed_colimit", collapsed)
@@ -321,7 +325,7 @@ def _eventual_equality_colimit(sys):
     class_table = tuple(tuple(cls[pos[(j, x)]] for x in range(M.size))
                         for j, M in enumerate(sys.nodes))
     legs = tuple(build_morphism(M, module, c) for M, c in zip(sys.nodes, class_table))
-    return Colimit(sys, module, legs, class_table)
+    return Colimit(module, legs, class_table)
 
 
 def test_directed_colimit_matches_eventual_equality():
@@ -335,3 +339,56 @@ def test_directed_colimit_matches_eventual_equality():
     assert len(systems) == 99
     for sys in systems:
         assert directed_colimit(sys) == _eventual_equality_colimit(sys)
+
+
+@pytest.mark.parametrize("S", suite_semirings(), ids=lambda S: f"|S|={S.size}")
+def test_derived_carriers_need_no_axiom_scan(monkeypatch, S):
+    # a product or quotient of valid modules is valid, and so is a closed
+    # subset of one: with the axiom scan made to raise, direct sums, free
+    # modules, submodules, quotients and directed colimits all still build,
+    # and then the scan finds nothing on them nor on their structure maps.
+    # The cached constructions are called through their uncached functions
+    pool = [M for _, M in suite_pool(S)]
+    bimodules = pool + [semiring_bimodule(S)]
+    subs = [U for M in bimodules for U in enumerate_subsemimodules(M)]
+    congs = [sub_congruence(U.parent, U) for U in subs]
+    homs = hom_module(pool[1], pool[1]).maps
+    systems = ([constant_system(M, 2) for M in bimodules]
+               + [chain_system([h, h]) for h in homs]
+               + [directed_system((pool[1],) * 3, [(0, 2), (1, 2)], homs[-1:] * 2)])
+    for side in ("left", "right"):
+        semiring_module(S, side)     # the rank-1 free module is an input, and is validated
+
+    def scan(*args, **kwargs):
+        raise AssertionError("an axiom scan on a derived carrier")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(structures, "semimodule_violations", scan)
+        direct_sum_uncached = limits.direct_sum.__wrapped__
+        patch.setattr(catalog, "direct_sum", direct_sum_uncached)
+        sums = [direct_sum_uncached(fs) for fs in itertools.product(pool, repeat=2)]
+        sums += [direct_sum_uncached((M, M, pool[1])) for M in pool]
+        free = [catalog._free_module.__wrapped__(S, rank, side)
+                for rank in (2, 3) for side in ("left", "right")]
+        derived = [submodule_of(U.parent, U) for U in subs]
+        derived += [quotient_by_congruence(U.parent, c) for U, c in zip(subs, congs)]
+        colims = [limits.directed_colimit.__wrapped__(sys) for sys in systems]
+    assert [M.size for M in free] == [S.size ** 2] * 2 + [S.size ** 3] * 2
+    top = S.labels[-1]
+    assert free[2].labels[-1] == f"(({top},{top}),{top})"     # left-nested, as direct sums
+    modules = [d.module for d in sums] + free + [M for M, _ in derived]
+    modules += [c.module for c in colims]
+    for X in modules:
+        assert semimodule_violations(X.semiring, X.side, X.add, X.zero, X.action,
+                                     X.second) == []
+    maps = [f for d in sums for f in d.projections + d.injections]
+    maps += [f for _, f in derived] + [f for c in colims for f in c.legs]
+    for f in maps:
+        assert list(morphism_violations(f.source, f.target, f.map)) == []
+
+
+def test_directed_colimit_keeps_the_second_action():
+    Bb = semiring_bimodule(bool_semiring())
+    colim = directed_colimit(constant_system(Bb, 2))
+    assert colim.module.second == Bb.second
+    assert colim.module.labels == ("0:0", "0:1")

@@ -96,15 +96,12 @@ FUNCTION_MODULES = [p.stem for p in MODULES
                     if any(isinstance(node, ast.FunctionDef) for node in _tree(p).body)]
 
 
-# catalog's ``product_semiring`` is the one named exception: it stays as
-# the constructor of the BB semiring that four test modules build.  The
-# check goes by name, so it cannot see a function that shares its name with
-# a call elsewhere: ``itertools.product(...)`` hid an uncalled
+# The check goes by name, so it cannot see a function that shares its name
+# with a call elsewhere: ``itertools.product(...)`` hid an uncalled
 # ``limits.product``.
 @pytest.mark.parametrize("name", FUNCTION_MODULES)
 def test_every_public_function_has_a_caller_in_the_package(name):
-    kept = ["product_semiring"] if name == "catalog" else []
-    assert _uncalled_functions(PACKAGE / f"{name}.py", private=False) == kept
+    assert _uncalled_functions(PACKAGE / f"{name}.py", private=False) == []
 
 
 @pytest.mark.parametrize("name", FUNCTION_MODULES)
@@ -174,3 +171,23 @@ def test_every_record_field_is_read_in_the_package():
               and not node.target.id.startswith("_") and not reads[node.target.id]]
     assert len(records) > 20
     assert unread == []
+
+
+# A product or quotient of valid modules is valid, and so is a closed
+# subset of one: the modules that build derived carriers build them as
+# records directly, through ``structures.product_table``,
+# ``product_action`` and ``transport``, and never scan their axioms again.
+DERIVED = ["limits", "congruence", "subsets", "homology", "tensor", "flatness"]
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_derived_constructions_never_validate(name):
+    named = set()
+    for node in ast.walk(_tree(PACKAGE / f"{name}.py")):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    assert named & {"build_semiring", "build_semimodule"} == set()

@@ -51,7 +51,7 @@ DECLARATIONS = [
     (Morphism, ["source", "target", "map"]),
     (Subsemimodule, ["parent", "members"]),
     (Congruence, ["size", "class_of", "class_count"]),
-    (MorphismProfile, ["injective", "surjective", "k_uniform", "i_uniform", "semi_epi"]),
+    (MorphismProfile, ["k_uniform", "i_uniform", "semi_epi"]),
     (StageFlags, ["chain_step", "proper_exact", "semi_exact", "quasi_exact", "exact"]),
     (ExactnessReport, ["stages"]),
     (HomModule, ["source", "target", "module", "maps"]),
@@ -60,15 +60,15 @@ DECLARATIONS = [
     (TwoRowReport, ["case_1a", "case_1b", "case_2a", "case_2b"]),
     (ProductData, ["module", "factors", "projections", "injections"]),
     (DirectedSystem, ["nodes", "order", "maps"]),
-    (Colimit, ["system", "module", "legs", "class_of"]),
+    (Colimit, ["module", "legs", "class_of"]),
     (InverseSystem, ["nodes", "order", "maps"]),
-    (HomColimitComparison, ["map", "injective", "bijective"]),
+    (HomColimitComparison, ["injective", "bijective"]),
     (TensorPresentation, ["left", "right", "left_gens", "right_gens", "radices", "box_size",
                           "module", "tau", "rep_coords", "dense"]),
     (IsoPair, ["forward", "backward"]),
     (CancellativeTensor, ["presentation", "module", "reflection", "tau"]),
     (AdjunctionReport, ["bijective", "additive", "natural_in_source", "natural_in_target"]),
-    (HomTensorComparison, ["map", "injective", "uniform", "bijective"]),
+    (HomTensorComparison, ["injective", "uniform", "bijective"]),
     (FlatnessVerdict, ["holds", ("witness", None)]),
     (FlatCertificate, ["system", "node_witnesses", "iso"]),
     (SearchConfig, ["semirings", ("max_size", 4), ("budget_seconds", 300.0),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiflat import errors, suite
-from semiflat.catalog import (enumerate_semimodules, product_semiring, semiring_module,
+from semiflat.catalog import (enumerate_semimodules, semiring_module,
                               suite_semirings, trivial_module, zmod_module, zmod_semiring,
                               cyclic_monoid)
 from semiflat.errors import AxiomViolation, MalformedTable, SemiflatError, SideMismatch
@@ -25,6 +25,7 @@ from semiflat.structures import (LEFT, RIGHT, SecondAction, as_left, as_right,
                                  semiring_violations, semimodule_violations,
                                  Violation, with_bimodule_structure)
 from semiflat.tensor import factor_balanced, tensor_product
+from products import product_semiring
 
 
 def test_bool_semiring_is_valid():

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from semiflat import catalog, config
 from semiflat.catalog import (bool_semiring, class_representative, enumerate_semimodules,
-                              product_module, product_semiring, sat_quotient, sat_semiring,
-                              semiring_bimodule, semiring_module, suite_pool, suite_semirings,
-                              trivial_module, zmod_semiring)
+                              sat_quotient, sat_semiring, semiring_bimodule, semiring_module,
+                              suite_pool, suite_semirings, trivial_module, zmod_semiring)
 from semiflat.congruence import quotient_by_sub
 from semiflat.errors import NotASubsemimodule
 from semiflat.homology import hom_module
+from semiflat.limits import direct_sum
 from semiflat.structures import (LEFT, RIGHT, SecondAction, additive_generators, as_left,
                                  build_semimodule, greedy_generators, monoid_generators, span)
 from semiflat.subsets import (Subsemimodule, additive_expressions, enumerate_subsemimodules,
@@ -21,6 +21,7 @@ from semiflat.subsets import (Subsemimodule, additive_expressions, enumerate_sub
                               module_generators, subsemimodule, subtractive_closure,
                               subtractive_closure_set, uniform_subsemimodules, submodule_of)
 from semiflat.tensor import tensor_product
+from products import product_semiring
 
 
 def test_subsemimodules_of_bool(Bm):
@@ -307,7 +308,7 @@ def test_generators_above_the_search_bound_are_the_greedy_set():
     # the least-set search runs up to MAX_SUBSET_MODULE elements; above it
     # the greedy set stands in, here seven generators where three span
     X = class_representative(semiring_module(sat_semiring(3)))[0]
-    M = product_module(X, product_module(X, sat_quotient(3, 2, 3)))
+    M = direct_sum((X, X, sat_quotient(3, 2, 3))).module
     assert M.size == 48 > config.MAX_SUBSET_MODULE
     greedy = greedy_generators(M.size, lambda seed: span(M.add, M.zero, seed, (M.action,)))
     assert module_generators(M) == greedy == ref_module_generators(M)

@@ -367,3 +367,59 @@ def test_witness_check_rejects_a_witness_that_breaks_nothing():
         assert not suite._witness_breaks_axiom(axiom, witness, Bm.add, mul=B.mul,
                                                action=Bm.action, S=B, zero=B.zero, one=B.one,
                                                mapping=(0, 1), target=Bm), axiom
+
+
+def _column_module():
+    """B^2 as column vectors under the 2 x 2 Boolean matrices, acting on the left.
+
+    A matrix (a, b, c, d) is [[a, b], [c, d]]; it is a noncommutative
+    semiring, so (s t) x and (t s) x differ and the side of the action
+    decides which one action-associativity compares.
+    """
+    mats = list(itertools.product((0, 1), repeat=4))
+    vecs = list(itertools.product((0, 1), repeat=2))
+    mpos = {m: i for i, m in enumerate(mats)}
+    vpos = {v: i for i, v in enumerate(vecs)}
+
+    def mul(m, n):
+        return tuple(max(m[2 * i] & n[j], m[2 * i + 1] & n[2 + j])
+                     for i in (0, 1) for j in (0, 1))
+
+    def apply(m, v):
+        return tuple(max(m[2 * i] & v[0], m[2 * i + 1] & v[1]) for i in (0, 1))
+
+    S = build_semiring([str(m) for m in mats],
+                       [[mpos[tuple(map(max, m, n))] for n in mats] for m in mats],
+                       [[mpos[mul(m, n)] for n in mats] for m in mats],
+                       mpos[(0, 0, 0, 0)], mpos[(1, 0, 0, 1)])
+    add = [[vpos[tuple(map(max, v, w))] for w in vecs] for v in vecs]
+    action = [[vpos[apply(m, v)] for m in mats] for v in vecs]
+    return S, add, action
+
+
+def test_action_witness_check_reads_the_side_of_a_left_module():
+    # over a noncommutative semiring a valid left module has no broken
+    # action-associative triple when t (s x) is compared with (t s) x;
+    # compared with (s t) x, 356 of the 1,024 triples would look broken
+    S, add, action = _column_module()
+    M = build_semimodule(S, "left", ["00", "01", "10", "11"], add, 0, action)
+    triples = list(itertools.product(range(M.size), range(S.size), range(S.size)))
+    assert len(triples) == 1024
+    assert not any(suite._witness_breaks_axiom("action-associative", w, M.add,
+                                               action=M.action, S=S, side="left")
+                   for w in triples)
+    assert sum(suite._witness_breaks_axiom("action-associative", w, M.add,
+                                           action=M.action, S=S, side="right")
+               for w in triples) == 356
+    # a mutated left action, [[1, 1], [0, 1]] (0, 1) = (0, 1) where (1, 1) is
+    # right: its witnesses re-check as broken on its side, and on the other
+    # side none of them would
+    mutated = [list(row) for row in action]
+    mutated[1][13] = 1
+    with pytest.raises(AxiomViolation) as info:
+        build_semimodule(S, "left", M.labels, add, 0, mutated)
+    found = [v.witness for v in info.value.violations if v.axiom == "action-associative"]
+    assert len(found) == 3
+    for side, broken in (("left", True), ("right", False)):
+        assert all(suite._witness_breaks_axiom("action-associative", w, add, action=mutated,
+                                               S=S, side=side) == broken for w in found)
