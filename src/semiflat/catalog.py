@@ -15,19 +15,18 @@ from .congruence import module_congruence_closure, quotient_by_congruence
 from .errors import InvalidArgument, MalformedTable, SizeBoundExceeded
 from .homology import linear_maps
 from .limits import direct_sum
-from .structures import (LEFT, RIGHT, Morphism, Semimodule, Semiring, Table,
+from .structures import (LEFT, RIGHT, Morphism, SecondAction, Semimodule, Semiring, Table,
                          build_semimodule, build_semiring, canonical_form,
                          freeze_table, identity_morphism, monoid_module, product_table)
 from .subsets import submodule_of, subsemimodule
 
 
 def _check_int(value, least: int, what: str) -> None:
-    """Refuse a bool, a non-int or an int below ``least``, before any cache."""
+    """Refuse a bool, a non-int or an int below ``least``, before anything is built."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise InvalidArgument(f"{what} must be an integer >= {least}, got {value!r}")
 
 
-@lru_cache(maxsize=None)
 def bool_semiring() -> Semiring:
     return build_semiring(["0", "1"], [[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, 1)
 
@@ -35,11 +34,6 @@ def bool_semiring() -> Semiring:
 def sat_semiring(k: int) -> Semiring:
     """Saturating arithmetic on {0..k}: a+b and a*b clipped at k, for an int k >= 1."""
     _check_int(k, 1, "k")
-    return _sat_semiring(k)
-
-
-@lru_cache(maxsize=None)
-def _sat_semiring(k: int) -> Semiring:
     n = k + 1
     labels = [str(i) for i in range(n)]
     add = [[min(a + b, k) for b in range(n)] for a in range(n)]
@@ -50,11 +44,6 @@ def _sat_semiring(k: int) -> Semiring:
 def zmod_semiring(n: int) -> Semiring:
     """Arithmetic modulo an int n >= 2."""
     _check_int(n, 2, "n")
-    return _zmod_semiring(n)
-
-
-@lru_cache(maxsize=None)
-def _zmod_semiring(n: int) -> Semiring:
     labels = [str(i) for i in range(n)]
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]
@@ -90,15 +79,18 @@ def semiring_module(S: Semiring, side: str = RIGHT) -> Semimodule:
 
 @lru_cache(maxsize=None)
 def semiring_bimodule(S: Semiring, primary: str = RIGHT) -> Semimodule:
-    """S acting on itself from both sides; no commutativity needed."""
-    from .structures import SecondAction
+    """S acting on itself from both sides; no commutativity needed.
+
+    ``primary`` is the side of the main action, and ``build_semimodule``
+    refuses any side but left or right.
+    """
     right_table = freeze_table([[S.mul[x][t] for t in range(S.size)] for x in range(S.size)])
     left_table = freeze_table([[S.mul[s][x] for s in range(S.size)] for x in range(S.size)])
     if primary == RIGHT:
         second = SecondAction(S, LEFT, left_table)
         return build_semimodule(S, RIGHT, S.labels, S.add, S.zero, right_table, second)
     second = SecondAction(S, RIGHT, right_table)
-    return build_semimodule(S, LEFT, S.labels, S.add, S.zero, left_table, second)
+    return build_semimodule(S, primary, S.labels, S.add, S.zero, left_table, second)
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +113,7 @@ def zmod_module(n: int, d: int, side: str = RIGHT) -> Semimodule:
 
 @lru_cache(maxsize=None)
 def _zmod_module(n: int, d: int, side: str) -> Semimodule:
-    S = _zmod_semiring(n)
+    S = zmod_semiring(n)
     labels = [str(i) for i in range(d)]
     add = [[(a + b) % d for b in range(d)] for a in range(d)]
     action = [[(a * s) % d for s in range(n)] for a in range(d)]
@@ -147,11 +139,6 @@ def cyclic_monoid(index: int, period: int) -> Table:
     """Monogenic commutative monoid table with the given index >= 0 and period >= 1."""
     _check_int(index, 0, "index")
     _check_int(period, 1, "period")
-    return _cyclic_monoid(index, period)
-
-
-@lru_cache(maxsize=None)
-def _cyclic_monoid(index: int, period: int) -> Table:
     n = index + period
 
     def red(k: int) -> int:
@@ -160,7 +147,6 @@ def _cyclic_monoid(index: int, period: int) -> Table:
     return freeze_table([[red(a + b) for b in range(n)] for a in range(n)])
 
 
-@lru_cache(maxsize=None)
 def cancellative_targets() -> tuple[Semimodule, ...]:
     """All cancellative commutative monoids of at most 4 elements, i.e. abelian groups."""
     tables = [cyclic_monoid(0, n) for n in range(1, 5)]
@@ -179,12 +165,7 @@ def sat_quotient(k: int, a: int, b: int) -> Semimodule:
         _check_int(value, 0, what)
         if value > k:
             raise InvalidArgument(f"{what} must be an integer <= {k}, got {value!r}")
-    return _sat_quotient(k, a, b)
-
-
-@lru_cache(maxsize=None)
-def _sat_quotient(k: int, a: int, b: int) -> Semimodule:
-    M = semiring_module(_sat_semiring(k))
+    M = semiring_module(sat_semiring(k))
     cong = module_congruence_closure(M, [(a, b)])
     Q, _ = quotient_by_congruence(M, cong)
     return Q

@@ -16,8 +16,8 @@ from .errors import (MalformedTable, NotCommutative, NotDirected, NotIntertwinin
                      ShapeMismatch, SizeBoundExceeded)
 from .homology import hom_module, hom_postcompose
 from .record import Record
-from .structures import (Morphism, Semimodule, build_morphism, check_table, compose,
-                         descend, freeze_table, identity_morphism, product_action,
+from .structures import (Morphism, SecondAction, Semimodule, build_morphism, check_table,
+                         compose, descend, freeze_table, identity_morphism, product_action,
                          product_table, transport)
 from .subsets import submodule_of, subsemimodule, enumerate_subsemimodules
 
@@ -49,7 +49,8 @@ def direct_sum(factors: tuple[Semimodule, ...]) -> ProductData:
     """Componentwise biproduct with projections and injections.
 
     The carrier's tables are the ``product_table`` and ``product_action``
-    folds of the factors', its labels left-nested, ((a,b),c).  A product
+    folds of the factors', its labels left-nested, ((a,b),c); their second
+    actions fold too when all share one semiring and side.  A product
     of valid modules is valid and its structure maps are linear, so none
     of them gets a scan.
     """
@@ -71,12 +72,22 @@ def direct_sum(factors: tuple[Semimodule, ...]) -> ProductData:
     # one factor is its own sum, second action and all
     module = first if not rest else Semimodule(
         first.semiring, first.side, labels, product_table([f.add for f in factors]), zero,
-        product_action([f.action for f in factors]))
+        product_action([f.action for f in factors]), _product_second(factors))
     projections = tuple(Morphism(module, f, tuple(x // k % f.size for x in range(total)))
                         for f, k in zip(factors, strides))
     injections = tuple(Morphism(f, module, tuple(zero + (a - f.zero) * k for a in range(f.size)))
                        for f, k in zip(factors, strides))
     return ProductData(module, factors, projections, injections)
+
+
+def _product_second(factors: tuple[Semimodule, ...]) -> SecondAction | None:
+    """The folded second action, when every factor has one over one semiring and side."""
+    first = factors[0].second
+    if first is None or any(f.second is None or f.second.semiring != first.semiring
+                            or f.second.side != first.side for f in factors):
+        return None
+    return SecondAction(first.semiring, first.side,
+                        product_action([f.second.table for f in factors]))
 
 
 def pairing(fs, data: ProductData) -> Morphism:

@@ -13,10 +13,10 @@ from semiflat import catalog
 from semiflat.catalog import (bool_semiring, chain_module, class_representative,
                               cyclic_monoid, enumerate_commutative_monoids,
                               enumerate_semimodules, free_module, sat_quotient,
-                              sat_semiring, suite_pool, suite_semirings, zmod_module,
-                              zmod_semiring)
+                              sat_semiring, semiring_bimodule, suite_pool,
+                              suite_semirings, zmod_module, zmod_semiring)
 from semiflat.congruence import quotient_by_sub
-from semiflat.errors import InvalidArgument
+from semiflat.errors import InvalidArgument, MalformedTable
 from semiflat.structures import build_semimodule, canonical_form
 from semiflat.subsets import enumerate_subsemimodules, module_generators, submodule_of
 from semiflat.workspace import load_default_workspace
@@ -127,6 +127,13 @@ def test_catalog_integer_parameters_are_checked(call, good, bad):
     call(*good)
     with pytest.raises(InvalidArgument):
         call(*bad)
+
+
+@pytest.mark.parametrize("side", ["up", "LEFT", "", None])
+def test_semiring_bimodule_refuses_an_unknown_side(side):
+    assert semiring_bimodule(bool_semiring(), "left").side == "left"
+    with pytest.raises(MalformedTable, match="side must be 'left' or 'right'"):
+        semiring_bimodule(bool_semiring(), side)
 
 
 SEMIRINGS = {"BOOL": bool_semiring, "ZMOD2": lambda: zmod_semiring(2),

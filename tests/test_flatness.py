@@ -22,7 +22,7 @@ from semiflat.flatness import (FlatnessVerdict, SearchConfig, flat_certificate_c
 from semiflat.homology import classify_sequence, morphism_profile, with_zero_ends
 from semiflat.limits import Colimit
 from semiflat.structures import (as_right, build_morphism, build_semimodule,
-                                 identity_morphism)
+                                 build_semiring, identity_morphism)
 from semiflat.subsets import (enumerate_subsemimodules, submodule_of,
                               uniform_subsemimodules)
 from semiflat.tensor import tensor_morphisms, tensor_product
@@ -324,6 +324,23 @@ def test_search_over_bool():
     rep = search_counterexamples(cfg)
     assert not rep["lattice_violations"]
     assert all(r.uniformly_flat for r in rep["records"])
+
+
+def test_search_over_the_three_chain_separates_the_i_uniform_class():
+    # the chain 0 < 1 < 2 with max as addition and min as multiplication:
+    # its module 4 is mono-flat, but a tensored inclusion has an image that
+    # is not closed, so it is neither in the i-uniform class nor uniformly
+    # flat; a scan that took every image for closed would call it a
+    # lattice violation instead
+    chain = [[max(a, b) for b in range(3)] for a in range(3)]
+    meet = [[min(a, b) for b in range(3)] for a in range(3)]
+    C = build_semiring(["0", "1", "2"], chain, meet, 0, 2)
+    rep = search_counterexamples(SearchConfig((C,), max_size=3))
+    assert len(rep["records"]) == 7 and rep["lattice_violations"] == []
+    rec = rep["records"][4]
+    assert (rec.module_index, rec.size) == (4, 3)
+    assert (rec.mono_flat, rec.i_uniform_class, rec.uniformly_flat) == (True, False, False)
+    assert rec.witness == (6, (0, 2), "image-not-closed")
 
 
 def test_search_reports_a_contradiction_and_goes_on(tmp_path, monkeypatch, Z4):

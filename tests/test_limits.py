@@ -392,3 +392,19 @@ def test_directed_colimit_keeps_the_second_action():
     colim = directed_colimit(constant_system(Bb, 2))
     assert colim.module.second == Bb.second
     assert colim.module.labels == ("0:0", "0:1")
+
+
+@pytest.mark.parametrize("primary", ["right", "left"])
+@pytest.mark.parametrize("semiring", [bool_semiring, lambda: catalog.zmod_semiring(4)],
+                         ids=["BOOL", "ZMOD4"])
+def test_direct_sum_keeps_the_second_action(semiring, primary):
+    # a product of bimodules folds the second tables as it folds the first
+    S = semiring()
+    Bb = semiring_bimodule(S, primary)
+    for rank in (2, 3):
+        M = direct_sum((Bb,) * rank).module
+        assert (M.second.semiring, M.second.side) == (Bb.second.semiring, Bb.second.side)
+        assert M.second.table == structures.product_action([Bb.second.table] * rank)
+        assert build_semimodule(S, M.side, M.labels, M.add, M.zero, M.action, M.second) == M
+    # a factor without a second action leaves the sum without one
+    assert direct_sum((Bb, semiring_module(S, primary))).module.second is None

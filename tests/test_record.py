@@ -22,7 +22,8 @@ from semiflat import structures, suite
 from semiflat.catalog import (bool_semiring, sat_semiring, trivial_module, zmod_module,
                               zmod_semiring)
 from semiflat.congruence import Congruence
-from semiflat.flatness import FlatCertificate, FlatnessVerdict, SearchConfig, SearchRecord
+from semiflat.flatness import (FlatCertificate, FlatnessVerdict, SearchConfig, SearchRecord,
+                               search_counterexamples)
 from semiflat.homology import (ExactnessReport, HomModule, InjectivityEntry,
                                InjectivityReport, MorphismProfile,
                                StageFlags, hom_module)
@@ -281,6 +282,22 @@ def test_cache_keys_compare_only_equal_records(monkeypatch):
     B = bool_semiring()
     suite._componentwise_items(B, suite._pool_modules(B))
     assert unequal == {} and semirings == {}
+
+
+def test_every_package_cache_is_reused():
+    # a cache is kept only where the suites or the size-4 search hit it;
+    # the semiring constructors need none, as build_semiring interns
+    _clear_caches()
+    suite.run_suites()
+    search_counterexamples(SearchConfig((bool_semiring(), sat_semiring(3), zmod_semiring(4)),
+                                        max_size=4))
+    hits = {f"{obj.__module__}.{obj.__qualname__}": obj.cache_info().hits
+            for name, module in list(sys.modules.items())
+            if name == "semiflat" or name.startswith("semiflat.")
+            for obj in vars(module).values()
+            if hasattr(obj, "cache_info") and obj.__module__.startswith("semiflat.")}
+    assert [name for name, count in hits.items() if count == 0] == []
+    assert len(hits) == 29
 
 
 def test_workspace_maps_are_fresh_per_instance():
